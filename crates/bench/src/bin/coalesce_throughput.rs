@@ -1,8 +1,6 @@
 //! Group-commit coalescer throughput: sequential vs coalesced single-query
-//! qps at 1/4/8/16 concurrent clients, the cold/warm split of the
-//! W-histogram cache on repeat workload traffic, and a staged-vs-legacy
-//! scan-kernel A/B at the 8-client coalesced point (the coalescer's fused
-//! batches are the chief beneficiary of the staged SIMD-width kernel).
+//! qps at 1/4/8/16 concurrent clients, and the cold/warm split of the
+//! W-histogram cache on repeat workload traffic.
 //!
 //! ```text
 //! SSB_SF=0.05 COALESCE_QUERIES=300 cargo run --release -p starj-bench --bin coalesce_throughput
@@ -44,8 +42,7 @@ const EPSILON: f64 = 0.1;
 
 /// Lockstep equivalence check: same seed, same arrival order — every
 /// answer, noisy query, and the final ledger must be bit-identical across
-/// the sequential path, the coalesced path, and the coalesced path on the
-/// pre-staging legacy scan kernel (`ScanOptions::legacy_gather`).
+/// the sequential path and the coalesced path.
 fn equivalence_check(schema: &Arc<StarSchema>, seed: u64) -> Result<(), String> {
     let sequential =
         Service::new(Arc::clone(schema), ServiceConfig { seed, ..ServiceConfig::default() });
@@ -53,33 +50,20 @@ fn equivalence_check(schema: &Arc<StarSchema>, seed: u64) -> Result<(), String> 
         Arc::clone(schema),
         ServiceConfig { seed, coalesce: true, ..ServiceConfig::default() },
     );
-    let mut legacy_config = ServiceConfig { seed, coalesce: true, ..ServiceConfig::default() };
-    legacy_config.pm.scan = legacy_config.pm.scan.with_legacy_gather();
-    legacy_config.wd.scan = legacy_config.wd.scan.with_legacy_gather();
-    let legacy = Service::new(Arc::clone(schema), legacy_config);
-    for service in [&sequential, &coalesced, &legacy] {
+    for service in [&sequential, &coalesced] {
         service.register_tenant("check", PrivacyBudget::pure(100.0).unwrap()).unwrap();
     }
     for (i, q) in query_pool().iter().take(40).enumerate() {
         let a = sequential.pm_answer("check", q, EPSILON).map_err(|e| e.to_string())?;
         let b = coalesced.pm_answer("check", q, EPSILON).map_err(|e| e.to_string())?;
-        let c = legacy.pm_answer("check", q, EPSILON).map_err(|e| e.to_string())?;
         if a.result != b.result || a.noisy_query != b.noisy_query {
             return Err(format!("answer {i} diverged: {:?} vs {:?}", a.result, b.result));
         }
-        if a.result != c.result || a.noisy_query != c.noisy_query {
-            return Err(format!(
-                "legacy-kernel answer {i} diverged: {:?} vs {:?}",
-                a.result, c.result
-            ));
-        }
     }
     let sa = sequential.tenant_usage("check").unwrap().spent_epsilon;
-    for (name, service) in [("coalesced", &coalesced), ("legacy-kernel", &legacy)] {
-        let sb = service.tenant_usage("check").unwrap().spent_epsilon;
-        if sa.to_bits() != sb.to_bits() {
-            return Err(format!("{name} ledger diverged: {sa} vs {sb}"));
-        }
+    let sb = coalesced.tenant_usage("check").unwrap().spent_epsilon;
+    if sa.to_bits() != sb.to_bits() {
+        return Err(format!("ledger diverged: {sa} vs {sb}"));
     }
     Ok(())
 }
@@ -164,34 +148,6 @@ fn main() {
     };
     let (seq_med, coal_med) = (median(&mut seq_qps), median(&mut coal_qps));
 
-    // Kernel A/B at the 8-client coalesced point: the same fused batches
-    // answered by the pre-staging legacy gather (`ScanOptions::
-    // legacy_gather`) vs the staged SIMD-width kernel (the `coal_med`
-    // median above). Fused scans are where the staged kernel's shared fk
-    // staging pays, so this is the serving-path view of the scan bench's
-    // staged-vs-legacy ratio.
-    let mut legacy_qps: Vec<f64> = (0..3)
-        .map(|_| {
-            starj_bench::measure_coalesce_kernel(
-                &schema,
-                8,
-                queries_per_client,
-                EPSILON,
-                true,
-                window,
-                seed,
-                true,
-            )
-            .qps
-        })
-        .collect();
-    let legacy_med = median(&mut legacy_qps);
-    println!(
-        "\nkernel A/B at 8 coalesced clients: staged {coal_med:.0} qps vs legacy gather \
-         {legacy_med:.0} qps ({:.2}×)",
-        coal_med / legacy_med.max(1e-9)
-    );
-
     // Telemetry A/B at the 8-client coalesced point: the default config
     // (tracing on — the `coal_med` median above) vs a service built with
     // `TelemetryConfig::disabled()` (no span ring, no audit trail, inert
@@ -208,7 +164,6 @@ fn main() {
                 true,
                 window,
                 seed,
-                false,
                 false,
             )
             .qps
@@ -247,14 +202,6 @@ fn main() {
             Json::obj(vec![
                 ("sequential_median_qps", Json::Num(seq_med)),
                 ("coalesced_median_qps", Json::Num(coal_med)),
-            ]),
-        ),
-        (
-            "kernel_ab_8_clients",
-            Json::obj(vec![
-                ("staged_median_qps", Json::Num(coal_med)),
-                ("legacy_gather_median_qps", Json::Num(legacy_med)),
-                ("staged_speedup", Json::Num(coal_med / legacy_med.max(1e-9))),
             ]),
         ),
         (

@@ -1,15 +1,12 @@
-//! Scan-kernel throughput: the same `l`-query workload answered five ways —
+//! Scan-kernel throughput: the same `l`-query workload answered four ways —
 //!
-//! 1. **row-at-a-time** — the legacy executor (`exec::reference`), one scan
+//! 1. **row-at-a-time** — the reference executor (`exec::reference`), one scan
 //!    per query over `Vec<bool>` bitmaps;
 //! 2. **bitset** — the vectorized chunked kernel, still one scan per query;
 //! 3. **fused** — `execute_batch`, all `l` queries in ONE fact scan through
 //!    the staged SIMD-width kernel (shared per-chunk fk staging, probe fast
 //!    paths, selectivity-ordered masks);
-//! 4. **fused-legacy-gather** — the same fused scan with
-//!    `ScanOptions::legacy_gather` forcing the pre-staging scalar interior
-//!    (the A/B baseline isolating the staged kernel's win);
-//! 5. **parallel** — the staged fused scan sharded across threads.
+//! 4. **parallel** — the staged fused scan sharded across threads.
 //!
 //! Plus the weighted (WD-shaped) form: `l` reconstructed predicate rows
 //! answered by `execute_weighted_batch` in one scan vs `l` reference scans.
@@ -128,7 +125,7 @@ fn main() {
     // compares against them when the parameters match.
     let committed = drift::load("BENCH_scan.json").ok();
 
-    // The oracle: legacy row-at-a-time answers.
+    // The oracle: row-at-a-time reference answers.
     let oracle: Vec<QueryResult> =
         queries.iter().map(|q| reference::execute(&schema, q).expect("reference")).collect();
 
@@ -140,10 +137,6 @@ fn main() {
             queries.iter().map(|q| execute(&schema, q).unwrap()).collect()
         }),
         run_regime("fused-batch", &oracle, || execute_batch(&schema, &queries).unwrap()),
-        run_regime("fused-legacy-gather", &oracle, || {
-            execute_batch_with(&schema, &queries, ScanOptions::default().with_legacy_gather())
-                .unwrap()
-        }),
         run_regime("fused-parallel", &oracle, || {
             execute_batch_with(&schema, &queries, ScanOptions::parallel(threads)).unwrap()
         }),
@@ -216,15 +209,12 @@ fn main() {
 
     let fused = regimes.iter().find(|r| r.name == "fused-batch").unwrap();
     let bitset = regimes.iter().find(|r| r.name == "bitset").unwrap();
-    let legacy = regimes.iter().find(|r| r.name == "fused-legacy-gather").unwrap();
     let speedup = regimes[0].wall_secs / fused.wall_secs.max(1e-12);
     let fused_vs_bitset = bitset.wall_secs / fused.wall_secs.max(1e-12);
-    let staged_vs_legacy = legacy.wall_secs / fused.wall_secs.max(1e-12);
     let wd_speedup = wd_ref_secs / wd_fused_secs.max(1e-12);
     println!(
         "\nfused-batch vs row-at-a-time: {speedup:.1}×; vs per-query bitset: \
-         {fused_vs_bitset:.2}×; staged vs legacy gather: {staged_vs_legacy:.2}×; \
-         WD fused vs per-query: {wd_speedup:.1}×"
+         {fused_vs_bitset:.2}×; WD fused vs per-query: {wd_speedup:.1}×"
     );
 
     let json = Json::obj(vec![
@@ -269,7 +259,6 @@ fn main() {
         ),
         ("fused_speedup_vs_row_at_a_time", Json::Num(speedup)),
         ("fused_speedup_vs_bitset", Json::Num(fused_vs_bitset)),
-        ("staged_speedup_vs_legacy_gather", Json::Num(staged_vs_legacy)),
         ("wd_fused_speedup_vs_per_query", Json::Num(wd_speedup)),
     ]);
     json.write("BENCH_scan.json").expect("write BENCH_scan.json");

@@ -54,35 +54,6 @@ pub fn measure_coalesce(
     window: Duration,
     seed: u64,
 ) -> CoalesceSample {
-    measure_coalesce_kernel(
-        schema,
-        clients,
-        queries_per_client,
-        epsilon,
-        coalesce,
-        window,
-        seed,
-        false,
-    )
-}
-
-/// [`measure_coalesce`] with the scan-kernel interior selectable:
-/// `legacy_gather` forces the pre-staging scalar gather
-/// ([`starj_engine::ScanOptions::legacy_gather`]) through the service's
-/// mechanism scan options — the A/B that shows the coalescer's fused
-/// batches are the chief beneficiary of the staged SIMD-width kernel.
-/// Answers are bit-identical either way.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_coalesce_kernel(
-    schema: &Arc<StarSchema>,
-    clients: usize,
-    queries_per_client: usize,
-    epsilon: f64,
-    coalesce: bool,
-    window: Duration,
-    seed: u64,
-    legacy_gather: bool,
-) -> CoalesceSample {
     measure_coalesce_tracing(
         schema,
         clients,
@@ -91,17 +62,16 @@ pub fn measure_coalesce_kernel(
         coalesce,
         window,
         seed,
-        legacy_gather,
         true,
     )
 }
 
-/// The fully-selectable interior: kernel (staged vs legacy gather) *and*
-/// telemetry (`tracing = false` builds the service with
-/// [`starj_service::TelemetryConfig::disabled`], so no span ring, no audit
-/// trail, no slow-query log and — because disabled trace builders are
-/// inert — no clock reads on the request path). The tracing-on/off A/B in
-/// `coalesce_throughput` gates on this pair.
+/// [`measure_coalesce`] with telemetry selectable (`tracing = false`
+/// builds the service with [`starj_service::TelemetryConfig::disabled`],
+/// so no span ring, no audit trail, no slow-query log and — because
+/// disabled trace builders are inert — no clock reads on the request
+/// path). The tracing-on/off A/B in `coalesce_throughput` gates on this
+/// pair.
 #[allow(clippy::too_many_arguments)]
 pub fn measure_coalesce_tracing(
     schema: &Arc<StarSchema>,
@@ -111,7 +81,6 @@ pub fn measure_coalesce_tracing(
     coalesce: bool,
     window: Duration,
     seed: u64,
-    legacy_gather: bool,
     tracing: bool,
 ) -> CoalesceSample {
     let mut config = ServiceConfig {
@@ -121,10 +90,6 @@ pub fn measure_coalesce_tracing(
         coalesce_window: window,
         ..ServiceConfig::default()
     };
-    if legacy_gather {
-        config.pm.scan = config.pm.scan.with_legacy_gather();
-        config.wd.scan = config.wd.scan.with_legacy_gather();
-    }
     if !tracing {
         config.telemetry = starj_service::TelemetryConfig::disabled();
     }
@@ -304,23 +269,6 @@ mod tests {
         let seq = measure_coalesce(&schema, 4, 20, 0.05, false, Duration::ZERO, 7);
         assert_eq!(seq.coalesced_requests, 0, "disabled coalescer parks nothing");
         assert_eq!(seq.requests, 80);
-    }
-
-    #[test]
-    fn legacy_kernel_measurement_serves_identically() {
-        let schema = Arc::new(generate(&SsbConfig::at_scale(0.002, 7)).unwrap());
-        let legacy = measure_coalesce_kernel(
-            &schema,
-            2,
-            10,
-            0.05,
-            true,
-            Duration::from_micros(200),
-            7,
-            true,
-        );
-        assert_eq!(legacy.requests, 20, "legacy kernel serves every request");
-        assert_eq!(legacy.coalesced_requests, 20);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! | `fig11`  | Figure 11  | error under Gaussian-mixture data |
 //! | `ablations` | DESIGN.md §7 | PMA policy / budget-split / strategy / R2T-grid ablations |
 //! | `service_throughput` | — (systems) | queries/sec of the multi-tenant DP service at 1/4/8 tenants; writes `BENCH_service.json` |
-//! | `scan_throughput` | — (systems) | row-at-a-time vs bitset vs fused-batch vs fused-legacy-gather vs parallel scan kernels, median-of-3, with equivalence + fusion-speedup + no-regression self-gates; writes `BENCH_scan.json` |
-//! | `coalesce_throughput` | — (systems) | sequential vs group-commit-coalesced single-query qps at 1/4/8/16 clients, cold vs warm W cache, staged-vs-legacy kernel A/B, and tracing-on/off A/B at 8 clients, with equivalence + regression + tracing-overhead (`TRACE_GATE`, default < 5%) self-gates; writes `BENCH_coalesce.json` |
+//! | `scan_throughput` | — (systems) | row-at-a-time vs bitset vs fused-batch vs parallel scan kernels, median-of-3, with equivalence + fusion-speedup + no-regression self-gates; writes `BENCH_scan.json` |
+//! | `coalesce_throughput` | — (systems) | sequential vs group-commit-coalesced single-query qps at 1/4/8/16 clients, cold vs warm W cache, and tracing-on/off A/B at 8 clients, with equivalence + regression + tracing-overhead (`TRACE_GATE`, default < 5%) self-gates; writes `BENCH_coalesce.json` |
 //! | `router_throughput` | — (systems) | the same total SSB volume served by 1/2/4 router shards at 8 clients, with a router-vs-standalone lockstep equivalence self-gate and an optional `ROUTER_GATE=1` ≥ 2.5× scaling gate; writes `BENCH_router.json` |
 //! | `cost_model` | — (systems) | sampling cost model: reference ≡ static ≡ model bit-identity, kernel-counter agreement, ≥ 90% estimator CI coverage vs an exact-mode oracle, planning A/B, and the fixed-vs-adaptive group-commit window A/B (8-client qps within noise, idle p50 strictly better); writes `BENCH_cost.json` |
 //! | `bench_compare` | — (systems) | drift gate between two `BENCH_*.json` files: non-zero exit when a shared regime's qps regressed beyond the noise threshold (default 15%) |
@@ -37,8 +37,8 @@ pub mod scenarios;
 pub mod service;
 
 pub use coalesce::{
-    dashboard_workload, measure_coalesce, measure_coalesce_adaptive, measure_coalesce_kernel,
-    measure_coalesce_tracing, measure_wd_wcache, CoalesceSample, WCacheSample,
+    dashboard_workload, measure_coalesce, measure_coalesce_adaptive, measure_coalesce_tracing,
+    measure_wd_wcache, CoalesceSample, WCacheSample,
 };
 pub use harness::{env_f64, env_u64, stats, Json, Stats, TablePrinter};
 pub use mechanisms::{ls_rel_err, pm_rel_err, r2t_rel_err, MechOutcome};

@@ -47,8 +47,8 @@ pub fn delete_dim_tuple_cascade(
 
     // 1. Drop referencing fact rows.
     let fk_col = schema.dims()[di].fk.clone();
-    let fks = schema.fact().key(&fk_col)?.to_vec();
-    let fact = filter_table(schema.fact(), |r| fks[r] != key)?;
+    let fks = schema.fact().key(&fk_col)?;
+    let fact = filter_table(schema.fact(), |r| fks.get(r) != key)?;
 
     // 2. Drop the dimension row and re-densify its keys.
     let mut dims = schema.dims().to_vec();
@@ -100,7 +100,13 @@ fn filter_table(table: &Table, keep: impl Fn(usize) -> bool) -> Result<Table, Co
         .map(|c| {
             let name = c.name().to_string();
             match c.data() {
-                ColumnData::Key(v) => Column::key(name, filtered(v, &keep)),
+                ColumnData::Key(k) => {
+                    let rows = k.as_keys().iter().enumerate();
+                    Column::from_keys(
+                        name,
+                        rows.filter(|(i, _)| keep(*i)).map(|(_, k)| k).collect(),
+                    )
+                }
                 ColumnData::Code { domain, values } => {
                     Column::attr(name, domain.clone(), filtered(values, &keep))
                 }
@@ -137,9 +143,9 @@ fn remap_fk(fact: &Table, fk_col: &str, deleted_key: u32) -> Result<Table, CoreE
                     .as_key()
                     .expect("fk is a key column")
                     .iter()
-                    .map(|&k| if k > deleted_key { k - 1 } else { k })
+                    .map(|k| if k > deleted_key { k - 1 } else { k })
                     .collect();
-                Column::key(fk_col, remapped)
+                Column::from_keys(fk_col, remapped)
             } else {
                 c.clone()
             }
@@ -243,6 +249,46 @@ mod tests {
         assert!(
             delete_joint(&s, &[("Customer".to_string(), 1), ("Customer".to_string(), 1)]).is_err()
         );
+    }
+
+    #[test]
+    fn cascade_across_the_u16_boundary_rewidths_the_fk_column() {
+        use starj_engine::{Domain, Keys};
+        // A 65 537-row dimension: key 65 536 needs four bytes, and after
+        // any cascade deletion the largest surviving key is 65 535 — two.
+        let build = |dim_rows: u32, fks: Vec<u32>| {
+            let dim = Table::new(
+                "D",
+                vec![
+                    Column::key("pk", (0..dim_rows).collect()),
+                    Column::attr("x", Domain::numeric("x", 2).unwrap(), vec![0; dim_rows as usize]),
+                ],
+            )
+            .unwrap();
+            let fact = Table::new("F", vec![Column::key("fk", fks)]).unwrap();
+            StarSchema::new(fact, vec![Dimension::new(dim, "pk", "fk")]).unwrap()
+        };
+        let wide = build(65_537, vec![0, 65_535, 65_536, 5, 65_536, 4]);
+        assert!(matches!(wide.fact().key("fk").unwrap(), Keys::U32(_)));
+
+        let neighbor = delete_dim_tuple_cascade(&wide, "D", 5).unwrap();
+        let fk = neighbor.fact().key("fk").unwrap();
+        assert!(matches!(fk, Keys::U16(_)), "no surviving key needs 32 bits");
+        assert_eq!(fk, [0, 65_534, 65_535, 65_535, 4][..]);
+        // Same columns, same widths, as the neighbor built from scratch.
+        let direct = build(65_536, vec![0, 65_534, 65_535, 65_535, 4]);
+        assert_eq!(neighbor.fact().columns(), direct.fact().columns());
+        assert_eq!(neighbor.dims()[0].table.columns(), direct.dims()[0].table.columns());
+        let all = StarQuery::count("all");
+        assert_eq!(execute(&neighbor, &all).unwrap(), execute(&direct, &all).unwrap());
+
+        // Dropping a fact row leaves the wide keys wide while one remains…
+        let still_wide = delete_fact_tuple(&wide, 2).unwrap();
+        assert_eq!(still_wide.fact().key("fk").unwrap(), [0, 65_535, 5, 65_536, 4][..]);
+        assert!(matches!(still_wide.fact().key("fk").unwrap(), Keys::U32(_)));
+        // …and narrows once the last one is gone.
+        let narrowed = delete_fact_tuple(&still_wide, 3).unwrap();
+        assert!(matches!(narrowed.fact().key("fk").unwrap(), Keys::U16(_)));
     }
 
     #[test]

@@ -40,10 +40,9 @@ pub struct PmConfig {
     pub policy: RangePolicy,
     /// Budget split rule.
     pub split: BudgetSplit,
-    /// Scan options for the answering pass: thread count, plus
-    /// [`ScanOptions::legacy_gather`] to force the pre-staging scalar scan
-    /// interior for kernel A/B runs (answers are bit-identical either way —
-    /// DP semantics never depend on the kernel choice).
+    /// Scan options for the answering pass (shard count, cost-model and
+    /// probe knobs). Answers are bit-identical under any of them — DP
+    /// semantics never depend on the kernel's plan shape.
     pub scan: ScanOptions,
 }
 

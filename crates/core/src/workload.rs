@@ -184,9 +184,8 @@ pub struct WdConfig {
     pub policy: RangePolicy,
     /// Budget accounting rule (default: the paper's).
     pub accounting: WdAccounting,
-    /// Scan options for the fused answering pass: thread count, plus
-    /// [`ScanOptions::legacy_gather`] to force the pre-staging scalar scan
-    /// interior for kernel A/B runs (answers are bit-identical either way).
+    /// Scan options for the fused answering pass (shard count, cost-model
+    /// and probe knobs); answers are bit-identical under any of them.
     pub scan: ScanOptions,
 }
 

@@ -34,6 +34,7 @@
 //! A stale or colliding entry is harmless for correctness for the same
 //! reason every estimate is: it can only change plan shape.
 
+use crate::column::Keys;
 use crate::error::EngineError;
 use crate::schema::StarSchema;
 use crate::stage::CHUNK_ROWS;
@@ -165,7 +166,7 @@ impl CostModel {
     /// `O(samples · dims + probes · CHUNK_ROWS · dims)` — independent of
     /// the fact row count once it exceeds the sample size.
     pub fn build(schema: &StarSchema, config: &CostConfig) -> Result<Self, EngineError> {
-        let fks: Vec<&[u32]> =
+        let fks: Vec<Keys> =
             schema.dims().iter().map(|d| schema.fact().key(&d.fk)).collect::<Result<_, _>>()?;
         let fact_rows = schema.fact().num_rows();
         let target = config.sample_size.max(1);
@@ -180,7 +181,7 @@ impl CostModel {
             rows
         };
         let sampled: Vec<Vec<u32>> =
-            fks.iter().map(|fk| rows.iter().map(|&r| fk[r]).collect()).collect();
+            fks.iter().map(|fk| rows.iter().map(|&r| fk.get(r)).collect()).collect();
 
         let chunks = fact_rows.div_ceil(CHUNK_ROWS);
         let probes = chunks.min(RESIDENCY_PROBES);
@@ -199,7 +200,7 @@ impl CostModel {
                         continue;
                     }
                     scratch.clear();
-                    scratch.extend_from_slice(&fk[lo..hi]);
+                    scratch.extend(fk.slice(lo..hi).iter());
                     scratch.sort_unstable();
                     scratch.dedup();
                     total += scratch.len();
@@ -305,7 +306,7 @@ impl CostModel {
     /// Whether the staged kernel should copy `dim`'s chunk fk codes, given
     /// `uses` gathers read the dimension per chunk. A single gather never
     /// amortizes the copy; beyond that, staging pays off only when the
-    /// chunk's probe working set (distinct codes × 4-byte row width) is
+    /// chunk's probe working set (distinct codes × key width) is
     /// large enough that direct re-reads keep missing cache — a dimension
     /// whose chunk codes collapse to ≤ [`RESIDENT_DISTINCT_CAP`] distinct
     /// values stays hot without the copy.
@@ -416,7 +417,7 @@ mod tests {
 
     fn true_fraction(schema: &StarSchema, bits: &BitSet) -> f64 {
         let fk = schema.fact().key("fk").unwrap();
-        fk.iter().filter(|&&k| bits.get(k as usize)).count() as f64 / fk.len() as f64
+        fk.iter().filter(|&k| bits.get(k as usize)).count() as f64 / fk.len() as f64
     }
 
     #[test]

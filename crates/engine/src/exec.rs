@@ -108,6 +108,7 @@ pub mod reference {
     //! vectorized kernels to it, and `scan_throughput` benches against it.
 
     use super::*;
+    use crate::column::Keys;
     use crate::plan::RowWeight;
     use crate::predicate::Predicate;
     use std::collections::BTreeMap;
@@ -127,7 +128,7 @@ pub mod reference {
         }
 
         // Per-dimension fk arrays, fetched once.
-        let fks: Vec<&[u32]> =
+        let fks: Vec<Keys> =
             schema.dims().iter().map(|d| schema.fact().key(&d.fk)).collect::<Result<_, _>>()?;
 
         let weight = RowWeight::resolve(schema, &query.agg)?;
@@ -147,7 +148,7 @@ pub mod reference {
             for row in 0..fact_rows {
                 if row_passes(&bitmaps, &fks, row) {
                     for (slot, (di, codes)) in key.iter_mut().zip(&group_lookups) {
-                        *slot = codes[fks[*di][row] as usize];
+                        *slot = codes[fks[*di].get(row) as usize];
                     }
                     *groups.entry(key.clone()).or_insert(0.0) += weight.at(row);
                 }
@@ -183,7 +184,7 @@ pub mod reference {
             }
         }
 
-        let fks: Vec<&[u32]> =
+        let fks: Vec<Keys> =
             schema.dims().iter().map(|d| schema.fact().key(&d.fk)).collect::<Result<_, _>>()?;
         let weight = RowWeight::resolve(schema, agg)?;
 
@@ -195,7 +196,7 @@ pub mod reference {
             }
             for (di, table) in tables.iter().enumerate() {
                 if let Some(t) = table {
-                    w *= t[fks[di][row] as usize];
+                    w *= t[fks[di].get(row) as usize];
                     if w == 0.0 {
                         break;
                     }
@@ -236,7 +237,7 @@ pub mod reference {
                 let link = parent.table.key(&sub.fk_in_dim)?;
                 let di = schema.dim_index(parent.table.name())?;
                 let bitmap = bitmaps[di].get_or_insert_with(|| vec![true; parent.table.num_rows()]);
-                for (slot, &sk) in bitmap.iter_mut().zip(link) {
+                for (slot, sk) in bitmap.iter_mut().zip(link.iter()) {
                     *slot = *slot && sub_pass[sk as usize];
                 }
                 continue;
@@ -247,9 +248,9 @@ pub mod reference {
     }
 
     #[inline]
-    fn row_passes(bitmaps: &[Option<Vec<bool>>], fks: &[&[u32]], row: usize) -> bool {
+    fn row_passes(bitmaps: &[Option<Vec<bool>>], fks: &[Keys], row: usize) -> bool {
         bitmaps.iter().enumerate().all(|(di, b)| match b {
-            Some(bits) => bits[fks[di][row] as usize],
+            Some(bits) => bits[fks[di].get(row) as usize],
             None => true,
         })
     }

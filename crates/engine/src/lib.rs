@@ -68,7 +68,7 @@ pub mod table;
 
 pub use bitset::BitSet;
 pub use canon::{canonicalize, implies, CanonicalQuery};
-pub use column::{Column, ColumnData};
+pub use column::{Column, ColumnData, KeyData, Keys};
 pub use cost::{
     cost_model_for, invalidate_cost_model, CostConfig, CostModel, DimensionStats,
     PredicateEstimate, DEFAULT_COST_SAMPLES,

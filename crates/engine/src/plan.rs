@@ -32,10 +32,18 @@
 //!   flat `Vec<f64>` indexed by the row-major flattening of the group codes
 //!   — no `BTreeMap` lookups or key clones per row. Larger group spaces
 //!   fall back to the map.
-//! * **Parallel sharding.** [`ScanOptions::threads`] > 1 splits the fact
-//!   table into contiguous row shards executed under `std::thread::scope`
-//!   (std-only, no rayon), each with its own partial accumulators, merged
-//!   in shard order so results are deterministic for a fixed thread count.
+//! * **Parallel sharding.** The fact table splits into contiguous,
+//!   chunk-aligned row shards, each with its own partial accumulators,
+//!   merged in shard order. [`ScanOptions::threads`] = 0 (the default)
+//!   lets the kernel size the split: one shard per available core, but
+//!   never a shard under `MIN_SHARD_ROWS` (2²⁰) rows — so small tables
+//!   stay on the calling thread — and only for plans whose accumulators are
+//!   integer-valued and bounded by `fact_rows × max|row weight| < 2⁵³`
+//!   (exact under re-association, hence bit-identical for any split);
+//!   `threads ≥ 1` forces that many shards. Shard 0 runs on
+//!   the calling thread and the rest under `std::thread::scope` (std-only;
+//!   a scoped spawn + join costs ~16 µs against a ≥ 1 M-row shard's
+//!   milliseconds, so there is no persistent pool to manage).
 //!
 //! * **SIMD-width chunk interior.** The hot interior is a staging-based
 //!   kernel ([`crate::stage`]): each referenced dimension's fk codes are
@@ -49,8 +57,6 @@
 //!   ties by dimension index) so the `*word == 0` early exit fires as
 //!   early as possible; and the histogram plan stages its joint flat codes
 //!   once per chunk instead of recomputing them per row per kind.
-//!   [`ScanOptions::legacy_gather`] forces the pre-staging scalar interior
-//!   for A/B measurement — both interiors are bit-identical.
 //!
 //! Binary-query accumulation order within a shard is identical to the
 //! legacy row-at-a-time executor ([`crate::exec::reference`]), so results
@@ -64,18 +70,20 @@
 //! the same ascending order.
 
 use crate::bitset::BitSet;
+use crate::column::Keys;
 use crate::cost::{cost_model_for, CostConfig, CostModel, DEFAULT_COST_SAMPLES};
 use crate::error::EngineError;
 use crate::predicate::{Predicate, WeightedPredicate};
 use crate::query::{Agg, QueryResult, StarQuery};
 use crate::schema::StarSchema;
 use crate::stage::{
-    gather_word_bytes, gather_word_small, gather_word_wide, ChunkStage, CHUNK_ROWS, CHUNK_WORDS,
+    fold_flat, gather_word_bytes, gather_word_small, gather_word_wide, with_keys, ChunkStage, Key,
+    CHUNK_ROWS, CHUNK_WORDS,
 };
 use starj_telemetry::{cost_counters, kernel_counters, CostCounters, Json, KernelCounters};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Default largest dimension row count answered through the
 /// single-register-word probe ([`Probe::Word`]); overridable per scan via
@@ -92,6 +100,12 @@ const BYTE_PROBE_CAP: usize = 1 << 16;
 /// maps / per-row loops.
 pub const DENSE_GROUP_CAP: usize = 1 << 16;
 
+/// Fewest fact rows per shard when the kernel sizes the split itself
+/// ([`ScanOptions::threads`] = 0): below this a shard's work no longer
+/// dwarfs its spawn and merge, and the table is likely cache-resident
+/// anyway (SF 0.1's 600 k rows scan on one thread, SF 1's 6 M on all cores).
+const MIN_SHARD_ROWS: usize = 1 << 20;
+
 /// Counts completed fact-table scans process-wide (one per
 /// [`ScanPlan::execute`] call, regardless of how many queries it fused or
 /// how many threads sharded it). Benchmarks and the service use deltas of
@@ -107,15 +121,14 @@ pub fn fact_scan_count() -> u64 {
 /// Execution options for a compiled scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScanOptions {
-    /// Worker threads for the fact scan. `1` (the default) runs on the
-    /// calling thread; `n > 1` shards the fact table into `n` contiguous
-    /// row ranges merged in deterministic shard order.
+    /// Shards of the fact scan. `0` (the default) lets the kernel decide:
+    /// one shard per available core, none smaller than ~1 M rows, and a
+    /// single shard for any plan whose sums depend on the split — one
+    /// holding a real-weighted query it cannot fold into a histogram, or
+    /// integer sums that `fact_rows × max|row weight|` lets reach 2⁵³. `1`
+    /// runs on the calling thread; `n > 1` forces `n` contiguous row
+    /// ranges merged in deterministic shard order.
     pub threads: usize,
-    /// Force the pre-staging scalar chunk interior (per-query fk re-reads,
-    /// packed-bitset probes, per-row histogram codes) instead of the staged
-    /// SIMD-width kernel. Results are bit-identical either way; this knob
-    /// exists so benchmarks can A/B the gather strategies on live traffic.
-    pub legacy_gather: bool,
     /// Fact rows the sampling cost model walks per schema instance
     /// ([`crate::cost`]). `0` disables the model and restores the static
     /// plan heuristics (exact pass-count filter ordering, blanket ≥ 2-uses
@@ -139,8 +152,7 @@ pub struct ScanOptions {
 impl Default for ScanOptions {
     fn default() -> Self {
         ScanOptions {
-            threads: 1,
-            legacy_gather: false,
+            threads: 0,
             cost_samples: DEFAULT_COST_SAMPLES,
             word_probe_cap: WORD_PROBE_CAP,
             byte_probe_cap: BYTE_PROBE_CAP,
@@ -151,23 +163,17 @@ impl Default for ScanOptions {
 }
 
 impl ScanOptions {
-    /// Options scanning with `threads` workers (clamped to ≥ 1).
+    /// Options scanning with exactly `threads` shards (`0` = kernel-sized,
+    /// the default).
     pub fn parallel(threads: usize) -> Self {
-        ScanOptions { threads: threads.max(1), ..ScanOptions::default() }
+        ScanOptions { threads, ..ScanOptions::default() }
     }
 
-    /// The same options with `threads` workers (clamped to ≥ 1), keeping
-    /// every other knob — how a service threads its configured scan
-    /// options without resetting the cost-model and probe overrides.
+    /// The same options with exactly `threads` shards (`0` = kernel-sized),
+    /// keeping every other knob — how a service threads its configured
+    /// scan options without resetting the cost-model and probe overrides.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The same options with the pre-staging scalar gather interior forced
-    /// (the A/B baseline for the staged SIMD-width kernel).
-    pub fn with_legacy_gather(mut self) -> Self {
-        self.legacy_gather = true;
+        self.threads = threads;
         self
     }
 
@@ -222,6 +228,17 @@ impl<'a> RowWeight<'a> {
             Agg::SumDiff(a, b) => {
                 RowWeight::Diff(schema.fact().measure(a)?, schema.fact().measure(b)?)
             }
+        })
+    }
+
+    /// Largest `|at(row)|` the aggregate can take over the fact table, from
+    /// the measure columns' build-time maxima.
+    fn max_abs(schema: &StarSchema, agg: &Agg) -> Result<u64, EngineError> {
+        let of = |m: &str| Ok(schema.fact().column(m)?.measure_abs_max());
+        Ok(match agg {
+            Agg::Count => 1,
+            Agg::Sum(m) => of(m)?,
+            Agg::SumDiff(a, b) => of(a)?.saturating_add(of(b)?),
         })
     }
 
@@ -303,18 +320,18 @@ impl<'a> GroupPlan<'a> {
 
     /// Row-major flat index of a fact row's group key.
     #[inline]
-    fn flat_index(&self, fks: &[&[u32]], row: usize) -> usize {
+    fn flat_index(&self, fks: &[Keys], row: usize) -> usize {
         let mut flat = 0usize;
         for ((di, codes), &size) in self.lookups.iter().zip(&self.sizes) {
-            flat = flat * size as usize + codes[fks[*di][row] as usize] as usize;
+            flat = flat * size as usize + codes[fks[*di].get(row) as usize] as usize;
         }
         flat
     }
 
     /// The group key of a fact row (sparse path).
     #[inline]
-    fn key(&self, fks: &[&[u32]], row: usize) -> Vec<u32> {
-        self.lookups.iter().map(|(di, codes)| codes[fks[*di][row] as usize]).collect()
+    fn key(&self, fks: &[Keys], row: usize) -> Vec<u32> {
+        self.lookups.iter().map(|(di, codes)| codes[fks[*di].get(row) as usize]).collect()
     }
 
     /// Decodes a flat index back into the group key.
@@ -347,8 +364,8 @@ enum Probe {
 #[derive(Debug, Clone)]
 struct Filter {
     dim: usize,
-    /// The packed pass mask over dimension rows — always kept (the legacy
-    /// gather and the `Wide` probe read it; selectivity comes from it).
+    /// The packed pass mask over dimension rows — always kept (the `Wide`
+    /// probe reads it; selectivity and mask dedup come from it).
     bits: BitSet,
     probe: Probe,
     /// Selectivity discriminant: the exact dimension-row pass count when
@@ -403,11 +420,29 @@ impl Filter {
     /// The match costs one predicted branch per 64 rows; each arm is a
     /// monomorphic 8-wide unrolled loop.
     #[inline]
-    fn gather_word(&self, lane: &[u32]) -> u64 {
+    fn gather_word<K: Key>(&self, lane: &[K]) -> u64 {
         match &self.probe {
             Probe::Word(table) => gather_word_small(*table, lane),
             Probe::Bytes(lut) => gather_word_bytes(lut, lane),
             Probe::Wide => gather_word_wide(&self.bits, lane),
+        }
+    }
+
+    /// Gathers a chunk's fk codes into its pass-mask words (one per 64
+    /// rows) — the shared-mask cache fill.
+    fn gather_chunk<K: Key>(&self, fk: &[K], words: &mut [u64]) {
+        for (word, lane) in words.iter_mut().zip(fk.chunks(64)) {
+            *word = self.gather_word(lane);
+        }
+    }
+
+    /// ANDs a chunk's gathered pass mask into `mask`, skipping words an
+    /// earlier filter already emptied.
+    fn and_chunk<K: Key>(&self, fk: &[K], mask: &mut [u64]) {
+        for (word, lane) in mask.iter_mut().zip(fk.chunks(64)) {
+            if *word != 0 {
+                *word &= self.gather_word(lane);
+            }
         }
     }
 
@@ -554,16 +589,6 @@ impl<'a> HistPlan<'a> {
         any.then_some(HistPlan { axes, space, kinds, assignment })
     }
 
-    /// The flat joint code of a fact row.
-    #[inline]
-    fn flat_index(&self, fks: &[&[u32]], row: usize) -> usize {
-        let mut flat = 0usize;
-        for (dim, codes, domain) in &self.axes {
-            flat = flat * domain + codes[fks[*dim][row] as usize] as usize;
-        }
-        flat
-    }
-
     /// The query's flattened weight tensor `Φ_q` over the joint code space:
     /// the outer product of its axis weight vectors, axes it does not
     /// constrain contributing factor 1.
@@ -647,10 +672,13 @@ impl ScanState {
 #[derive(Debug, Clone)]
 pub struct ScanPlan<'a> {
     schema: &'a StarSchema,
-    /// Per-dimension fact foreign-key arrays, resolved once.
-    fks: Vec<&'a [u32]>,
+    /// Per-dimension fact foreign-key columns, resolved once.
+    fks: Vec<Keys<'a>>,
     fact_rows: usize,
     queries: Vec<PlannedQuery<'a>>,
+    /// Largest `|row weight|` over the compiled queries' aggregates — with
+    /// `fact_rows`, the bound on every partial sum the scan can form.
+    max_row_weight: u64,
     /// The options the plan was compiled under (probe caps, staging and
     /// sharing thresholds). [`ScanPlan::new`] uses the static defaults
     /// with the cost model off.
@@ -676,7 +704,7 @@ impl<'a> ScanPlan<'a> {
     /// staging. Every model-driven choice is plan-shape-only: answers and
     /// ledgers are bit-identical to [`ScanPlan::new`] by construction.
     pub fn with_options(schema: &'a StarSchema, options: ScanOptions) -> Result<Self, EngineError> {
-        let fks: Vec<&[u32]> =
+        let fks: Vec<Keys> =
             schema.dims().iter().map(|d| schema.fact().key(&d.fk)).collect::<Result<_, _>>()?;
         let model = if options.cost_samples > 0 {
             Some(cost_model_for(
@@ -691,6 +719,7 @@ impl<'a> ScanPlan<'a> {
             fact_rows: schema.fact().num_rows(),
             fks,
             queries: Vec::new(),
+            max_row_weight: 0,
             opts: options,
             model,
         })
@@ -720,6 +749,7 @@ impl<'a> ScanPlan<'a> {
         } else {
             Some(GroupPlan::resolve(self.schema, &query.group_by)?)
         };
+        self.max_row_weight = self.max_row_weight.max(RowWeight::max_abs(self.schema, &query.agg)?);
         self.queries.push(PlannedQuery {
             filters,
             weights: Vec::new(),
@@ -767,6 +797,7 @@ impl<'a> ScanPlan<'a> {
         // Ascending dimension order, stable within a dimension — the
         // reference executor's per-dimension multiply order.
         weights.sort_by_key(|a| a.dim);
+        self.max_row_weight = self.max_row_weight.max(RowWeight::max_abs(self.schema, agg)?);
         self.queries.push(PlannedQuery {
             filters: Vec::new(),
             weights,
@@ -792,6 +823,7 @@ impl<'a> ScanPlan<'a> {
         let hist_plan = HistPlan::build(&self.queries);
         let program = self.mask_program(hist_plan.as_ref());
         let staged = self.staged_dims(hist_plan.as_ref(), &program);
+        let shards = self.shard_bounds(hist_plan.as_ref(), self.opts.threads).len();
         let model = self.model.as_deref();
         let dims = self
             .schema
@@ -801,6 +833,7 @@ impl<'a> ScanPlan<'a> {
             .map(|(di, d)| DimExplain {
                 table: d.table.name().to_string(),
                 rows: d.table.num_rows(),
+                fk_width_bytes: self.fks[di].width_bytes(),
                 staged: staged.get(di).copied().unwrap_or(false),
                 residency: model.map(|m| m.residency(di)),
             })
@@ -848,6 +881,7 @@ impl<'a> ScanPlan<'a> {
             .collect();
         PlanExplain {
             fact_rows: self.fact_rows,
+            shards,
             shared_masks: program.shared.len(),
             cost_model: model
                 .map(|m| CostModelExplain { exact: m.is_exact(), sampled_rows: m.sampled_rows() }),
@@ -857,108 +891,77 @@ impl<'a> ScanPlan<'a> {
     }
 
     /// Executes every compiled query in **one** scan of the fact table,
-    /// returning results in compile order. With `options.threads > 1` the
-    /// scan shards across that many scoped threads; partials merge in shard
-    /// order, so results are deterministic for a fixed thread count.
+    /// returning results in compile order. The scan shards as
+    /// `options.threads` says (see [`ScanOptions::threads`]); partials
+    /// merge in shard order, so results are deterministic for a fixed
+    /// shard count — and, for integer-valued accumulators, the same for
+    /// every shard count.
     pub fn execute(&self, options: ScanOptions) -> Vec<QueryResult> {
         let hist_plan = HistPlan::build(&self.queries);
-        let program = self.mask_program(hist_plan.as_ref());
-        let mut state = self.fresh_state(hist_plan.as_ref());
-        let bounds = shard_bounds(self.fact_rows, options.threads);
-        let legacy = options.legacy_gather;
-        let program = &program;
-        let scan = |shard: &mut ScanState, hp: Option<&HistPlan>, lo: usize, hi: usize| {
-            if legacy {
-                self.scan_range_legacy(shard, hp, lo, hi);
-            } else {
-                self.scan_range(shard, hp, program, lo, hi);
-            }
-        };
-        if bounds.len() == 1 {
-            scan(&mut state, hist_plan.as_ref(), 0, self.fact_rows);
-        } else {
-            let hp = hist_plan.as_ref();
-            let scan = &scan;
-            let partials: Vec<ScanState> = std::thread::scope(|scope| {
-                let handles: Vec<_> = bounds
-                    .iter()
-                    .map(|&(lo, hi)| {
-                        scope.spawn(move || {
-                            let mut shard = self.fresh_state(hp);
-                            scan(&mut shard, hp, lo, hi);
-                            shard
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("scan shard panicked")).collect()
-            });
-            for partial in partials {
-                state.merge(partial);
-            }
-        }
+        let hp = hist_plan.as_ref();
+        let program = self.mask_program(hp);
+        let bounds = self.shard_bounds(hp, options.threads);
+        let state = scan_shards(
+            &bounds,
+            |lo, hi| {
+                let mut shard = self.fresh_state(hp);
+                self.scan_range(&mut shard, hp, &program, lo, hi);
+                shard
+            },
+            ScanState::merge,
+        );
         FACT_SCANS.fetch_add(1, Ordering::Relaxed);
-        self.flush_kernel_counters(&bounds, hist_plan.as_ref(), program, legacy);
-        self.finalize(state, hist_plan.as_ref())
+        self.flush_kernel_counters(&bounds, hp, &program);
+        self.finalize(state, hp)
+    }
+
+    /// The shard bounds a scan under `threads` covers. Kernel-sized
+    /// sharding (`threads == 0`) needs every accumulator to hold a sum of
+    /// integers — row counts and integer measures, which is every query
+    /// except a real-weighted one the histogram could not take — that no
+    /// split can push past 2⁵³ ([`sums_stay_exact`]).
+    fn shard_bounds(&self, hist_plan: Option<&HistPlan>, threads: usize) -> Vec<(usize, usize)> {
+        let integer_sums = self.queries.iter().enumerate().all(|(qi, q)| {
+            q.weights.is_empty() || hist_plan.is_some_and(|hp| hp.assignment[qi].is_some())
+        });
+        let reassociable = integer_sums && sums_stay_exact(self.fact_rows, self.max_row_weight);
+        shard_bounds(self.fact_rows, threads, reassociable)
     }
 
     /// Flushes the scan's kernel profiling tallies to the process-wide
     /// [`kernel_counters`]. Everything is derived once from the plan
     /// geometry — chunk count from the shard bounds, gather counts from
-    /// the mask program and staging decision — so the chunk loop itself
-    /// carries zero instrumentation.
+    /// the mask program and staging decision, fk bytes from the column
+    /// widths — so the chunk loop itself carries zero instrumentation.
     fn flush_kernel_counters(
         &self,
         bounds: &[(usize, usize)],
         hist_plan: Option<&HistPlan>,
         program: &MaskProgram,
-        legacy: bool,
     ) {
         let k = kernel_counters();
-        let chunks: u64 =
-            bounds.iter().map(|&(lo, hi)| (hi - lo).div_ceil(CHUNK_ROWS) as u64).sum();
+        let chunks = chunk_count(bounds);
         KernelCounters::add(&k.chunks_scanned, chunks);
-        if legacy {
-            // The pre-staging kernel re-gathers every filter of every
-            // mask-building query per chunk, straight from the fk arrays.
-            let gathers: u64 = self
-                .queries
-                .iter()
-                .enumerate()
-                .filter(|(qi, _)| hist_plan.is_none_or(|hp| hp.assignment[*qi].is_none()))
-                .map(|(_, q)| q.filters.len() as u64)
-                .sum();
-            KernelCounters::add(&k.direct_gathers, gathers * chunks);
-            return;
-        }
+        let uses = self.gather_uses(hist_plan, program);
         let staged = self.staged_dims(hist_plan, program);
-        KernelCounters::add(
-            &k.staged_chunk_copies,
-            staged.iter().filter(|&&s| s).count() as u64 * chunks,
-        );
-        let mut staged_gathers = 0u64;
-        let mut direct_gathers = 0u64;
-        let mut tally = |dim: usize| {
-            if staged[dim] {
-                staged_gathers += 1;
+        let (mut copies, mut staged_gathers, mut direct_gathers, mut fk_bytes) = (0, 0, 0, 0);
+        for ((&uses, &staged), fk) in uses.iter().zip(&staged).zip(&self.fks) {
+            // A staged column is read from memory once per chunk (the
+            // copy); an unstaged one once per gather.
+            let passes = if staged {
+                copies += 1;
+                staged_gathers += uses;
+                1
             } else {
-                direct_gathers += 1;
-            }
-        };
-        for f in &program.shared {
-            tally(f.dim);
+                direct_gathers += uses;
+                uses
+            };
+            fk_bytes += passes * fk.width_bytes() * self.fact_rows;
         }
-        for (_, private) in &program.per_query {
-            for f in private {
-                tally(f.dim);
-            }
-        }
-        if let Some(hp) = hist_plan {
-            for (di, _, _) in &hp.axes {
-                tally(*di);
-            }
-        }
-        KernelCounters::add(&k.staged_gathers, staged_gathers * chunks);
-        KernelCounters::add(&k.direct_gathers, direct_gathers * chunks);
+        KernelCounters::add(&k.staged_chunk_copies, copies * chunks);
+        KernelCounters::add(&k.staged_gathers, staged_gathers as u64 * chunks);
+        KernelCounters::add(&k.direct_gathers, direct_gathers as u64 * chunks);
+        KernelCounters::add(&k.fk_bytes_read, fk_bytes as u64);
         KernelCounters::add(&k.shared_mask_filters, program.shared.len() as u64);
         // A promotion with `u` direct users saves `u − 1` gather passes per
         // chunk (subsumption-added cache references save nothing — the
@@ -1088,16 +1091,9 @@ impl<'a> ScanPlan<'a> {
         MaskProgram { shared, shared_uses, per_query }
     }
 
-    /// Which dimensions the staged kernel should copy per chunk. Without
-    /// the cost model, a dimension is staged iff ≥ `stage_min_uses`
-    /// (floored at 2) mask gathers (shared-mask gathers, query-private
-    /// filter gathers, histogram axes) read it per chunk — a single reader
-    /// is served straight from the source array, since staging it would be
-    /// a pure copy tax. With the model, [`CostModel::should_stage`]
-    /// additionally demotes dimensions whose sampled distinct-codes-per-
-    /// chunk is small enough that their fk reads stay cache-resident
-    /// without a staging copy.
-    fn staged_dims(&self, hist_plan: Option<&HistPlan>, program: &MaskProgram) -> Vec<bool> {
+    /// Per dimension, the gathers that read its fk codes each chunk:
+    /// shared-mask gathers, query-private filter gathers, histogram axes.
+    fn gather_uses(&self, hist_plan: Option<&HistPlan>, program: &MaskProgram) -> Vec<usize> {
         let mut uses = vec![0usize; self.fks.len()];
         for f in &program.shared {
             uses[f.dim] += 1;
@@ -1112,8 +1108,21 @@ impl<'a> ScanPlan<'a> {
                 uses[*di] += 1;
             }
         }
+        uses
+    }
+
+    /// Which dimensions the staged kernel should copy per chunk. Without
+    /// the cost model, a dimension is staged iff ≥ `stage_min_uses`
+    /// (floored at 2) gathers ([`ScanPlan::gather_uses`]) read it per
+    /// chunk — a single reader is served straight from the source array,
+    /// since staging it would be a pure copy tax. With the model,
+    /// [`CostModel::should_stage`] additionally demotes dimensions whose
+    /// sampled distinct-codes-per-chunk is small enough that their fk
+    /// reads stay cache-resident without a staging copy.
+    fn staged_dims(&self, hist_plan: Option<&HistPlan>, program: &MaskProgram) -> Vec<bool> {
         let min_uses = self.opts.stage_min_uses;
-        uses.into_iter()
+        self.gather_uses(hist_plan, program)
+            .into_iter()
             .enumerate()
             .map(|(di, u)| match &self.model {
                 Some(m) => m.should_stage(di, u, min_uses),
@@ -1200,12 +1209,8 @@ impl<'a> ScanPlan<'a> {
             stage.begin(&self.fks, chunk_start, len);
             // Gather each shared filter once for this chunk.
             for (fi, f) in program.shared.iter().enumerate() {
-                let fk = stage.dim(&self.fks, f.dim);
-                for (wi, word) in cache[fi * CHUNK_WORDS..][..words].iter_mut().enumerate() {
-                    let base = wi << 6;
-                    let upper = (base + 64).min(len);
-                    *word = f.gather_word(&fk[base..upper]);
-                }
+                let cached = &mut cache[fi * CHUNK_WORDS..][..words];
+                with_keys!(stage.dim(&self.fks, f.dim), |fk| f.gather_chunk(fk, cached));
             }
             for ((q, acc), masks) in
                 self.queries.iter().zip(state.accs.iter_mut()).zip(&program.per_query)
@@ -1243,45 +1248,6 @@ impl<'a> ScanPlan<'a> {
         }
     }
 
-    /// The pre-staging chunk kernel, preserved verbatim for
-    /// [`ScanOptions::legacy_gather`] A/B runs: per-query fk re-reads,
-    /// packed-bitset probes, per-row histogram flat codes.
-    fn scan_range_legacy(
-        &self,
-        state: &mut ScanState,
-        hist_plan: Option<&HistPlan>,
-        lo: usize,
-        hi: usize,
-    ) {
-        let mut mask = [0u64; CHUNK_WORDS];
-        let mut chunk_start = lo;
-        while chunk_start < hi {
-            let chunk_end = (chunk_start + CHUNK_ROWS).min(hi);
-            let len = chunk_end - chunk_start;
-            let words = len.div_ceil(64);
-            for (q, acc) in self.queries.iter().zip(state.accs.iter_mut()) {
-                match acc {
-                    Acc::Hist => {} // accumulated via the shared histograms
-                    acc if q.weights.is_empty() => {
-                        self.chunk_mask_legacy(q, chunk_start, len, &mut mask[..words]);
-                        self.drain_binary(q, acc, chunk_start, &mask[..words]);
-                    }
-                    acc => self.scan_weighted_rows(q, acc, chunk_start, chunk_end),
-                }
-            }
-            if let Some(hp) = hist_plan {
-                // One flat-code computation per row feeds every histogram.
-                for row in chunk_start..chunk_end {
-                    let flat = hp.flat_index(&self.fks, row);
-                    for (kind, hist) in hp.kinds.iter().zip(state.hists.iter_mut()) {
-                        hist[flat] += kind.at(row);
-                    }
-                }
-            }
-            chunk_start = chunk_end;
-        }
-    }
-
     /// Builds the chunk's qualifying-row mask for one binary query:
     /// all-ones, then (1) word-wise ANDs of the query's shared cached
     /// masks, then (2) gather + AND per query-private filter (most
@@ -1308,46 +1274,7 @@ impl<'a> ScanPlan<'a> {
             }
         }
         for f in private {
-            let fk = stage.dim(&self.fks, f.dim);
-            for (wi, word) in mask.iter_mut().enumerate() {
-                if *word == 0 {
-                    continue;
-                }
-                let base = wi << 6;
-                let upper = (base + 64).min(len);
-                *word &= f.gather_word(&fk[base..upper]);
-            }
-        }
-    }
-
-    /// The pre-staging mask builder ([`ScanOptions::legacy_gather`]):
-    /// re-reads the source fk array and probes the packed bitset scalar-wise.
-    fn chunk_mask_legacy(
-        &self,
-        q: &PlannedQuery,
-        chunk_start: usize,
-        len: usize,
-        mask: &mut [u64],
-    ) {
-        mask.fill(u64::MAX);
-        let tail = len & 63;
-        if tail != 0 {
-            mask[len >> 6] = (1u64 << tail) - 1;
-        }
-        for f in &q.filters {
-            let fk = &self.fks[f.dim][chunk_start..chunk_start + len];
-            for (wi, word) in mask.iter_mut().enumerate() {
-                if *word == 0 {
-                    continue;
-                }
-                let base = wi << 6;
-                let upper = (base + 64).min(len);
-                let mut gathered = 0u64;
-                for (bit, &k) in fk[base..upper].iter().enumerate() {
-                    gathered |= f.bits.get_bit(k as usize) << bit;
-                }
-                *word &= gathered;
-            }
+            with_keys!(stage.dim(&self.fks, f.dim), |fk| f.and_chunk(fk, mask));
         }
     }
 
@@ -1412,7 +1339,7 @@ impl<'a> ScanPlan<'a> {
                 return;
             }
             for axis in &q.weights {
-                w *= axis.weights[axis.codes[self.fks[axis.dim][row] as usize] as usize];
+                w *= axis.weights[axis.codes[self.fks[axis.dim].get(row) as usize] as usize];
                 if w == 0.0 {
                     break;
                 }
@@ -1434,33 +1361,6 @@ impl<'a> ScanPlan<'a> {
                 w &= w - 1;
                 accumulate(row);
             }
-        }
-    }
-
-    /// The pre-staging weighted fallback ([`ScanOptions::legacy_gather`]):
-    /// per-row binary prefilter via `continue`, then the same dimension-
-    /// order weight multiply.
-    fn scan_weighted_rows(&self, q: &PlannedQuery, acc: &mut Acc, lo: usize, hi: usize) {
-        let Acc::Scalar(total) = acc else {
-            unreachable!("weighted queries are scalar");
-        };
-        'rows: for row in lo..hi {
-            for f in &q.filters {
-                if !f.bits.get(self.fks[f.dim][row] as usize) {
-                    continue 'rows;
-                }
-            }
-            let mut w = q.row_weight.at(row);
-            if w == 0.0 {
-                continue;
-            }
-            for axis in &q.weights {
-                w *= axis.weights[axis.codes[self.fks[axis.dim][row] as usize] as usize];
-                if w == 0.0 {
-                    break;
-                }
-            }
-            *total += w;
         }
     }
 }
@@ -1492,18 +1392,38 @@ fn drain_hist(hist: &mut [f64], flat: &[u32], kind: &RowWeight, chunk_start: usi
     }
 }
 
-/// Chunk-aligned contiguous shard bounds for a parallel fact scan: one
-/// shard per thread, but never more shards than chunks (a shard must cover
-/// at least one chunk to be worth a thread). Used by both
+/// Cores the kernel may shard across, read once per process.
+fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
+/// True iff any sum of up to `fact_rows` integers of magnitude ≤
+/// `max_row_weight` stays below 2⁵³: every partial is then an exact `f64`,
+/// so the sums re-associate — and shard — without changing a bit.
+fn sums_stay_exact(fact_rows: usize, max_row_weight: u64) -> bool {
+    (fact_rows as u128) * u128::from(max_row_weight) < 1 << 53
+}
+
+/// Chunk-aligned contiguous shard bounds for a fact scan. `threads ≥ 1`
+/// asks for that many shards; `threads == 0` sizes the split to the
+/// machine — one shard per core, none under [`MIN_SHARD_ROWS`] — provided
+/// the caller's sums are `reassociable` (bit-identical for any split), and
+/// otherwise keeps one shard. Never more shards than chunks. Used by both
 /// [`ScanPlan::execute`] and [`WeightHistogram::build`] so a histogram
 /// built standalone merges partials at exactly the same row boundaries as
 /// the fused scan, keeping the two bit-identical.
-fn shard_bounds(fact_rows: usize, threads: usize) -> Vec<(usize, usize)> {
-    let shards = threads.max(1).min(fact_rows.div_ceil(CHUNK_ROWS)).max(1);
+fn shard_bounds(fact_rows: usize, threads: usize, reassociable: bool) -> Vec<(usize, usize)> {
+    let chunks = fact_rows.div_ceil(CHUNK_ROWS);
+    let wanted = match threads {
+        0 if reassociable => available_cores().min(fact_rows / MIN_SHARD_ROWS),
+        0 => 1,
+        n => n,
+    };
+    let shards = wanted.min(chunks).max(1);
     if shards == 1 {
         return vec![(0, fact_rows)];
     }
-    let chunks = fact_rows.div_ceil(CHUNK_ROWS);
     let chunks_per_shard = chunks.div_ceil(shards);
     (0..shards)
         .map(|s| {
@@ -1513,6 +1433,31 @@ fn shard_bounds(fact_rows: usize, threads: usize) -> Vec<(usize, usize)> {
         })
         .filter(|(lo, hi)| lo < hi)
         .collect()
+}
+
+/// Chunks a scan over `bounds` visits.
+fn chunk_count(bounds: &[(usize, usize)]) -> u64 {
+    bounds.iter().map(|&(lo, hi)| (hi - lo).div_ceil(CHUNK_ROWS) as u64).sum()
+}
+
+/// Scans every shard — shard 0 on the calling thread, the others on scoped
+/// threads — and merges the partials in shard order.
+fn scan_shards<T: Send>(
+    bounds: &[(usize, usize)],
+    scan: impl Fn(usize, usize) -> T + Sync,
+    mut merge: impl FnMut(&mut T, T),
+) -> T {
+    let (&(lo, hi), rest) = bounds.split_first().expect("a scan has at least one shard");
+    let scan = &scan;
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> =
+            rest.iter().map(|&(lo, hi)| scope.spawn(move || scan(lo, hi))).collect();
+        let mut merged = scan(lo, hi);
+        for shard in spawned {
+            merge(&mut merged, shard.join().expect("scan shard panicked"));
+        }
+        merged
+    })
 }
 
 /// A reusable joint attribute-code histogram `W` — the build half of the
@@ -1598,9 +1543,9 @@ impl WeightHistogram {
 
     /// Builds the histogram in **one** scan of the fact table (counted in
     /// [`fact_scan_count`]): `hist[flat(row)] += agg(row)` over every fact
-    /// row, sharded across `options.threads` with the same shard bounds and
-    /// shard-order merge as [`ScanPlan::execute`]. Errors if the joint code
-    /// space exceeds [`DENSE_GROUP_CAP`] or the axis list is empty.
+    /// row, sharded as `options.threads` says with the same shard bounds
+    /// and shard-order merge as [`ScanPlan::execute`]. Errors if the joint
+    /// code space exceeds [`DENSE_GROUP_CAP`] or the axis list is empty.
     pub fn build(
         schema: &StarSchema,
         axes: &[(String, String)],
@@ -1624,7 +1569,7 @@ impl WeightHistogram {
                 })?;
         }
         let kind = RowWeight::resolve(schema, agg)?;
-        let fks: Vec<&[u32]> = resolved
+        let fks: Vec<Keys> = resolved
             .iter()
             .map(|a| schema.fact().key(&schema.dims()[a.dim].fk))
             .collect::<Result<_, _>>()?;
@@ -1644,42 +1589,34 @@ impl WeightHistogram {
                 flat.clear();
                 flat.resize(len, 0);
                 for (fk, axis) in fks.iter().zip(&resolved) {
-                    let fk = &fk[chunk_start..chunk_end];
-                    let domain = axis.domain as u32;
-                    for (slot, &k) in flat.iter_mut().zip(fk) {
-                        *slot = *slot * domain + axis.codes[k as usize];
-                    }
+                    with_keys!(fk.slice(chunk_start..chunk_end), |fk| {
+                        fold_flat(&mut flat, fk, axis.codes, axis.domain)
+                    });
                 }
                 drain_hist(&mut hist, &flat, &kind, chunk_start);
                 chunk_start = chunk_end;
             }
             hist
         };
-        let bounds = shard_bounds(fact_rows, options.threads);
-        let hist = if bounds.len() == 1 {
-            scan(0, fact_rows)
-        } else {
-            let partials: Vec<Vec<f64>> = std::thread::scope(|scope| {
-                let handles: Vec<_> =
-                    bounds.iter().map(|&(lo, hi)| scope.spawn(move || scan(lo, hi))).collect();
-                handles.into_iter().map(|h| h.join().expect("histogram shard panicked")).collect()
-            });
-            let mut merged = vec![0.0f64; space];
-            for partial in partials {
-                for (slot, v) in merged.iter_mut().zip(partial) {
-                    *slot += v;
-                }
+        // A histogram sums row counts or integer measures: while those stay
+        // exact any split merges to the same bits, so the kernel may size
+        // the shards.
+        let reassociable = sums_stay_exact(fact_rows, RowWeight::max_abs(schema, agg)?);
+        let bounds = shard_bounds(fact_rows, options.threads, reassociable);
+        let hist = scan_shards(&bounds, scan, |merged, partial| {
+            for (slot, v) in merged.iter_mut().zip(partial) {
+                *slot += v;
             }
-            merged
-        };
+        });
         FACT_SCANS.fetch_add(1, Ordering::Relaxed);
         let k = kernel_counters();
-        let chunks: u64 =
-            bounds.iter().map(|&(lo, hi)| (hi - lo).div_ceil(CHUNK_ROWS) as u64).sum();
+        let chunks = chunk_count(&bounds);
         KernelCounters::add(&k.chunks_scanned, chunks);
         // The histogram interior reads each axis fk straight from the
         // source array — one direct pass per axis per chunk, no staging.
         KernelCounters::add(&k.direct_gathers, resolved.len() as u64 * chunks);
+        let fk_bytes: usize = fks.iter().map(|fk| fk.width_bytes() * fact_rows).sum();
+        KernelCounters::add(&k.fk_bytes_read, fk_bytes as u64);
         Ok(WeightHistogram {
             axes: resolved.into_iter().map(|a| (a.table, a.attr, a.domain)).collect(),
             space,
@@ -1791,7 +1728,7 @@ pub(crate) fn dimension_bitsets(
             let link = parent.table.key(&sub.fk_in_dim)?;
             let di = schema.dim_index(parent.table.name())?;
             let bits = bitsets[di].get_or_insert_with(|| BitSet::ones(parent.table.num_rows()));
-            bits.retain(|i| sub_pass.get(link[i] as usize));
+            bits.retain(|i| sub_pass.get(link.get(i) as usize));
             continue;
         }
         return Err(EngineError::UnknownTable(pred.table.clone()));
@@ -1805,6 +1742,10 @@ pub(crate) fn dimension_bitsets(
 pub struct PlanExplain {
     /// Fact-table rows the scan would visit.
     pub fact_rows: usize,
+    /// Row shards the scan would split into under the plan's options
+    /// (shard 0 on the calling thread, one scoped thread per further
+    /// shard).
+    pub shards: usize,
     /// Filters promoted to the cross-query shared-mask cache.
     pub shared_masks: usize,
     /// Sampling metadata when a cost model drives the plan, `None` when
@@ -1823,6 +1764,9 @@ pub struct DimExplain {
     pub table: String,
     /// Dimension table rows.
     pub rows: usize,
+    /// Bytes per stored key of the fact column referencing this dimension
+    /// (2 when every key fits `u16`, else 4).
+    pub fk_width_bytes: usize,
     /// Whether the fk column is staged (decoded once up front).
     pub staged: bool,
     /// Estimated fraction of the dimension touched per chunk (cost model
@@ -1881,6 +1825,7 @@ impl PlanExplain {
                 Json::obj(vec![
                     ("table", Json::Str(d.table.clone())),
                     ("rows", Json::Num(d.rows as f64)),
+                    ("fk_width_bytes", Json::Num(d.fk_width_bytes as f64)),
                     ("staged", Json::Num(f64::from(u8::from(d.staged)))),
                     ("residency", d.residency.map_or(Json::Null, Json::Num)),
                 ])
@@ -1913,6 +1858,7 @@ impl PlanExplain {
             .collect();
         Json::obj(vec![
             ("fact_rows", Json::Num(self.fact_rows as f64)),
+            ("shards", Json::Num(self.shards as f64)),
             ("shared_masks", Json::Num(self.shared_masks as f64)),
             (
                 "cost_model",
@@ -2001,8 +1947,10 @@ mod tests {
         let ex = plan.describe();
         assert_eq!(fact_scan_count(), before, "describe never touches the fact table");
         assert_eq!(ex.fact_rows, 6);
+        assert_eq!(ex.shards, 1, "six rows scan on the calling thread");
         assert_eq!(ex.dims.len(), 2);
         assert_eq!(ex.dims[0].table, "A");
+        assert!(ex.dims.iter().all(|d| d.fk_width_bytes == 2), "tiny keys store as u16");
         assert_eq!(ex.queries.len(), 2);
         assert_eq!(ex.shared_masks, 1, "the repeated A filter promotes once");
         assert!(ex.queries.iter().all(|q| q
@@ -2020,7 +1968,32 @@ mod tests {
         let rendered = ex.to_json().render();
         let parsed = Json::parse(&rendered).expect("explain json parses");
         assert_eq!(parsed.get("fact_rows").and_then(Json::as_f64), Some(6.0));
+        assert_eq!(parsed.get("shards").and_then(Json::as_f64), Some(1.0));
         assert_eq!(parsed.get("queries").and_then(Json::as_arr).map(<[Json]>::len), Some(2));
+    }
+
+    #[test]
+    fn scans_tally_the_fk_bytes_their_gathers_read() {
+        let s = schema();
+        let mut plan = ScanPlan::new(&s).unwrap();
+        // Two private gathers over A (→ staged: one copy pass) and one over
+        // B (direct), each a 2-byte column of 6 rows.
+        plan.add_query(
+            &StarQuery::count("c1")
+                .with(Predicate::point("A", "attr", 1))
+                .with(Predicate::point("B", "attr", 0)),
+        )
+        .unwrap();
+        plan.add_query(&StarQuery::count("c2").with(Predicate::point("A", "attr", 2))).unwrap();
+        let before = kernel_counters().snapshot();
+        plan.execute(ScanOptions::default());
+        // Process-wide counter: concurrent tests can only add to the delta.
+        let read = kernel_counters().snapshot().since(&before).fk_bytes_read;
+        assert!(read >= 2 * 6 + 2 * 6, "{read} bytes");
+        let axes = vec![("A".to_string(), "attr".to_string())];
+        let before = kernel_counters().snapshot();
+        WeightHistogram::build(&s, &axes, &Agg::Count, ScanOptions::default()).unwrap();
+        assert!(kernel_counters().snapshot().since(&before).fk_bytes_read >= 2 * 6);
     }
 
     #[test]
@@ -2152,21 +2125,51 @@ mod tests {
     }
 
     #[test]
-    fn scan_options_clamp() {
-        assert_eq!(ScanOptions::parallel(0).threads, 1);
-        assert_eq!(ScanOptions::default().threads, 1);
-        assert!(!ScanOptions::default().legacy_gather);
+    fn scan_options_thread_counts() {
+        // 0 means kernel-sized sharding, and it is the default.
+        assert_eq!(ScanOptions::default().threads, 0);
+        assert_eq!(ScanOptions::parallel(0), ScanOptions::default());
+        assert_eq!(ScanOptions::parallel(3).threads, 3);
         assert_eq!(ScanOptions::default().cost_samples, DEFAULT_COST_SAMPLES);
-        let legacy = ScanOptions::parallel(3).with_legacy_gather();
-        assert!(legacy.legacy_gather);
-        assert_eq!(legacy.threads, 3);
         // `with_threads` threads an existing option set without resetting
         // the cost-model / probe knobs (`parallel` starts from defaults).
         let tuned =
-            ScanOptions::default().with_cost_samples(7).with_probe_caps(16, 256).with_threads(0);
-        assert_eq!(tuned.threads, 1);
+            ScanOptions::default().with_cost_samples(7).with_probe_caps(16, 256).with_threads(2);
+        assert_eq!(tuned.threads, 2);
+        assert_eq!(tuned.with_threads(0).threads, 0);
         assert_eq!(tuned.cost_samples, 7);
         assert_eq!((tuned.word_probe_cap, tuned.byte_probe_cap), (16, 256));
+    }
+
+    #[test]
+    fn kernel_sized_shards_need_big_tables_and_reassociable_sums() {
+        let cores = available_cores();
+        let rows = 5 * MIN_SHARD_ROWS + 17;
+        // Below two shards' worth of rows: the calling thread, whatever
+        // the core count.
+        assert_eq!(
+            shard_bounds(2 * MIN_SHARD_ROWS - 1, 0, true),
+            vec![(0, 2 * MIN_SHARD_ROWS - 1)]
+        );
+        assert_eq!(shard_bounds(0, 0, true), vec![(0, 0)]);
+        // Above: one shard per core, capped by the row floor.
+        let sized = shard_bounds(rows, 0, true);
+        assert_eq!(sized.len(), cores.min(5));
+        assert_eq!(sized, shard_bounds(rows, cores.min(5), true), "same split as forcing it");
+        assert_eq!(shard_bounds(rows, 0, false), vec![(0, rows)], "float sums stay on one shard");
+        // An explicit count is obeyed either way; shards tile the table on
+        // chunk boundaries.
+        for reassociable in [true, false] {
+            let forced = shard_bounds(rows, 3, reassociable);
+            assert_eq!(forced.len(), 3);
+            assert_eq!((forced[0].0, forced[2].1), (0, rows));
+            assert!(forced.windows(2).all(|w| w[0].1 == w[1].0 && w[0].1 % CHUNK_ROWS == 0));
+        }
+        assert_eq!(shard_bounds(CHUNK_ROWS + 1, 8, true).len(), 2, "never more shards than chunks");
+        // Sums re-associate only while no partial can reach 2⁵³.
+        assert!(sums_stay_exact(1 << 21, (1 << 32) - 1));
+        assert!(!sums_stay_exact(1 << 21, 1 << 32));
+        assert!(sums_stay_exact(0, u64::MAX) && !sums_stay_exact(usize::MAX, u64::MAX));
     }
 
     #[test]
@@ -2201,6 +2204,11 @@ mod tests {
         let lane: Vec<u32> = (0..40).collect();
         assert_eq!(word.gather_word(&lane), bytes.gather_word(&lane));
         assert_eq!(word.gather_word(&lane), wide.gather_word(&lane));
+        // …at either key width.
+        let narrow: Vec<u16> = (0..40).collect();
+        for f in [&word, &bytes, &wide] {
+            assert_eq!(f.gather_word(&narrow), word.gather_word(&lane));
+        }
     }
 
     #[test]
@@ -2258,9 +2266,8 @@ mod tests {
             "the subset mask ANDs the shared subsumer first"
         );
         assert_eq!(program.per_query[2].1.len(), 1, "…but still runs its own gather");
-        // Refinement is exact: answers match the model-free and legacy paths.
+        // Refinement is exact.
         let results = plan.execute(ScanOptions::default());
-        assert_eq!(results, plan.execute(ScanOptions::default().with_legacy_gather()));
         assert_eq!(results[0].scalar().unwrap(), 2.0);
         assert_eq!(results[1].scalar().unwrap(), 2.0);
         assert_eq!(results[2].scalar().unwrap(), 2.0);
@@ -2351,32 +2358,9 @@ mod tests {
         plan.add_query(&StarQuery::count("all")).unwrap();
         plan.add_query(&StarQuery::count("c").with(Predicate::point("A", "attr", 1))).unwrap();
         assert!(plan.queries[0].filters.is_empty() && plan.queries[0].is_pure_count());
-        for options in [ScanOptions::default(), ScanOptions::default().with_legacy_gather()] {
-            let results = plan.execute(options);
-            assert_eq!(results[0].scalar().unwrap(), 6.0, "unfiltered count = fact rows");
-            assert_eq!(results[1].scalar().unwrap(), 2.0);
-        }
-    }
-
-    #[test]
-    fn legacy_gather_is_bit_identical_to_staged() {
-        let s = schema();
-        let mut plan = ScanPlan::new(&s).unwrap();
-        plan.add_query(&StarQuery::count("c").with(Predicate::point("A", "attr", 1))).unwrap();
-        plan.add_query(
-            &StarQuery::sum("g", "qty")
-                .with(Predicate::range("A", "attr", 0, 1))
-                .group_by(GroupAttr::new("B", "attr")),
-        )
-        .unwrap();
-        plan.add_weighted(&[WeightedPredicate::new("A", "attr", vec![0.3, 1.7, 0.0])], &Agg::Count)
-            .unwrap();
-        let staged = plan.execute(ScanOptions::default());
-        let legacy = plan.execute(ScanOptions::default().with_legacy_gather());
-        assert_eq!(staged, legacy);
-        let staged_par = plan.execute(ScanOptions::parallel(3));
-        let legacy_par = plan.execute(ScanOptions::parallel(3).with_legacy_gather());
-        assert_eq!(staged_par, legacy_par);
+        let results = plan.execute(ScanOptions::default());
+        assert_eq!(results[0].scalar().unwrap(), 6.0, "unfiltered count = fact rows");
+        assert_eq!(results[1].scalar().unwrap(), 2.0);
     }
 
     #[test]
@@ -2417,10 +2401,8 @@ mod tests {
         assert_eq!(program.per_query[1].0, vec![0]);
         assert_eq!(program.per_query[2].0, Vec::<usize>::new());
         assert_eq!(program.per_query[2].1.len(), 1);
-        // And the shared split answers identically to the reference paths.
+        // And the shared split answers exactly.
         let results = plan.execute(ScanOptions::default());
-        let legacy = plan.execute(ScanOptions::default().with_legacy_gather());
-        assert_eq!(results, legacy);
         assert_eq!(results[0].scalar().unwrap(), 1.0);
         assert_eq!(results[1].scalar().unwrap(), 1.0);
         assert_eq!(results[2].scalar().unwrap(), 2.0);

@@ -85,7 +85,7 @@ impl StarSchema {
             check_dense_pk(&dim.table, &dim.pk)?;
             let fk = fact.key(&dim.fk)?;
             let rows = dim.table.num_rows();
-            if let Some(&bad) = fk.iter().find(|&&v| v as usize >= rows) {
+            if let Some(bad) = fk.iter().find(|&v| v as usize >= rows) {
                 return Err(EngineError::ForeignKeyOutOfRange {
                     column: dim.fk.clone(),
                     value: bad,
@@ -96,7 +96,7 @@ impl StarSchema {
                 check_dense_pk(&sub.table, &sub.pk)?;
                 let sub_fk = dim.table.key(&sub.fk_in_dim)?;
                 let sub_rows = sub.table.num_rows();
-                if let Some(&bad) = sub_fk.iter().find(|&&v| v as usize >= sub_rows) {
+                if let Some(bad) = sub_fk.iter().find(|&v| v as usize >= sub_rows) {
                     return Err(EngineError::ForeignKeyOutOfRange {
                         column: sub.fk_in_dim.clone(),
                         value: bad,
@@ -180,7 +180,7 @@ impl StarSchema {
 
 fn check_dense_pk(table: &Table, pk: &str) -> Result<(), EngineError> {
     let keys = table.key(pk)?;
-    if keys.iter().enumerate().any(|(i, &k)| k as usize != i) {
+    if keys.iter().enumerate().any(|(i, k)| k as usize != i) {
         return Err(EngineError::NonDensePrimaryKey { table: table.name().to_string() });
     }
     Ok(())

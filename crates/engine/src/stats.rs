@@ -15,6 +15,7 @@
 //! which deleting the entity (with its FK cascade, paper Definition 3.7)
 //! changes the query answer.
 
+use crate::column::Keys;
 use crate::error::EngineError;
 use crate::plan::{dimension_bitsets, RowWeight};
 use crate::query::StarQuery;
@@ -80,7 +81,7 @@ pub fn contributions(
             .enumerate()
             .filter_map(|(di, b)| Some((di, b?)))
             .collect();
-    let fks: Vec<&[u32]> =
+    let fks: Vec<Keys> =
         schema.dims().iter().map(|d| schema.fact().key(&d.fk)).collect::<Result<_, _>>()?;
     let weight = RowWeight::resolve(schema, &query.agg)?;
 
@@ -91,13 +92,13 @@ pub fn contributions(
     #[allow(clippy::needless_range_loop)]
     'rows: for row in 0..schema.fact().num_rows() {
         for (di, bits) in &filters {
-            if !bits.get(fks[*di][row] as usize) {
+            if !bits.get(fks[*di].get(row) as usize) {
                 continue 'rows;
             }
         }
         let w = weight.at(row);
         for (slot, &di) in key.iter_mut().zip(&priv_idx) {
-            *slot = fks[di][row];
+            *slot = fks[di].get(row);
         }
         *per_entity.entry(key.clone()).or_insert(0.0) += w;
         total += w;

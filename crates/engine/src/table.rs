@@ -1,6 +1,6 @@
 //! Named columnar tables.
 
-use crate::column::Column;
+use crate::column::{Column, Keys};
 use crate::domain::Domain;
 use crate::error::EngineError;
 use std::collections::HashMap;
@@ -71,8 +71,8 @@ impl Table {
         })
     }
 
-    /// Key values of a key column.
-    pub fn key(&self, column: &str) -> Result<&[u32], EngineError> {
+    /// Key values of a key column, at their stored width.
+    pub fn key(&self, column: &str) -> Result<Keys<'_>, EngineError> {
         self.column(column)?.as_key().ok_or_else(|| EngineError::WrongColumnKind {
             table: self.name.clone(),
             column: column.to_string(),
@@ -129,7 +129,7 @@ mod tests {
     fn construction_and_accessors() {
         let t = sample();
         assert_eq!(t.num_rows(), 4);
-        assert_eq!(t.key("pk").unwrap(), &[0, 1, 2, 3]);
+        assert_eq!(t.key("pk").unwrap(), [0, 1, 2, 3][..]);
         assert_eq!(t.codes("color").unwrap(), &[0, 1, 2, 1]);
         assert_eq!(t.measure("price").unwrap(), &[5, 10, 15, 20]);
         assert_eq!(t.domain("color").unwrap().size(), 3);

@@ -79,10 +79,12 @@ pub struct ServiceConfig {
     pub cache_answers: bool,
     /// Maximum cached answers before FIFO eviction (bounds service memory).
     pub cache_capacity: usize,
-    /// Fact-scan worker threads for mechanism execution (1 = scan on the
-    /// request thread). Values > 1 are propagated into the PM/WD scan
-    /// options at service construction; at the default of 1, explicitly
-    /// configured `pm.scan` / `wd.scan` options are left untouched.
+    /// Fact-scan shard override for mechanism execution. Values > 1 force
+    /// that many shards into the PM/WD scan options at service
+    /// construction; the default of 1 leaves `pm.scan` / `wd.scan` as
+    /// configured — and *their* default is kernel-sized sharding
+    /// ([`starj_engine::ScanOptions::threads`] = 0: the request thread
+    /// below ~2 M fact rows, one shard per core above).
     pub scan_threads: usize,
     /// Route `pm_answer` / `wd_answer` through the group-commit coalescer
     /// ([`crate::coalesce`]): concurrent single-query traffic parks in a
@@ -337,8 +339,9 @@ impl Service {
     /// the journal cannot be opened or is corrupt mid-history (a torn
     /// *tail* is recovered, not an error).
     pub fn open(schema: Arc<StarSchema>, mut config: ServiceConfig) -> Result<Self, ServiceError> {
-        // `scan_threads > 1` propagates into the mechanism configs; at the
-        // default of 1 any explicitly-set `pm.scan` / `wd.scan` is honored.
+        // `scan_threads > 1` propagates into the mechanism configs; the
+        // default of 1 honors `pm.scan` / `wd.scan` as set (kernel-sized
+        // sharding unless the caller configured otherwise).
         // `with_threads` (not `ScanOptions::parallel`) so explicitly-set
         // cost-model / probe-cap knobs survive the thread-count override.
         if config.scan_threads > 1 {

@@ -15,7 +15,7 @@
 //! instances valid.
 
 use crate::labels;
-use starj_engine::{Column, Dimension, Domain, EngineError, StarSchema, Table};
+use starj_engine::{Column, Dimension, Domain, EngineError, KeyData, StarSchema, Table};
 use starj_noise::samplers::{Exponential, Gamma, GaussianMixture};
 use starj_noise::StarRng;
 
@@ -294,58 +294,58 @@ fn build_lineorder(
     let rows = config.lineorder_rows();
     let dist = &config.distribution;
 
-    let mut orderdate = Vec::with_capacity(rows);
-    let mut custkey = Vec::with_capacity(rows);
-    let mut suppkey = Vec::with_capacity(rows);
-    let mut partkey = Vec::with_capacity(rows);
+    // The planted heavy hitter: (fk column, key, leading rows it owns).
+    let hot = match &config.hot {
+        None => None,
+        Some(hot) => {
+            let (column, limit) = match hot.dim.as_str() {
+                "Date" => (0, DATE_ROWS),
+                "Customer" => (1, customers),
+                "Supplier" => (2, suppliers),
+                "Part" => (3, parts),
+                other => return Err(EngineError::UnknownTable(other.to_string())),
+            };
+            if hot.key as usize >= limit {
+                return Err(EngineError::ForeignKeyOutOfRange {
+                    column: hot.dim.clone(),
+                    value: hot.key,
+                    referenced_rows: limit,
+                });
+            }
+            Some((column, hot.key, hot.fanout))
+        }
+    };
+
+    // Keys go straight into their stored width: at SF 1 three of the four
+    // 6 M-row fk columns never exist in 4-byte form.
+    let mut fks: [KeyData; 4] = std::array::from_fn(|_| KeyData::with_capacity(rows));
     let mut quantity = Vec::with_capacity(rows);
     let mut revenue = Vec::with_capacity(rows);
     let mut supplycost = Vec::with_capacity(rows);
 
     let key_of = |unit: f64, n: usize| ((unit * n as f64) as u32).min(n as u32 - 1);
-    for _ in 0..rows {
-        orderdate.push(key_of(dist.unit_sample(rng), DATE_ROWS));
-        custkey.push(key_of(dist.unit_sample(rng), customers));
-        suppkey.push(key_of(dist.unit_sample(rng), suppliers));
-        partkey.push(key_of(dist.unit_sample(rng), parts));
+    for row in 0..rows {
+        let mut keys = [DATE_ROWS, customers, suppliers, parts]
+            .map(|referenced| key_of(dist.unit_sample(rng), referenced));
+        if let Some((column, key, _)) = hot.filter(|&(_, _, fanout)| row < fanout) {
+            keys[column] = key;
+        }
+        for (column, key) in fks.iter_mut().zip(keys) {
+            column.push(key);
+        }
         quantity.push(1 + (dist.unit_sample(rng) * 49.0) as i64);
         revenue.push(1 + (dist.unit_sample(rng) * 9_999.0) as i64);
         supplycost.push(1 + (dist.unit_sample(rng) * 999.0) as i64);
     }
 
-    if let Some(hot) = &config.hot {
-        let column = match hot.dim.as_str() {
-            "Customer" => &mut custkey,
-            "Supplier" => &mut suppkey,
-            "Part" => &mut partkey,
-            "Date" => &mut orderdate,
-            other => return Err(EngineError::UnknownTable(other.to_string())),
-        };
-        let limit = match hot.dim.as_str() {
-            "Customer" => customers,
-            "Supplier" => suppliers,
-            "Part" => parts,
-            _ => DATE_ROWS,
-        };
-        if hot.key as usize >= limit {
-            return Err(EngineError::ForeignKeyOutOfRange {
-                column: hot.dim.clone(),
-                value: hot.key,
-                referenced_rows: limit,
-            });
-        }
-        for slot in column.iter_mut().take(hot.fanout.min(rows)) {
-            *slot = hot.key;
-        }
-    }
-
+    let [orderdate, custkey, suppkey, partkey] = fks;
     Table::new(
         "Lineorder",
         vec![
-            Column::key("orderdate", orderdate),
-            Column::key("custkey", custkey),
-            Column::key("suppkey", suppkey),
-            Column::key("partkey", partkey),
+            Column::from_keys("orderdate", orderdate),
+            Column::from_keys("custkey", custkey),
+            Column::from_keys("suppkey", suppkey),
+            Column::from_keys("partkey", partkey),
             Column::measure("quantity", quantity),
             Column::measure("revenue", revenue),
             Column::measure("supplycost", supplycost),
@@ -466,7 +466,7 @@ mod tests {
         let low_cut = customers / 4;
         let frac_low = |s: &StarSchema| {
             let keys = s.fact().key("custkey").unwrap();
-            keys.iter().filter(|&&k| k < low_cut).count() as f64 / keys.len() as f64
+            keys.iter().filter(|&k| k < low_cut).count() as f64 / keys.len() as f64
         };
         assert!(
             frac_low(&skewed) > frac_low(&uniform) + 0.2,
@@ -482,7 +482,7 @@ mod tests {
         cfg.hot = Some(HotSpot { dim: "Customer".into(), key: 3, fanout: 500 });
         let schema = generate(&cfg).unwrap();
         let keys = schema.fact().key("custkey").unwrap();
-        let fanout = keys.iter().filter(|&&k| k == 3).count();
+        let fanout = keys.iter().filter(|&k| k == 3).count();
         assert!(fanout >= 500, "planted fanout missing: {fanout}");
     }
 

@@ -225,13 +225,9 @@ mod tests {
         let got = execute(&s, &qc1()).unwrap().scalar().unwrap();
         // Manual: count fact rows whose orderdate's year code is 1.
         let years = s.dim("Date").unwrap().table.codes("year").unwrap();
-        let manual = s
-            .fact()
-            .key("orderdate")
-            .unwrap()
-            .iter()
-            .filter(|&&dk| years[dk as usize] == 1)
-            .count() as f64;
+        let manual =
+            s.fact().key("orderdate").unwrap().iter().filter(|&dk| years[dk as usize] == 1).count()
+                as f64;
         assert_eq!(got, manual);
     }
 

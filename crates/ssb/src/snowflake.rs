@@ -86,7 +86,7 @@ mod tests {
     fn date_mk_mirrors_month_attribute() {
         let s = snow();
         let date = &s.dim("Date").unwrap().table;
-        assert_eq!(date.key("mk").unwrap(), date.codes("month").unwrap());
+        assert_eq!(date.key("mk").unwrap(), *date.codes("month").unwrap());
     }
 
     #[test]

@@ -30,6 +30,11 @@ pub struct KernelCounters {
     pub staged_gathers: AtomicU64,
     /// Mask/axis gathers served straight from the source fk array.
     pub direct_gathers: AtomicU64,
+    /// Bytes of fact fk columns the scans' gathers read from memory: per
+    /// dimension, column width × fact rows × (one staging copy, or one
+    /// pass per direct gather). Computed from the plan, so word-level
+    /// early exits and per-row group-by lookups are not reflected.
+    pub fk_bytes_read: AtomicU64,
     /// Filters classified to the ≤ 64-row register-word probe.
     pub probe_word: AtomicU64,
     /// Filters classified to the ≤ 2^16-row byte-LUT probe.
@@ -49,6 +54,7 @@ static KERNEL: KernelCounters = KernelCounters {
     staged_chunk_copies: AtomicU64::new(0),
     staged_gathers: AtomicU64::new(0),
     direct_gathers: AtomicU64::new(0),
+    fk_bytes_read: AtomicU64::new(0),
     probe_word: AtomicU64::new(0),
     probe_bytes: AtomicU64::new(0),
     probe_bitset: AtomicU64::new(0),
@@ -183,6 +189,7 @@ impl KernelCounters {
             staged_chunk_copies: self.staged_chunk_copies.load(Ordering::Relaxed),
             staged_gathers: self.staged_gathers.load(Ordering::Relaxed),
             direct_gathers: self.direct_gathers.load(Ordering::Relaxed),
+            fk_bytes_read: self.fk_bytes_read.load(Ordering::Relaxed),
             probe_word: self.probe_word.load(Ordering::Relaxed),
             probe_bytes: self.probe_bytes.load(Ordering::Relaxed),
             probe_bitset: self.probe_bitset.load(Ordering::Relaxed),
@@ -203,6 +210,8 @@ pub struct KernelSnapshot {
     pub staged_gathers: u64,
     /// See [`KernelCounters::direct_gathers`].
     pub direct_gathers: u64,
+    /// See [`KernelCounters::fk_bytes_read`].
+    pub fk_bytes_read: u64,
     /// See [`KernelCounters::probe_word`].
     pub probe_word: u64,
     /// See [`KernelCounters::probe_bytes`].
@@ -218,12 +227,13 @@ pub struct KernelSnapshot {
 impl KernelSnapshot {
     /// `(name, value)` pairs in declaration order — the single source the
     /// Prometheus and JSON expositions both iterate.
-    pub fn entries(&self) -> [(&'static str, u64); 9] {
+    pub fn entries(&self) -> [(&'static str, u64); 10] {
         [
             ("chunks_scanned", self.chunks_scanned),
             ("staged_chunk_copies", self.staged_chunk_copies),
             ("staged_gathers", self.staged_gathers),
             ("direct_gathers", self.direct_gathers),
+            ("fk_bytes_read", self.fk_bytes_read),
             ("probe_word", self.probe_word),
             ("probe_bytes", self.probe_bytes),
             ("probe_bitset", self.probe_bitset),
@@ -242,6 +252,7 @@ impl KernelSnapshot {
                 .saturating_sub(earlier.staged_chunk_copies),
             staged_gathers: self.staged_gathers.saturating_sub(earlier.staged_gathers),
             direct_gathers: self.direct_gathers.saturating_sub(earlier.direct_gathers),
+            fk_bytes_read: self.fk_bytes_read.saturating_sub(earlier.fk_bytes_read),
             probe_word: self.probe_word.saturating_sub(earlier.probe_word),
             probe_bytes: self.probe_bytes.saturating_sub(earlier.probe_bytes),
             probe_bitset: self.probe_bitset.saturating_sub(earlier.probe_bitset),
@@ -296,6 +307,6 @@ mod tests {
         assert_eq!(delta.staged_gathers, 0);
         let json = delta.to_json();
         assert_eq!(json.get("chunks_scanned").and_then(Json::as_f64), Some(5.0));
-        assert_eq!(delta.entries().len(), 9);
+        assert_eq!(delta.entries().len(), 10);
     }
 }

@@ -1,6 +1,6 @@
 //! Kernel-equivalence property tests: the vectorized scan kernels
 //! ([`execute_batch`], the parallel sharded scan, and the fused weighted
-//! batch) must produce **bit-identical** results to the legacy row-at-a-time
+//! batch) must produce **bit-identical** results to the row-at-a-time
 //! executor preserved in `starj_engine::exec::reference`, on random schemas,
 //! queries, group-bys and weighted predicates — including the snowflake
 //! fold.
@@ -14,8 +14,8 @@
 use dp_starj_repro::engine::exec::reference;
 use dp_starj_repro::engine::{
     execute_batch, execute_batch_with, execute_weighted_batch, execute_weighted_batch_with, Agg,
-    Column, Constraint, Dimension, Domain, GroupAttr, Predicate, ScanOptions, StarQuery,
-    StarSchema, SubDimension, Table, WeightedPredicate, WeightedQuery,
+    Column, Constraint, Dimension, Domain, GroupAttr, Keys, Predicate, ScanOptions, ScanPlan,
+    StarQuery, StarSchema, SubDimension, Table, WeightHistogram, WeightedPredicate, WeightedQuery,
 };
 use proptest::prelude::*;
 
@@ -276,14 +276,16 @@ fn sparse_group_fallback_matches_reference() {
 // Adversarial shapes pinning the staged SIMD-width kernel's fast paths: the
 // probe classification boundaries (≤ 64 rows → register word, ≤ 2^16 →
 // byte LUT, above → packed bitset), chunk/word-straddling fact sizes, and
-// the degenerate all-rows-filtered / none-filtered masks — each proven
-// bit-identical to `exec::reference`, on both the staged and the
-// `legacy_gather` interiors.
+// the key-width boundary (a fact column whose largest key is `u16::MAX` is
+// stored as `u16`, one key more as `u32`), and the degenerate
+// all-rows-filtered / none-filtered masks — each proven bit-identical to
+// `exec::reference`.
 // ---------------------------------------------------------------------------
 
 /// A one-dimension schema with `dim_rows` rows, identity attribute codes
 /// (`x[i] = i`, domain `dim_rows`), and `fact_rows` fact rows with a
-/// deterministic fk spread and signed measure.
+/// deterministic fk spread and signed measure. Fact row 0 references the
+/// last dimension row, so the fk column's width is decided by `dim_rows`.
 fn boundary_schema(dim_rows: usize, fact_rows: usize) -> StarSchema {
     let d = Domain::numeric("x", dim_rows as u32).unwrap();
     let dim = Table::new(
@@ -297,7 +299,12 @@ fn boundary_schema(dim_rows: usize, fact_rows: usize) -> StarSchema {
     let fact = Table::new(
         "F",
         vec![
-            Column::key("fk", (0..fact_rows).map(|i| ((i * 7) % dim_rows) as u32).collect()),
+            Column::key(
+                "fk",
+                (0..fact_rows)
+                    .map(|i| if i == 0 { dim_rows - 1 } else { (i * 7) % dim_rows } as u32)
+                    .collect(),
+            ),
             Column::measure("m", (0..fact_rows).map(|i| (i % 13) as i64 - 6).collect()),
         ],
     )
@@ -330,14 +337,20 @@ fn assert_boundary_equivalence(dim_rows: usize, fact_rows: usize) {
     let schema = boundary_schema(dim_rows, fact_rows);
     let queries = boundary_queries(dim_rows);
     let staged = execute_batch(&schema, &queries).unwrap();
-    let legacy =
-        execute_batch_with(&schema, &queries, ScanOptions::default().with_legacy_gather()).unwrap();
     let parallel = execute_batch_with(&schema, &queries, ScanOptions::parallel(3)).unwrap();
+    // Every probe class the dimension admits: the byte LUT at any size,
+    // the packed bitset at any size (the register word only below 65 rows,
+    // where the default classification above already uses it).
+    let bytes = ScanOptions::default().with_probe_caps(0, usize::MAX);
+    let bitset = ScanOptions::default().with_probe_caps(0, 0);
+    let bytes = execute_batch_with(&schema, &queries, bytes).unwrap();
+    let bitset = execute_batch_with(&schema, &queries, bitset).unwrap();
     for (i, q) in queries.iter().enumerate() {
         let oracle = reference::execute(&schema, q).unwrap();
         assert_eq!(staged[i], oracle, "dim={dim_rows} fact={fact_rows} query {i} (staged)");
-        assert_eq!(legacy[i], oracle, "dim={dim_rows} fact={fact_rows} query {i} (legacy)");
         assert_eq!(parallel[i], oracle, "dim={dim_rows} fact={fact_rows} query {i} (parallel)");
+        assert_eq!(bytes[i], oracle, "dim={dim_rows} fact={fact_rows} query {i} (byte LUT)");
+        assert_eq!(bitset[i], oracle, "dim={dim_rows} fact={fact_rows} query {i} (bitset)");
     }
 }
 
@@ -352,19 +365,24 @@ fn word_byte_probe_boundary_matches_reference() {
     }
 }
 
-/// Byte-LUT↔packed-bitset probe boundary (2^16 dimension rows). The
-/// group-by over the 2^16±1 domain also exercises the sparse fallback on
-/// both sides of `DENSE_GROUP_CAP`.
+/// Byte-LUT↔packed-bitset probe boundary (2^16 dimension rows), which is
+/// also the key-width boundary: the largest key is `u16::MAX - 1`,
+/// `u16::MAX` (still two bytes) and `u16::MAX + 1` (four). The group-by
+/// over the 2^16±1 domain also exercises the sparse fallback on both sides
+/// of `DENSE_GROUP_CAP`.
 #[test]
 fn byte_wide_probe_boundary_matches_reference() {
     for dim_rows in [(1usize << 16) - 1, 1 << 16, (1 << 16) + 1] {
+        let fk_is_narrow =
+            matches!(boundary_schema(dim_rows, 1).fact().key("fk").unwrap(), Keys::U16(_));
+        assert_eq!(fk_is_narrow, dim_rows <= 1 << 16, "dim={dim_rows}");
         assert_boundary_equivalence(dim_rows, 4097);
     }
 }
 
 /// Random queries over dimension row counts drawn from the probe-boundary
-/// set, with random (non-identity) attribute codes: staged, legacy-gather
-/// and parallel kernels all bit-identical to the reference.
+/// set, with random (non-identity) attribute codes: staged and parallel
+/// kernels bit-identical to the reference.
 fn boundary_dim_rows() -> impl Strategy<Value = usize> {
     prop_oneof![Just(1usize), Just(2), Just(63), Just(64), Just(65), Just(66)]
 }
@@ -416,13 +434,6 @@ proptest! {
         let oracle = reference::execute(&schema, &queries[0]).unwrap();
         let staged = execute_batch(&schema, &queries).unwrap();
         prop_assert_eq!(&staged[0], &oracle, "staged diverged");
-        let legacy = execute_batch_with(
-            &schema,
-            &queries,
-            ScanOptions::default().with_legacy_gather(),
-        )
-        .unwrap();
-        prop_assert_eq!(&legacy[0], &oracle, "legacy diverged");
         let parallel =
             execute_batch_with(&schema, &queries, ScanOptions::parallel(threads)).unwrap();
         prop_assert_eq!(&parallel[0], &oracle, "parallel diverged");
@@ -462,4 +473,119 @@ fn chunk_boundary_sizes_match_reference() {
             assert_eq!(parallel[i], oracle, "rows={rows} query {i} (parallel)");
         }
     }
+}
+
+/// Kernel-sized sharding (the default `threads = 0`) on a table big enough
+/// to split: two 300-row dimensions, one measure, just past twice the
+/// kernel's ~1 M-row shard floor. The fk columns are `u16`.
+fn shardable_schema() -> StarSchema {
+    const DIM_ROWS: u32 = 300;
+    const FACT_ROWS: u32 = (2 << 20) + 4097;
+    let dim = |name: &str| {
+        Table::new(
+            name,
+            vec![
+                Column::key("pk", (0..DIM_ROWS).collect()),
+                Column::attr("x", Domain::numeric("x", DIM_ROWS).unwrap(), (0..DIM_ROWS).collect()),
+            ],
+        )
+        .unwrap()
+    };
+    let fact = Table::new(
+        "F",
+        vec![
+            Column::key("fa", (0..FACT_ROWS).map(|i| (i * 7) % DIM_ROWS).collect()),
+            Column::key("fb", (0..FACT_ROWS).map(|i| (i / 3) % DIM_ROWS).collect()),
+            Column::measure("m", (0..FACT_ROWS).map(|i| i64::from(i % 13) - 6).collect()),
+            Column::measure("c", (0..FACT_ROWS).map(|i| i64::from(i % 5)).collect()),
+            // 2 M rows of ~2⁴⁰ sum past 2⁵³: these partials round.
+            Column::measure("big", (0..FACT_ROWS).map(|i| (1 << 40) + i64::from(i % 3)).collect()),
+        ],
+    )
+    .unwrap();
+    StarSchema::new(
+        fact,
+        vec![Dimension::new(dim("A"), "pk", "fa"), Dimension::new(dim("B"), "pk", "fb")],
+    )
+    .unwrap()
+}
+
+#[test]
+fn default_sharding_is_bit_identical_and_skips_real_weighted_plans() {
+    let schema = shardable_schema();
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let queries = vec![
+        StarQuery::count("count").with(Predicate::range("A", "x", 10, 200)),
+        StarQuery::sum("sum", "m")
+            .with(Predicate::range("A", "x", 0, 150))
+            .with(Predicate::range("B", "x", 100, 299)),
+        StarQuery::sum_diff("diff", "m", "c").with(Predicate::point("B", "x", 7)),
+        StarQuery::sum("grouped", "m")
+            .with(Predicate::range("A", "x", 5, 290))
+            .group_by(GroupAttr::new("B", "x")),
+    ];
+    let mut plan = ScanPlan::with_options(&schema, ScanOptions::default()).unwrap();
+    for q in &queries {
+        plan.add_query(q).unwrap();
+    }
+    assert_eq!(plan.describe().shards, cores.min(2), "one shard per core, ≥ ~1 M rows each");
+    assert!(plan.describe().dims.iter().all(|d| d.fk_width_bytes == 2));
+    let sharded = plan.execute(ScanOptions::default());
+    for (i, q) in queries.iter().enumerate() {
+        assert_eq!(sharded[i], reference::execute(&schema, q).unwrap(), "query {i}");
+    }
+
+    // A count histogram sums integers: shardable, and still exact.
+    let quarters = |n: u32| (0..n).map(|i| f64::from(i % 9) / 4.0).collect::<Vec<f64>>();
+    let hist = vec![WeightedPredicate::new("A", "x", quarters(300))];
+    let mut plan = ScanPlan::with_options(&schema, ScanOptions::default()).unwrap();
+    plan.add_weighted(&hist, &Agg::Count).unwrap();
+    assert_eq!(plan.describe().shards, cores.min(2));
+    assert_eq!(
+        plan.execute(ScanOptions::default())[0].scalar().unwrap().to_bits(),
+        reference::execute_weighted(&schema, &hist, &Agg::Count).unwrap().to_bits(),
+    );
+
+    // Integer sums re-associate only below 2⁵³. SUM(big) rounds on the way,
+    // so its bits depend on the split: the kernel keeps it — scalar, grouped
+    // or as a histogram — on one shard, in the reference's order.
+    let big = StarQuery::sum("big", "big").with(Predicate::range("A", "x", 0, 250));
+    let big_grouped = big.clone().group_by(GroupAttr::new("B", "x"));
+    let mut plan = ScanPlan::with_options(&schema, ScanOptions::default()).unwrap();
+    plan.add_query(&queries[0]).unwrap();
+    plan.add_query(&big).unwrap();
+    plan.add_query(&big_grouped).unwrap();
+    plan.add_weighted(&hist, &Agg::Sum("big".into())).unwrap();
+    assert_eq!(plan.describe().shards, 1, "sums that can pass 2⁵³ pin the plan");
+    let pinned = plan.execute(ScanOptions::default());
+    assert!(pinned[1].scalar().unwrap() > 2f64.powi(53));
+    assert_eq!(pinned[1], reference::execute(&schema, &big).unwrap());
+    assert_eq!(pinned[2], reference::execute(&schema, &big_grouped).unwrap());
+    let (axes, sum_big) = ([("A".to_string(), "x".to_string())], Agg::Sum("big".into()));
+    let standalone = WeightHistogram::build(&schema, &axes, &sum_big, ScanOptions::default());
+    assert_eq!(
+        standalone.unwrap().answer(&hist, &sum_big).unwrap().to_bits(),
+        pinned[3].scalar().unwrap().to_bits(),
+        "a histogram built on its own follows the same rule"
+    );
+
+    // Two 300-code axes overflow the joint histogram, so this query runs
+    // the row loop on real weights: its sum depends on the split, and the
+    // kernel must keep it on one shard — bit-identical to the reference
+    // even with weights that are not exactly representable.
+    let tenths = |n: u32| (0..n).map(|i| 0.1 + f64::from(i % 7) / 10.0).collect::<Vec<f64>>();
+    let real = vec![
+        WeightedPredicate::new("A", "x", tenths(300)),
+        WeightedPredicate::new("B", "x", tenths(300)),
+    ];
+    let mut plan = ScanPlan::with_options(&schema, ScanOptions::default()).unwrap();
+    plan.add_query(&queries[0]).unwrap();
+    plan.add_weighted(&real, &Agg::Sum("m".into())).unwrap();
+    assert_eq!(plan.describe().shards, 1, "a real-weighted row-loop query pins the plan");
+    let pinned = plan.execute(ScanOptions::default());
+    assert_eq!(pinned[0], sharded[0]);
+    assert_eq!(
+        pinned[1].scalar().unwrap().to_bits(),
+        reference::execute_weighted(&schema, &real, &Agg::Sum("m".into())).unwrap().to_bits(),
+    );
 }
