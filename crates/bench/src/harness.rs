@@ -1,7 +1,6 @@
 //! Trial statistics, environment knobs and table formatting.
 
 use std::io::Write;
-use std::time::Instant;
 
 /// Summary statistics over a set of trial errors.
 #[derive(Debug, Clone, Copy)]
@@ -35,13 +34,6 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
-/// Times a closure, returning its output and elapsed seconds.
-pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed().as_secs_f64())
-}
-
 /// Fixed-width, paper-style table printer for experiment binaries.
 pub struct TablePrinter {
     widths: Vec<usize>,
@@ -73,13 +65,6 @@ impl TablePrinter {
         println!("{}", "-".repeat(total));
     }
 }
-
-/// The workspace JSON value (`BENCH_*.json`, telemetry snapshots, audit
-/// JSONL): defined once in `starj-telemetry` and re-exported here so every
-/// bench binary keeps its `harness::Json` spelling. [`Json::parse`] reads
-/// the same dialect back so bench runs can compare themselves against
-/// committed or archived results (`bench_compare`, the scan self-gate).
-pub use starj_telemetry::Json;
 
 /// Formats a relative error as a percentage with two decimals (paper style).
 pub fn pct(rel_err: f64) -> String {
@@ -116,13 +101,6 @@ mod tests {
     fn env_parsing_falls_back() {
         assert_eq!(env_f64("DEFINITELY_UNSET_VAR_XYZ", 1.5), 1.5);
         assert_eq!(env_u64("DEFINITELY_UNSET_VAR_XYZ", 10), 10);
-    }
-
-    #[test]
-    fn timed_measures_something() {
-        let (out, secs) = timed(|| 42);
-        assert_eq!(out, 42);
-        assert!(secs >= 0.0);
     }
 
     #[test]

@@ -43,8 +43,8 @@ use starj_telemetry::{cost_counters, CostCounters};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Default fact rows sampled per model build (`ScanOptions::cost_samples`).
-pub const DEFAULT_COST_SAMPLES: usize = 1024;
+/// Fact rows sampled per model build ([`CostConfig::default`]).
+const DEFAULT_COST_SAMPLES: usize = 1024;
 
 /// Chunks probed per dimension for the distinct-codes-per-chunk estimate.
 const RESIDENCY_PROBES: usize = 8;
@@ -100,7 +100,7 @@ pub struct PredicateEstimate {
 
 impl PredicateEstimate {
     /// True iff the measured truth lies within the reported interval —
-    /// the accuracy criterion the `cost_model` bench gates on.
+    /// what `tests/prop_cost_model.rs` holds every estimate to.
     pub fn covers(&self, truth: f64) -> bool {
         (truth - self.fraction).abs() <= self.ci + 1e-12
     }

@@ -15,7 +15,7 @@
 //! points (now thin wrappers over one-query plans); [`execute_batch`] and
 //! [`execute_weighted_batch`] are the fused forms. The legacy row-at-a-time
 //! executor survives verbatim in [`reference`] as the semantic oracle for
-//! equivalence tests and the baseline for scan benchmarks.
+//! equivalence tests.
 
 use crate::error::EngineError;
 use crate::plan::{ScanOptions, ScanPlan, WeightedQuery};
@@ -28,7 +28,7 @@ pub fn execute(schema: &StarSchema, query: &StarQuery) -> Result<QueryResult, En
     execute_with(schema, query, ScanOptions::default())
 }
 
-/// [`execute`] with explicit scan options (threads, cost-model sampling, probe caps).
+/// [`execute`] with explicit scan options (threads, probe caps).
 pub fn execute_with(
     schema: &StarSchema,
     query: &StarQuery,
@@ -50,7 +50,7 @@ pub fn execute_batch(
     execute_batch_with(schema, queries, ScanOptions::default())
 }
 
-/// [`execute_batch`] with explicit scan options (threads, cost-model sampling, probe caps).
+/// [`execute_batch`] with explicit scan options (threads, probe caps).
 pub fn execute_batch_with(
     schema: &StarSchema,
     queries: &[StarQuery],
@@ -89,7 +89,7 @@ pub fn execute_weighted_batch(
     execute_weighted_batch_with(schema, queries, ScanOptions::default())
 }
 
-/// [`execute_weighted_batch`] with explicit scan options (threads, cost-model sampling, probe caps).
+/// [`execute_weighted_batch`] with explicit scan options (threads, probe caps).
 pub fn execute_weighted_batch_with(
     schema: &StarSchema,
     queries: &[WeightedQuery],
@@ -105,7 +105,8 @@ pub fn execute_weighted_batch_with(
 pub mod reference {
     //! The original row-at-a-time executor over `Vec<bool>` bitmaps, kept
     //! verbatim as the semantic oracle: equivalence property tests pin the
-    //! vectorized kernels to it, and `scan_throughput` benches against it.
+    //! vectorized kernels to it, and `benchmark/` re-checks them against it
+    //! on every run.
 
     use super::*;
     use crate::column::Keys;

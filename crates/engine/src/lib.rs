@@ -70,8 +70,7 @@ pub use bitset::BitSet;
 pub use canon::{canonicalize, implies, CanonicalQuery};
 pub use column::{Column, ColumnData, KeyData, Keys};
 pub use cost::{
-    cost_model_for, invalidate_cost_model, CostConfig, CostModel, DimensionStats,
-    PredicateEstimate, DEFAULT_COST_SAMPLES,
+    cost_model_for, invalidate_cost_model, CostConfig, CostModel, DimensionStats, PredicateEstimate,
 };
 pub use domain::Domain;
 pub use error::EngineError;

@@ -71,7 +71,7 @@
 
 use crate::bitset::BitSet;
 use crate::column::Keys;
-use crate::cost::{cost_model_for, CostConfig, CostModel, DEFAULT_COST_SAMPLES};
+use crate::cost::{cost_model_for, CostConfig, CostModel};
 use crate::error::EngineError;
 use crate::predicate::{Predicate, WeightedPredicate};
 use crate::query::{Agg, QueryResult, StarQuery};
@@ -129,23 +129,17 @@ pub struct ScanOptions {
     /// runs on the calling thread; `n > 1` forces `n` contiguous row
     /// ranges merged in deterministic shard order.
     pub threads: usize,
-    /// Fact rows the sampling cost model walks per schema instance
-    /// ([`crate::cost`]). `0` disables the model and restores the static
-    /// plan heuristics (exact pass-count filter ordering, blanket ≥ 2-uses
-    /// mask sharing and staging). Any plan shape the model picks is
-    /// bit-identical on answers by construction.
-    pub cost_samples: usize,
     /// Largest dimension row count probed through the register-word fast
     /// path (clamped to ≤ 64 at classification).
     pub word_probe_cap: usize,
     /// Largest dimension row count probed through the byte-LUT fast path.
     pub byte_probe_cap: usize,
     /// Minimum per-chunk gathers of a dimension before its fk codes are
-    /// staged (the cost model may still demote cache-resident dimensions).
+    /// staged (the cost model still demotes cache-resident dimensions).
     pub stage_min_uses: usize,
     /// Minimum cross-query uses of a filter before it is considered for
-    /// the shared-mask cache (the cost model may still demote filters
-    /// whose private re-gathers are estimated nearly free).
+    /// the shared-mask cache (the cost model still demotes filters whose
+    /// private re-gathers are estimated nearly free).
     pub share_min_uses: usize,
 }
 
@@ -153,7 +147,6 @@ impl Default for ScanOptions {
     fn default() -> Self {
         ScanOptions {
             threads: 0,
-            cost_samples: DEFAULT_COST_SAMPLES,
             word_probe_cap: WORD_PROBE_CAP,
             byte_probe_cap: BYTE_PROBE_CAP,
             stage_min_uses: 2,
@@ -171,16 +164,9 @@ impl ScanOptions {
 
     /// The same options with exactly `threads` shards (`0` = kernel-sized),
     /// keeping every other knob — how a service threads its configured
-    /// scan options without resetting the cost-model and probe overrides.
+    /// scan options without resetting the probe overrides.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// The same options with the cost model sampling `samples` fact rows
-    /// (0 disables it — the static-heuristic baseline).
-    pub fn with_cost_samples(mut self, samples: usize) -> Self {
-        self.cost_samples = samples;
         self
     }
 
@@ -368,40 +354,24 @@ struct Filter {
     /// probe reads it; selectivity and mask dedup come from it).
     bits: BitSet,
     probe: Probe,
-    /// Selectivity discriminant: the exact dimension-row pass count when
-    /// the cost model is off, the sampled fact-row hit count when it's on.
-    /// Deterministic per (mask, model), so it stays a valid dedup key.
+    /// Selectivity discriminant: the cost model's sampled fact-row hit
+    /// count. Deterministic per (mask, model), so it is a valid dedup key.
     pass: usize,
-    /// Estimated fact pass fraction from the cost model (`None` without a
-    /// model → exact cross-multiplied ordering).
-    est: Option<f64>,
+    /// Estimated fact pass fraction from the cost model.
+    est: f64,
 }
 
 impl Filter {
-    /// [`Filter::build`] under the default caps with no model — the
-    /// boundary-test entry point.
-    #[cfg(test)]
-    fn new(dim: usize, bits: BitSet) -> Self {
-        Filter::build(dim, bits, WORD_PROBE_CAP, BYTE_PROBE_CAP, None)
-    }
-
-    /// Builds a filter under explicit probe caps and an optional cost
-    /// model. With a model, selectivity comes from the sampled walks — no
-    /// full-column `count_ones` pass.
+    /// Builds a filter under explicit probe caps. Selectivity comes from
+    /// the cost model's sampled walks — no full-column `count_ones` pass.
     fn build(
         dim: usize,
         bits: BitSet,
         word_cap: usize,
         byte_cap: usize,
-        model: Option<&CostModel>,
+        model: &CostModel,
     ) -> Self {
-        let (pass, est) = match model {
-            Some(m) => {
-                let e = m.pass_fraction(dim, &bits);
-                (e.hits, Some(e.fraction))
-            }
-            None => (bits.count_ones(), None),
-        };
+        let estimate = model.pass_fraction(dim, &bits);
         let k = kernel_counters();
         let probe = if bits.len() <= word_cap.min(WORD_PROBE_CAP) {
             KernelCounters::add(&k.probe_word, 1);
@@ -413,7 +383,7 @@ impl Filter {
             KernelCounters::add(&k.probe_bitset, 1);
             Probe::Wide
         };
-        Filter { dim, bits, probe, pass, est }
+        Filter { dim, bits, probe, pass: estimate.hits, est: estimate.fraction }
     }
 
     /// Gathers one mask word (≤ 64 fk codes) through the probe fast path.
@@ -455,13 +425,14 @@ impl Filter {
 
 /// The cross-query mask-sharing program of one fused scan: concurrent
 /// dashboards overlap heavily (the same year range or region predicate
-/// appears in many queries of a batch), so any filter whose `(dimension,
-/// pass mask)` is used by ≥ 2 fused queries is gathered **once per chunk**
-/// into a shared mask cache and ANDed word-wise into each user's mask —
-/// turning `N` identical gather passes into one pass plus `N` register
-/// ANDs. Query-private filters keep the per-query gather with its
-/// `*word == 0` early exit. Pure AND reordering: the resulting mask is
-/// bit-identical for any sharing split.
+/// appears in many queries of a batch), so a filter whose `(dimension,
+/// pass mask)` is used by ≥ 2 fused queries, and whose private gathers
+/// the cost model estimates to cost more than one shared pass, is gathered
+/// **once per chunk** into a shared mask cache and ANDed word-wise into
+/// each user's mask — turning `N` identical gather passes into one pass
+/// plus `N` register ANDs. Query-private filters keep the per-query gather
+/// with its `*word == 0` early exit. Pure AND reordering: the resulting
+/// mask is bit-identical for any sharing split.
 #[derive(Debug)]
 struct MaskProgram<'p> {
     /// Distinct filters promoted to the shared cache, first-use order.
@@ -478,26 +449,14 @@ struct MaskProgram<'p> {
 /// Orders filters by estimated selectivity — ascending pass fraction,
 /// ties broken by dimension index — so the most selective mask is ANDed
 /// first and the `*word == 0` early exit in later filters fires as early
-/// as possible. With the cost model the fraction is the *fact-weighted*
-/// sampled estimate (a better early-exit signal than the dimension-row
-/// popcount ratio: a mask passing few dimension rows can still admit most
-/// fact rows under a skewed fk distribution); without it, the exact
-/// cross-multiplied `popcount / dimension rows` compare. Pure reordering
-/// of a bitwise AND conjunction: the resulting mask is identical for any
-/// order.
+/// as possible. The fraction is the cost model's *fact-weighted* sampled
+/// estimate (a better early-exit signal than a dimension-row popcount
+/// ratio: a mask passing few dimension rows can still admit most fact rows
+/// under a skewed fk distribution). Pure reordering of a bitwise AND
+/// conjunction: the resulting mask is identical for any order.
 fn selectivity_order(filters: &mut [Filter]) {
     filters.sort_by(|a, b| {
-        match (a.est, b.est) {
-            (Some(ea), Some(eb)) => {
-                ea.partial_cmp(&eb).unwrap_or(std::cmp::Ordering::Equal).then(a.dim.cmp(&b.dim))
-            }
-            _ => {
-                // Cross-multiplied fraction compare (exact, no floats).
-                let lhs = a.pass as u128 * b.bits.len() as u128;
-                let rhs = b.pass as u128 * a.bits.len() as u128;
-                lhs.cmp(&rhs).then(a.dim.cmp(&b.dim))
-            }
-        }
+        a.est.partial_cmp(&b.est).unwrap_or(std::cmp::Ordering::Equal).then(a.dim.cmp(&b.dim))
     });
 }
 
@@ -680,40 +639,29 @@ pub struct ScanPlan<'a> {
     /// `fact_rows`, the bound on every partial sum the scan can form.
     max_row_weight: u64,
     /// The options the plan was compiled under (probe caps, staging and
-    /// sharing thresholds). [`ScanPlan::new`] uses the static defaults
-    /// with the cost model off.
+    /// sharing thresholds).
     opts: ScanOptions,
-    /// The sampling cost model steering plan-shape decisions, when
-    /// enabled. `None` → the static heuristics (exact pass counts,
-    /// blanket ≥ 2-uses sharing and staging).
-    model: Option<Arc<CostModel>>,
+    /// The sampling cost model steering plan-shape decisions.
+    model: Arc<CostModel>,
 }
 
 impl<'a> ScanPlan<'a> {
-    /// An empty plan over `schema` with the static plan heuristics
-    /// (resolves the foreign-key arrays; no cost model).
+    /// An empty plan over `schema` under the default options.
     pub fn new(schema: &'a StarSchema) -> Result<Self, EngineError> {
-        ScanPlan::with_options(schema, ScanOptions::default().with_cost_samples(0))
+        ScanPlan::with_options(schema, ScanOptions::default())
     }
 
-    /// An empty plan compiled under explicit options. When
-    /// `options.cost_samples > 0` the per-schema sampling cost model is
-    /// resolved from the process-wide registry (built on first use, cached
-    /// until [`crate::cost::invalidate_cost_model`]) and steers filter
-    /// ordering, mask-sharing promotion, subsumption refinement, and fk
-    /// staging. Every model-driven choice is plan-shape-only: answers and
-    /// ledgers are bit-identical to [`ScanPlan::new`] by construction.
+    /// An empty plan compiled under explicit options (resolves the
+    /// foreign-key arrays). The per-schema sampling cost model is resolved
+    /// from the process-wide registry (built on first use, cached until
+    /// [`crate::cost::invalidate_cost_model`]) and steers filter ordering,
+    /// mask-sharing promotion, subsumption refinement, and fk staging.
+    /// Every model-driven choice is plan-shape-only: answers and ledgers
+    /// are bit-identical to [`crate::exec::reference`] by construction.
     pub fn with_options(schema: &'a StarSchema, options: ScanOptions) -> Result<Self, EngineError> {
         let fks: Vec<Keys> =
             schema.dims().iter().map(|d| schema.fact().key(&d.fk)).collect::<Result<_, _>>()?;
-        let model = if options.cost_samples > 0 {
-            Some(cost_model_for(
-                schema,
-                &CostConfig { sample_size: options.cost_samples, ..CostConfig::default() },
-            )?)
-        } else {
-            None
-        };
+        let model = cost_model_for(schema, &CostConfig::default())?;
         Ok(ScanPlan {
             schema,
             fact_rows: schema.fact().num_rows(),
@@ -729,7 +677,7 @@ impl<'a> ScanPlan<'a> {
     /// (see `tests/prop_cost_model.rs`). Call before `add_query`: filters
     /// compiled earlier keep their old estimates.
     #[doc(hidden)]
-    pub fn set_cost_model(&mut self, model: Option<Arc<CostModel>>) {
+    pub fn set_cost_model(&mut self, model: Arc<CostModel>) {
         self.model = model;
     }
 
@@ -737,11 +685,10 @@ impl<'a> ScanPlan<'a> {
     pub fn add_query(&mut self, query: &StarQuery) -> Result<(), EngineError> {
         let bitsets = dimension_bitsets(self.schema, &query.predicates)?;
         let (word_cap, byte_cap) = (self.opts.word_probe_cap, self.opts.byte_probe_cap);
-        let model = self.model.as_deref();
         let mut filters: Vec<Filter> = bitsets
             .into_iter()
             .enumerate()
-            .filter_map(|(di, b)| Some(Filter::build(di, b?, word_cap, byte_cap, model)))
+            .filter_map(|(di, b)| Some(Filter::build(di, b?, word_cap, byte_cap, &self.model)))
             .collect();
         selectivity_order(&mut filters);
         let grouping = if query.group_by.is_empty() {
@@ -813,8 +760,8 @@ impl<'a> ScanPlan<'a> {
     }
 
     /// Describes the plan the kernel would execute, without executing it:
-    /// per-query filter order with probe classes and (when the cost model
-    /// is on) sampled pass-fraction estimates with confidence intervals,
+    /// per-query filter order with probe classes and the cost model's
+    /// sampled pass-fraction estimates with confidence intervals,
     /// the cross-query mask-sharing program, and the per-dimension fk
     /// staging decisions. Everything reported is derived from the same
     /// structures [`ScanPlan::execute`] runs, so EXPLAIN output cannot
@@ -824,7 +771,6 @@ impl<'a> ScanPlan<'a> {
         let program = self.mask_program(hist_plan.as_ref());
         let staged = self.staged_dims(hist_plan.as_ref(), &program);
         let shards = self.shard_bounds(hist_plan.as_ref(), self.opts.threads).len();
-        let model = self.model.as_deref();
         let dims = self
             .schema
             .dims()
@@ -835,7 +781,7 @@ impl<'a> ScanPlan<'a> {
                 rows: d.table.num_rows(),
                 fk_width_bytes: self.fks[di].width_bytes(),
                 staged: staged.get(di).copied().unwrap_or(false),
-                residency: model.map(|m| m.residency(di)),
+                residency: self.model.residency(di),
             })
             .collect();
         let queries = self
@@ -846,36 +792,34 @@ impl<'a> ScanPlan<'a> {
                 let histogram = hist_plan
                     .as_ref()
                     .is_some_and(|hp| hp.assignment.get(qi).is_some_and(Option::is_some));
-                let filters = q
-                    .filters
-                    .iter()
-                    .map(|f| {
-                        let sharing = if program.shared.iter().any(|s| s.same_mask(f)) {
-                            "shared"
-                        } else if model.is_some()
-                            && program.shared.iter().any(|y| {
+                let filters =
+                    q.filters
+                        .iter()
+                        .map(|f| {
+                            let sharing = if program.shared.iter().any(|s| s.same_mask(f)) {
+                                "shared"
+                            } else if program.shared.iter().any(|y| {
                                 y.dim == f.dim && !y.same_mask(f) && f.bits.is_subset(&y.bits)
-                            })
-                        {
-                            "private_subsumed"
-                        } else {
-                            "private"
-                        };
-                        let estimate = model.map(|m| m.pass_fraction(f.dim, &f.bits));
-                        FilterExplain {
-                            table: self.schema.dims()[f.dim].table.name().to_string(),
-                            probe: match f.probe {
-                                Probe::Word(_) => "word",
-                                Probe::Bytes(_) => "bytes",
-                                Probe::Wide => "bitset",
-                            },
-                            estimated_fraction: Self::est_fraction(f),
-                            ci: estimate.as_ref().map(|e| e.ci),
-                            samples: estimate.as_ref().map(|e| e.samples),
-                            sharing,
-                        }
-                    })
-                    .collect();
+                            }) {
+                                "private_subsumed"
+                            } else {
+                                "private"
+                            };
+                            let estimate = self.model.pass_fraction(f.dim, &f.bits);
+                            FilterExplain {
+                                table: self.schema.dims()[f.dim].table.name().to_string(),
+                                probe: match f.probe {
+                                    Probe::Word(_) => "word",
+                                    Probe::Bytes(_) => "bytes",
+                                    Probe::Wide => "bitset",
+                                },
+                                estimated_fraction: f.est,
+                                ci: estimate.ci,
+                                samples: estimate.samples,
+                                sharing,
+                            }
+                        })
+                        .collect();
                 QueryExplain { filters, histogram, weighted_axes: q.weights.len() }
             })
             .collect();
@@ -883,8 +827,10 @@ impl<'a> ScanPlan<'a> {
             fact_rows: self.fact_rows,
             shards,
             shared_masks: program.shared.len(),
-            cost_model: model
-                .map(|m| CostModelExplain { exact: m.is_exact(), sampled_rows: m.sampled_rows() }),
+            cost_model: CostModelExplain {
+                exact: self.model.is_exact(),
+                sampled_rows: self.model.sampled_rows(),
+            },
             dims,
             queries,
         }
@@ -970,37 +916,28 @@ impl<'a> ScanPlan<'a> {
         KernelCounters::add(&k.shared_mask_gathers_saved, saved * chunks);
     }
 
-    /// Estimated pass fraction of a filter (model estimate when present,
-    /// exact dimension-row ratio otherwise) — the probability signal behind
-    /// savings-driven promotion.
-    fn est_fraction(f: &Filter) -> f64 {
-        f.est.unwrap_or(f.pass as f64 / f.bits.len().max(1) as f64)
-    }
-
     /// Expected private-gather cost of the filter at position `pos` of a
     /// query's selectivity-ordered filter list, as a fraction of one full
     /// gather pass: each 64-row mask word survives the earlier filters'
     /// `*word == 0` early exit with probability `1 − (1 − p)^64` where `p`
     /// is the product of the earlier filters' pass fractions.
     fn private_gather_cost(filters: &[Filter], pos: usize) -> f64 {
-        let prefix: f64 = filters[..pos].iter().map(Self::est_fraction).product();
+        let prefix: f64 = filters[..pos].iter().map(|f| f.est).product();
         1.0 - (1.0 - prefix.clamp(0.0, 1.0)).powi(64)
     }
 
-    /// Builds the cross-query mask-sharing program. Without the cost model,
-    /// filters whose `(dimension, pass mask)` recurs across ≥
-    /// `share_min_uses` mask-building queries are promoted to the shared
-    /// gather list (the legacy blanket rule). With the model, promotion is
-    /// savings-driven: a recurring filter is promoted only when the summed
-    /// expected cost of its private per-query gathers (each discounted by
-    /// the early-exit survival of the filters ordered before it) exceeds
-    /// the one full shared gather pass the cache costs — ultra-selective
-    /// predecessors make re-gathers nearly free, so such filters stay
-    /// private. The model also enables subsumption refinement: a private
-    /// filter whose mask is a subset of a promoted same-dimension mask has
-    /// the subsumer's cached mask ANDed in first (exact — `X ⊆ Y` implies
-    /// `X = X ∧ Y`), so its private gather early-exits on every word the
-    /// wider shared mask already killed.
+    /// Builds the cross-query mask-sharing program. Promotion is
+    /// savings-driven: a filter whose `(dimension, pass mask)` recurs
+    /// across ≥ `share_min_uses` mask-building queries is promoted to the
+    /// shared gather list only when the summed expected cost of its private
+    /// per-query gathers (each discounted by the early-exit survival of the
+    /// filters ordered before it) exceeds the one full shared gather pass
+    /// the cache costs — ultra-selective predecessors make re-gathers
+    /// nearly free, so such filters stay private. Then subsumption
+    /// refinement: a private filter whose mask is a subset of a promoted
+    /// same-dimension mask has the subsumer's cached mask ANDed in first
+    /// (exact — `X ⊆ Y` implies `X = X ∧ Y`), so its private gather
+    /// early-exits on every word the wider shared mask already killed.
     fn mask_program(&self, hist_plan: Option<&HistPlan>) -> MaskProgram<'_> {
         let active: Vec<bool> = (0..self.queries.len())
             .map(|qi| hist_plan.is_none_or(|hp| hp.assignment[qi].is_none()))
@@ -1027,22 +964,20 @@ impl<'a> ScanPlan<'a> {
                 if uses < min_uses {
                     return None;
                 }
-                if self.model.is_some() {
-                    // Σ over using queries of the expected private-gather
-                    // cost; the shared cache costs one full gather pass.
-                    let saved: f64 = self
-                        .queries
-                        .iter()
-                        .enumerate()
-                        .filter(|&(qi, _)| active[qi])
-                        .filter_map(|(_, q)| {
-                            let pos = q.filters.iter().position(|g| g.same_mask(f))?;
-                            Some(Self::private_gather_cost(&q.filters, pos))
-                        })
-                        .sum();
-                    if saved <= 1.0 {
-                        return None;
-                    }
+                // Σ over using queries of the expected private-gather
+                // cost; the shared cache costs one full gather pass.
+                let saved: f64 = self
+                    .queries
+                    .iter()
+                    .enumerate()
+                    .filter(|&(qi, _)| active[qi])
+                    .filter_map(|(_, q)| {
+                        let pos = q.filters.iter().position(|g| g.same_mask(f))?;
+                        Some(Self::private_gather_cost(&q.filters, pos))
+                    })
+                    .sum();
+                if saved <= 1.0 {
+                    return None;
                 }
                 shared.push(f);
                 shared_uses.push(uses);
@@ -1066,18 +1001,14 @@ impl<'a> ScanPlan<'a> {
                         match shared_slot[di] {
                             Some(si) => via_cache.push(si),
                             None => {
-                                if self.model.is_some() {
-                                    // Subsumption refinement (see above).
-                                    let subsumer = shared.iter().position(|y| {
-                                        y.dim == f.dim
-                                            && !y.same_mask(f)
-                                            && f.bits.is_subset(&y.bits)
-                                    });
-                                    if let Some(si) = subsumer {
-                                        if !via_cache.contains(&si) {
-                                            via_cache.push(si);
-                                            CostCounters::add(&c.subsumption_merges, 1);
-                                        }
+                                // Subsumption refinement (see above).
+                                let subsumer = shared.iter().position(|y| {
+                                    y.dim == f.dim && !y.same_mask(f) && f.bits.is_subset(&y.bits)
+                                });
+                                if let Some(si) = subsumer {
+                                    if !via_cache.contains(&si) {
+                                        via_cache.push(si);
+                                        CostCounters::add(&c.subsumption_merges, 1);
                                     }
                                 }
                                 private.push(f);
@@ -1111,23 +1042,19 @@ impl<'a> ScanPlan<'a> {
         uses
     }
 
-    /// Which dimensions the staged kernel should copy per chunk. Without
-    /// the cost model, a dimension is staged iff ≥ `stage_min_uses`
-    /// (floored at 2) gathers ([`ScanPlan::gather_uses`]) read it per
-    /// chunk — a single reader is served straight from the source array,
-    /// since staging it would be a pure copy tax. With the model,
-    /// [`CostModel::should_stage`] additionally demotes dimensions whose
-    /// sampled distinct-codes-per-chunk is small enough that their fk
-    /// reads stay cache-resident without a staging copy.
+    /// Which dimensions the staged kernel should copy per chunk
+    /// ([`CostModel::should_stage`]): those read by ≥ `stage_min_uses`
+    /// (floored at 2) gathers ([`ScanPlan::gather_uses`]) per chunk — a
+    /// single reader is served straight from the source array, since
+    /// staging it would be a pure copy tax — unless their sampled
+    /// distinct-codes-per-chunk is small enough that the fk reads stay
+    /// cache-resident without a staging copy.
     fn staged_dims(&self, hist_plan: Option<&HistPlan>, program: &MaskProgram) -> Vec<bool> {
         let min_uses = self.opts.stage_min_uses;
         self.gather_uses(hist_plan, program)
             .into_iter()
             .enumerate()
-            .map(|(di, u)| match &self.model {
-                Some(m) => m.should_stage(di, u, min_uses),
-                None => u >= min_uses.max(2),
-            })
+            .map(|(di, u)| self.model.should_stage(di, u, min_uses))
             .collect()
     }
 
@@ -1748,9 +1675,8 @@ pub struct PlanExplain {
     pub shards: usize,
     /// Filters promoted to the cross-query shared-mask cache.
     pub shared_masks: usize,
-    /// Sampling metadata when a cost model drives the plan, `None` when
-    /// the static heuristics did.
-    pub cost_model: Option<CostModelExplain>,
+    /// Sampling metadata of the cost model driving the plan.
+    pub cost_model: CostModelExplain,
     /// Per-dimension staging/residency decisions, schema order.
     pub dims: Vec<DimExplain>,
     /// Per-query filter order and histogram assignment, compile order.
@@ -1769,9 +1695,8 @@ pub struct DimExplain {
     pub fk_width_bytes: usize,
     /// Whether the fk column is staged (decoded once up front).
     pub staged: bool,
-    /// Estimated fraction of the dimension touched per chunk (cost model
-    /// only).
-    pub residency: Option<f64>,
+    /// Estimated distinct fk codes per scan chunk.
+    pub residency: f64,
 }
 
 /// One compiled query's row in a [`PlanExplain`].
@@ -1792,13 +1717,13 @@ pub struct FilterExplain {
     pub table: String,
     /// Probe class the kernel selected: `word`, `bytes`, or `bitset`.
     pub probe: &'static str,
-    /// Pass fraction ordering the filter (sampled when the cost model is
-    /// on, static heuristic otherwise).
+    /// Sampled pass fraction ordering the filter.
     pub estimated_fraction: f64,
-    /// Half-width 95% confidence interval of the sampled fraction.
-    pub ci: Option<f64>,
+    /// Half-width confidence interval of the sampled fraction (0 when the
+    /// model enumerated every row).
+    pub ci: f64,
     /// Sample walks behind the estimate.
-    pub samples: Option<usize>,
+    pub samples: usize,
     /// `shared` (gathered once per chunk for all users),
     /// `private_subsumed` (private gather refined through a shared
     /// superset mask), or `private`.
@@ -1827,7 +1752,7 @@ impl PlanExplain {
                     ("rows", Json::Num(d.rows as f64)),
                     ("fk_width_bytes", Json::Num(d.fk_width_bytes as f64)),
                     ("staged", Json::Num(f64::from(u8::from(d.staged)))),
-                    ("residency", d.residency.map_or(Json::Null, Json::Num)),
+                    ("residency", Json::Num(d.residency)),
                 ])
             })
             .collect();
@@ -1843,8 +1768,8 @@ impl PlanExplain {
                             ("table", Json::Str(f.table.clone())),
                             ("probe", Json::Str(f.probe.to_string())),
                             ("estimated_fraction", Json::Num(f.estimated_fraction)),
-                            ("ci", f.ci.map_or(Json::Null, Json::Num)),
-                            ("samples", f.samples.map_or(Json::Null, |s| Json::Num(s as f64))),
+                            ("ci", Json::Num(f.ci)),
+                            ("samples", Json::Num(f.samples as f64)),
                             ("sharing", Json::Str(f.sharing.to_string())),
                         ])
                     })
@@ -1862,12 +1787,10 @@ impl PlanExplain {
             ("shared_masks", Json::Num(self.shared_masks as f64)),
             (
                 "cost_model",
-                self.cost_model.map_or(Json::Null, |m| {
-                    Json::obj(vec![
-                        ("exact", Json::Num(f64::from(u8::from(m.exact)))),
-                        ("sampled_rows", Json::Num(m.sampled_rows as f64)),
-                    ])
-                }),
+                Json::obj(vec![
+                    ("exact", Json::Num(f64::from(u8::from(self.cost_model.exact)))),
+                    ("sampled_rows", Json::Num(self.cost_model.sampled_rows as f64)),
+                ]),
             ),
             ("dims", Json::Arr(dims)),
             ("queries", Json::Arr(queries)),
@@ -1911,6 +1834,20 @@ mod tests {
             vec![Dimension::new(a, "pk", "fk_a"), Dimension::new(b, "pk", "fk_b")],
         )
         .unwrap()
+    }
+
+    fn reference_answers(s: &StarSchema, queries: &[StarQuery]) -> Vec<QueryResult> {
+        queries.iter().map(|q| crate::exec::reference::execute(s, q).unwrap()).collect()
+    }
+
+    /// A model of `s` reporting every dimension's chunk codes as far out
+    /// of cache, which leaves staging to the ≥ 2-uses rule alone.
+    fn uncached_model(s: &StarSchema) -> Arc<CostModel> {
+        let mut model = CostModel::build(s, &CostConfig::default()).unwrap();
+        for dim in 0..s.num_dims() {
+            model.force_residency(dim, 1e6);
+        }
+        Arc::new(model)
     }
 
     #[test]
@@ -1976,8 +1913,8 @@ mod tests {
     fn scans_tally_the_fk_bytes_their_gathers_read() {
         let s = schema();
         let mut plan = ScanPlan::new(&s).unwrap();
-        // Two private gathers over A (→ staged: one copy pass) and one over
-        // B (direct), each a 2-byte column of 6 rows.
+        // Two private gathers over A and one over B, each a direct pass
+        // (tiny dimensions are never staged) over a 2-byte column of 6 rows.
         plan.add_query(
             &StarQuery::count("c1")
                 .with(Predicate::point("A", "attr", 1))
@@ -1989,7 +1926,7 @@ mod tests {
         plan.execute(ScanOptions::default());
         // Process-wide counter: concurrent tests can only add to the delta.
         let read = kernel_counters().snapshot().since(&before).fk_bytes_read;
-        assert!(read >= 2 * 6 + 2 * 6, "{read} bytes");
+        assert!(read >= 3 * 2 * 6, "{read} bytes");
         let axes = vec![("A".to_string(), "attr".to_string())];
         let before = kernel_counters().snapshot();
         WeightHistogram::build(&s, &axes, &Agg::Count, ScanOptions::default()).unwrap();
@@ -2130,14 +2067,11 @@ mod tests {
         assert_eq!(ScanOptions::default().threads, 0);
         assert_eq!(ScanOptions::parallel(0), ScanOptions::default());
         assert_eq!(ScanOptions::parallel(3).threads, 3);
-        assert_eq!(ScanOptions::default().cost_samples, DEFAULT_COST_SAMPLES);
         // `with_threads` threads an existing option set without resetting
-        // the cost-model / probe knobs (`parallel` starts from defaults).
-        let tuned =
-            ScanOptions::default().with_cost_samples(7).with_probe_caps(16, 256).with_threads(2);
+        // the probe knobs (`parallel` starts from defaults).
+        let tuned = ScanOptions::default().with_probe_caps(16, 256).with_threads(2);
         assert_eq!(tuned.threads, 2);
         assert_eq!(tuned.with_threads(0).threads, 0);
-        assert_eq!(tuned.cost_samples, 7);
         assert_eq!((tuned.word_probe_cap, tuned.byte_probe_cap), (16, 256));
     }
 
@@ -2174,15 +2108,18 @@ mod tests {
 
     #[test]
     fn probe_classification_boundaries() {
-        let word = Filter::new(0, BitSet::from_fn(64, |i| i % 2 == 0));
+        let model = CostModel::build(&schema(), &CostConfig::default()).unwrap();
+        let classify =
+            |bits: BitSet| Filter::build(0, bits, WORD_PROBE_CAP, BYTE_PROBE_CAP, &model);
+        let word = classify(BitSet::from_fn(64, |i| i % 2 == 0));
         assert!(matches!(word.probe, Probe::Word(_)), "64 rows → register word");
-        let bytes = Filter::new(0, BitSet::from_fn(65, |i| i % 2 == 0));
+        let bytes = classify(BitSet::from_fn(65, |i| i % 2 == 0));
         assert!(matches!(bytes.probe, Probe::Bytes(_)), "65 rows → byte LUT");
-        let bytes_hi = Filter::new(0, BitSet::from_fn(1 << 16, |i| i == 0));
+        let bytes_hi = classify(BitSet::from_fn(1 << 16, |i| i == 0));
         assert!(matches!(bytes_hi.probe, Probe::Bytes(_)), "2^16 rows → byte LUT");
-        let wide = Filter::new(0, BitSet::from_fn((1 << 16) + 1, |i| i == 0));
+        let wide = classify(BitSet::from_fn((1 << 16) + 1, |i| i == 0));
         assert!(matches!(wide.probe, Probe::Wide), "2^16 + 1 rows → packed bitset");
-        let empty = Filter::new(0, BitSet::zeros(0));
+        let empty = classify(BitSet::zeros(0));
         assert!(matches!(empty.probe, Probe::Word(0)), "0-row dimension → empty word");
     }
 
@@ -2190,15 +2127,16 @@ mod tests {
     fn probe_caps_override_classification() {
         // Shrunken caps exercise every probe regime on a 40-row mask — no
         // 2^16-row fixture needed.
+        let model = CostModel::build(&schema(), &CostConfig::default()).unwrap();
         let bits = BitSet::from_fn(40, |i| i % 3 == 0);
-        let word = Filter::build(0, bits.clone(), 64, 1 << 16, None);
+        let word = Filter::build(0, bits.clone(), 64, 1 << 16, &model);
         assert!(matches!(word.probe, Probe::Word(_)));
-        let bytes = Filter::build(0, bits.clone(), 8, 1 << 16, None);
+        let bytes = Filter::build(0, bits.clone(), 8, 1 << 16, &model);
         assert!(matches!(bytes.probe, Probe::Bytes(_)), "word cap 8 demotes to byte LUT");
-        let wide = Filter::build(0, bits.clone(), 8, 16, None);
+        let wide = Filter::build(0, bits.clone(), 8, 16, &model);
         assert!(matches!(wide.probe, Probe::Wide), "byte cap 16 demotes to packed bitset");
         // A word cap above 64 still cannot admit masks past one register.
-        let big = Filter::build(0, BitSet::from_fn(100, |_| true), 1 << 20, 1 << 16, None);
+        let big = Filter::build(0, BitSet::from_fn(100, |_| true), 1 << 20, 1 << 16, &model);
         assert!(matches!(big.probe, Probe::Bytes(_)), "word cap clamps at 64 bits");
         // All three classifications answer identically.
         let lane: Vec<u32> = (0..40).collect();
@@ -2212,7 +2150,7 @@ mod tests {
     }
 
     #[test]
-    fn cost_model_plans_are_bit_identical_to_static() {
+    fn cost_model_plans_are_bit_identical_to_reference() {
         let s = schema();
         let queries = [
             StarQuery::count("c1")
@@ -2223,24 +2161,18 @@ mod tests {
                 .with(Predicate::point("B", "attr", 1)),
             StarQuery::sum("s", "qty").with(Predicate::point("A", "attr", 1)),
         ];
-        let mut static_plan = ScanPlan::new(&s).unwrap();
-        let mut cost_plan = ScanPlan::with_options(&s, ScanOptions::default()).unwrap();
-        assert!(cost_plan.model.is_some(), "default options enable the model");
-        assert!(cost_plan.model.as_ref().unwrap().is_exact(), "6-row fact → exact model");
+        let mut plan = ScanPlan::new(&s).unwrap();
+        assert!(plan.model.is_exact(), "6-row fact → exact model");
         for q in &queries {
-            static_plan.add_query(q).unwrap();
-            cost_plan.add_query(q).unwrap();
+            plan.add_query(q).unwrap();
         }
-        assert_eq!(
-            static_plan.execute(ScanOptions::default()),
-            cost_plan.execute(ScanOptions::default())
-        );
+        assert_eq!(plan.execute(ScanOptions::default()), reference_answers(&s, &queries));
     }
 
     #[test]
     fn subsumed_private_mask_refines_from_the_shared_cache() {
         let s = schema();
-        let mut plan = ScanPlan::with_options(&s, ScanOptions::default()).unwrap();
+        let mut plan = ScanPlan::new(&s).unwrap();
         // A.attr ∈ {1,2} recurs in two queries behind a 1/2-selective B
         // mask (prefix 0.5 → each private gather would cost ~1 full pass,
         // so promotion saves ~2 > 1); A.attr = 1 is a strict subset of it.
@@ -2276,31 +2208,31 @@ mod tests {
     #[test]
     fn cost_model_demotes_cache_resident_staging() {
         let s = schema();
-        // Two users of dimension A: the static rule stages it, but the
-        // model sees ≤ 3 distinct codes per chunk (cache-hot) and demotes.
+        // Two users of dimension A: the ≥ 2-uses rule alone stages it, but
+        // the model sees ≤ 3 distinct codes per chunk (cache-hot) and demotes.
         let queries = [
             StarQuery::count("c").with(Predicate::point("A", "attr", 1)),
             StarQuery::count("d").with(Predicate::point("A", "attr", 2)),
         ];
-        let mut static_plan = ScanPlan::new(&s).unwrap();
-        let mut cost_plan = ScanPlan::with_options(&s, ScanOptions::default()).unwrap();
+        let mut uncached_plan = ScanPlan::new(&s).unwrap();
+        uncached_plan.set_cost_model(uncached_model(&s));
+        let mut plan = ScanPlan::new(&s).unwrap();
         for q in &queries {
-            static_plan.add_query(q).unwrap();
-            cost_plan.add_query(q).unwrap();
+            uncached_plan.add_query(q).unwrap();
+            plan.add_query(q).unwrap();
         }
-        let sp = static_plan.mask_program(None);
-        assert_eq!(static_plan.staged_dims(None, &sp), vec![true, false]);
-        let cp = cost_plan.mask_program(None);
+        let up = uncached_plan.mask_program(None);
+        assert_eq!(uncached_plan.staged_dims(None, &up), vec![true, false]);
+        let program = plan.mask_program(None);
         assert_eq!(
-            cost_plan.staged_dims(None, &cp),
+            plan.staged_dims(None, &program),
             vec![false, false],
-            "tiny dimension stays unstaged under the model"
+            "tiny dimension stays unstaged under the sampled model"
         );
-        assert_eq!(
-            static_plan.execute(ScanOptions::default()),
-            cost_plan.execute(ScanOptions::default()),
-            "staging is invisible to answers"
-        );
+        // Staging is invisible to answers.
+        let truth = reference_answers(&s, &queries);
+        assert_eq!(uncached_plan.execute(ScanOptions::default()), truth);
+        assert_eq!(plan.execute(ScanOptions::default()), truth);
     }
 
     #[test]
@@ -2314,21 +2246,16 @@ mod tests {
                 .with(Predicate::point("A", "attr", 1))
                 .with(Predicate::point("B", "attr", 1)),
         ];
-        let mut truth_plan = ScanPlan::new(&s).unwrap();
-        for q in &queries {
-            truth_plan.add_query(q).unwrap();
-        }
-        let truth = truth_plan.execute(ScanOptions::default());
+        let truth = reference_answers(&s, &queries);
         // Feed the planner maximally wrong estimates in both directions.
         for (fa, fb, ra, rb) in [(0.0, 1.0, 1e6, 0.0), (1.0, 0.0, 0.0, 1e6), (0.5, 0.5, 1e6, 1e6)] {
-            let mut model =
-                crate::cost::CostModel::build(&s, &crate::cost::CostConfig::default()).unwrap();
+            let mut model = CostModel::build(&s, &CostConfig::default()).unwrap();
             model.force_fraction(0, fa);
             model.force_fraction(1, fb);
             model.force_residency(0, ra);
             model.force_residency(1, rb);
-            let mut plan = ScanPlan::with_options(&s, ScanOptions::default()).unwrap();
-            plan.set_cost_model(Some(Arc::new(model)));
+            let mut plan = ScanPlan::new(&s).unwrap();
+            plan.set_cost_model(Arc::new(model));
             for q in &queries {
                 plan.add_query(q).unwrap();
             }
@@ -2338,12 +2265,9 @@ mod tests {
 
     #[test]
     fn filters_sort_by_pass_fraction_then_dimension() {
-        // dim 0: 3/4 pass; dim 1: 1/4 pass; dim 2: 1/4 pass.
-        let mut filters = vec![
-            Filter::new(0, BitSet::from_fn(4, |i| i != 0)),
-            Filter::new(2, BitSet::from_fn(4, |i| i == 0)),
-            Filter::new(1, BitSet::from_fn(4, |i| i == 3)),
-        ];
+        let filter =
+            |dim, est| Filter { dim, bits: BitSet::zeros(4), probe: Probe::Wide, pass: 0, est };
+        let mut filters = vec![filter(0, 0.75), filter(2, 0.25), filter(1, 0.25)];
         selectivity_order(&mut filters);
         let order: Vec<usize> = filters.iter().map(|f| f.dim).collect();
         assert_eq!(order, vec![1, 2, 0], "most selective first, ties by dim index");
@@ -2367,6 +2291,7 @@ mod tests {
     fn staged_dims_require_two_uses() {
         let s = schema();
         let mut plan = ScanPlan::new(&s).unwrap();
+        plan.set_cost_model(uncached_model(&s));
         plan.add_query(&StarQuery::count("c").with(Predicate::point("A", "attr", 1))).unwrap();
         let program = plan.mask_program(None);
         assert_eq!(plan.staged_dims(None, &program), vec![false, false], "single use → no staging");

@@ -91,13 +91,20 @@ impl Job {
 
     /// Refuses the job with a typed stale-version error. Dropping the
     /// carried work unit drops its un-committed reservation, so the refusal
-    /// refunds automatically (RAII).
+    /// refunds automatically (RAII) — and the drop comes before the fill,
+    /// so the woken caller can never read its ledger pre-refund.
     fn refuse_stale(self, current: u64) {
         let submitted = self.version();
         let err = ServiceError::StaleDataVersion { submitted, current };
         match self {
-            Job::Pm(j) => j.slot.fill(Err(err)),
-            Job::Wd(j) => j.slot.fill(Err(err)),
+            Job::Pm(PmJob { work, slot }) => {
+                drop(work);
+                slot.fill(Err(err));
+            }
+            Job::Wd(WdJob { work, slot }) => {
+                drop(work);
+                slot.fill(Err(err));
+            }
         }
     }
 }

@@ -1,12 +1,11 @@
-//! Minimal JSON value for machine-readable telemetry and bench output.
+//! Minimal JSON value for machine-readable telemetry and wire frames.
 //!
 //! Hand-rolled because the workspace is offline (no serde), and every
-//! record the stack emits — `BENCH_*.json`, metric snapshots, audit JSONL
-//! lines, slow-query spans — is flat numbers/strings/arrays anyway.
-//! [`Json::parse`] reads the same dialect back so bench runs can compare
-//! themselves against committed or archived results. This is the one JSON
-//! type of the workspace: the bench harness re-exports it, the service and
-//! router serialize their snapshots with it.
+//! record the stack emits — metric snapshots, audit JSONL lines,
+//! slow-query spans, `explain` payloads — is flat numbers/strings/arrays
+//! anyway. [`Json::parse`] reads the same dialect back: the gate decodes
+//! request frames with it. This is the one JSON type of the workspace: the
+//! service and router serialize their snapshots with it.
 
 /// A JSON value.
 #[derive(Debug, Clone)]

@@ -207,6 +207,44 @@ fn refresh_refuses_parked_submits_with_stale_version_and_refunds() {
     assert!((service.tenant_usage("t").unwrap().spent_epsilon - 0.5).abs() < 1e-12);
 }
 
+/// Regression: the stale refusal refunds *before* it wakes the caller. A
+/// worker that filled the slot first let the woken caller read its ledger
+/// with the reservation still in flight. Each round forces the interleaving
+/// without sleeping: the window is far longer than the test, so the parked
+/// submit can only drain when the second submit (another tenant, after the
+/// refresh) fills the batch.
+#[test]
+fn stale_refusal_refunds_before_it_wakes_the_caller() {
+    const ROUNDS: usize = 1_000;
+    let config = ServiceConfig {
+        coalesce: true,
+        coalesce_workers: 1,
+        coalesce_window: Duration::from_secs(30),
+        max_batch: 2,
+        ..ServiceConfig::default()
+    };
+    let service = Service::new(toy_schema(16), config);
+    service.register_tenant("t", PrivacyBudget::pure(10.0).unwrap()).unwrap();
+    service.register_tenant("kick", PrivacyBudget::pure(10.0).unwrap()).unwrap();
+
+    for round in 0..ROUNDS {
+        let parked = service.pm_submit("t", &query(round), 0.5).unwrap();
+        assert!(parked.is_queued());
+        service.refresh_schema(toy_schema(16));
+        let kick = service.pm_submit("kick", &query(round), 1e-6).unwrap();
+
+        assert!(matches!(parked.wait(), Err(ServiceError::StaleDataVersion { .. })));
+        let usage = service.tenant_usage("t").unwrap();
+        assert_eq!(
+            (usage.spent_epsilon, usage.in_flight_epsilon),
+            (0.0, 0.0),
+            "round {round}: woken before the refund landed"
+        );
+        kick.wait().unwrap();
+    }
+    assert_eq!(service.metrics().stale_refusals, ROUNDS as u64);
+}
+
 /// The same stale-version contract holds for workload submits.
 #[test]
 fn refresh_refuses_parked_workload_submits_too() {

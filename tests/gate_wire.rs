@@ -135,6 +135,60 @@ fn wire_answers_and_ledgers_match_direct_router_calls() {
     assert_eq!(wire_usage.remaining_epsilon.to_bits(), direct_usage.remaining_epsilon.to_bits());
 }
 
+/// The concurrent form of the ledger half: four connections, one tenant
+/// each, all pipelining at once through the coalesced path with the answer
+/// cache off. ε is dyadic, so however the requests interleave and fuse,
+/// every tenant's spend is bit-equal to ε × requests with nothing in flight.
+#[test]
+fn concurrent_pipelined_connections_leave_exact_ledgers() {
+    const CONNECTIONS: usize = 4;
+    const REQUESTS: usize = 24;
+    const EPSILON: f64 = 0.125;
+    let router =
+        router(ServiceConfig { cache_answers: false, coalesce: true, ..ServiceConfig::default() });
+    for c in 0..CONNECTIONS {
+        let tenant = format!("tenant-{c}");
+        router.register_tenant(DATASET, &tenant, PrivacyBudget::pure(64.0).unwrap()).unwrap();
+    }
+    let config = GateConfig {
+        tokens: (0..CONNECTIONS).map(|c| (format!("tok-{c}"), format!("tenant-{c}"))).collect(),
+        ..GateConfig::default()
+    };
+    let gate = Gate::bind(Arc::clone(&router), config, "127.0.0.1:0").unwrap();
+    let addr = gate.addr();
+    let schema = router.dataset_schema(DATASET).unwrap();
+    let statements: Vec<String> = queries()[..4].iter().map(|q| to_sql(&schema, q)).collect();
+
+    // Every connection has its whole pipeline on the wire before any of
+    // them reads a reply.
+    let all_sent = std::sync::Barrier::new(CONNECTIONS);
+    std::thread::scope(|scope| {
+        for c in 0..CONNECTIONS {
+            let (statements, all_sent) = (&statements, &all_sent);
+            scope.spawn(move || {
+                let mut client = GateClient::connect(addr).unwrap();
+                let token = format!("tok-{c}");
+                for i in 0..REQUESTS {
+                    let sql = &statements[(c + i) % statements.len()];
+                    client.send(sql_request(0, &token, DATASET, sql, EPSILON)).unwrap();
+                }
+                all_sent.wait();
+                for _ in 0..REQUESTS {
+                    let response = client.recv().unwrap();
+                    assert_eq!(response.get("ok").and_then(Json::as_f64), Some(1.0));
+                }
+            });
+        }
+    });
+
+    let expected = EPSILON * REQUESTS as f64;
+    for c in 0..CONNECTIONS {
+        let usage = router.tenant_usage(DATASET, &format!("tenant-{c}")).unwrap();
+        assert_eq!(usage.spent_epsilon.to_bits(), expected.to_bits(), "tenant-{c} ledger drifted");
+        assert_eq!(usage.in_flight_epsilon, 0.0, "tenant-{c} left ε in flight");
+    }
+}
+
 /// Pipelining: many requests in flight on one connection come back in
 /// request order with their ids.
 #[test]

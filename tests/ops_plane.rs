@@ -449,6 +449,72 @@ fn http_endpoint_serves_probes_metrics_and_audit_behind_bearer_auth() {
     assert!(raw.contains("Allow: GET"));
 }
 
+/// Observing a busy fleet: with requests parked in flight, a `/metrics`
+/// scrape completes and lints, the wire subscriber streams their events
+/// once they drain, and the ledger still ends exact. The window outlasts
+/// the test, so the parked requests can only drain when the last one fills
+/// the batch — after the scrape.
+#[test]
+fn scrape_and_subscription_work_while_requests_are_in_flight() {
+    const REQUESTS: usize = 8;
+    const EPSILON: f64 = 0.125;
+    let bus = EventBus::new();
+    let router = router_with(
+        Some(Arc::clone(&bus)),
+        ServiceConfig {
+            cache_answers: false,
+            coalesce: true,
+            coalesce_window: Duration::from_secs(30),
+            max_batch: REQUESTS,
+            ..ServiceConfig::default()
+        },
+    );
+    let gate = gate_over(&router);
+    let server = OpsServer::bind(
+        Arc::clone(&router),
+        OpsConfig { admin_tokens: vec![ADMIN_TOKEN.to_string()], ..OpsConfig::default() },
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let mut admin = GateClient::connect(gate.addr()).unwrap();
+    let (_, ack) = admin.subscribe(ADMIN_TOKEN, Some(512)).unwrap();
+    assert_eq!(ack.get("ok").and_then(Json::as_f64), Some(1.0), "{ack:?}");
+
+    let mut tenant = GateClient::connect(gate.addr()).unwrap();
+    let schema = router.dataset_schema(DATASET).unwrap();
+    let request = |i: usize| {
+        let q = StarQuery::count("q").with(Predicate::point("Dim", "c", i as u32 % 4));
+        sql_request(0, TOKEN, DATASET, &to_sql(&schema, &q), EPSILON)
+    };
+    for i in 0..REQUESTS - 1 {
+        tenant.send(request(i)).unwrap();
+    }
+    let parked = EPSILON * (REQUESTS - 1) as f64;
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while router.tenant_usage(DATASET, TENANT).unwrap().in_flight_epsilon != parked {
+        assert!(std::time::Instant::now() < deadline, "requests never parked");
+        std::thread::yield_now();
+    }
+
+    let (status, _, metrics) = http_get(server.addr(), "/metrics", Some(ADMIN_TOKEN));
+    assert_eq!(status, 200);
+    dp_starj_repro::telemetry::prom::lint(&metrics)
+        .unwrap_or_else(|errors| panic!("mid-flight scrape fails lint: {errors:?}"));
+    assert_eq!(router.tenant_usage(DATASET, TENANT).unwrap().in_flight_epsilon, parked);
+
+    tenant.send(request(REQUESTS - 1)).unwrap();
+    for _ in 0..REQUESTS {
+        let answer = tenant.recv().unwrap();
+        assert_eq!(answer.get("ok").and_then(Json::as_f64), Some(1.0), "{answer:?}");
+    }
+    let frame = admin.recv().unwrap();
+    assert!(frame.get("event").is_some(), "subscriber streamed no event: {frame:?}");
+
+    let usage = router.tenant_usage(DATASET, TENANT).unwrap();
+    assert_eq!(usage.spent_epsilon.to_bits(), (EPSILON * REQUESTS as f64).to_bits());
+    assert_eq!(usage.in_flight_epsilon, 0.0);
+}
+
 /// Keep-alive: a Prometheus scraper reuses one connection across scrapes.
 #[test]
 fn http_keep_alive_serves_sequential_requests_on_one_connection() {

@@ -253,7 +253,7 @@ proptest! {
         model.force_residency(1, rb);
         let mut plan =
             ScanPlan::with_options(&schema, ScanOptions::default()).unwrap();
-        plan.set_cost_model(Some(Arc::new(model)));
+        plan.set_cost_model(Arc::new(model));
         for q in &queries {
             plan.add_query(q).unwrap();
         }
