@@ -11,27 +11,59 @@
 //! values' debug representation instead. Sampling is deterministic per test
 //! (seeded from the test's name), so failures reproduce across runs.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+/// The RNG threaded through strategy sampling: xoshiro256\*\* (Blackman &
+/// Vigna) with the seed remix of `starj_noise::rng`. It is a private copy
+/// because a stand-in for an external crate depends on no workspace crate.
+#[derive(Debug, Clone)]
+pub struct TestRng([u64; 4]);
 
-/// The RNG threaded through strategy sampling.
-pub type TestRng = StdRng;
+impl TestRng {
+    /// One xoshiro256\*\* step.
+    fn next(&mut self) -> u64 {
+        let s = &mut self.0;
+        let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
+    }
+
+    /// Uniform in `[0, bound)`, rejecting words past the last multiple.
+    fn below(&mut self, bound: u64) -> u64 {
+        let zone = u64::MAX - u64::MAX % bound;
+        loop {
+            let v = self.next();
+            if v < zone {
+                return v % bound;
+            }
+        }
+    }
+}
 
 /// Builds the deterministic RNG for a named test. Exposed for the
 /// `proptest!` macro; not part of the public API of the real crate.
 #[doc(hidden)]
 pub fn test_rng(name: &str) -> TestRng {
-    // FNV-1a over the test name, expanded to the 32-byte seed.
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    // FNV-1a over the test name, expanded to four words and remixed
+    // through SplitMix64 into the xoshiro state.
+    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+    let h = name
+        .bytes()
+        .fold(0xCBF2_9CE4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3));
+    let mut s: [u64; 4] = std::array::from_fn(|i| h.wrapping_add(i as u64));
+    let mut sm = s[0] ^ s[1] ^ s[2] ^ s[3] ^ GAMMA;
+    for w in &mut s {
+        sm = sm.wrapping_add(GAMMA);
+        let mut z = sm ^ *w;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        *w = z ^ (z >> 31);
     }
-    let mut seed = [0u8; 32];
-    for (i, chunk) in seed.chunks_exact_mut(8).enumerate() {
-        chunk.copy_from_slice(&(h.wrapping_add(i as u64)).to_le_bytes());
-    }
-    StdRng::from_seed(seed)
+    TestRng(s)
 }
 
 /// Test-runner configuration; only the case count is honoured.
@@ -165,7 +197,7 @@ impl<T> Union<T> {
 impl<T> Strategy for Union<T> {
     type Value = T;
     fn sample(&self, rng: &mut TestRng) -> T {
-        let i = rng.gen_range(0usize..self.0.len());
+        let i = rng.below(self.0.len() as u64) as usize;
         self.0[i].sample(rng)
     }
 }
@@ -175,13 +207,25 @@ macro_rules! impl_range_strategy {
         impl Strategy for std::ops::Range<$t> {
             type Value = $t;
             fn sample(&self, rng: &mut TestRng) -> $t {
-                rng.gen_range(self.clone())
+                assert!(self.start < self.end, "empty range");
+                let span = (self.end as i128 - self.start as i128) as u64;
+                (self.start as i128 + i128::from(rng.below(span))) as $t
             }
         }
     )*};
 }
 
-impl_range_strategy!(u32, u64, usize, i64, f64);
+impl_range_strategy!(u32, u64, usize, i64);
+
+impl Strategy for std::ops::Range<f64> {
+    type Value = f64;
+    fn sample(&self, rng: &mut TestRng) -> f64 {
+        assert!(self.start < self.end, "empty range");
+        // 53 random mantissa bits → uniform on [0, 1).
+        let unit = (rng.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        self.start + unit * (self.end - self.start)
+    }
+}
 
 macro_rules! impl_tuple_strategy {
     ($($name:ident),+) => {
@@ -206,7 +250,6 @@ impl_tuple_strategy!(A, B, C, D, E, F);
 /// Boolean strategies (`proptest::bool`).
 pub mod bool {
     use super::{Strategy, TestRng};
-    use rand::Rng;
 
     /// Strategy producing uniformly random booleans.
     #[derive(Debug, Clone, Copy)]
@@ -218,7 +261,7 @@ pub mod bool {
     impl Strategy for Any {
         type Value = bool;
         fn sample(&self, rng: &mut TestRng) -> bool {
-            rng.gen_range(0u32..2) == 1
+            rng.below(2) == 1
         }
     }
 }
@@ -226,7 +269,6 @@ pub mod bool {
 /// Collection strategies (`proptest::collection`).
 pub mod collection {
     use super::{Strategy, TestRng};
-    use rand::Rng;
 
     /// The length specification for [`vec`]: a fixed length or a half-open
     /// range of lengths.
@@ -267,7 +309,7 @@ pub mod collection {
             let len = if self.size.lo + 1 == self.size.hi {
                 self.size.lo
             } else {
-                rng.gen_range(self.size.lo..self.size.hi)
+                (self.size.lo..self.size.hi).sample(rng)
             };
             (0..len).map(|_| self.element.sample(rng)).collect()
         }
@@ -380,6 +422,25 @@ mod tests {
         let mut rng = crate::test_rng("vec");
         let v = crate::collection::vec(0.0f64..1.0, 7).sample(&mut rng);
         assert_eq!(v.len(), 7);
+    }
+
+    #[test]
+    fn test_rng_stream_is_pinned() {
+        // Every property test samples its cases from this stream: a drift
+        // would silently change which cases every property checks.
+        let mut rng = crate::test_rng("x");
+        let every_kind =
+            (0..u64::MAX, 0.0f64..1.0, 0u32..1000, 0usize..7, -5i64..5, crate::bool::ANY);
+        let draws: Vec<_> = (0..4).map(|_| every_kind.sample(&mut rng)).collect();
+        assert_eq!(
+            draws,
+            [
+                (1678421394677445808, 0.08054382693835838, 699, 4, -2, false),
+                (6717663697693828127, 0.04520894761042138, 327, 0, -1, true),
+                (1287501904587615176, 0.8334679949072844, 929, 0, 0, true),
+                (1291815305942286399, 0.7445369525681365, 929, 5, -5, false),
+            ]
+        );
     }
 
     proptest! {

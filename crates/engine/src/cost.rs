@@ -39,6 +39,7 @@ use crate::error::EngineError;
 use crate::schema::StarSchema;
 use crate::stage::CHUNK_ROWS;
 use crate::BitSet;
+use starj_noise::rng::{fnv1a, splitmix64, FNV_OFFSET};
 use starj_telemetry::{cost_counters, CostCounters};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -143,20 +144,7 @@ pub struct CostModel {
 
 /// 64-bit FNV-1a over a mask's length and words — the memo key half.
 fn mask_fingerprint(bits: &BitSet) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ bits.len() as u64;
-    for word in bits.words() {
-        h = (h ^ word).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-#[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    fnv1a(FNV_OFFSET ^ bits.len() as u64, bits.words().iter().copied())
 }
 
 impl CostModel {
@@ -346,9 +334,7 @@ fn registry() -> &'static Registry {
 fn registry_key(schema: &StarSchema, config: &CostConfig) -> RegistryKey {
     // FNV-1a over the per-dimension row counts: distinguishes reused
     // addresses whose fact size and dimension count happen to match.
-    let dim_shape = schema.dims().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, d| {
-        (h ^ d.table.num_rows() as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    });
+    let dim_shape = fnv1a(FNV_OFFSET, schema.dims().iter().map(|d| d.table.num_rows() as u64));
     (
         schema as *const StarSchema as usize,
         schema.fact().num_rows(),
@@ -451,6 +437,30 @@ mod tests {
                 est.ci
             );
         }
+    }
+
+    #[test]
+    fn row_sampler_and_fingerprints_are_pinned() {
+        // Identity fk: the sampled codes are the sampled row indices.
+        let domain = Domain::numeric("attr", 1000).unwrap();
+        let dim = Table::new(
+            "D",
+            vec![
+                Column::key("pk", (0..1000).collect()),
+                Column::attr("attr", domain, (0..1000).collect()),
+            ],
+        )
+        .unwrap();
+        let fact = Table::new("F", vec![Column::key("fk", (0..1000).collect())]).unwrap();
+        let s = StarSchema::new(fact, vec![Dimension::new(dim, "pk", "fk")]).unwrap();
+        let m =
+            CostModel::build(&s, &CostConfig { sample_size: 16, ..CostConfig::default() }).unwrap();
+        assert_eq!(
+            m.sampled[0],
+            [41, 60, 84, 119, 194, 238, 440, 485, 526, 570, 604, 765, 784, 801, 951, 992]
+        );
+        assert_eq!(mask_fingerprint(&BitSet::from_fn(130, |i| i % 3 == 0)), 243670499723444504);
+        assert_eq!(registry_key(&s, &CostConfig::default()).3, 12637493408718240855);
     }
 
     #[test]

@@ -162,14 +162,6 @@ impl ScanOptions {
         ScanOptions { threads, ..ScanOptions::default() }
     }
 
-    /// The same options with exactly `threads` shards (`0` = kernel-sized),
-    /// keeping every other knob — how a service threads its configured
-    /// scan options without resetting the probe overrides.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// The same options with explicit probe-classification caps, so tests
     /// and benches can exercise every probe regime without 2^16-row
     /// fixtures.
@@ -2067,12 +2059,6 @@ mod tests {
         assert_eq!(ScanOptions::default().threads, 0);
         assert_eq!(ScanOptions::parallel(0), ScanOptions::default());
         assert_eq!(ScanOptions::parallel(3).threads, 3);
-        // `with_threads` threads an existing option set without resetting
-        // the probe knobs (`parallel` starts from defaults).
-        let tuned = ScanOptions::default().with_probe_caps(16, 256).with_threads(2);
-        assert_eq!(tuned.threads, 2);
-        assert_eq!(tuned.with_threads(0).threads, 0);
-        assert_eq!((tuned.word_probe_cap, tuned.byte_probe_cap), (16, 256));
     }
 
     #[test]

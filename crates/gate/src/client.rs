@@ -15,6 +15,7 @@
 //! committed before resubmitting.
 
 use crate::wire::{frame_of, read_frame, write_frame};
+use starj_noise::rng::splitmix64;
 use starj_telemetry::Json;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -54,7 +55,8 @@ impl ClientConfig {
     /// herd of restarting clients decorrelates without losing the bound.
     pub fn backoff(&self, attempt: u32) -> Duration {
         let step = self.base_backoff.saturating_mul(1u32 << attempt.min(16)).min(self.max_backoff);
-        let bits = splitmix64(self.jitter_seed ^ u64::from(attempt).wrapping_mul(0x9E37_79B9));
+        let bits =
+            splitmix64(&mut (self.jitter_seed ^ u64::from(attempt).wrapping_mul(0x9E37_79B9)));
         let frac = 0.5 + ((bits >> 11) as f64 / (1u64 << 53) as f64) * 0.5;
         step.mul_f64(frac)
     }
@@ -280,15 +282,6 @@ pub fn sql_request(id: u64, token: &str, dataset: &str, sql: &str, epsilon: f64)
     Json::obj(pairs)
 }
 
-/// SplitMix64 — the workspace's standard seed scrambler, repeated here so
-/// the client stays dependency-free.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,6 +305,9 @@ mod tests {
                 config.base_backoff.saturating_mul(1u32 << attempt.min(16)).min(config.max_backoff);
             assert!(d >= step / 2, "attempt {attempt}: {d:?} under half the step");
         }
+        // Pinned: the jitter stream must not drift between releases.
+        let nanos: Vec<u128> = (0..4).map(|a| config.backoff(a).as_nanos()).collect();
+        assert_eq!(nanos, [8707824, 18154812, 32525725, 75865712]);
         let other = ClientConfig { jitter_seed: 43, ..config };
         assert_ne!(
             (0..8).map(|a| config.backoff(a)).collect::<Vec<_>>(),

@@ -43,7 +43,7 @@ use crate::sql::parse_query;
 use crate::wire::{
     answer_frame, frame_of, gate_refusal, refusal, router_code, write_frame, WireRequest,
 };
-use starj_engine::{canonicalize, to_sql, StarSchema};
+use starj_engine::canonicalize;
 use starj_router::Router;
 use starj_service::{ServiceAnswer, ServiceError, Submitted};
 use starj_telemetry::{
@@ -227,22 +227,17 @@ enum Entry {
     /// Already rendered; waiting its turn behind earlier slots.
     Ready(Json),
     /// Parked in the service's coalescer; resolving blocks.
-    InFlight { id: u64, pending: Submitted<ServiceAnswer>, schema: Arc<StarSchema> },
+    InFlight { id: u64, pending: Submitted<ServiceAnswer> },
 }
 
 fn resolve(entry: Entry) -> Json {
     match entry {
         Entry::Ready(json) => json,
-        Entry::InFlight { id, pending, schema } => match pending.wait() {
-            Ok(answer) => rendered_answer(id, &answer, &schema),
+        Entry::InFlight { id, pending } => match pending.wait() {
+            Ok(answer) => answer_frame(id, &answer, None),
             Err(err) => service_refusal(id, &err),
         },
     }
-}
-
-fn rendered_answer(id: u64, answer: &ServiceAnswer, schema: &StarSchema) -> Json {
-    let noisy_sql = answer.noisy_query.as_ref().map(|q| to_sql(schema, q));
-    answer_frame(id, answer, noisy_sql)
 }
 
 fn service_refusal(id: u64, err: &ServiceError) -> Json {
@@ -573,14 +568,14 @@ fn handle_request(
                         TraceOutcome::Ok
                     };
                     shared.telemetry.trace_finish(trace, outcome);
-                    queue.push_back(Entry::Ready(rendered_answer(id, &answer, &schema)));
+                    queue.push_back(Entry::Ready(answer_frame(id, &answer, None)));
                 }
                 Ok(pending @ Submitted::Queued(_)) => {
                     // The root span covers parse + submit; the queued
                     // evaluation gets its own (child) spans on the
                     // coalescer side.
                     shared.telemetry.trace_finish(trace, TraceOutcome::Ok);
-                    queue.push_back(Entry::InFlight { id, pending, schema });
+                    queue.push_back(Entry::InFlight { id, pending });
                 }
                 Err(err) => {
                     // Refusals never land in the span ring or the stream —

@@ -31,7 +31,7 @@
 //!
 //! ```text
 //! {"id": 7, "ok": true, "kind": "scalar", "value": 41.3, "cached": false,
-//!  "cost_epsilon": 0.5, "cost_delta": 0.0, "noisy_sql": "SELECT ...;"}
+//!  "cost_epsilon": 0.5, "cost_delta": 0.0}
 //! {"id": 7, "ok": true, "kind": "groups", "groups": [{"key": [0], "value": 9.1}, ...], ...}
 //! ```
 //!
@@ -252,8 +252,10 @@ pub fn gate_refusal(id: u64, err: &GateError) -> Json {
     ])
 }
 
-/// An answer frame for a served SQL request. `noisy_sql` is the rendered
-/// perturbed statement when the schema is at hand to render it.
+/// An answer frame for a served SQL request. The served path always
+/// passes `None` for `noisy_sql`: PM evaluates the perturbed query exactly,
+/// so releasing it next to the answer would make the answer a
+/// deterministic function of the data.
 pub fn answer_frame(id: u64, answer: &ServiceAnswer, noisy_sql: Option<String>) -> Json {
     let mut pairs = vec![("id", Json::Num(id as f64)), ("ok", TRUE)];
     match &answer.result {

@@ -1,9 +1,12 @@
 //! Differential-privacy noise primitives for the DP-starJ reproduction.
 //!
-//! This crate is the lowest layer of the workspace. It provides:
+//! This crate is the lowest layer of the workspace and depends on no other
+//! crate. It provides:
 //!
 //! * [`rng::StarRng`] — a seedable, splittable random source so every
-//!   experiment in the paper reproduction is deterministic under a seed;
+//!   experiment in the paper reproduction is deterministic under a seed,
+//!   plus the workspace's one mixer ([`rng::splitmix64`]) and hash
+//!   ([`rng::fnv1a`]);
 //! * [`laplace::Laplace`] — the Laplace mechanism's noise distribution,
 //!   calibrated from a sensitivity and a privacy budget;
 //! * [`cauchy::GeneralCauchy`] — the general Cauchy distribution with density

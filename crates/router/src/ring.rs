@@ -3,15 +3,16 @@
 //! The ring is the router's placement function: every shard contributes
 //! `replication` virtual nodes, each a pure-arithmetic salt, and a key
 //! places on the shard owning the **highest-weight** virtual node for that
-//! key (`weight = mix64(key_hash ^ vnode_salt)` — highest-random-weight /
-//! rendezvous hashing, Thaler & Ravishankar). The properties the router
+//! key (`weight = splitmix64(key_hash ^ vnode_salt)` — highest-random-weight
+//! / rendezvous hashing, Thaler & Ravishankar). The properties the router
 //! leans on:
 //!
 //! * **determinism** — placement depends only on `(seed, shard ids,
 //!   replication, key)`, all pure arithmetic (an FNV-1a walk with a
-//!   splitmix64 finisher). Two rings built with the same configuration
-//!   place every key identically, across processes and across runs — no
-//!   `RandomState`, no process entropy.
+//!   splitmix64 finisher, both the shared ones in `starj_noise::rng`).
+//!   Two rings built with the same configuration place every key
+//!   identically, across processes and across runs — no `RandomState`, no
+//!   process entropy.
 //! * **minimal movement** — removing a shard moves exactly the keys whose
 //!   winning virtual node belonged to it (they fall to their runner-up);
 //!   adding a shard moves exactly the keys its new virtual nodes win.
@@ -31,34 +32,21 @@
 //! buys the balance and movement guarantees for a cost that never sits on
 //! the serving path.
 
+use starj_noise::rng::{fnv1a, splitmix64, FNV_OFFSET};
 use std::collections::BTreeSet;
-
-/// Mixes the bits of `x` (the splitmix64 finisher): full-avalanche, cheap,
-/// and endian-independent.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Hashes a key for placement: seed-offset FNV-1a over the bytes, then a
 /// splitmix64 finisher for avalanche (plain FNV clusters short suffixes).
 pub fn hash_key(seed: u64, key: &str) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET ^ mix64(seed);
-    for &b in key.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    mix64(h)
+    let mut h = fnv1a(FNV_OFFSET ^ splitmix64(&mut { seed }), key.bytes().map(u64::from));
+    splitmix64(&mut h)
 }
 
 /// The salt of one virtual node: a pure function of the seed, the shard
 /// id, and the replica index.
 fn vnode_salt(seed: u64, shard: u32, replica: u32) -> u64 {
-    mix64(mix64(seed ^ ((u64::from(shard) << 32) | u64::from(replica))).wrapping_add(seed))
+    let node = splitmix64(&mut (seed ^ ((u64::from(shard) << 32) | u64::from(replica))));
+    splitmix64(&mut node.wrapping_add(seed))
 }
 
 /// A deterministic consistent-hash placement map from string keys to
@@ -120,7 +108,11 @@ impl HashRing {
     /// empty ring.
     pub fn place(&self, key: &str) -> Option<u32> {
         let h = hash_key(self.seed, key);
-        self.vnodes.iter().map(|&(shard, salt)| (mix64(h ^ salt), shard)).max().map(|(_, s)| s)
+        self.vnodes
+            .iter()
+            .map(|&(shard, salt)| (splitmix64(&mut (h ^ salt)), shard))
+            .max()
+            .map(|(_, s)| s)
     }
 
     /// Current shard ids, ascending.
@@ -146,11 +138,6 @@ impl HashRing {
     /// Virtual nodes per shard.
     pub fn replication(&self) -> usize {
         self.replication
-    }
-
-    /// The ring's deterministic seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 }
 

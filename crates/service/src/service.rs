@@ -79,13 +79,6 @@ pub struct ServiceConfig {
     pub cache_answers: bool,
     /// Maximum cached answers before FIFO eviction (bounds service memory).
     pub cache_capacity: usize,
-    /// Fact-scan shard override for mechanism execution. Values > 1 force
-    /// that many shards into the PM/WD scan options at service
-    /// construction; the default of 1 leaves `pm.scan` / `wd.scan` as
-    /// configured — and *their* default is kernel-sized sharding
-    /// ([`starj_engine::ScanOptions::threads`] = 0: the request thread
-    /// below ~2 M fact rows, one shard per core above).
-    pub scan_threads: usize,
     /// Route `pm_answer` / `wd_answer` through the group-commit coalescer
     /// ([`crate::coalesce`]): concurrent single-query traffic parks in a
     /// queue and shares fused fact scans. Off by default — the direct path
@@ -161,7 +154,6 @@ impl Default for ServiceConfig {
             seed: 2023,
             cache_answers: true,
             cache_capacity: crate::cache::DEFAULT_CACHE_CAPACITY,
-            scan_threads: 1,
             coalesce: false,
             coalesce_window: Duration::from_micros(200),
             coalesce_window_max: Duration::ZERO,
@@ -186,8 +178,8 @@ pub struct ServiceAnswer {
     pub name: String,
     /// The (noisy) result.
     pub result: QueryResult,
-    /// The perturbed query PM actually executed — `None` for free answers
-    /// to unsatisfiable queries.
+    /// The perturbed query PM actually executed (`None` for free answers to
+    /// unsatisfiable queries). In process only: it fixes PM's randomness.
     pub noisy_query: Option<StarQuery>,
     /// True iff replayed from the cache.
     pub cached: bool,
@@ -338,16 +330,7 @@ impl Service {
     /// bit-for-bit. Fails with [`ServiceError::DurabilityUnavailable`] if
     /// the journal cannot be opened or is corrupt mid-history (a torn
     /// *tail* is recovered, not an error).
-    pub fn open(schema: Arc<StarSchema>, mut config: ServiceConfig) -> Result<Self, ServiceError> {
-        // `scan_threads > 1` propagates into the mechanism configs; the
-        // default of 1 honors `pm.scan` / `wd.scan` as set (kernel-sized
-        // sharding unless the caller configured otherwise).
-        // `with_threads` (not `ScanOptions::parallel`) so explicitly-set
-        // cost-model / probe-cap knobs survive the thread-count override.
-        if config.scan_threads > 1 {
-            config.pm.scan = config.pm.scan.with_threads(config.scan_threads);
-            config.wd.scan = config.wd.scan.with_threads(config.scan_threads);
-        }
+    pub fn open(schema: Arc<StarSchema>, config: ServiceConfig) -> Result<Self, ServiceError> {
         let durable = match &config.durable {
             None => None,
             Some(durable_config) => {
@@ -1477,7 +1460,7 @@ fn query_hash(mechanism: Mechanism, key: &RequestKey) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use starj_engine::{Column, Dimension, Domain, Predicate, ScanOptions, Table};
+    use starj_engine::{Column, Dimension, Domain, Predicate, Table};
 
     fn toy_schema() -> Arc<StarSchema> {
         let color = Domain::numeric("color", 4).unwrap();
@@ -1613,21 +1596,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_mechanism_scan_options_survive_default_scan_threads() {
-        let mut config = ServiceConfig::default();
-        config.pm.scan = ScanOptions::parallel(8);
-        let service = Service::new(toy_schema(), config);
-        assert_eq!(
-            service.core.config.pm.scan.threads, 8,
-            "scan_threads=1 must not clobber pm.scan"
-        );
-        let threaded = ServiceConfig { scan_threads: 4, ..ServiceConfig::default() };
-        let service = Service::new(toy_schema(), threaded);
-        assert_eq!(service.core.config.pm.scan.threads, 4);
-        assert_eq!(service.core.config.wd.scan.threads, 4);
-    }
-
-    #[test]
     fn refused_batch_counts_no_free_answers() {
         let service = Service::new(toy_schema(), ServiceConfig::default());
         service.register_tenant("t", starj_noise::PrivacyBudget::pure(0.1).unwrap()).unwrap();
@@ -1658,26 +1626,6 @@ mod tests {
         assert!(service.pm_batch_answer("t", &queries, 0.5).is_err());
         assert_eq!(service.tenant_usage("t").unwrap().spent_epsilon, 0.0, "nothing charged");
         assert_eq!(service.metrics().admission_rejections, 1);
-    }
-
-    #[test]
-    fn scan_threads_knob_propagates_and_answers_match() {
-        let queries = batch_queries();
-        let run = |threads: usize| {
-            let config = ServiceConfig { scan_threads: threads, ..ServiceConfig::default() };
-            let service = Service::new(toy_schema(), config);
-            service.register_tenant("t", starj_noise::PrivacyBudget::pure(10.0).unwrap()).unwrap();
-            service
-                .pm_batch_answer("t", &queries, 1.0)
-                .unwrap()
-                .answers
-                .iter()
-                .map(|a| a.result.scalar().unwrap())
-                .collect::<Vec<f64>>()
-        };
-        // Same seed and arrival order ⇒ identical noise; the thread count
-        // must not change any answer.
-        assert_eq!(run(1), run(4));
     }
 
     #[test]

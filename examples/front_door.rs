@@ -50,9 +50,8 @@ fn main() {
         answer.get("cost_epsilon").and_then(Json::as_f64).unwrap(),
         answer.get("cached").and_then(Json::as_f64).unwrap() != 0.0,
     );
-    if let Some(noisy) = answer.get("noisy_sql").and_then(Json::as_str) {
-        println!("  served as: {noisy}");
-    }
+    // The perturbed query PM evaluated never leaves the process: PM answers
+    // it exactly, so releasing it would undo the privacy guarantee.
 
     // The same statement again replays the cached answer for free.
     let again = client.sql("s3cret", "ssb", &sql, 0.5).unwrap();

@@ -120,12 +120,8 @@ fn wire_answers_and_ledgers_match_direct_router_calls() {
             reference.cost.map_or(0.0, |c| c.epsilon()).to_bits(),
             "query {i} charge diverged"
         );
-        // The noisy statement is rendered for every charged answer.
-        assert_eq!(
-            wire.get("noisy_sql").is_some(),
-            reference.noisy_query.is_some(),
-            "query {i} noisy-SQL presence diverged"
-        );
+        // The perturbed statement stays in process even when it exists.
+        assert!(wire.get("noisy_sql").is_none(), "query {i} released its noisy SQL");
     }
 
     let wire_usage = gated.tenant_usage(DATASET, TENANT).unwrap();
@@ -133,6 +129,44 @@ fn wire_answers_and_ledgers_match_direct_router_calls() {
     assert_eq!(wire_usage.spent_epsilon.to_bits(), direct_usage.spent_epsilon.to_bits());
     assert_eq!(wire_usage.in_flight_epsilon, 0.0);
     assert_eq!(wire_usage.remaining_epsilon.to_bits(), direct_usage.remaining_epsilon.to_bits());
+}
+
+/// No answer frame carries anything that fixes the mechanism's randomness.
+/// PM evaluates the perturbed query exactly, so the perturbed query next to
+/// its answer would make the answer a deterministic function of the data.
+/// Every answer frame, whether paid, replayed from cache or coalesced,
+/// holds exactly the documented answer fields.
+#[test]
+fn answer_frames_never_carry_the_perturbed_query() {
+    const FIELDS: [&str; 8] =
+        ["id", "ok", "kind", "value", "groups", "cached", "cost_epsilon", "cost_delta"];
+    for coalesce in [false, true] {
+        let router = router(ServiceConfig { coalesce, ..ServiceConfig::default() });
+        let gate = gate_over(&router);
+        let mut client = GateClient::connect(gate.addr()).unwrap();
+        let schema = router.dataset_schema(DATASET).unwrap();
+        let (mut paid, mut cached) = (0, 0);
+        // The second round replays the first from the answer cache.
+        for _round in 0..2 {
+            let ids: Vec<u64> = queries()
+                .iter()
+                .map(|q| client.send(sql_request(0, TOKEN, DATASET, &to_sql(&schema, q), 0.5)))
+                .collect::<Result<_, _>>()
+                .unwrap();
+            for id in ids {
+                let frame = client.recv().unwrap();
+                assert_eq!(frame.get("id").and_then(Json::as_f64), Some(id as f64));
+                assert_eq!(frame.get("ok").and_then(Json::as_f64), Some(1.0), "{frame:?}");
+                let Json::Obj(pairs) = &frame else { panic!("answer is not an object") };
+                for (key, _) in pairs {
+                    assert!(FIELDS.contains(&key.as_str()), "answer frame leaks `{key}`");
+                }
+                paid += usize::from(frame.get("cost_epsilon").and_then(Json::as_f64) > Some(0.0));
+                cached += usize::from(frame.get("cached").and_then(Json::as_f64) == Some(1.0));
+            }
+        }
+        assert!(paid > 0 && cached > 0, "coalesce={coalesce}: paid {paid}, cached {cached}");
+    }
 }
 
 /// The concurrent form of the ledger half: four connections, one tenant

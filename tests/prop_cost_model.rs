@@ -16,6 +16,7 @@ use dp_starj_repro::engine::{
     BitSet, Column, Constraint, Dimension, Domain, GroupAttr, Predicate, ScanOptions, ScanPlan,
     StarQuery, StarSchema, SubDimension, Table,
 };
+use dp_starj_repro::noise::rng::splitmix64;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -141,15 +142,6 @@ fn query_strategy() -> impl Strategy<Value = StarQuery> {
         })
 }
 
-/// splitmix64 — the deterministic mask stream for the coverage property.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The exact fact pass fraction of a dimension mask: the truth the
 /// estimator's interval must cover.
 fn true_fraction(inst: &Instance, dim: usize, bits: &BitSet) -> f64 {
@@ -183,10 +175,10 @@ proptest! {
         {
             let mut covered = 0usize;
             for _ in 0..24 {
-                let density = (splitmix(&mut rng) % 101) as f64 / 100.0;
+                let density = (splitmix64(&mut rng) % 101) as f64 / 100.0;
                 let mut draws = rng;
                 let bits = BitSet::from_fn(rows, |_| {
-                    (splitmix(&mut draws) % 1000) as f64 / 1000.0 < density
+                    (splitmix64(&mut draws) % 1000) as f64 / 1000.0 < density
                 });
                 rng = draws;
                 let est = model.pass_fraction(dim, &bits);
@@ -221,7 +213,7 @@ proptest! {
             [inst.dim_a_attrs.len(), inst.dim_b_attrs.len()].into_iter().enumerate()
         {
             let mut draws = rng;
-            let bits = BitSet::from_fn(rows, |_| splitmix(&mut draws).is_multiple_of(2));
+            let bits = BitSet::from_fn(rows, |_| splitmix64(&mut draws).is_multiple_of(2));
             rng = draws;
             let est = model.pass_fraction(dim, &bits);
             prop_assert_eq!(est.ci, 0.0, "exact models report certainty");

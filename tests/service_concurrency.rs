@@ -13,7 +13,7 @@ use dp_starj_repro::engine::{
 use dp_starj_repro::noise::PrivacyBudget;
 use dp_starj_repro::service::{Service, ServiceConfig, ServiceError};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 use std::thread;
 use std::time::Duration;
 
@@ -52,8 +52,18 @@ fn query_for(i: u32) -> StarQuery {
     StarQuery::count(format!("q{i}")).with(Predicate::point("D", "bucket", i % 512))
 }
 
+/// `fact_scan_count` is process-global. The storm test counts its own scans
+/// with it, so it holds this lock exclusively; every other test in this
+/// binary scans too and holds it shared.
+static SCAN_WINDOW: RwLock<()> = RwLock::new(());
+
+fn shared_scan_window() -> RwLockReadGuard<'static, ()> {
+    SCAN_WINDOW.read().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn contended_tenant_never_overspends() {
+    let _scans = shared_scan_window();
     const THREADS: u32 = 8;
     const ATTEMPTS_PER_THREAD: u32 = 40;
     const EPS_PER_QUERY: f64 = 0.05;
@@ -124,6 +134,7 @@ fn contended_tenant_never_overspends() {
 
 #[test]
 fn cache_hit_spends_zero_budget() {
+    let _scans = shared_scan_window();
     let service = Service::new(Arc::new(wide_schema()), ServiceConfig::default());
     service.register_tenant("alice", PrivacyBudget::pure(1.0).unwrap()).unwrap();
 
@@ -157,6 +168,7 @@ fn cache_hit_spends_zero_budget() {
 
 #[test]
 fn concurrent_repeat_queries_converge_to_one_spend_per_distinct_query() {
+    let _scans = shared_scan_window();
     // 4 tenants × 4 threads each replaying the same 5 queries over and over:
     // each tenant ends up having paid for at most 5 distinct releases.
     const TENANTS: usize = 4;
@@ -201,6 +213,7 @@ fn concurrent_repeat_queries_converge_to_one_spend_per_distinct_query() {
 
 #[test]
 fn unsatisfiable_queries_are_answered_exactly_and_free() {
+    let _scans = shared_scan_window();
     let service = Service::new(Arc::new(wide_schema()), ServiceConfig::default());
     service.register_tenant("t", PrivacyBudget::pure(0.5).unwrap()).unwrap();
     let contradiction = StarQuery::count("impossible")
@@ -225,6 +238,7 @@ fn storm_workload(lo: u32, hi: u32) -> PredicateWorkload {
 
 #[test]
 fn coalesced_storm_fuses_scans_without_overspend_or_lost_requests() {
+    let _scans = SCAN_WINDOW.write().unwrap_or_else(PoisonError::into_inner);
     const THREADS: u32 = 16;
     const REQUESTS_PER_THREAD: u32 = 30;
     const EPS: f64 = 0.015625; // 2⁻⁶: ledger sums stay exact under any order
@@ -271,8 +285,6 @@ fn coalesced_storm_fuses_scans_without_overspend_or_lost_requests() {
     let metrics = service.metrics();
     assert_eq!(metrics.queries_served, total, "no request may be lost");
     // The whole point of the coalescer: strictly fewer scans than requests.
-    // (fact_scan_count is process-global, so concurrently-running tests in
-    // this binary can only inflate the delta — the margin is generous.)
     assert!(
         scan_delta < total,
         "coalescing must fuse scans: {scan_delta} scans for {total} requests"
@@ -296,6 +308,7 @@ fn coalesced_storm_fuses_scans_without_overspend_or_lost_requests() {
 
 #[test]
 fn degenerate_coalescer_configs_lose_no_wakeups() {
+    let _scans = shared_scan_window();
     // window = 0 and max_batch = 1 reduce the coalescer to a plain work
     // queue; requests arriving while a worker drains must still be picked
     // up (the classic lost-wakeup hazard).
@@ -339,6 +352,7 @@ fn degenerate_coalescer_configs_lose_no_wakeups() {
 /// stale pre-refresh release or `W`-derived answer.
 #[test]
 fn refresh_schema_invalidates_answer_and_w_caches() {
+    let _scans = shared_scan_window();
     // Two instances with the same shape but very different data: v1 puts
     // every fact row in bucket 0, v2 spreads them 0..512.
     let instance = |spread: bool| {
@@ -414,6 +428,7 @@ fn refresh_schema_invalidates_answer_and_w_caches() {
 
 #[test]
 fn admission_rejects_before_any_budget_moves() {
+    let _scans = shared_scan_window();
     let service = Service::new(Arc::new(wide_schema()), ServiceConfig::default());
     service.register_tenant("t", PrivacyBudget::pure(1.0).unwrap()).unwrap();
 
