@@ -45,7 +45,7 @@ use crate::wire::{
 };
 use starj_engine::canonicalize;
 use starj_router::Router;
-use starj_service::{ServiceAnswer, ServiceError, Submitted};
+use starj_service::{Answer, Request, ServiceError, Submitted};
 use starj_telemetry::{
     Json, RequestKind, Subscription, Telemetry, TelemetryConfig, TraceContextScope, TraceOutcome,
     WireRequestScope,
@@ -227,14 +227,14 @@ enum Entry {
     /// Already rendered; waiting its turn behind earlier slots.
     Ready(Json),
     /// Parked in the service's coalescer; resolving blocks.
-    InFlight { id: u64, pending: Submitted<ServiceAnswer> },
+    InFlight { id: u64, pending: Submitted<Answer> },
 }
 
 fn resolve(entry: Entry) -> Json {
     match entry {
         Entry::Ready(json) => json,
         Entry::InFlight { id, pending } => match pending.wait() {
-            Ok(answer) => answer_frame(id, &answer, None),
+            Ok(answer) => answer_frame(id, &answer.into_pm(), None),
             Err(err) => service_refusal(id, &err),
         },
     }
@@ -558,8 +558,9 @@ fn handle_request(
                     return;
                 }
             };
-            match router.pm_submit(&dataset, &tenant, &query, epsilon) {
+            match router.submit(&dataset, &tenant, Request::Pm(&query), epsilon) {
                 Ok(Submitted::Ready(answer)) => {
+                    let answer = answer.into_pm();
                     let outcome = if answer.cached {
                         TraceOutcome::Cached
                     } else if answer.cost.is_none() {

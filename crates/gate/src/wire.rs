@@ -296,7 +296,6 @@ pub fn service_code(err: &ServiceError) -> &'static str {
         ServiceError::InvalidQuery(_) => "invalid_query",
         ServiceError::InvalidBudget(_) => "invalid_budget",
         ServiceError::BelowMinFrequency { .. } => "below_min_frequency",
-        ServiceError::NoGraph => "no_graph",
         ServiceError::Mechanism(_) => "mechanism_failure",
         ServiceError::StaleDataVersion { .. } => "stale_data_version",
         // Degraded mode: the budget journal is unavailable, so spends are
@@ -456,7 +455,6 @@ mod tests {
             }),
             service_code(&E::UnknownTenant("t".into())),
             service_code(&E::DuplicateTenant("t".into())),
-            service_code(&E::NoGraph),
             service_code(&E::StaleDataVersion { submitted: 1, current: 2 }),
             service_code(&E::BelowMinFrequency {
                 table: "D".into(),

@@ -130,7 +130,11 @@ mod tests {
                 dataset: "a".into(),
                 error: ServiceError::UnknownTenant("t".into()),
             },
-            ShardFailure { shard: 2, dataset: "c".into(), error: ServiceError::NoGraph },
+            ShardFailure {
+                shard: 2,
+                dataset: "c".into(),
+                error: ServiceError::StaleDataVersion { submitted: 0, current: 1 },
+            },
         ]);
         let msg = e.to_string();
         assert!(msg.contains("2 shard(s)") && msg.contains("`a`") && msg.contains("`c`"));

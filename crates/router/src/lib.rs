@@ -10,10 +10,10 @@
 //! tier that isolates per-dataset privacy state while multiplexing traffic.
 //! This crate is that tier:
 //!
-//! * [`Router`] — owns N shards, hosts datasets on them, and exposes the
-//!   full service surface (`pm_answer` / `wd_answer` / `pm_batch_answer` /
-//!   `kstar_answer` plus the `pm_submit` / `wd_submit` async handles),
-//!   routing each request to the owning shard;
+//! * [`Router`] — owns N shards, hosts datasets on them, and routes every
+//!   [`starj_service::Request`] to the owning shard through one
+//!   [`Router::submit`] (with [`Router::pm_answer`] as its blocking PM
+//!   adapter);
 //! * [`crate::ring::HashRing`] — deterministic consistent-hash placement
 //!   with virtual nodes: the same configuration places every dataset
 //!   identically across runs, and shard add/remove moves only the minimal

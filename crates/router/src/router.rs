@@ -29,11 +29,10 @@ use crate::metrics::{merge, DatasetMetrics, RouterCounters, RouterMetrics};
 use crate::ring::HashRing;
 use dp_starj::PredicateWorkload;
 use starj_engine::{StarQuery, StarSchema};
-use starj_graph::{Graph, KStarQuery};
 use starj_noise::PrivacyBudget;
 use starj_service::{
-    BatchAnswer, DurableConfig, ExplainReport, KStarAnswer, Service, ServiceAnswer, ServiceConfig,
-    ServiceError, Submitted, TenantUsage, WorkloadAnswer,
+    Answer, BatchAnswer, DurableConfig, ExplainReport, Request, Service, ServiceAnswer,
+    ServiceConfig, ServiceError, Submitted, TenantUsage, WorkloadAnswer,
 };
 use starj_telemetry::{
     EventBus, PromText, RequestKind, Stage, Telemetry, TelemetryConfig, TraceContextScope,
@@ -297,26 +296,6 @@ impl Router {
         name: &str,
         schema: Arc<StarSchema>,
     ) -> Result<Placement, RouterError> {
-        self.add_dataset_inner(name, schema, None)
-    }
-
-    /// [`Router::add_dataset`] plus a graph so the dataset can answer
-    /// k-star queries.
-    pub fn add_dataset_with_graph(
-        &self,
-        name: &str,
-        schema: Arc<StarSchema>,
-        graph: Arc<Graph>,
-    ) -> Result<Placement, RouterError> {
-        self.add_dataset_inner(name, schema, Some(graph))
-    }
-
-    fn add_dataset_inner(
-        &self,
-        name: &str,
-        schema: Arc<StarSchema>,
-        graph: Option<Arc<Graph>>,
-    ) -> Result<Placement, RouterError> {
         let mut state = self.write();
         if state.datasets.contains_key(name) {
             return Err(RouterError::DuplicateDataset(name.to_string()));
@@ -343,14 +322,11 @@ impl Router {
                 None => DurableConfig::at(dir),
             });
         }
-        let mut service = Service::open(schema, config).map_err(|source| RouterError::Shard {
+        let service = Service::open(schema, config).map_err(|source| RouterError::Shard {
             dataset: name.to_string(),
             shard,
             source,
         })?;
-        if let Some(graph) = graph {
-            service = service.with_graph(graph);
-        }
         state
             .datasets
             .insert(name.to_string(), DatasetEntry { shard, service: Arc::new(service), tables });
@@ -501,7 +477,32 @@ impl Router {
 
     // ---- single-dataset serving ------------------------------------------
 
-    /// Answers a PM query against its dataset's shard.
+    /// Runs `serve` on the owning shard's service, counting one routed
+    /// request and tagging any refusal with its dataset and shard.
+    fn route<T>(
+        &self,
+        dataset: &str,
+        serve: impl FnOnce(&Service) -> Result<T, ServiceError>,
+    ) -> Result<T, RouterError> {
+        let (service, shard) = self.service_for(dataset)?;
+        RouterCounters::inc(&self.counters.routed_requests);
+        Self::wrap(dataset, shard, serve(&service))
+    }
+
+    /// Submits a request to its dataset's shard —
+    /// [`starj_service::Service::submit`] there, so a parked request's
+    /// handle waits exactly as the service's does.
+    pub fn submit(
+        &self,
+        dataset: &str,
+        tenant: &str,
+        request: Request<'_>,
+        epsilon: f64,
+    ) -> Result<Submitted<Answer>, RouterError> {
+        self.route(dataset, |service| service.submit(tenant, request, epsilon))
+    }
+
+    /// [`Router::submit`] of a [`Request::Pm`], waiting for the answer.
     pub fn pm_answer(
         &self,
         dataset: &str,
@@ -509,64 +510,8 @@ impl Router {
         query: &StarQuery,
         epsilon: f64,
     ) -> Result<ServiceAnswer, RouterError> {
-        let (service, shard) = self.service_for(dataset)?;
-        RouterCounters::inc(&self.counters.routed_requests);
-        Self::wrap(dataset, shard, service.pm_answer(tenant, query, epsilon))
-    }
-
-    /// Submits a PM query to its shard without blocking on the scan; the
-    /// returned handle waits exactly as
-    /// [`starj_service::Service::pm_submit`]'s does.
-    pub fn pm_submit(
-        &self,
-        dataset: &str,
-        tenant: &str,
-        query: &StarQuery,
-        epsilon: f64,
-    ) -> Result<Submitted<ServiceAnswer>, RouterError> {
-        let (service, shard) = self.service_for(dataset)?;
-        RouterCounters::inc(&self.counters.routed_requests);
-        Self::wrap(dataset, shard, service.pm_submit(tenant, query, epsilon))
-    }
-
-    /// Answers a workload against its dataset's shard.
-    pub fn wd_answer(
-        &self,
-        dataset: &str,
-        tenant: &str,
-        workload: &PredicateWorkload,
-        epsilon: f64,
-    ) -> Result<WorkloadAnswer, RouterError> {
-        let (service, shard) = self.service_for(dataset)?;
-        RouterCounters::inc(&self.counters.routed_requests);
-        Self::wrap(dataset, shard, service.wd_answer(tenant, workload, epsilon))
-    }
-
-    /// Submits a workload to its shard without blocking on the scan.
-    pub fn wd_submit(
-        &self,
-        dataset: &str,
-        tenant: &str,
-        workload: &PredicateWorkload,
-        epsilon: f64,
-    ) -> Result<Submitted<WorkloadAnswer>, RouterError> {
-        let (service, shard) = self.service_for(dataset)?;
-        RouterCounters::inc(&self.counters.routed_requests);
-        Self::wrap(dataset, shard, service.wd_submit(tenant, workload, epsilon))
-    }
-
-    /// Answers an explicit single-dataset batch on its owning shard (one
-    /// fused scan there).
-    pub fn pm_batch_answer(
-        &self,
-        dataset: &str,
-        tenant: &str,
-        queries: &[StarQuery],
-        epsilon: f64,
-    ) -> Result<BatchAnswer, RouterError> {
-        let (service, shard) = self.service_for(dataset)?;
-        RouterCounters::inc(&self.counters.routed_requests);
-        Self::wrap(dataset, shard, service.pm_batch_answer(tenant, queries, epsilon))
+        self.route(dataset, |service| service.submit(tenant, Request::Pm(query), epsilon)?.wait())
+            .map(Answer::into_pm)
     }
 
     /// Describes what serving `query` against `dataset` would do, without
@@ -598,19 +543,6 @@ impl Router {
     /// The live streaming bus every shard publishes onto, when configured.
     pub fn bus(&self) -> Option<&Arc<EventBus>> {
         self.config.bus.as_ref()
-    }
-
-    /// Answers a k-star query against a dataset hosted with a graph.
-    pub fn kstar_answer(
-        &self,
-        dataset: &str,
-        tenant: &str,
-        query: &KStarQuery,
-        epsilon: f64,
-    ) -> Result<KStarAnswer, RouterError> {
-        let (service, shard) = self.service_for(dataset)?;
-        RouterCounters::inc(&self.counters.routed_requests);
-        Self::wrap(dataset, shard, service.kstar_answer(tenant, query, epsilon))
     }
 
     /// Swaps one dataset's data for a new schema instance — entirely
@@ -669,7 +601,7 @@ impl Router {
     }
 
     /// Answers a workload wherever its tables live — [`Router::route_workload`]
-    /// followed by [`Router::wd_answer`].
+    /// followed by [`Router::submit`] of a [`Request::Wd`].
     pub fn wd_answer_routed(
         &self,
         tenant: &str,
@@ -677,13 +609,16 @@ impl Router {
         epsilon: f64,
     ) -> Result<WorkloadAnswer, RouterError> {
         let dataset = self.route_workload(workload)?;
-        self.wd_answer(&dataset, tenant, workload, epsilon)
+        self.route(&dataset, |service| {
+            service.submit(tenant, Request::Wd(workload), epsilon)?.wait()
+        })
+        .map(Answer::into_wd)
     }
 
     /// Answers a mixed batch that may span datasets: each query resolves
     /// to its owning dataset ([`Router::route_query`]), the batch fans out
     /// to **exactly** the owning shards (one
-    /// [`starj_service::Service::pm_batch_answer`] per dataset, running
+    /// [`starj_service::Request::PmBatch`] submit per dataset, running
     /// concurrently), and the per-shard answers merge back into the
     /// original query order. `epsilon` splits across datasets in
     /// proportion to the number of queries each carries, then each shard
@@ -763,7 +698,8 @@ impl Router {
                     let service = Arc::clone(&group.service);
                     scope.spawn(move || {
                         let _span = TraceContextScope::enter(ctx);
-                        service.pm_batch_answer(tenant, &subset, share)
+                        let submitted = service.submit(tenant, Request::PmBatch(&subset), share)?;
+                        submitted.wait().map(Answer::into_batch)
                     })
                 })
                 .collect();

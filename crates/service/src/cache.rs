@@ -29,7 +29,8 @@
 //!   [`starj_engine::canon`], so predicate order, `[v, v]` vs. point, and
 //!   label differences all hit the same entry.
 
-use starj_engine::{CanonicalQuery, QueryResult, StarQuery};
+use crate::service::Answer;
+use starj_engine::CanonicalQuery;
 use starj_noise::PrivacyBudget;
 use std::collections::{HashMap, VecDeque};
 use std::sync::RwLock;
@@ -43,8 +44,6 @@ pub enum Mechanism {
     PmBatch,
     /// Workload Decomposition (Algorithm 4).
     Wd,
-    /// PM for k-star counting on graphs.
-    KStar,
 }
 
 /// The canonical form of a request, as cached.
@@ -54,8 +53,16 @@ pub enum RequestKey {
     Single(CanonicalQuery),
     /// A workload: the canonical forms of its member queries, in order.
     Workload(Vec<CanonicalQuery>),
-    /// A k-star query `(k, lo, hi)`.
-    KStar(u32, u32, u32),
+}
+
+impl RequestKey {
+    /// The canonical member queries, in order.
+    pub(crate) fn members(&self) -> &[CanonicalQuery] {
+        match self {
+            RequestKey::Single(query) => std::slice::from_ref(query),
+            RequestKey::Workload(queries) => queries,
+        }
+    }
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -70,19 +77,9 @@ struct CacheKey {
 /// A stored answer, replayable for free.
 #[derive(Debug, Clone)]
 pub struct CachedAnswer {
-    /// Scalar/group result (PM), or unused placeholder for other shapes.
-    pub result: QueryResult,
-    /// Workload answers (WD); empty otherwise.
-    pub workload_answers: Vec<f64>,
-    /// The noisy query PM executed, for auditability.
-    pub noisy_query: Option<StarQuery>,
-    /// Per-member results and noisy queries of a fused PM batch
-    /// ([`Mechanism::PmBatch`]); a `None` noisy query marks a member that
-    /// was answered exactly for free (unsatisfiable). Empty otherwise.
-    pub batch: Vec<(QueryResult, Option<StarQuery>)>,
-    /// The noisy `(k, lo, hi)` range a k-star answer counted; `None`
-    /// otherwise.
-    pub noisy_kstar: Option<(u32, u32, u32)>,
+    /// The answer as first released. A hit replays it flagged cached, at
+    /// no cost, under the caller's labels.
+    pub answer: Answer,
     /// What the original (cache-missing) call paid.
     pub original_cost: PrivacyBudget,
 }
@@ -196,20 +193,24 @@ impl AnswerCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use starj_engine::{canonicalize, Predicate, StarQuery};
+    use crate::service::ServiceAnswer;
+    use starj_engine::{canonicalize, Predicate, QueryResult, StarQuery};
 
     fn canon(q: &StarQuery) -> RequestKey {
         RequestKey::Single(canonicalize(q))
     }
 
     fn answer(v: f64) -> CachedAnswer {
+        let cost = PrivacyBudget::pure(0.5).unwrap();
         CachedAnswer {
-            result: QueryResult::Scalar(v),
-            workload_answers: Vec::new(),
-            noisy_query: None,
-            batch: Vec::new(),
-            noisy_kstar: None,
-            original_cost: PrivacyBudget::pure(0.5).unwrap(),
+            answer: Answer::Pm(ServiceAnswer {
+                name: "q".into(),
+                result: QueryResult::Scalar(v),
+                noisy_query: None,
+                cached: false,
+                cost: Some(cost),
+            }),
+            original_cost: cost,
         }
     }
 
@@ -237,7 +238,7 @@ mod tests {
             .with(Predicate::point("B", "y", 2));
         cache.insert("t", Mechanism::Pm, 1.0, 0, canon(&a), answer(7.0));
         let hit = cache.get("t", Mechanism::Pm, 1.0, 0, &canon(&b)).expect("canonical hit");
-        assert_eq!(hit.result, QueryResult::Scalar(7.0));
+        assert_eq!(hit.answer.into_pm().result, QueryResult::Scalar(7.0));
         assert_eq!(cache.len(), 1);
     }
 
@@ -289,7 +290,8 @@ mod tests {
     #[test]
     fn clear_empties() {
         let cache = AnswerCache::new();
-        cache.insert("t", Mechanism::KStar, 1.0, 0, RequestKey::KStar(2, 0, 9), answer(1.0));
+        let key = RequestKey::Workload(Vec::new());
+        cache.insert("t", Mechanism::PmBatch, 1.0, 0, key, answer(1.0));
         assert!(!cache.is_empty());
         cache.clear();
         assert!(cache.is_empty());

@@ -4,8 +4,8 @@
 //! PR 2 gave the engine fused multi-query scans, but only *explicit*
 //! batches used them — N tenants concurrently asking one question each
 //! still paid N scans. The coalescer closes that gap with the group-commit
-//! idiom (as in write-ahead logging): incoming `pm_answer`/`wd_answer`
-//! calls park in a bounded queue, and a small worker pool drains it — after
+//! idiom (as in write-ahead logging): single PM and WD submits park in a
+//! bounded queue, and a small worker pool drains it — after
 //! [`crate::ServiceConfig::coalesce_window`] elapses or
 //! [`crate::ServiceConfig::max_batch`] requests pile up — partitions the
 //! drained requests by compatibility, and answers each partition through
@@ -38,14 +38,15 @@
 //!
 //! # Partitioning
 //!
-//! A drained batch splits by compatibility, preserving arrival order within
-//! each partition:
+//! A drained batch first refuses every job whose data version is stale,
+//! then splits by compatibility, preserving arrival order within each
+//! partition:
 //!
-//! * **PM requests** fuse per data version into one
-//!   [`ScanPlan::execute_batch`](starj_engine::ScanPlan) scan — binary
-//!   queries of any aggregate/grouping mix safely, because per-query
-//!   accumulation is independent.
-//! * **WD requests** group by `(data version, normalized axis set)`. A
+//! * **PM requests** fuse into one
+//!   [`ScanPlan::execute`](starj_engine::ScanPlan) scan — binary queries of
+//!   any aggregate/grouping mix safely, because per-query accumulation is
+//!   independent.
+//! * **WD requests** group by normalized axis set. A
 //!   partition whose joint code space fits the dense cap answers through
 //!   the shared [`WeightHistogram`](starj_engine::WeightHistogram) — built
 //!   once (one scan) and cached in [`crate::wcache`], so warm traffic is
@@ -55,70 +56,30 @@
 
 use crate::error::ServiceError;
 use crate::metrics::ServiceMetrics;
-use crate::service::{PmWork, ServiceAnswer, ServiceCore, WdWork};
-use dp_starj::CoreError;
-use starj_engine::{execute_batch_with, plan::AxisNames, StarQuery};
+use crate::service::{Answer, ServiceCore, Work};
 use starj_telemetry::{cost_counters, CostCounters, Stage};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// One parked request.
+/// One parked request: its work unit and the slot its answer fills.
 #[derive(Debug)]
-pub(crate) enum Job {
-    Pm(PmJob),
-    Wd(WdJob),
+pub(crate) struct Job {
+    pub(crate) work: Work,
+    pub(crate) slot: SlotHandle<Answer>,
 }
 
 impl Job {
-    /// The tenant that submitted this job — the fairness key the queue
-    /// lanes and per-tenant cap are keyed on.
-    pub(crate) fn tenant(&self) -> &str {
-        match self {
-            Job::Pm(j) => &j.work.tenant,
-            Job::Wd(j) => &j.work.tenant,
-        }
+    /// Refuses the job with a typed error. Dropping the carried work unit
+    /// drops its un-committed reservation, so the refusal refunds
+    /// automatically (RAII) — and the drop comes before the fill, so the
+    /// woken caller can never read its ledger pre-refund.
+    fn fail(self, err: ServiceError) {
+        let Job { work, slot } = self;
+        drop(work);
+        slot.fill(Err(err));
     }
-
-    /// Data version the job's submit phase reserved and perturbed against.
-    fn version(&self) -> u64 {
-        match self {
-            Job::Pm(j) => j.work.version,
-            Job::Wd(j) => j.work.version,
-        }
-    }
-
-    /// Refuses the job with a typed stale-version error. Dropping the
-    /// carried work unit drops its un-committed reservation, so the refusal
-    /// refunds automatically (RAII) — and the drop comes before the fill,
-    /// so the woken caller can never read its ledger pre-refund.
-    fn refuse_stale(self, current: u64) {
-        let submitted = self.version();
-        let err = ServiceError::StaleDataVersion { submitted, current };
-        match self {
-            Job::Pm(PmJob { work, slot }) => {
-                drop(work);
-                slot.fill(Err(err));
-            }
-            Job::Wd(WdJob { work, slot }) => {
-                drop(work);
-                slot.fill(Err(err));
-            }
-        }
-    }
-}
-
-#[derive(Debug)]
-pub(crate) struct PmJob {
-    pub work: PmWork,
-    pub slot: SlotHandle<ServiceAnswer>,
-}
-
-#[derive(Debug)]
-pub(crate) struct WdJob {
-    pub work: WdWork,
-    pub slot: SlotHandle<crate::service::WorkloadAnswer>,
 }
 
 // ---- pending answers ------------------------------------------------------
@@ -130,8 +91,8 @@ struct Slot<T> {
 }
 
 /// The waiting half of a parked request: blocks until a coalescer worker
-/// fills in the answer. Returned by [`crate::Service::pm_submit`] /
-/// [`crate::Service::wd_submit`] inside [`Submitted::Queued`].
+/// fills in the answer. Returned by [`crate::Service::submit`] inside
+/// [`Submitted::Queued`].
 #[derive(Debug)]
 pub struct Pending<T> {
     slot: Arc<Slot<T>>,
@@ -266,7 +227,7 @@ impl FairQueue {
     }
 
     pub(crate) fn push(&mut self, job: Job) {
-        let tenant = job.tenant().to_string();
+        let tenant = job.work.tenant.clone();
         let lane = self.lanes.entry(tenant.clone()).or_default();
         if lane.is_empty() {
             self.rotation.push_back(tenant);
@@ -441,7 +402,7 @@ impl Coalescer {
     pub(crate) fn enqueue(&self, job: Job) {
         let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
         while (state.queue.len() >= self.shared.capacity
-            || state.queue.tenant_len(job.tenant()) >= self.shared.tenant_capacity)
+            || state.queue.tenant_len(&job.work.tenant) >= self.shared.tenant_capacity)
             && !state.shutdown
         {
             state = self.shared.drained.wait(state).unwrap_or_else(|e| e.into_inner());
@@ -543,110 +504,48 @@ pub(crate) fn process_batch(core: &ServiceCore, jobs: Vec<Job>) {
     // reservation). This filter alone is a check-then-scan race — a
     // refresh can still land *during* the fused scan — so the actual
     // barrier is `ServiceCore::stale_check` at commit time inside
-    // `pm_finish`/`wd_finish`, which re-reads the version right before the
+    // `ServiceCore::finish`, which re-reads the version right before the
     // reservation commits. Cache-key isolation alone is not enough either
     // way: it only stops *replays*, not the committed release of an answer
     // computed against the old instance.
     let current = core.snapshot().1;
-    let jobs: Vec<Job> = jobs
-        .into_iter()
-        .filter_map(|job| {
-            if job.version() == current {
-                Some(job)
-            } else {
-                ServiceMetrics::inc(&core.metrics.stale_refusals);
-                job.refuse_stale(current);
-                None
-            }
+    let mut partitions: Vec<Vec<Job>> = Vec::new();
+    for job in jobs {
+        let submitted = job.work.version;
+        if submitted != current {
+            ServiceMetrics::inc(&core.metrics.stale_refusals);
+            job.fail(ServiceError::StaleDataVersion { submitted, current });
+            continue;
+        }
+        match partitions.iter_mut().find(|p| p[0].work.partition() == job.work.partition()) {
+            Some(partition) => partition.push(job),
+            None => partitions.push(vec![job]),
+        }
+    }
+    for partition in partitions {
+        answer_partition(core, partition);
+    }
+}
+
+/// One fused binary scan (PM) or one shared W histogram / fused weighted
+/// scan (WD) answers every job of a compatible partition; each job then
+/// commits and wakes its caller in turn.
+fn answer_partition(core: &ServiceCore, mut jobs: Vec<Job>) {
+    let mut group: Vec<&mut Work> = jobs
+        .iter_mut()
+        .map(|job| {
+            job.work.trace.stage_end(Stage::QueueWait);
+            &mut job.work
         })
         .collect();
-
-    let mut pm_parts: Vec<(u64, Vec<PmJob>)> = Vec::new();
-    let mut wd_parts: Vec<((u64, AxisNames), Vec<WdJob>)> = Vec::new();
+    let evaluated = core.evaluate(&mut group);
     for job in jobs {
-        match job {
-            Job::Pm(j) => {
-                let version = j.work.version;
-                match pm_parts.iter_mut().find(|(v, _)| *v == version) {
-                    Some((_, part)) => part.push(j),
-                    None => pm_parts.push((version, vec![j])),
-                }
+        match &evaluated {
+            Ok(()) => {
+                let Job { work, slot } = job;
+                slot.fill(core.finish(work));
             }
-            Job::Wd(j) => {
-                let key = (j.work.version, j.work.axes.clone());
-                match wd_parts.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, part)) => part.push(j),
-                    None => wd_parts.push((key, vec![j])),
-                }
-            }
-        }
-    }
-    for (_, part) in pm_parts {
-        answer_pm_partition(core, part);
-    }
-    for ((_, axes), part) in wd_parts {
-        answer_wd_partition(core, &axes, part);
-    }
-}
-
-/// One fused binary scan answers every PM job of a partition.
-fn answer_pm_partition(core: &ServiceCore, mut jobs: Vec<PmJob>) {
-    for job in &mut jobs {
-        job.work.trace.stage_end(Stage::QueueWait);
-        job.work.trace.stage_begin(Stage::FusedScan);
-    }
-    let schema = Arc::clone(&jobs[0].work.schema);
-    let noisy: Vec<StarQuery> = jobs.iter().map(|j| j.work.noisy.clone()).collect();
-    let results = execute_batch_with(&schema, &noisy, core.config.pm.scan);
-    for job in &mut jobs {
-        job.work.trace.stage_end(Stage::FusedScan);
-    }
-    match results {
-        Ok(results) => {
-            if jobs.len() > 1 {
-                ServiceMetrics::inc(&core.metrics.fused_scans);
-                ServiceMetrics::add(&core.metrics.fused_queries_saved, jobs.len() as u64 - 1);
-            }
-            for (job, result) in jobs.into_iter().zip(results) {
-                job.slot.fill(core.pm_finish(job.work, result));
-            }
-        }
-        Err(e) => {
-            // Reservations drop with the jobs → every member refunds.
-            ServiceMetrics::add(&core.metrics.mechanism_failures, jobs.len() as u64);
-            for job in jobs {
-                job.slot.fill(Err(ServiceError::Mechanism(CoreError::Engine(e.clone()))));
-            }
-        }
-    }
-}
-
-/// One shared W histogram (or one fused weighted scan) answers every WD job
-/// of an axis-compatible partition.
-fn answer_wd_partition(core: &ServiceCore, axes: &[(String, String)], mut jobs: Vec<WdJob>) {
-    for job in &mut jobs {
-        job.work.trace.stage_end(Stage::QueueWait);
-        job.work.trace.stage_begin(Stage::FusedScan);
-    }
-    let schema = Arc::clone(&jobs[0].work.schema);
-    let version = jobs[0].work.version;
-    let batches: Vec<&[starj_engine::WeightedQuery]> =
-        jobs.iter().map(|j| j.work.rows.as_slice()).collect();
-    let answered = core.wd_partition_answers(&schema, version, axes, jobs[0].work.space, &batches);
-    for job in &mut jobs {
-        job.work.trace.stage_end(Stage::FusedScan);
-    }
-    match answered {
-        Ok(answer_sets) => {
-            for (job, answers) in jobs.into_iter().zip(answer_sets) {
-                job.slot.fill(core.wd_finish(job.work, answers));
-            }
-        }
-        Err(e) => {
-            ServiceMetrics::add(&core.metrics.mechanism_failures, jobs.len() as u64);
-            for job in jobs {
-                job.slot.fill(Err(e.clone()));
-            }
+            Err(e) => job.fail(e.clone()),
         }
     }
 }
@@ -655,8 +554,11 @@ fn answer_wd_partition(core: &ServiceCore, axes: &[(String, String)], mut jobs: 
 mod tests {
     use super::*;
     use crate::accountant::BudgetAccountant;
-    use crate::cache::RequestKey;
-    use starj_engine::{canonicalize, Column, Dimension, Domain, StarSchema, Table};
+    use crate::cache::{Mechanism, RequestKey};
+    use crate::service::ServiceAnswer;
+    use starj_engine::{
+        canonicalize, Column, Dimension, Domain, QueryResult, StarQuery, StarSchema, Table,
+    };
     use starj_noise::PrivacyBudget;
 
     /// A real PM job for queue-order tests: the slot handle's drop fills a
@@ -672,36 +574,36 @@ mod tests {
         let schema =
             Arc::new(StarSchema::new(fact, vec![Dimension::new(dim, "pk", "fk")]).unwrap());
         let q = StarQuery::count(name);
+        let cost = PrivacyBudget::pure(0.1).unwrap();
         let (_, slot) = pending_pair();
-        Job::Pm(PmJob {
-            work: PmWork {
-                tenant: tenant.to_string(),
+        let work = Work {
+            tenant: tenant.to_string(),
+            cost,
+            mechanism: Mechanism::Pm,
+            key: RequestKey::Single(canonicalize(&q)),
+            reservation: accountant.reserve(tenant, cost).unwrap(),
+            schema,
+            version: 0,
+            start: Instant::now(),
+            trace: starj_telemetry::TraceBuilder::start(
+                starj_telemetry::RequestKind::Pm,
+                tenant,
+                false,
+            ),
+            answer: Answer::Pm(ServiceAnswer {
                 name: name.to_string(),
-                epsilon: 0.1,
-                cost: PrivacyBudget::pure(0.1).unwrap(),
-                key: RequestKey::Single(canonicalize(&q)),
-                noisy: q,
-                reservation: accountant.reserve(tenant, PrivacyBudget::pure(0.1).unwrap()).unwrap(),
-                schema,
-                version: 0,
-                start: Instant::now(),
-                trace: starj_telemetry::TraceBuilder::start(
-                    starj_telemetry::RequestKind::Pm,
-                    tenant,
-                    false,
-                ),
-            },
-            slot,
-        })
+                result: QueryResult::Scalar(0.0),
+                noisy_query: Some(q),
+                cached: false,
+                cost: Some(cost),
+            }),
+            wd: None,
+        };
+        Job { work, slot }
     }
 
     fn names(jobs: &[Job]) -> Vec<String> {
-        jobs.iter()
-            .map(|j| match j {
-                Job::Pm(p) => p.work.name.clone(),
-                Job::Wd(_) => unreachable!("queue tests only park PM jobs"),
-            })
-            .collect()
+        jobs.iter().map(|j| j.work.answer.clone().into_pm().name).collect()
     }
 
     fn accountant_for(tenants: &[&str]) -> BudgetAccountant {

@@ -8,8 +8,8 @@ use std::fmt;
 /// Errors a [`crate::Service`] can return to a caller.
 ///
 /// The variants are ordered by where in the request pipeline they arise:
-/// admission ([`ServiceError::InvalidQuery`], [`ServiceError::InvalidBudget`],
-/// [`ServiceError::NoGraph`]), accounting ([`ServiceError::UnknownTenant`],
+/// admission ([`ServiceError::InvalidQuery`], [`ServiceError::InvalidBudget`]),
+/// accounting ([`ServiceError::UnknownTenant`],
 /// [`ServiceError::BudgetExhausted`]), then execution
 /// ([`ServiceError::Mechanism`]). Only execution errors spend-and-refund; the
 /// earlier stages fail before any budget is reserved.
@@ -63,8 +63,6 @@ pub enum ServiceError {
         /// The configured minimum-frequency floor.
         floor: u64,
     },
-    /// A k-star query was submitted to a service built without a graph.
-    NoGraph,
     /// The underlying DP mechanism failed after admission; the reservation
     /// was rolled back, so the failed query spent nothing.
     Mechanism(CoreError),
@@ -119,9 +117,6 @@ impl fmt::Display for ServiceError {
                 "a predicate was refused by the minimum-frequency guard \
                  (floor {floor} rows; no budget spent)"
             ),
-            ServiceError::NoGraph => {
-                write!(f, "k-star queries need a service built with a graph")
-            }
             ServiceError::Mechanism(e) => write!(f, "mechanism failure (budget refunded): {e}"),
             ServiceError::DurabilityUnavailable { reason } => write!(
                 f,

@@ -8,9 +8,12 @@
 //! overdraw it, and reuses answers so repeated questions do not re-spend ε.
 //! This crate is that front door:
 //!
-//! * [`Service`] — owns an `Arc<StarSchema>` (and optionally a graph) and
-//!   answers Predicate-Mechanism, Workload-Decomposition, and k-star
-//!   requests from any number of threads concurrently;
+//! * [`Service`] — owns an `Arc<StarSchema>` and answers every [`Request`]
+//!   kind — one Predicate-Mechanism query, a fused PM batch, or a
+//!   Workload-Decomposition workload — from any number of threads
+//!   concurrently, through one pipeline ([`Service::submit`]: admission →
+//!   canon → cache → reserve → perturb → execute or park → commit) that
+//!   returns the matching [`Answer`];
 //! * [`BudgetAccountant`] — a thread-safe per-tenant `(ε, δ)` ledger with
 //!   sequential composition and atomic **reserve → commit / rollback**
 //!   semantics: a failed query always refunds its reservation, and a tenant
@@ -23,8 +26,8 @@
 //! * [`crate::admission`] — schema validation that rejects malformed queries
 //!   before any budget is reserved;
 //! * [`crate::coalesce`] — the **group-commit scan coalescer**: with
-//!   [`service::ServiceConfig::coalesce`] on, concurrent `pm_answer` /
-//!   `wd_answer` traffic parks in a bounded queue and a worker pool answers
+//!   [`service::ServiceConfig::coalesce`] on, concurrent single PM and WD
+//!   submits park in a bounded queue and a worker pool answers
 //!   each drained, compatibility-partitioned batch in **one fused fact
 //!   scan** — provably answer- and budget-equivalent to the sequential
 //!   path, because everything privacy-relevant happens at submit time;
@@ -103,7 +106,7 @@ pub use error::ServiceError;
 pub use explain::{ExplainProfile, ExplainReport};
 pub use metrics::{LatencyHistogram, MetricsSnapshot, ServiceMetrics, LATENCY_BUCKETS};
 pub use service::{
-    BatchAnswer, KStarAnswer, Service, ServiceAnswer, ServiceConfig, WorkloadAnswer,
+    Answer, BatchAnswer, Request, Service, ServiceAnswer, ServiceConfig, WorkloadAnswer,
 };
 pub use wcache::WeightHistogramCache;
 

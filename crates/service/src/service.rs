@@ -1,29 +1,32 @@
 //! The service front door: concurrent, multi-tenant DP query answering.
 //!
-//! Every request runs the same pipeline:
+//! Every [`Request`] — one PM query, a PM batch, or a WD workload — enters
+//! through [`Service::submit`] and runs the same pipeline, written once:
 //!
 //! 1. **admission** — the request is validated against the schema; malformed
 //!    queries are rejected before any budget moves ([`crate::admission`]);
-//! 2. **normalization** — the query is canonicalized
-//!    ([`starj_engine::canon`]); provably unsatisfiable queries are answered
-//!    exactly (empty result) at zero cost, since that fact depends only on
-//!    the query text, never on the data;
+//! 2. **normalization** — the request is canonicalized
+//!    ([`starj_engine::canon`]) into its cache key; provably unsatisfiable
+//!    PM queries are answered exactly (empty result) at zero cost, since
+//!    that fact depends only on the query text, never on the data;
 //! 3. **cache** — an identical prior release (same tenant, mechanism, ε,
 //!    data version, canonical request) replays for free;
 //! 4. **reserve** — the tenant's accountant atomically holds the `(ε, δ)`
 //!    cost, refusing with [`ServiceError::BudgetExhausted`] when the
 //!    allotment cannot absorb it;
 //! 5. **perturb** — the request's private randomness is drawn and applied
-//!    (PM's noisy query, WD's reconstructed weighted rows), still on the
+//!    (PM's noisy queries, WD's reconstructed weighted rows), still on the
 //!    caller's thread in arrival order;
 //! 6. **execute** — the fixed noisy artifact is evaluated against the data.
-//!    With [`ServiceConfig::coalesce`] enabled this step parks in the
-//!    group-commit queue ([`crate::coalesce`]) and shares one fused fact
-//!    scan with whatever concurrent traffic drained alongside it —
-//!    evaluation is post-processing, so fusing it is privacy-free;
-//! 7. **commit + release** — the cost is committed, the answer cached and
-//!    returned, metrics updated. An execution error instead rolls the
-//!    reservation back via RAII, so a failed query spends nothing.
+//!    With [`ServiceConfig::coalesce`] enabled, single PM and WD requests
+//!    park in the group-commit queue ([`crate::coalesce`]) and share one
+//!    fused fact scan with whatever concurrent traffic drained alongside
+//!    them — evaluation is post-processing, so fusing it is privacy-free.
+//!    Batches are already fused and evaluate on the caller's thread;
+//! 7. **commit + release** — the data version is re-checked, the cost
+//!    committed, the [`Answer`] cached and returned, metrics updated. An
+//!    execution error or a stale version instead rolls the reservation back
+//!    via RAII, so a failed request spends nothing.
 //!
 //! The service is fully `Sync`: all mutable state (ledgers, caches, metrics,
 //! the RNG request counter, the swappable schema) sits behind per-component
@@ -37,24 +40,23 @@
 //! that version, so no pre-refresh release or histogram can ever serve a
 //! post-refresh request.
 
-use crate::accountant::{AuditCtx, BudgetAccountant, TenantUsage};
+use crate::accountant::{AuditCtx, BudgetAccountant, Reservation, TenantUsage};
 use crate::admission::{min_frequency_check, validate_query, validate_workload};
 use crate::cache::{AnswerCache, CachedAnswer, Mechanism, RequestKey};
-use crate::coalesce::{pending_pair, Coalescer, Job, PmJob, Submitted, WdJob};
+use crate::coalesce::{pending_pair, Coalescer, Job, Submitted};
 use crate::durable::{DurableConfig, DurableState, DurableStatus, JournalCtx, RecordMeta};
 use crate::error::ServiceError;
 use crate::explain::ExplainReport;
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::wcache::{WKey, WeightHistogramCache};
-use dp_starj::pm::PmConfig;
+use dp_starj::pm::{perturb_query, PmConfig};
 use dp_starj::workload::WdConfig;
-use dp_starj::{pm_kstar, wd_reconstruct, workload_axes, CoreError, PredicateWorkload};
+use dp_starj::{wd_reconstruct, workload_axes, CoreError, PredicateWorkload};
 use starj_durable::{BudgetWal, FaultPlan};
 use starj_engine::{
-    canonicalize, execute_batch_with, execute_weighted_batch_with, execute_with, Agg, QueryResult,
-    StarQuery, StarSchema, WeightHistogram, WeightedQuery,
+    canonicalize, execute_weighted_batch_with, plan::AxisNames, Agg, CanonicalQuery, EngineError,
+    QueryResult, ScanPlan, StarQuery, StarSchema, WeightHistogram, WeightedQuery,
 };
-use starj_graph::{Graph, KStarQuery};
 use starj_noise::{PrivacyBudget, StarRng};
 use starj_telemetry::{
     cost_counters, kernel_counters, PromText, RequestKind, Stage, Telemetry, TelemetryConfig,
@@ -214,71 +216,194 @@ pub struct WorkloadAnswer {
     pub cost: Option<PrivacyBudget>,
 }
 
-/// A served k-star answer.
+/// One request to [`Service::submit`].
+#[derive(Debug, Clone, Copy)]
+pub enum Request<'a> {
+    /// A star-join query answered with the Predicate Mechanism.
+    Pm(&'a StarQuery),
+    /// A batch of star-join queries answered with PM in **one fused fact
+    /// scan** and charged as a unit. ε splits evenly across the satisfiable
+    /// members (sequential composition); provably unsatisfiable members are
+    /// answered exactly for free and do not dilute the split. Each member
+    /// draws its own noise exactly as [`Request::Pm`] would — only the
+    /// answering scan is shared, which is privacy-free post-processing.
+    PmBatch(&'a [StarQuery]),
+    /// A counting-query workload answered with Workload Decomposition.
+    Wd(&'a PredicateWorkload),
+}
+
+impl<'a> Request<'a> {
+    /// The mechanism the cache and audit trail tag it with, and the kind
+    /// its span records.
+    fn kind(self) -> (Mechanism, RequestKind) {
+        match self {
+            Request::Pm(_) => (Mechanism::Pm, RequestKind::Pm),
+            Request::PmBatch(_) => (Mechanism::PmBatch, RequestKind::PmBatch),
+            Request::Wd(_) => (Mechanism::Wd, RequestKind::Wd),
+        }
+    }
+
+    /// The PM member queries in order: the query itself, the batch, or none
+    /// for a workload.
+    fn queries(self) -> &'a [StarQuery] {
+        match self {
+            Request::Pm(query) => std::slice::from_ref(query),
+            Request::PmBatch(queries) => queries,
+            Request::Wd(_) => &[],
+        }
+    }
+
+    /// The canonical form the answer cache keys on.
+    fn key(self) -> RequestKey {
+        match self {
+            Request::Pm(query) => RequestKey::Single(canonicalize(query)),
+            Request::PmBatch(queries) => {
+                RequestKey::Workload(queries.iter().map(canonicalize).collect())
+            }
+            Request::Wd(workload) => {
+                RequestKey::Workload(workload.to_star_queries().iter().map(canonicalize).collect())
+            }
+        }
+    }
+}
+
+/// A released answer, always of its [`Request`]'s kind.
 #[derive(Debug, Clone)]
-pub struct KStarAnswer {
-    /// The noisy k-star count.
-    pub count: f64,
-    /// The perturbed range actually counted.
-    pub noisy_query: KStarQuery,
-    /// True iff replayed from the cache.
-    pub cached: bool,
-    /// What this call charged the tenant (`None` for cache hits).
-    pub cost: Option<PrivacyBudget>,
+pub enum Answer {
+    /// The answer to [`Request::Pm`].
+    Pm(ServiceAnswer),
+    /// The answer to [`Request::PmBatch`].
+    PmBatch(BatchAnswer),
+    /// The answer to [`Request::Wd`].
+    Wd(WorkloadAnswer),
 }
 
-/// A PM request that finished its private phase (admitted, reserved,
-/// perturbed) and is ready for the pure-evaluation step — either inline or
-/// parked in the coalescer. Dropping it without finishing refunds the
-/// reservation.
-#[derive(Debug)]
-pub(crate) struct PmWork {
-    pub(crate) tenant: String,
-    pub(crate) name: String,
-    pub(crate) epsilon: f64,
-    pub(crate) cost: PrivacyBudget,
-    pub(crate) key: RequestKey,
-    pub(crate) noisy: StarQuery,
-    pub(crate) reservation: crate::accountant::Reservation,
-    pub(crate) schema: Arc<StarSchema>,
-    pub(crate) version: u64,
-    pub(crate) start: Instant,
-    pub(crate) trace: TraceBuilder,
+impl Answer {
+    /// The single-query answer. Panics on another kind: a [`Request::Pm`]
+    /// is always answered with [`Answer::Pm`].
+    pub fn into_pm(self) -> ServiceAnswer {
+        match self {
+            Answer::Pm(answer) => answer,
+            other => panic!("expected a PM answer, got {other:?}"),
+        }
+    }
+
+    /// The batch answer. Panics on another kind: a [`Request::PmBatch`] is
+    /// always answered with [`Answer::PmBatch`].
+    pub fn into_batch(self) -> BatchAnswer {
+        match self {
+            Answer::PmBatch(answer) => answer,
+            other => panic!("expected a PM batch answer, got {other:?}"),
+        }
+    }
+
+    /// The workload answer. Panics on another kind: a [`Request::Wd`] is
+    /// always answered with [`Answer::Wd`].
+    pub fn into_wd(self) -> WorkloadAnswer {
+        match self {
+            Answer::Wd(answer) => answer,
+            other => panic!("expected a WD answer, got {other:?}"),
+        }
+    }
+
+    /// PM member answers as the answer to a `mechanism` request that
+    /// charged `cost`: the one member itself, or the batch.
+    fn pm(
+        mechanism: Mechanism,
+        mut members: Vec<ServiceAnswer>,
+        cost: Option<PrivacyBudget>,
+    ) -> Self {
+        if mechanism == Mechanism::PmBatch {
+            return Answer::PmBatch(BatchAnswer { answers: members, cached: false, cost });
+        }
+        let mut answer = members.pop().expect("a single PM request has one member");
+        answer.cost = cost;
+        Answer::Pm(answer)
+    }
+
+    /// The PM member answers (the answer itself for a single query); empty
+    /// for a workload.
+    fn members_mut(&mut self) -> &mut [ServiceAnswer] {
+        match self {
+            Answer::Pm(answer) => std::slice::from_mut(answer),
+            Answer::PmBatch(batch) => &mut batch.answers,
+            Answer::Wd(_) => &mut [],
+        }
+    }
+
+    /// This cached release replayed to `request`: flagged cached, charging
+    /// nothing, and labelled with the caller's names.
+    fn replayed(mut self, request: Request<'_>) -> Self {
+        match &mut self {
+            Answer::Pm(_) => {}
+            Answer::PmBatch(batch) => (batch.cached, batch.cost) = (true, None),
+            Answer::Wd(workload) => (workload.cached, workload.cost) = (true, None),
+        }
+        for (member, query) in self.members_mut().iter_mut().zip(request.queries()) {
+            member.name.clone_from(&query.name);
+            (member.cached, member.cost) = (true, None);
+        }
+        self
+    }
 }
 
-/// A WD request past its private phase: the reconstructed real-valued rows
-/// plus the normalized axis set the coalescer partitions on.
+/// A PM member's exact empty answer: the free release of an unsatisfiable
+/// member (data-independent), and the template a paid member's evaluation
+/// overwrites.
+fn empty_answer(query: &StarQuery, canon: &CanonicalQuery) -> ServiceAnswer {
+    let result = if canon.group_by.is_empty() {
+        QueryResult::Scalar(0.0)
+    } else {
+        QueryResult::Groups(BTreeMap::new())
+    };
+    ServiceAnswer { name: query.name.clone(), result, noisy_query: None, cached: false, cost: None }
+}
+
+/// The WD artifact: the reconstructed real-valued rows, the normalized axis
+/// set the coalescer partitions on, and their joint code space when it fits
+/// the dense cap (W-cache eligible), resolved once at submit.
 #[derive(Debug)]
-pub(crate) struct WdWork {
-    pub(crate) tenant: String,
-    pub(crate) epsilon: f64,
-    pub(crate) cost: PrivacyBudget,
-    pub(crate) key: RequestKey,
+pub(crate) struct WdRows {
     pub(crate) rows: Vec<WeightedQuery>,
-    pub(crate) axes: Vec<(String, String)>,
-    /// Joint code space when the axes fit the dense cap (W-cache eligible);
-    /// resolved once at submit so the answering step never recomputes it.
+    pub(crate) axes: AxisNames,
     pub(crate) space: Option<usize>,
-    pub(crate) reservation: crate::accountant::Reservation,
+}
+
+/// A request that finished its private phase (admitted, reserved,
+/// perturbed) and is ready for the pure-evaluation step — inline or parked
+/// in the coalescer. Dropping it unfinished refunds the reservation.
+#[derive(Debug)]
+pub(crate) struct Work {
+    pub(crate) tenant: String,
+    pub(crate) cost: PrivacyBudget,
+    pub(crate) mechanism: Mechanism,
+    pub(crate) key: RequestKey,
+    pub(crate) reservation: Reservation,
     pub(crate) schema: Arc<StarSchema>,
     pub(crate) version: u64,
     pub(crate) start: Instant,
     pub(crate) trace: TraceBuilder,
+    /// The answer released at commit. Evaluation fills in the result of
+    /// every PM member that carries a noisy query (members answered free
+    /// carry none) or the WD answer's values.
+    pub(crate) answer: Answer,
+    /// WD's artifact; `None` for PM, whose noisy queries ride in `answer`.
+    pub(crate) wd: Option<WdRows>,
 }
 
-/// Submit-phase outcome: answered on the spot, or ready to execute.
-/// Boxed for the same reason as [`WdPhase`]: the work unit carries the
-/// noisy query, the schema Arc, and the trace builder.
-pub(crate) enum PmPhase {
-    Immediate(ServiceAnswer),
-    Execute(Box<PmWork>),
+impl Work {
+    /// What the coalescer partitions on: every PM unit fuses into one
+    /// binary scan, WD units fuse per axis set.
+    pub(crate) fn partition(&self) -> Option<&AxisNames> {
+        self.wd.as_ref().map(|wd| &wd.axes)
+    }
 }
 
-pub(crate) enum WdPhase {
-    Immediate(WorkloadAnswer),
-    // Boxed: the work unit carries the reconstructed rows and is much
-    // larger than the immediate answer.
-    Execute(Box<WdWork>),
+/// Submit-phase outcome: answered on the spot, or ready to execute (boxed:
+/// the work unit is much larger than most immediate answers).
+pub(crate) enum Phase {
+    Done(Answer),
+    Work(Box<Work>),
 }
 
 /// The shared state behind a [`Service`]: everything the request pipeline
@@ -301,11 +426,10 @@ pub(crate) struct ServiceCore {
 }
 
 /// A concurrent, multi-tenant DP star-join query service over one schema
-/// instance (and optionally one graph, for k-star queries).
+/// instance.
 #[derive(Debug)]
 pub struct Service {
     core: Arc<ServiceCore>,
-    graph: Option<Arc<Graph>>,
     coalescer: Option<Coalescer>,
 }
 
@@ -364,13 +488,7 @@ impl Service {
             request_counter: AtomicU64::new(0),
         });
         let coalescer = core.config.coalesce.then(|| Coalescer::start(Arc::clone(&core)));
-        Ok(Service { core, graph: None, coalescer })
-    }
-
-    /// Attaches a graph so the service can answer k-star queries.
-    pub fn with_graph(mut self, graph: Arc<Graph>) -> Self {
-        self.graph = Some(graph);
-        self
+        Ok(Service { core, coalescer })
     }
 
     /// A snapshot of the schema this service currently answers over.
@@ -618,44 +736,68 @@ impl Service {
         self.core.wcache.len()
     }
 
-    /// Answers a star-join query with the Predicate Mechanism under ε-DP,
-    /// charged to `tenant`. With coalescing enabled this is
-    /// [`Service::pm_submit`] + wait.
+    /// Submits a request: the one entry point every kind goes through.
+    /// Free answers, cache hits, and every admission or budget refusal
+    /// resolve immediately. Otherwise the request's budget is reserved and
+    /// its noise drawn on this thread; a single PM or WD request then parks
+    /// in the coalescer queue when [`ServiceConfig::coalesce`] is on, and
+    /// the returned handle waits for the group-commit drain. Batches, and
+    /// every request with coalescing off, evaluate inline and return
+    /// [`Submitted::Ready`].
+    pub fn submit(
+        &self,
+        tenant: &str,
+        request: Request<'_>,
+        epsilon: f64,
+    ) -> Result<Submitted<Answer>, ServiceError> {
+        let mut work = match self.core.begin(tenant, request, epsilon)? {
+            Phase::Done(answer) => return Ok(Submitted::Ready(answer)),
+            Phase::Work(work) => *work,
+        };
+        match &self.coalescer {
+            // Explicit batches are already fused: they never park.
+            Some(coalescer) if work.mechanism != Mechanism::PmBatch => {
+                work.trace.mark_queued();
+                work.trace.stage_begin(Stage::QueueWait);
+                let (pending, slot) = pending_pair();
+                coalescer.enqueue(Job { work, slot });
+                Ok(Submitted::Queued(pending))
+            }
+            _ => {
+                self.core.evaluate(&mut [&mut work])?;
+                self.core.finish(work).map(Submitted::Ready)
+            }
+        }
+    }
+
+    /// [`Service::submit`] of a [`Request::Pm`], waiting for the answer.
     pub fn pm_answer(
         &self,
         tenant: &str,
         query: &StarQuery,
         epsilon: f64,
     ) -> Result<ServiceAnswer, ServiceError> {
-        self.pm_submit(tenant, query, epsilon)?.wait()
+        self.submit(tenant, Request::Pm(query), epsilon)?.wait().map(Answer::into_pm)
     }
 
-    /// Submits a PM request without blocking on the scan: free answers,
-    /// cache hits, and every admission/budget refusal resolve immediately;
-    /// otherwise the perturbed query parks in the coalescer queue (its
-    /// budget already reserved, its noise already drawn) and the returned
-    /// handle waits for the group-commit drain. With coalescing disabled
-    /// the request is answered inline and returned as
-    /// [`Submitted::Ready`].
-    pub fn pm_submit(
+    /// [`Service::submit`] of a [`Request::PmBatch`].
+    pub fn pm_batch_answer(
         &self,
         tenant: &str,
-        query: &StarQuery,
+        queries: &[StarQuery],
         epsilon: f64,
-    ) -> Result<Submitted<ServiceAnswer>, ServiceError> {
-        match &self.coalescer {
-            None => self.core.pm_direct(tenant, query, epsilon).map(Submitted::Ready),
-            Some(coalescer) => match self.core.pm_phase1(tenant, query, epsilon)? {
-                PmPhase::Immediate(answer) => Ok(Submitted::Ready(answer)),
-                PmPhase::Execute(mut work) => {
-                    work.trace.mark_queued();
-                    work.trace.stage_begin(Stage::QueueWait);
-                    let (pending, slot) = pending_pair();
-                    coalescer.enqueue(Job::Pm(PmJob { work: *work, slot }));
-                    Ok(Submitted::Queued(pending))
-                }
-            },
-        }
+    ) -> Result<BatchAnswer, ServiceError> {
+        self.submit(tenant, Request::PmBatch(queries), epsilon)?.wait().map(Answer::into_batch)
+    }
+
+    /// [`Service::submit`] of a [`Request::Wd`], waiting for the answer.
+    pub fn wd_answer(
+        &self,
+        tenant: &str,
+        workload: &PredicateWorkload,
+        epsilon: f64,
+    ) -> Result<WorkloadAnswer, ServiceError> {
+        self.submit(tenant, Request::Wd(workload), epsilon)?.wait().map(Answer::into_wd)
     }
 
     /// Describes what serving `query` *would* do, without doing it: the
@@ -693,295 +835,6 @@ impl Service {
             profile: profiled,
         })
     }
-
-    /// Answers a counting-query workload with Workload Decomposition under
-    /// ε-DP, charged to `tenant`. With coalescing enabled this is
-    /// [`Service::wd_submit`] + wait.
-    pub fn wd_answer(
-        &self,
-        tenant: &str,
-        workload: &PredicateWorkload,
-        epsilon: f64,
-    ) -> Result<WorkloadAnswer, ServiceError> {
-        self.wd_submit(tenant, workload, epsilon)?.wait()
-    }
-
-    /// Submits a WD request without blocking on the scan; the counterpart
-    /// of [`Service::pm_submit`]. The workload's strategy rows are
-    /// perturbed and reconstructed at submit time; what parks is the fixed
-    /// real-valued row set, which the coalescer answers through a shared
-    /// (possibly cached) W histogram or one fused weighted scan.
-    pub fn wd_submit(
-        &self,
-        tenant: &str,
-        workload: &PredicateWorkload,
-        epsilon: f64,
-    ) -> Result<Submitted<WorkloadAnswer>, ServiceError> {
-        match &self.coalescer {
-            None => self.core.wd_direct(tenant, workload, epsilon).map(Submitted::Ready),
-            Some(coalescer) => match self.core.wd_phase1(tenant, workload, epsilon)? {
-                WdPhase::Immediate(answer) => Ok(Submitted::Ready(answer)),
-                WdPhase::Execute(mut work) => {
-                    work.trace.mark_queued();
-                    work.trace.stage_begin(Stage::QueueWait);
-                    let (pending, slot) = pending_pair();
-                    coalescer.enqueue(Job::Wd(WdJob { work: *work, slot }));
-                    Ok(Submitted::Queued(pending))
-                }
-            },
-        }
-    }
-
-    /// Answers a batch of star-join queries with the Predicate Mechanism in
-    /// **one fused fact scan**, charged to `tenant` as a unit.
-    ///
-    /// The total budget `epsilon` splits evenly across the satisfiable
-    /// members (sequential composition, as in the PM-per-query workload
-    /// baseline); provably unsatisfiable members are answered exactly for
-    /// free and do not dilute the split. Perturbation stays per-query —
-    /// each member draws its own noise exactly as [`Service::pm_answer`]
-    /// would — only the *answering* scan is shared, which is privacy-free
-    /// post-processing of the already-noisy queries. Explicit batches do
-    /// not pass through the coalescer: they are already fused.
-    pub fn pm_batch_answer(
-        &self,
-        tenant: &str,
-        queries: &[StarQuery],
-        epsilon: f64,
-    ) -> Result<BatchAnswer, ServiceError> {
-        let core = &self.core;
-        let start = Instant::now();
-        let mut trace = core.telemetry.trace_start(RequestKind::PmBatch, tenant);
-        trace.stage_begin(Stage::Admission);
-        let cost = core.admit_cost(epsilon)?;
-        if queries.is_empty() {
-            trace.stage_end(Stage::Admission);
-            core.telemetry.trace_finish(trace, TraceOutcome::Free);
-            return Ok(BatchAnswer { answers: Vec::new(), cached: false, cost: None });
-        }
-        let (schema, version) = core.snapshot();
-        for q in queries {
-            core.admit(|| validate_query(&schema, q))?;
-            core.admit(|| min_frequency_check(&schema, &q.predicates, core.config.min_pass_rows))?;
-        }
-        trace.stage_end(Stage::Admission);
-
-        let (canons, key) = trace.stage(Stage::Canon, || {
-            let canons: Vec<_> = queries.iter().map(canonicalize).collect();
-            let key = RequestKey::Workload(canons.clone());
-            (canons, key)
-        });
-        let hit = trace.stage(Stage::CacheProbe, || {
-            core.cache_get(tenant, Mechanism::PmBatch, epsilon, version, &key)
-        });
-        if let Some(hit) = hit {
-            core.served(start);
-            core.telemetry.trace_finish(trace, TraceOutcome::Cached);
-            let answers = queries
-                .iter()
-                .zip(hit.batch)
-                .map(|(q, (result, noisy_query))| ServiceAnswer {
-                    name: q.name.clone(),
-                    result,
-                    noisy_query,
-                    cached: true,
-                    cost: None,
-                })
-                .collect();
-            return Ok(BatchAnswer { answers, cached: true, cost: None });
-        }
-
-        // Free members (unsatisfiable on every instance) answer exactly and
-        // are excluded from the budget split.
-        let satisfiable: Vec<usize> =
-            (0..queries.len()).filter(|&i| !canons[i].unsatisfiable).collect();
-        let mut batch: Vec<(QueryResult, Option<StarQuery>)> = canons
-            .iter()
-            .map(|c| {
-                let empty = if c.group_by.is_empty() {
-                    QueryResult::Scalar(0.0)
-                } else {
-                    QueryResult::Groups(BTreeMap::new())
-                };
-                (empty, None)
-            })
-            .collect();
-
-        let charged = if satisfiable.is_empty() {
-            ServiceMetrics::add(&core.metrics.free_answers, queries.len() as u64);
-            None
-        } else {
-            let reservation = trace.stage(Stage::BudgetReserve, || {
-                core.reserve(tenant, cost, query_hash(Mechanism::PmBatch, &key), version)
-            })?;
-            let mut rng = core.request_rng();
-            let eps_each = epsilon / satisfiable.len() as f64;
-            // Phase 1: per-member perturbation (the private step).
-            let noisy: Vec<StarQuery> = match trace.stage(Stage::Perturb, || {
-                satisfiable
-                    .iter()
-                    .map(|&i| {
-                        dp_starj::pm::perturb_query(
-                            &schema,
-                            &canons[i].to_query(&queries[i].name),
-                            eps_each,
-                            &core.config.pm,
-                            &mut rng,
-                        )
-                    })
-                    .collect::<Result<_, _>>()
-            }) {
-                Ok(n) => n,
-                Err(e) => {
-                    ServiceMetrics::inc(&core.metrics.mechanism_failures);
-                    return Err(e.into());
-                }
-            };
-            // Phase 2: one fused scan answers every noisy member.
-            let results = match trace.stage(Stage::FusedScan, || {
-                execute_batch_with(&schema, &noisy, core.config.pm.scan)
-            }) {
-                Ok(r) => r,
-                Err(e) => {
-                    ServiceMetrics::inc(&core.metrics.mechanism_failures);
-                    return Err(ServiceError::InvalidQuery(e));
-                }
-            };
-            trace.stage(Stage::Commit, || reservation.commit())?;
-            // Metrics only after the batch actually commits — a refused or
-            // failed request must not count its free members as served.
-            ServiceMetrics::add(
-                &core.metrics.free_answers,
-                (queries.len() - satisfiable.len()) as u64,
-            );
-            ServiceMetrics::inc(&core.metrics.fused_scans);
-            ServiceMetrics::add(&core.metrics.fused_queries_saved, satisfiable.len() as u64 - 1);
-            for ((&i, result), noisy_query) in satisfiable.iter().zip(results).zip(noisy) {
-                batch[i] = (result, Some(noisy_query));
-            }
-            Some(cost)
-        };
-
-        // All-free batches are not cached (consistent with `pm_answer`'s
-        // free path): recomputing them costs no budget, and caching one
-        // would record an `original_cost` that was never charged.
-        if core.config.cache_answers && charged.is_some() {
-            core.cache.insert(
-                tenant,
-                Mechanism::PmBatch,
-                epsilon,
-                version,
-                key,
-                CachedAnswer {
-                    result: QueryResult::Scalar(0.0),
-                    workload_answers: Vec::new(),
-                    noisy_query: None,
-                    batch: batch.clone(),
-                    noisy_kstar: None,
-                    original_cost: cost,
-                },
-            );
-        }
-        core.served(start);
-        let outcome = if charged.is_some() { TraceOutcome::Ok } else { TraceOutcome::Free };
-        core.telemetry.trace_finish(trace, outcome);
-        let answers = queries
-            .iter()
-            .zip(batch)
-            .map(|(q, (result, noisy_query))| ServiceAnswer {
-                name: q.name.clone(),
-                result,
-                noisy_query,
-                cached: false,
-                cost: None,
-            })
-            .collect();
-        Ok(BatchAnswer { answers, cached: false, cost: charged })
-    }
-
-    /// Answers a k-star counting query with PM under ε-DP, charged to
-    /// `tenant`. Requires a service built [`Service::with_graph`].
-    pub fn kstar_answer(
-        &self,
-        tenant: &str,
-        query: &KStarQuery,
-        epsilon: f64,
-    ) -> Result<KStarAnswer, ServiceError> {
-        let core = &self.core;
-        let start = Instant::now();
-        let mut trace = core.telemetry.trace_start(RequestKind::KStar, tenant);
-        trace.stage_begin(Stage::Admission);
-        let cost = core.admit_cost(epsilon)?;
-        let graph = self.graph.as_ref().ok_or(ServiceError::NoGraph)?;
-        let version = core.snapshot().1;
-        core.admit(|| {
-            if query.lo > query.hi || query.hi >= graph.num_nodes() {
-                Err(ServiceError::InvalidQuery(starj_engine::EngineError::InvalidConstraint(
-                    format!(
-                        "k-star range [{}, {}] invalid for a {}-node graph",
-                        query.lo,
-                        query.hi,
-                        graph.num_nodes()
-                    ),
-                )))
-            } else {
-                Ok(())
-            }
-        })?;
-        trace.stage_end(Stage::Admission);
-
-        let key = RequestKey::KStar(query.k, query.lo, query.hi);
-        let hit = trace.stage(Stage::CacheProbe, || {
-            core.cache_get(tenant, Mechanism::KStar, epsilon, version, &key)
-        });
-        if let Some(hit) = hit {
-            core.served(start);
-            core.telemetry.trace_finish(trace, TraceOutcome::Cached);
-            let (k, lo, hi) = hit.noisy_kstar.unwrap_or((query.k, query.lo, query.hi));
-            return Ok(KStarAnswer {
-                count: hit.result.scalar().map_err(ServiceError::InvalidQuery)?,
-                noisy_query: KStarQuery { k, lo, hi },
-                cached: true,
-                cost: None,
-            });
-        }
-
-        let reservation = trace.stage(Stage::BudgetReserve, || {
-            core.reserve(tenant, cost, query_hash(Mechanism::KStar, &key), version)
-        })?;
-        let mut rng = core.request_rng();
-        let (count, noisy_query) = match trace.stage(Stage::Perturb, || {
-            pm_kstar(graph, query, epsilon, core.config.pm.policy, &mut rng)
-        }) {
-            Ok(a) => a,
-            Err(e) => {
-                ServiceMetrics::inc(&core.metrics.mechanism_failures);
-                return Err(e.into());
-            }
-        };
-        trace.stage(Stage::Commit, || reservation.commit())?;
-
-        if core.config.cache_answers {
-            core.cache.insert(
-                tenant,
-                Mechanism::KStar,
-                epsilon,
-                version,
-                key,
-                CachedAnswer {
-                    result: QueryResult::Scalar(count),
-                    workload_answers: Vec::new(),
-                    noisy_query: None,
-                    batch: Vec::new(),
-                    noisy_kstar: Some((noisy_query.k, noisy_query.lo, noisy_query.hi)),
-                    original_cost: cost,
-                },
-            );
-        }
-        core.served(start);
-        core.telemetry.trace_finish(trace, TraceOutcome::Ok);
-        Ok(KStarAnswer { count, noisy_query, cached: false, cost: Some(cost) })
-    }
 }
 
 impl ServiceCore {
@@ -991,96 +844,243 @@ impl ServiceCore {
         (Arc::clone(&guard.0), guard.1)
     }
 
-    // ---- PM pipeline ------------------------------------------------------
+    // ---- the request pipeline ---------------------------------------------
 
     /// The submit phase: everything privacy-relevant, on the caller's
-    /// thread. Returns either an immediate answer (free or cached) or the
-    /// reserved-and-perturbed work unit ready for pure evaluation.
-    pub(crate) fn pm_phase1(
+    /// thread, in arrival order — admission → canon → free? → cache probe →
+    /// reserve → request RNG → perturb. Returns either an immediate answer
+    /// (free or cached) or the reserved-and-perturbed work unit ready for
+    /// pure evaluation.
+    pub(crate) fn begin(
         &self,
         tenant: &str,
-        query: &StarQuery,
+        request: Request<'_>,
         epsilon: f64,
-    ) -> Result<PmPhase, ServiceError> {
+    ) -> Result<Phase, ServiceError> {
         let start = Instant::now();
-        let mut trace = self.telemetry.trace_start(RequestKind::Pm, tenant);
+        let (mechanism, kind) = request.kind();
+        let mut trace = self.telemetry.trace_start(kind, tenant);
         let (schema, version) = self.snapshot();
-        let cost = trace.stage(Stage::Admission, || {
-            let cost = self.admit_cost(epsilon)?;
-            self.admit(|| validate_query(&schema, query))?;
-            self.admit(|| {
-                min_frequency_check(&schema, &query.predicates, self.config.min_pass_rows)
-            })?;
-            Ok::<_, ServiceError>(cost)
-        })?;
+        let cost = trace.stage(Stage::Admission, || self.admit(&schema, request, epsilon))?;
+        let key = trace.stage(Stage::Canon, || request.key());
 
-        let canon = trace.stage(Stage::Canon, || canonicalize(query));
-        if canon.unsatisfiable {
-            // Unsatisfiable on every instance — the exact empty answer is
-            // data-independent, hence free.
-            let result = if canon.group_by.is_empty() {
-                QueryResult::Scalar(0.0)
-            } else {
-                QueryResult::Groups(BTreeMap::new())
-            };
-            ServiceMetrics::inc(&self.metrics.free_answers);
-            self.served(start);
+        if mechanism != Mechanism::Wd && key.members().iter().all(|c| c.unsatisfiable) {
+            // Unsatisfiable on every instance — the exact empty answers are
+            // data-independent, hence free (an empty batch answers nothing).
+            let members: Vec<ServiceAnswer> = request
+                .queries()
+                .iter()
+                .zip(key.members())
+                .map(|(q, c)| empty_answer(q, c))
+                .collect();
+            ServiceMetrics::add(&self.metrics.free_answers, members.len() as u64);
+            if !members.is_empty() {
+                self.served(start);
+            }
             self.telemetry.trace_finish(trace, TraceOutcome::Free);
-            return Ok(PmPhase::Immediate(ServiceAnswer {
-                name: query.name.clone(),
-                result,
-                noisy_query: None,
-                cached: false,
-                cost: None,
-            }));
+            return Ok(Phase::Done(Answer::pm(mechanism, members, None)));
         }
 
-        let key = RequestKey::Single(canon.clone());
-        let hit = trace.stage(Stage::CacheProbe, || {
-            self.cache_get(tenant, Mechanism::Pm, epsilon, version, &key)
-        });
+        let hit = trace
+            .stage(Stage::CacheProbe, || self.cache_get(tenant, mechanism, epsilon, version, &key));
         if let Some(hit) = hit {
             self.served(start);
             self.telemetry.trace_finish(trace, TraceOutcome::Cached);
-            return Ok(PmPhase::Immediate(ServiceAnswer {
-                name: query.name.clone(),
-                result: hit.result,
-                noisy_query: hit.noisy_query,
-                cached: true,
-                cost: None,
-            }));
+            return Ok(Phase::Done(hit.answer.replayed(request)));
         }
 
-        let query_hash = query_hash(Mechanism::Pm, &key);
+        let query_hash = query_hash(mechanism, &key);
         let reservation = trace
             .stage(Stage::BudgetReserve, || self.reserve(tenant, cost, query_hash, version))?;
         let mut rng = self.request_rng();
-        // The canonical form is what executes: presentation-equivalent
-        // queries must spend identically, not just cache identically.
-        let executable = canon.to_query(&query.name);
-        let noisy = match trace.stage(Stage::Perturb, || {
-            dp_starj::pm::perturb_query(&schema, &executable, epsilon, &self.config.pm, &mut rng)
-        }) {
-            Ok(n) => n,
-            Err(e) => {
-                // Reservation drops here → automatic refund.
-                ServiceMetrics::inc(&self.metrics.mechanism_failures);
-                return Err(e.into());
-            }
-        };
-        Ok(PmPhase::Execute(Box::new(PmWork {
+        let perturbed =
+            trace.stage(Stage::Perturb, || self.perturb(&schema, request, &key, cost, &mut rng));
+        // On failure the reservation drops here → automatic refund.
+        let (answer, wd) =
+            perturbed.inspect_err(|_| ServiceMetrics::inc(&self.metrics.mechanism_failures))?;
+        Ok(Phase::Work(Box::new(Work {
             tenant: tenant.to_string(),
-            name: query.name.clone(),
-            epsilon,
             cost,
+            mechanism,
             key,
-            noisy,
             reservation,
             schema,
             version,
             start,
             trace,
+            answer,
+            wd,
         })))
+    }
+
+    /// Schema admission per kind; any refusal counts one admission
+    /// rejection and happens before any budget moves.
+    fn admit(
+        &self,
+        schema: &StarSchema,
+        request: Request<'_>,
+        epsilon: f64,
+    ) -> Result<PrivacyBudget, ServiceError> {
+        let cost = PrivacyBudget::pure(epsilon).map_err(ServiceError::InvalidBudget);
+        let admitted = cost.and_then(|cost| {
+            match request {
+                Request::Wd(workload) => validate_workload(schema, workload)?,
+                pm => pm.queries().iter().try_for_each(|q| {
+                    validate_query(schema, q)?;
+                    min_frequency_check(schema, &q.predicates, self.config.min_pass_rows)
+                })?,
+            }
+            Ok(cost)
+        });
+        admitted.inspect_err(|_| ServiceMetrics::inc(&self.metrics.admission_rejections))
+    }
+
+    /// The private step: draws the request's noise and returns the answer
+    /// template evaluation completes, plus WD's artifact. PM perturbs the
+    /// canonical form — presentation-equivalent queries must spend
+    /// identically, not just cache identically — and a batch splits ε
+    /// evenly across its satisfiable members (a single query takes it all).
+    fn perturb(
+        &self,
+        schema: &StarSchema,
+        request: Request<'_>,
+        key: &RequestKey,
+        cost: PrivacyBudget,
+        rng: &mut StarRng,
+    ) -> Result<(Answer, Option<WdRows>), ServiceError> {
+        let epsilon = cost.epsilon();
+        if let Request::Wd(workload) = request {
+            let (axes, space) = WeightHistogram::plan_axes(schema, &workload_axes(workload))?;
+            let rows = wd_reconstruct(schema, workload, epsilon, &self.config.wd, rng)?;
+            let answer = WorkloadAnswer { answers: Vec::new(), cached: false, cost: Some(cost) };
+            return Ok((Answer::Wd(answer), Some(WdRows { rows, axes, space })));
+        }
+        let paid = key.members().iter().filter(|c| !c.unsatisfiable).count();
+        let eps_each = epsilon / paid as f64;
+        let members = request.queries().iter().zip(key.members()).map(|(q, c)| {
+            let mut member = empty_answer(q, c);
+            if !c.unsatisfiable {
+                let executable = c.to_query(&q.name);
+                let noisy = perturb_query(schema, &executable, eps_each, &self.config.pm, rng)?;
+                member.noisy_query = Some(noisy);
+            }
+            Ok(member)
+        });
+        let members = members.collect::<Result<Vec<_>, ServiceError>>()?;
+        Ok((Answer::pm(request.kind().0, members, Some(cost)), None))
+    }
+
+    /// Evaluates one compatible group of work units in place — a group of
+    /// one on the direct path, a drained partition in the coalescer. PM
+    /// units share one fused binary scan; WD units share one W histogram
+    /// (or one fused weighted scan). A failure counts one mechanism failure
+    /// per unit; the caller drops the units, refunding every reservation.
+    pub(crate) fn evaluate(&self, group: &mut [&mut Work]) -> Result<(), ServiceError> {
+        for work in group.iter_mut() {
+            work.trace.stage_begin(Stage::FusedScan);
+        }
+        let schema = Arc::clone(&group[0].schema);
+        let evaluated = match group[0].wd.as_ref().map(|wd| (wd.axes.clone(), wd.space)) {
+            None => self.evaluate_pm(&schema, group),
+            Some((axes, space)) => self.evaluate_wd(&schema, &axes, space, group),
+        };
+        for work in group.iter_mut() {
+            work.trace.stage_end(Stage::FusedScan);
+        }
+        evaluated.inspect_err(|_| {
+            ServiceMetrics::add(&self.metrics.mechanism_failures, group.len() as u64);
+        })
+    }
+
+    /// One fused binary scan answers every noisy PM member of the group.
+    fn evaluate_pm(
+        &self,
+        schema: &StarSchema,
+        group: &mut [&mut Work],
+    ) -> Result<(), ServiceError> {
+        let scan = self.config.pm.scan;
+        let members: Vec<(&StarQuery, &mut QueryResult)> = group
+            .iter_mut()
+            .flat_map(|work| work.answer.members_mut())
+            .filter_map(|m| Some((m.noisy_query.as_ref()?, &mut m.result)))
+            .collect();
+        let mut plan = ScanPlan::with_options(schema, scan).map_err(engine_failure)?;
+        for (query, _) in &members {
+            plan.add_query(query).map_err(engine_failure)?;
+        }
+        for ((_, slot), result) in members.into_iter().zip(plan.execute(scan)) {
+            *slot = result;
+        }
+        if group.len() > 1 {
+            ServiceMetrics::inc(&self.metrics.fused_scans);
+            ServiceMetrics::add(&self.metrics.fused_queries_saved, group.len() as u64 - 1);
+        }
+        Ok(())
+    }
+
+    /// Answers an axis-compatible group of reconstructed row sets. When the
+    /// joint code space fits the dense cap, the W histogram answers
+    /// everything: a cached `W` makes the whole group scan-free, a cold one
+    /// costs a single build scan shared by every request. Oversized axis
+    /// sets fall back to one fused weighted scan whose per-query row loops
+    /// are independent of batch composition, keeping answers bit-identical
+    /// to the sequential path either way.
+    fn evaluate_wd(
+        &self,
+        schema: &StarSchema,
+        axes: &[(String, String)],
+        space: Option<usize>,
+        group: &mut [&mut Work],
+    ) -> Result<(), ServiceError> {
+        let version = group[0].version;
+        let batches: Vec<&[WeightedQuery]> =
+            group.iter().filter_map(|work| work.wd.as_ref()).map(|wd| wd.rows.as_slice()).collect();
+        let total_rows: usize = batches.iter().map(|b| b.len()).sum();
+        let space = if self.config.cache_w_histograms { space } else { None };
+        let answer_sets: Vec<Vec<f64>> = if space.is_some() {
+            let key = WKey { axes: axes.to_vec(), agg: Agg::Count, version };
+            let (histogram, built) = match self.wcache.get(&key) {
+                Some(h) => (h, false),
+                None => {
+                    let h = WeightHistogram::build(schema, axes, &Agg::Count, self.config.wd.scan)
+                        .map_err(engine_failure)?;
+                    let h = Arc::new(h);
+                    self.wcache.insert(key, Arc::clone(&h));
+                    (h, true)
+                }
+            };
+            if built {
+                ServiceMetrics::inc(&self.metrics.fused_scans);
+            } else {
+                ServiceMetrics::add(&self.metrics.w_cache_hits, batches.len() as u64);
+            }
+            ServiceMetrics::add(
+                &self.metrics.fused_queries_saved,
+                (total_rows - usize::from(built)) as u64,
+            );
+            batches
+                .iter()
+                .map(|rows| rows.iter().map(|q| histogram.answer(&q.predicates, &q.agg)).collect())
+                .collect::<Result<_, _>>()
+                .map_err(engine_failure)?
+        } else {
+            let all: Vec<WeightedQuery> = batches.iter().flat_map(|b| b.iter().cloned()).collect();
+            let flat = execute_weighted_batch_with(schema, &all, self.config.wd.scan)
+                .map_err(engine_failure)?;
+            ServiceMetrics::inc(&self.metrics.fused_scans);
+            ServiceMetrics::add(
+                &self.metrics.fused_queries_saved,
+                total_rows.saturating_sub(1) as u64,
+            );
+            let mut flat = flat.into_iter();
+            batches.iter().map(|b| flat.by_ref().take(b.len()).collect()).collect()
+        };
+        for (work, values) in group.iter_mut().zip(answer_sets) {
+            if let Answer::Wd(answer) = &mut work.answer {
+                answer.answers = values;
+            }
+        }
+        Ok(())
     }
 
     /// Refuses an executed request whose data version is no longer the
@@ -1100,289 +1100,35 @@ impl ServiceCore {
         Ok(())
     }
 
-    /// Commit + cache + metrics for an executed PM request.
-    pub(crate) fn pm_finish(
-        &self,
-        work: PmWork,
-        result: QueryResult,
-    ) -> Result<ServiceAnswer, ServiceError> {
-        let PmWork {
-            tenant,
-            name,
-            epsilon,
-            cost,
-            key,
-            noisy,
-            reservation,
-            version,
-            start,
-            mut trace,
-            ..
-        } = work;
-        trace.stage(Stage::Commit, || {
-            self.stale_check(version)?;
+    /// The commit phase for an evaluated work unit: stale check → commit →
+    /// cache → release.
+    pub(crate) fn finish(&self, mut work: Work) -> Result<Answer, ServiceError> {
+        let (reservation, answer) = (work.reservation, work.answer);
+        work.trace.stage(Stage::Commit, || {
+            self.stale_check(work.version)?;
             reservation.commit()?;
-            if self.config.cache_answers {
-                self.cache.insert(
-                    &tenant,
-                    Mechanism::Pm,
-                    epsilon,
-                    version,
-                    key,
-                    CachedAnswer {
-                        result: result.clone(),
-                        workload_answers: Vec::new(),
-                        noisy_query: Some(noisy.clone()),
-                        batch: Vec::new(),
-                        noisy_kstar: None,
-                        original_cost: cost,
-                    },
-                );
-            }
-            Ok::<_, ServiceError>(())
-        })?;
-        self.served(start);
-        self.telemetry.trace_finish(trace, TraceOutcome::Ok);
-        Ok(ServiceAnswer {
-            name,
-            result,
-            noisy_query: Some(noisy),
-            cached: false,
-            cost: Some(cost),
-        })
-    }
-
-    /// The sequential path: submit phase + inline evaluation.
-    pub(crate) fn pm_direct(
-        &self,
-        tenant: &str,
-        query: &StarQuery,
-        epsilon: f64,
-    ) -> Result<ServiceAnswer, ServiceError> {
-        match self.pm_phase1(tenant, query, epsilon)? {
-            PmPhase::Immediate(answer) => Ok(answer),
-            PmPhase::Execute(work) => {
-                let mut work = *work;
-                let scan = self.config.pm.scan;
-                let result = match work
-                    .trace
-                    .stage(Stage::FusedScan, || execute_with(&work.schema, &work.noisy, scan))
-                {
-                    Ok(r) => r,
-                    Err(e) => {
-                        ServiceMetrics::inc(&self.metrics.mechanism_failures);
-                        return Err(ServiceError::Mechanism(CoreError::Engine(e)));
-                    }
-                };
-                self.pm_finish(work, result)
-            }
-        }
-    }
-
-    // ---- WD pipeline ------------------------------------------------------
-
-    pub(crate) fn wd_phase1(
-        &self,
-        tenant: &str,
-        workload: &PredicateWorkload,
-        epsilon: f64,
-    ) -> Result<WdPhase, ServiceError> {
-        let start = Instant::now();
-        let mut trace = self.telemetry.trace_start(RequestKind::Wd, tenant);
-        let (schema, version) = self.snapshot();
-        let cost = trace.stage(Stage::Admission, || {
-            let cost = self.admit_cost(epsilon)?;
-            self.admit(|| validate_workload(&schema, workload))?;
-            Ok::<_, ServiceError>(cost)
-        })?;
-
-        let key = trace.stage(Stage::Canon, || {
-            RequestKey::Workload(workload.to_star_queries().iter().map(canonicalize).collect())
-        });
-        let hit = trace.stage(Stage::CacheProbe, || {
-            self.cache_get(tenant, Mechanism::Wd, epsilon, version, &key)
-        });
-        if let Some(hit) = hit {
-            self.served(start);
-            self.telemetry.trace_finish(trace, TraceOutcome::Cached);
-            return Ok(WdPhase::Immediate(WorkloadAnswer {
-                answers: hit.workload_answers,
-                cached: true,
-                cost: None,
-            }));
-        }
-
-        let (axes, space) = WeightHistogram::plan_axes(&schema, &workload_axes(workload))?;
-        let query_hash = query_hash(Mechanism::Wd, &key);
-        let reservation = trace
-            .stage(Stage::BudgetReserve, || self.reserve(tenant, cost, query_hash, version))?;
-        let mut rng = self.request_rng();
-        let rows = match trace.stage(Stage::Perturb, || {
-            wd_reconstruct(&schema, workload, epsilon, &self.config.wd, &mut rng)
-        }) {
-            Ok(rows) => rows,
-            Err(e) => {
-                ServiceMetrics::inc(&self.metrics.mechanism_failures);
-                return Err(e.into());
-            }
-        };
-        Ok(WdPhase::Execute(Box::new(WdWork {
-            tenant: tenant.to_string(),
-            epsilon,
-            cost,
-            key,
-            rows,
-            axes,
-            space,
-            reservation,
-            schema,
-            version,
-            start,
-            trace,
-        })))
-    }
-
-    /// Answers an axis-compatible group of reconstructed row sets — the
-    /// shared evaluation step of the direct path (one set) and a coalesced
-    /// WD partition (many). When the joint code space fits the dense cap,
-    /// the W histogram answers everything: a cached `W` makes the whole
-    /// partition scan-free, a cold one costs a single build scan shared by
-    /// every request. Oversized axis sets fall back to one fused weighted
-    /// scan whose per-query row loops are independent of batch composition,
-    /// keeping answers bit-identical to the sequential path either way.
-    pub(crate) fn wd_partition_answers(
-        &self,
-        schema: &Arc<StarSchema>,
-        version: u64,
-        axes: &[(String, String)],
-        space: Option<usize>,
-        batches: &[&[WeightedQuery]],
-    ) -> Result<Vec<Vec<f64>>, ServiceError> {
-        let total_rows: usize = batches.iter().map(|b| b.len()).sum();
-        let mechanism = |e| ServiceError::Mechanism(CoreError::Engine(e));
-        let space = if self.config.cache_w_histograms { space } else { None };
-        if space.is_some() {
-            let key = WKey { axes: axes.to_vec(), agg: Agg::Count, version };
-            let (histogram, built) = match self.wcache.get(&key) {
-                Some(h) => (h, false),
-                None => {
-                    let h = WeightHistogram::build(schema, axes, &Agg::Count, self.config.wd.scan)
-                        .map_err(mechanism)?;
-                    let h = Arc::new(h);
-                    self.wcache.insert(key, Arc::clone(&h));
-                    (h, true)
-                }
-            };
-            if built {
+            if let Answer::PmBatch(batch) = &answer {
+                // Counted only once the batch commits: a refused or failed
+                // batch must not count its free members as served.
+                let paid = batch.answers.iter().filter(|a| a.noisy_query.is_some()).count();
+                let free = batch.answers.len() - paid;
+                ServiceMetrics::add(&self.metrics.free_answers, free as u64);
                 ServiceMetrics::inc(&self.metrics.fused_scans);
-            } else {
-                ServiceMetrics::add(&self.metrics.w_cache_hits, batches.len() as u64);
+                ServiceMetrics::add(&self.metrics.fused_queries_saved, paid as u64 - 1);
             }
-            ServiceMetrics::add(
-                &self.metrics.fused_queries_saved,
-                (total_rows - usize::from(built)) as u64,
-            );
-            batches
-                .iter()
-                .map(|rows| {
-                    rows.iter()
-                        .map(|q| histogram.answer(&q.predicates, &q.agg))
-                        .collect::<Result<Vec<f64>, _>>()
-                })
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(mechanism)
-        } else {
-            let all: Vec<WeightedQuery> = batches.iter().flat_map(|b| b.iter().cloned()).collect();
-            let flat = execute_weighted_batch_with(schema, &all, self.config.wd.scan)
-                .map_err(mechanism)?;
-            ServiceMetrics::inc(&self.metrics.fused_scans);
-            ServiceMetrics::add(
-                &self.metrics.fused_queries_saved,
-                total_rows.saturating_sub(1) as u64,
-            );
-            let mut flat = flat.into_iter();
-            Ok(batches.iter().map(|b| flat.by_ref().take(b.len()).collect()).collect())
-        }
-    }
-
-    /// Commit + cache + metrics for an executed WD request.
-    pub(crate) fn wd_finish(
-        &self,
-        work: WdWork,
-        answers: Vec<f64>,
-    ) -> Result<WorkloadAnswer, ServiceError> {
-        let WdWork { tenant, epsilon, cost, key, reservation, version, start, mut trace, .. } =
-            work;
-        trace.stage(Stage::Commit, || {
-            self.stale_check(version)?;
-            reservation.commit()?;
             if self.config.cache_answers {
-                self.cache.insert(
-                    &tenant,
-                    Mechanism::Wd,
-                    epsilon,
-                    version,
-                    key,
-                    CachedAnswer {
-                        result: QueryResult::Scalar(0.0),
-                        workload_answers: answers.clone(),
-                        noisy_query: None,
-                        batch: Vec::new(),
-                        noisy_kstar: None,
-                        original_cost: cost,
-                    },
-                );
+                let cached = CachedAnswer { answer: answer.clone(), original_cost: work.cost };
+                let (mechanism, epsilon) = (work.mechanism, work.cost.epsilon());
+                self.cache.insert(&work.tenant, mechanism, epsilon, work.version, work.key, cached);
             }
             Ok::<_, ServiceError>(())
         })?;
-        self.served(start);
-        self.telemetry.trace_finish(trace, TraceOutcome::Ok);
-        Ok(WorkloadAnswer { answers, cached: false, cost: Some(cost) })
-    }
-
-    pub(crate) fn wd_direct(
-        &self,
-        tenant: &str,
-        workload: &PredicateWorkload,
-        epsilon: f64,
-    ) -> Result<WorkloadAnswer, ServiceError> {
-        match self.wd_phase1(tenant, workload, epsilon)? {
-            WdPhase::Immediate(answer) => Ok(answer),
-            WdPhase::Execute(mut work) => {
-                work.trace.stage_begin(Stage::FusedScan);
-                let answers = match self.wd_partition_answers(
-                    &work.schema,
-                    work.version,
-                    &work.axes,
-                    work.space,
-                    &[work.rows.as_slice()],
-                ) {
-                    Ok(mut sets) => sets.pop().expect("one batch yields one answer set"),
-                    Err(e) => {
-                        ServiceMetrics::inc(&self.metrics.mechanism_failures);
-                        return Err(e);
-                    }
-                };
-                work.trace.stage_end(Stage::FusedScan);
-                self.wd_finish(*work, answers)
-            }
-        }
+        self.served(work.start);
+        self.telemetry.trace_finish(work.trace, TraceOutcome::Ok);
+        Ok(answer)
     }
 
     // ---- pipeline helpers -------------------------------------------------
-
-    fn admit_cost(&self, epsilon: f64) -> Result<PrivacyBudget, ServiceError> {
-        PrivacyBudget::pure(epsilon).map_err(|e| {
-            ServiceMetrics::inc(&self.metrics.admission_rejections);
-            ServiceError::InvalidBudget(e)
-        })
-    }
-
-    fn admit(&self, check: impl FnOnce() -> Result<(), ServiceError>) -> Result<(), ServiceError> {
-        check().inspect_err(|_| {
-            ServiceMetrics::inc(&self.metrics.admission_rejections);
-        })
-    }
 
     fn reserve(
         &self,
@@ -1390,7 +1136,7 @@ impl ServiceCore {
         cost: PrivacyBudget,
         query_hash: u64,
         version: u64,
-    ) -> Result<crate::accountant::Reservation, ServiceError> {
+    ) -> Result<Reservation, ServiceError> {
         let trail = self.telemetry.audit();
         let audit = trail.enabled().then(|| AuditCtx {
             trail: Arc::clone(trail),
@@ -1457,6 +1203,12 @@ fn query_hash(mechanism: Mechanism, key: &RequestKey) -> u64 {
     hasher.finish()
 }
 
+/// An evaluation-time engine error: the reservation refunds, so it is a
+/// mechanism failure rather than an admission refusal.
+fn engine_failure(e: EngineError) -> ServiceError {
+    ServiceError::Mechanism(CoreError::Engine(e))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1513,122 +1265,6 @@ mod tests {
     }
 
     #[test]
-    fn min_frequency_floor_refuses_without_spending() {
-        let config = ServiceConfig { min_pass_rows: 2, ..ServiceConfig::default() };
-        let service = Service::new(toy_schema(), config);
-        service.register_tenant("t", starj_noise::PrivacyBudget::pure(10.0).unwrap()).unwrap();
-
-        // Fact fks are [0, 0, 1, 2, 3, 3]: color = 1 admits one row — under
-        // the floor of 2 — while color = 0 admits two and is served.
-        let rare = StarQuery::count("rare").with(Predicate::point("D", "color", 1));
-        let err = service.pm_answer("t", &rare, 0.5).unwrap_err();
-        assert!(matches!(err, ServiceError::BelowMinFrequency { floor: 2, .. }), "got {err:?}");
-        let usage = service.tenant_usage("t").unwrap();
-        assert_eq!(usage.spent_epsilon, 0.0, "refusal at admission spends nothing");
-        assert_eq!(service.metrics().admission_rejections, 1);
-
-        let common = StarQuery::count("common").with(Predicate::point("D", "color", 0));
-        service.pm_answer("t", &common, 0.5).unwrap();
-        assert!(service.tenant_usage("t").unwrap().spent_epsilon > 0.0);
-
-        // The same floor guards the batch path.
-        let err = service.pm_batch_answer("t", &[common, rare], 0.5).unwrap_err();
-        assert!(matches!(err, ServiceError::BelowMinFrequency { .. }));
-    }
-
-    #[test]
-    fn batch_replays_from_cache_for_free() {
-        let service = Service::new(toy_schema(), ServiceConfig::default());
-        service.register_tenant("t", starj_noise::PrivacyBudget::pure(10.0).unwrap()).unwrap();
-        let queries = batch_queries();
-        let first = service.pm_batch_answer("t", &queries, 1.0).unwrap();
-        let replay = service.pm_batch_answer("t", &queries, 1.0).unwrap();
-        assert!(replay.cached);
-        assert!(replay.cost.is_none());
-        for (a, b) in first.answers.iter().zip(&replay.answers) {
-            assert_eq!(a.result, b.result, "replayed answers are byte-identical");
-            assert_eq!(a.noisy_query, b.noisy_query);
-        }
-        assert!((service.tenant_usage("t").unwrap().spent_epsilon - 1.0).abs() < 1e-12);
-        assert_eq!(service.metrics().cache_hits, 1);
-    }
-
-    #[test]
-    fn unsatisfiable_members_are_free_and_do_not_dilute_the_split() {
-        let service = Service::new(toy_schema(), ServiceConfig::default());
-        service.register_tenant("t", starj_noise::PrivacyBudget::pure(10.0).unwrap()).unwrap();
-        // Two contradictory predicates on one attribute: unsatisfiable.
-        let dead = StarQuery::count("dead")
-            .with(Predicate::point("D", "color", 0))
-            .with(Predicate::point("D", "color", 3));
-        let live = StarQuery::count("live").with(Predicate::range("D", "color", 0, 3));
-        let answer = service.pm_batch_answer("t", &[dead.clone(), live], 1.0).unwrap();
-        assert_eq!(answer.answers[0].result.scalar().unwrap(), 0.0);
-        assert!(answer.answers[0].noisy_query.is_none(), "free member never executed");
-        assert!(answer.answers[1].noisy_query.is_some());
-        assert_eq!(service.metrics().free_answers, 1);
-
-        // An all-unsatisfiable batch is entirely free and is NOT cached
-        // (there is no paid release to replay).
-        let cached_before = service.cached_answers();
-        let free = service.pm_batch_answer("t", &[dead], 1.0).unwrap();
-        assert!(free.cost.is_none());
-        assert_eq!(service.cached_answers(), cached_before, "free batches are not cached");
-        assert!((service.tenant_usage("t").unwrap().spent_epsilon - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_batch_is_a_free_no_op_but_still_validates_epsilon() {
-        let service = Service::new(toy_schema(), ServiceConfig::default());
-        service.register_tenant("t", starj_noise::PrivacyBudget::pure(1.0).unwrap()).unwrap();
-        let answer = service.pm_batch_answer("t", &[], 0.5).unwrap();
-        assert!(answer.answers.is_empty());
-        assert!(answer.cost.is_none());
-        assert_eq!(service.tenant_usage("t").unwrap().spent_epsilon, 0.0);
-        // A malformed budget is refused even with nothing to answer, like
-        // every other endpoint.
-        for bad in [0.0, -1.0, f64::NAN] {
-            assert!(matches!(
-                service.pm_batch_answer("t", &[], bad),
-                Err(ServiceError::InvalidBudget(_))
-            ));
-        }
-    }
-
-    #[test]
-    fn refused_batch_counts_no_free_answers() {
-        let service = Service::new(toy_schema(), ServiceConfig::default());
-        service.register_tenant("t", starj_noise::PrivacyBudget::pure(0.1).unwrap()).unwrap();
-        let dead = StarQuery::count("dead")
-            .with(Predicate::point("D", "color", 0))
-            .with(Predicate::point("D", "color", 3));
-        let live = StarQuery::count("live").with(Predicate::point("D", "color", 1));
-        // ε = 1.0 exceeds the 0.1 allotment: the whole batch is refused and
-        // its unsatisfiable member must not be recorded as served.
-        assert!(matches!(
-            service.pm_batch_answer("t", &[dead, live], 1.0),
-            Err(ServiceError::BudgetExhausted { .. })
-        ));
-        let m = service.metrics();
-        assert_eq!(m.free_answers, 0);
-        assert_eq!(m.fused_scans, 0);
-        assert_eq!(m.budget_refusals, 1);
-    }
-
-    #[test]
-    fn batch_admission_rejects_malformed_members_before_any_charge() {
-        let service = Service::new(toy_schema(), ServiceConfig::default());
-        service.register_tenant("t", starj_noise::PrivacyBudget::pure(1.0).unwrap()).unwrap();
-        let queries = vec![
-            StarQuery::count("ok").with(Predicate::point("D", "color", 1)),
-            StarQuery::count("bad").with(Predicate::point("Ghost", "color", 1)),
-        ];
-        assert!(service.pm_batch_answer("t", &queries, 0.5).is_err());
-        assert_eq!(service.tenant_usage("t").unwrap().spent_epsilon, 0.0, "nothing charged");
-        assert_eq!(service.metrics().admission_rejections, 1);
-    }
-
-    #[test]
     fn coalesced_submit_parks_paid_requests_and_answers_free_ones_inline() {
         let config = ServiceConfig {
             coalesce: true,
@@ -1641,25 +1277,25 @@ mod tests {
 
         // A paid request parks; its budget is already reserved at submit.
         let q = StarQuery::count("q").with(Predicate::point("D", "color", 1));
-        let submitted = service.pm_submit("t", &q, 0.5).unwrap();
+        let submitted = service.submit("t", Request::Pm(&q), 0.5).unwrap();
         assert!(submitted.is_queued());
-        let answer = submitted.wait().unwrap();
+        let answer = submitted.wait().unwrap().into_pm();
         assert!(!answer.cached);
         assert!(answer.noisy_query.is_some());
         assert!((service.tenant_usage("t").unwrap().spent_epsilon - 0.5).abs() < 1e-12);
 
         // The identical repeat resolves at submit time from the cache.
-        let replay = service.pm_submit("t", &q, 0.5).unwrap();
+        let replay = service.submit("t", Request::Pm(&q), 0.5).unwrap();
         assert!(!replay.is_queued(), "cache hits never park");
-        assert!(replay.wait().unwrap().cached);
+        assert!(replay.wait().unwrap().into_pm().cached);
 
         // Unsatisfiable queries resolve at submit time for free.
         let dead = StarQuery::count("dead")
             .with(Predicate::point("D", "color", 0))
             .with(Predicate::point("D", "color", 3));
-        let free = service.pm_submit("t", &dead, 0.5).unwrap();
+        let free = service.submit("t", Request::Pm(&dead), 0.5).unwrap();
         assert!(!free.is_queued(), "free answers never park");
-        assert!(free.wait().unwrap().cost.is_none());
+        assert!(free.wait().unwrap().into_pm().cost.is_none());
 
         let m = service.metrics();
         assert_eq!(m.coalesced_requests, 1, "only the paid fresh request parked");
@@ -1669,28 +1305,43 @@ mod tests {
     #[test]
     fn finish_time_stale_check_refuses_a_refresh_racing_the_scan() {
         // The drain-start filter in the coalescer cannot see a refresh
-        // that lands *during* the fused scan; the commit-time barrier in
-        // `pm_finish` must. Simulate exactly that interleaving: submit
-        // phase done, refresh lands, then the executed result tries to
+        // that lands *during* the scan, and a batch never parks at all;
+        // the commit-time barrier in `finish` must catch both. Simulate
+        // exactly that interleaving for every kind: submit phase done,
+        // scan done, refresh lands, then the evaluated work tries to
         // commit.
-        let service = Service::new(toy_schema(), ServiceConfig::default());
-        service.register_tenant("t", starj_noise::PrivacyBudget::pure(10.0).unwrap()).unwrap();
         let q = StarQuery::count("q").with(Predicate::point("D", "color", 1));
-        let work = match service.core.pm_phase1("t", &q, 0.5).unwrap() {
-            PmPhase::Execute(work) => *work,
-            PmPhase::Immediate(_) => panic!("a fresh paid query must reach the execute phase"),
-        };
-        let result = execute_with(&work.schema, &work.noisy, service.core.config.pm.scan).unwrap();
-        service.refresh_schema(toy_schema());
-        match service.core.pm_finish(work, result) {
-            Err(ServiceError::StaleDataVersion { submitted: 0, current: 1 }) => {}
-            other => panic!("expected StaleDataVersion, got {other:?}"),
+        let batch = batch_queries();
+        let workload = PredicateWorkload::new(
+            vec![dp_starj::workload::WorkloadBlock {
+                table: "D".into(),
+                attr: "color".into(),
+                domain: 4,
+            }],
+            vec![
+                vec![starj_engine::Constraint::Point(1)],
+                vec![starj_engine::Constraint::Range { lo: 0, hi: 2 }],
+            ],
+        )
+        .unwrap();
+        for request in [Request::Pm(&q), Request::PmBatch(&batch), Request::Wd(&workload)] {
+            let service = Service::new(toy_schema(), ServiceConfig::default());
+            service.register_tenant("t", starj_noise::PrivacyBudget::pure(10.0).unwrap()).unwrap();
+            let Phase::Work(mut work) = service.core.begin("t", request, 0.5).unwrap() else {
+                panic!("{request:?}: a fresh paid request must reach the execute phase");
+            };
+            service.core.evaluate(&mut [&mut *work]).unwrap();
+            service.refresh_schema(toy_schema());
+            match service.core.finish(*work) {
+                Err(ServiceError::StaleDataVersion { submitted: 0, current: 1 }) => {}
+                other => panic!("{request:?}: expected StaleDataVersion, got {other:?}"),
+            }
+            let usage = service.tenant_usage("t").unwrap();
+            assert_eq!(usage.spent_epsilon, 0.0, "{request:?}: refused commit must refund");
+            assert_eq!(usage.in_flight_epsilon, 0.0);
+            assert_eq!(service.metrics().stale_refusals, 1);
+            assert_eq!(service.cached_answers(), 0, "{request:?}: no stale release may be cached");
         }
-        let usage = service.tenant_usage("t").unwrap();
-        assert_eq!(usage.spent_epsilon, 0.0, "refused commit must refund");
-        assert_eq!(usage.in_flight_epsilon, 0.0);
-        assert_eq!(service.metrics().stale_refusals, 1);
-        assert_eq!(service.cached_answers(), 0, "no stale release may be cached");
     }
 
     #[test]

@@ -86,17 +86,15 @@ impl Stage {
     }
 }
 
-/// Which endpoint the traced request came through.
+/// What kind of request the traced span served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestKind {
-    /// `pm_answer` / `pm_submit`.
+    /// A single PM query (`Request::Pm`).
     Pm,
-    /// `wd_answer` / `wd_submit`.
+    /// A WD workload (`Request::Wd`).
     Wd,
-    /// `pm_batch_answer`.
+    /// A fused PM batch (`Request::PmBatch`).
     PmBatch,
-    /// `kstar_answer`.
-    KStar,
     /// A router cross-shard fan-out (the parent span of the per-shard
     /// `pm_batch` spans it spawns).
     Fanout,
@@ -111,7 +109,6 @@ impl RequestKind {
             RequestKind::Pm => "pm",
             RequestKind::Wd => "wd",
             RequestKind::PmBatch => "pm_batch",
-            RequestKind::KStar => "kstar",
             RequestKind::Fanout => "fanout",
             RequestKind::Gate => "gate",
         }
@@ -121,9 +118,8 @@ impl RequestKind {
         match v {
             1 => RequestKind::Wd,
             2 => RequestKind::PmBatch,
-            3 => RequestKind::KStar,
-            4 => RequestKind::Fanout,
-            5 => RequestKind::Gate,
+            3 => RequestKind::Fanout,
+            4 => RequestKind::Gate,
             _ => RequestKind::Pm,
         }
     }
@@ -658,9 +654,9 @@ mod tests {
 
     #[test]
     fn record_serializes_to_json() {
-        let r = record("t", RequestKind::KStar);
+        let r = record("t", RequestKind::PmBatch);
         let json = r.to_json().render();
-        assert!(json.contains("\"kind\": \"kstar\""));
+        assert!(json.contains("\"kind\": \"pm_batch\""));
         assert!(json.contains("\"span_id\""));
         assert!(json.contains("\"parent_span_id\""));
         assert!(json.contains("\"admission\""));

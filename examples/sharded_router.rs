@@ -11,6 +11,7 @@ use dp_starj_repro::core::workload::{PredicateWorkload, WorkloadBlock};
 use dp_starj_repro::engine::{Constraint, Predicate, StarQuery};
 use dp_starj_repro::noise::PrivacyBudget;
 use dp_starj_repro::router::{Router, RouterConfig};
+use dp_starj_repro::service::Request;
 use dp_starj_repro::ssb::{generate, SsbConfig};
 use std::sync::Arc;
 
@@ -62,9 +63,9 @@ fn main() {
                 for i in 0..QUERIES_EACH {
                     let dataset = format!("slice-{}", (t + i) % SHARDS);
                     if i % 5 == 4 {
-                        router
-                            .wd_answer(&dataset, &tenant, &workload, 0.2)
-                            .expect("funded dashboard");
+                        let dashboard = Request::Wd(&workload);
+                        let submitted = router.submit(&dataset, &tenant, dashboard, 0.2);
+                        submitted.expect("funded dashboard").wait().expect("dashboard answer");
                     } else {
                         let q = StarQuery::count(format!("adhoc-{t}-{i}"))
                             .with(Predicate::range("Date", "year", 0, ((t + i) % 7) as u32))
@@ -114,7 +115,8 @@ fn main() {
     let fresh = router.pm_answer("slice-0", "tenant-0", &q, 0.05).unwrap();
     println!("  slice-0 re-pays after refresh: cached={}", fresh.cached);
     // A repeat dashboard on an untouched slice still replays for free.
-    let replayed = router.wd_answer("slice-1", "tenant-0", &workload, 0.2).unwrap();
+    let replayed = router.submit("slice-1", "tenant-0", Request::Wd(&workload), 0.2).unwrap();
+    let replayed = replayed.wait().unwrap().into_wd();
     println!(
         "  slice-1 dashboard replay untouched by the refresh: cached={} \
          (cache hits before: {:?})",

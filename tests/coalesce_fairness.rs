@@ -14,7 +14,7 @@ use dp_starj_repro::engine::{
     Column, Constraint, Dimension, Domain, Predicate, StarQuery, StarSchema, Table,
 };
 use dp_starj_repro::noise::PrivacyBudget;
-use dp_starj_repro::service::{Service, ServiceConfig, ServiceError};
+use dp_starj_repro::service::{Request, Service, ServiceConfig, ServiceError};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -69,7 +69,7 @@ fn tenant_cap_blocks_the_flooder_but_not_other_tenants() {
         thread::spawn(move || {
             (0..6)
                 .map(|i| {
-                    let handle = service.pm_submit("flood", &query(i), 0.1).unwrap();
+                    let handle = service.submit("flood", Request::Pm(&query(i)), 0.1).unwrap();
                     progress.fetch_add(1, Ordering::SeqCst);
                     handle
                 })
@@ -91,7 +91,7 @@ fn tenant_cap_blocks_the_flooder_but_not_other_tenants() {
 
     // A different tenant is not behind the flooder's cap: its submit parks
     // immediately instead of blocking.
-    let victim = service.pm_submit("victim", &query(99), 0.1).unwrap();
+    let victim = service.submit("victim", Request::Pm(&query(99)), 0.1).unwrap();
     assert!(victim.is_queued(), "victim parks while the flooder is capped");
     assert!(victim.wait().is_ok());
 
@@ -136,7 +136,7 @@ fn flooding_tenant_cannot_starve_a_victim() {
         thread::spawn(move || {
             let handles: Vec<_> = (0..FLOOD)
                 .map(|i| {
-                    let h = service.pm_submit("flood", &query(i), 1e-6).unwrap();
+                    let h = service.submit("flood", Request::Pm(&query(i)), 1e-6).unwrap();
                     pumped.fetch_add(1, Ordering::SeqCst);
                     h
                 })
@@ -185,7 +185,7 @@ fn refresh_refuses_parked_submits_with_stale_version_and_refunds() {
     let service = Service::new(toy_schema(16), config);
     service.register_tenant("t", PrivacyBudget::pure(10.0).unwrap()).unwrap();
 
-    let parked = service.pm_submit("t", &query(0), 0.5).unwrap();
+    let parked = service.submit("t", Request::Pm(&query(0)), 0.5).unwrap();
     assert!(parked.is_queued());
     let new_version = service.refresh_schema(toy_schema(16));
     assert_eq!(new_version, 1);
@@ -228,10 +228,10 @@ fn stale_refusal_refunds_before_it_wakes_the_caller() {
     service.register_tenant("kick", PrivacyBudget::pure(10.0).unwrap()).unwrap();
 
     for round in 0..ROUNDS {
-        let parked = service.pm_submit("t", &query(round), 0.5).unwrap();
+        let parked = service.submit("t", Request::Pm(&query(round)), 0.5).unwrap();
         assert!(parked.is_queued());
         service.refresh_schema(toy_schema(16));
-        let kick = service.pm_submit("kick", &query(round), 1e-6).unwrap();
+        let kick = service.submit("kick", Request::Pm(&query(round)), 1e-6).unwrap();
 
         assert!(matches!(parked.wait(), Err(ServiceError::StaleDataVersion { .. })));
         let usage = service.tenant_usage("t").unwrap();
@@ -263,7 +263,7 @@ fn refresh_refuses_parked_workload_submits_too() {
         vec![vec![Constraint::Point(0)], vec![Constraint::Range { lo: 0, hi: 3 }]],
     )
     .unwrap();
-    let parked = service.wd_submit("t", &workload, 0.5).unwrap();
+    let parked = service.submit("t", Request::Wd(&workload), 0.5).unwrap();
     assert!(parked.is_queued());
     service.refresh_schema(toy_schema(8));
 

@@ -11,7 +11,7 @@ use dp_starj_repro::noise::PrivacyBudget;
 use dp_starj_repro::ops::{OpsConfig, OpsServer};
 use dp_starj_repro::router::{Router, RouterConfig};
 use dp_starj_repro::service::ServiceConfig;
-use dp_starj_repro::telemetry::{EventBus, Json, OpsPayload, RequestKind, WireRequestScope};
+use dp_starj_repro::telemetry::{EventBus, Json, OpsPayload, RequestKind, Stage, WireRequestScope};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -66,6 +66,52 @@ fn gate_over(router: &Arc<Router>) -> Gate {
 
 // ---- trace-context propagation ---------------------------------------------
 
+/// Every field a streamed span or slow-query frame may carry.
+const SPAN_FIELDS: [&str; 15] = [
+    "id",
+    "ok",
+    "event",
+    "component",
+    "trace_id",
+    "span_id",
+    "parent_span_id",
+    "kind",
+    "tenant",
+    "outcome",
+    "queued",
+    "start_ns",
+    "end_ns",
+    "duration_ns",
+    "stages",
+];
+
+/// Every field a streamed audit frame may carry.
+const AUDIT_FIELDS: [&str; 13] = [
+    "id",
+    "ok",
+    "event",
+    "component",
+    "seq",
+    "at_ns",
+    "tenant",
+    "kind",
+    "query_hash",
+    "epsilon",
+    "delta",
+    "data_version",
+    "request_id",
+];
+
+/// Asserts `frame` is an object holding only `allowed` keys — so no field
+/// that fixes the mechanism's randomness (a `noisy*` query, its SQL) can
+/// ride along.
+fn assert_only_fields(frame: &Json, allowed: &[&str]) {
+    let Json::Obj(pairs) = frame else { panic!("streamed frame is not an object: {frame:?}") };
+    for (key, _) in pairs {
+        assert!(allowed.contains(&key.as_str()), "streamed frame leaks `{key}`: {frame:?}");
+    }
+}
+
 /// The acceptance test for fleet-wide trace context: one wire request's
 /// streamed spans all carry the wire id as their trace id, and the
 /// parent/child links reconstruct the gate → service timeline.
@@ -102,9 +148,19 @@ fn wire_subscription_streams_a_stitched_timeline() {
         );
         match frame.get("event").and_then(Json::as_str) {
             Some("audit") => {
+                assert_only_fields(&frame, &AUDIT_FIELDS);
                 audit_request_ids.push(frame.get("request_id").and_then(Json::as_f64).unwrap());
             }
             Some("span") | Some("slow_query") => {
+                assert_only_fields(&frame, &SPAN_FIELDS);
+                let stage_names = Stage::ALL.map(Stage::name);
+                let Some(Json::Obj(stages)) = frame.get("stages") else {
+                    panic!("span frame without stages: {frame:?}")
+                };
+                for (stage, interval) in stages {
+                    assert!(stage_names.contains(&stage.as_str()), "unknown stage `{stage}`");
+                    assert_only_fields(interval, &["start_ns", "end_ns"]);
+                }
                 let done = frame.get("kind").and_then(Json::as_str) == Some("gate");
                 spans.push(frame);
                 if done {

@@ -17,7 +17,7 @@ use dp_starj_repro::engine::{
     StarSchema, Table,
 };
 use dp_starj_repro::noise::PrivacyBudget;
-use dp_starj_repro::service::{Service, ServiceConfig, ServiceError};
+use dp_starj_repro::service::{Answer, Request, Service, ServiceConfig, ServiceError, Submitted};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -108,6 +108,15 @@ fn eps_strategy() -> impl Strategy<Value = f64> {
 enum Req {
     Pm(StarQuery, f64),
     Wd(PredicateWorkload, f64),
+}
+
+impl Req {
+    fn submit(&self, service: &Service) -> Result<Submitted<Answer>, ServiceError> {
+        match self {
+            Req::Pm(q, eps) => service.submit("t", Request::Pm(q), *eps),
+            Req::Wd(w, eps) => service.submit("t", Request::Wd(w), *eps),
+        }
+    }
 }
 
 fn request_strategy() -> impl Strategy<Value = Req> {
@@ -239,50 +248,28 @@ proptest! {
         }
 
         // Sequential oracle first.
-        let mut oracle = Vec::new();
-        for req in &requests {
-            match req {
-                Req::Pm(q, eps) => oracle.push((seq.pm_answer("t", q, *eps), None)),
-                Req::Wd(w, eps) => oracle.push((
-                    Err(ServiceError::NoGraph), // placeholder, unused
-                    Some(seq.wd_answer("t", w, *eps).unwrap()),
-                )),
-            }
-        }
+        let oracle: Vec<Answer> =
+            requests.iter().map(|req| req.submit(&seq).unwrap().wait().unwrap()).collect();
 
         // Submit everything before waiting on anything: the queue holds the
         // whole sequence and the worker fuses it into few partitions.
-        enum Handle {
-            Pm(dp_starj_repro::service::Submitted<dp_starj_repro::service::ServiceAnswer>),
-            Wd(dp_starj_repro::service::Submitted<dp_starj_repro::service::WorkloadAnswer>),
-        }
-        let handles: Vec<Handle> = requests
-            .iter()
-            .map(|req| match req {
-                Req::Pm(q, eps) => Handle::Pm(coal.pm_submit("t", q, *eps).unwrap()),
-                Req::Wd(w, eps) => Handle::Wd(coal.wd_submit("t", w, *eps).unwrap()),
-            })
-            .collect();
+        let handles: Vec<Submitted<Answer>> =
+            requests.iter().map(|req| req.submit(&coal).unwrap()).collect();
 
-        for (i, (handle, (pm_oracle, wd_oracle))) in
-            handles.into_iter().zip(oracle).enumerate()
-        {
-            match handle {
-                Handle::Pm(submitted) => {
-                    let b = submitted.wait().unwrap();
-                    let a = pm_oracle.unwrap();
+        for (i, (handle, oracle)) in handles.into_iter().zip(oracle).enumerate() {
+            match (oracle, handle.wait().unwrap()) {
+                (Answer::Pm(a), Answer::Pm(b)) => {
                     prop_assert_eq!(&a.result, &b.result, "fused pm diverged at {}", i);
                     prop_assert_eq!(&a.noisy_query, &b.noisy_query);
                     prop_assert_eq!(a.cost, b.cost);
                 }
-                Handle::Wd(submitted) => {
-                    let b = submitted.wait().unwrap();
-                    let a = wd_oracle.unwrap();
+                (Answer::Wd(a), Answer::Wd(b)) => {
                     for (x, y) in a.answers.iter().zip(&b.answers) {
                         prop_assert_eq!(x.to_bits(), y.to_bits(), "fused wd diverged at {}", i);
                     }
                     prop_assert_eq!(a.cost, b.cost);
                 }
+                (a, b) => prop_assert!(false, "answer kind diverged at {}: {:?} vs {:?}", i, a, b),
             }
         }
 
@@ -341,9 +328,9 @@ fn scarce_budget_refusals_match_the_sequential_path() {
     // order, so the same 8 queries are admitted before anything drains.
     let coal = coalesced_service(&schema, 99);
     coal.register_tenant("t", allotment).unwrap();
-    let handles: Vec<_> = queries.iter().map(|q| coal.pm_submit("t", q, EPS)).collect();
+    let handles: Vec<_> = queries.iter().map(|q| coal.submit("t", Request::Pm(q), EPS)).collect();
     for (handle, expected) in handles.into_iter().zip(&oracle) {
-        match (expected, handle.and_then(|h| h.wait())) {
+        match (expected, handle.and_then(|h| h.wait()).map(Answer::into_pm)) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.result, b.result);
                 assert_eq!(a.noisy_query, b.noisy_query);

@@ -13,7 +13,7 @@
 use dp_starj_repro::engine::{Column, Dimension, Domain, Predicate, StarQuery, StarSchema, Table};
 use dp_starj_repro::noise::PrivacyBudget;
 use dp_starj_repro::service::{
-    AuditKind, Service, ServiceConfig, ServiceError, Stage, TraceRecord,
+    AuditKind, Request, Service, ServiceConfig, ServiceError, Stage, TraceRecord,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -160,7 +160,7 @@ fn coalesced_spans_record_queue_wait() {
         .map(|v| StarQuery::count(format!("q{v}")).with(Predicate::point("D", "c", v)))
         .collect();
     let handles: Vec<_> =
-        queries.iter().map(|q| service.pm_submit("t", q, 0.25).unwrap()).collect();
+        queries.iter().map(|q| service.submit("t", Request::Pm(q), 0.25).unwrap()).collect();
     for h in handles {
         h.wait().unwrap();
     }

@@ -20,7 +20,7 @@ use dp_starj_repro::engine::{
 };
 use dp_starj_repro::noise::PrivacyBudget;
 use dp_starj_repro::router::{Router, RouterConfig, RouterError};
-use dp_starj_repro::service::{Service, ServiceConfig};
+use dp_starj_repro::service::{Answer, Request, Service, ServiceConfig};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -227,7 +227,8 @@ proptest! {
                 }
                 Req::Batch { dataset, queries, eps } => {
                     let name = DATASETS[*dataset];
-                    let a = router.pm_batch_answer(name, "t", queries, *eps).unwrap();
+                    let a = router.submit(name, "t", Request::PmBatch(queries), *eps).unwrap();
+                    let a = a.wait().unwrap().into_batch();
                     let b = standalones[name].pm_batch_answer("t", queries, *eps).unwrap();
                     prop_assert_eq!(a.cached, b.cached);
                     prop_assert_eq!(a.cost, b.cost);
@@ -238,7 +239,8 @@ proptest! {
                 }
                 Req::Wd { dataset, workload, eps } => {
                     let name = DATASETS[*dataset];
-                    let a = router.wd_answer(name, "t", workload, *eps).unwrap();
+                    let a = router.submit(name, "t", Request::Wd(workload), *eps).unwrap();
+                    let a = a.wait().map(Answer::into_wd).unwrap();
                     let b = standalones[name].wd_answer("t", workload, *eps).unwrap();
                     prop_assert_eq!(a.cached, b.cached);
                     for (x, y) in a.answers.iter().zip(&b.answers) {
