@@ -3,11 +3,19 @@
 //! Every privacy guarantee in DP-starJ rests on the accountant's ledger.
 //! This crate makes that ledger survive crashes: a dependency-free,
 //! append-only **write-ahead budget journal** ([`BudgetWal`]) with
-//! fixed-format length-prefixed records ([`JournalRecord`]), per-record
-//! CRC32, group-fsync batching, and segment rotation; plus startup
-//! **recovery** ([`Recovery`]) that replays segments — truncating a torn
-//! tail at the last valid CRC — and rebuilds per-tenant spent-(ε, δ)
-//! bit-identically (the service's dyadic ε grid makes f64 replay exact).
+//! fixed-format length-prefixed records, per-record CRC32, group-fsync
+//! batching, and segment rotation; plus startup **recovery**
+//! ([`Recovery`]) that replays segments — truncating a torn tail at the
+//! last valid CRC — and rebuilds per-tenant spent-(ε, δ) bit-identically
+//! (the service's dyadic ε grid makes f64 replay exact).
+//!
+//! A record *is* the accountant's settlement event
+//! (`starj_telemetry::Settlement`, the value the audit ring and the event
+//! bus also consume); [`record`] is only its byte codec, and replay folds
+//! records through the same `TenantTotals::apply` the audit ring uses. A
+//! tenant id longer than [`record::MAX_TENANT_BYTES`] cannot be journaled:
+//! [`BudgetWal::append`] refuses it with [`WalError::Oversize`] before
+//! writing a byte.
 //!
 //! The safety contract the service builds on top:
 //!
@@ -41,4 +49,4 @@ pub use crc::crc32;
 pub use fault::{FaultKind, FaultPlan};
 pub use record::{JournalRecord, RecordKind};
 pub use tempdir::TempDir;
-pub use wal::{BudgetWal, Recovery, ReplayedLedger, SyncPolicy, WalConfig, WalCounters, WalError};
+pub use wal::{BudgetWal, Recovery, SyncPolicy, WalConfig, WalCounters, WalError};

@@ -39,7 +39,8 @@
 
 use crate::crc::crc32;
 use crate::fault::{FaultKind, FaultPlan};
-use crate::record::{JournalRecord, RecordKind, MAX_PAYLOAD};
+use crate::record::{decode_payload, encode_frame, MAX_PAYLOAD};
+use starj_telemetry::{Settlement, SettlementKind, TenantTotals};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -108,6 +109,13 @@ pub enum WalError {
     /// A previous failure already broke this handle; the journal refuses
     /// further appends until the process restarts and recovery runs.
     Broken,
+    /// The record's payload would exceed [`MAX_PAYLOAD`] (a tenant id over
+    /// [`crate::record::MAX_TENANT_BYTES`]). Nothing was written and the
+    /// handle stays usable.
+    Oversize {
+        /// The payload size the record would have had.
+        bytes: usize,
+    },
 }
 
 impl fmt::Display for WalError {
@@ -123,31 +131,23 @@ impl fmt::Display for WalError {
             WalError::Broken => {
                 write!(f, "journal handle broken by an earlier failure; restart to recover")
             }
+            WalError::Oversize { bytes } => {
+                write!(f, "journal record of {bytes} bytes exceeds the {MAX_PAYLOAD}-byte limit")
+            }
         }
     }
 }
 
 impl std::error::Error for WalError {}
 
-/// Per-tenant totals rebuilt by replay. Only [`RecordKind::Commit`]
-/// records accumulate — reserves and refunds are transient, and counting
-/// commits alone is what makes recovery *never under-charge*.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ReplayedLedger {
-    /// Sum of committed ε, added in journal order (bit-identical to the
-    /// in-memory ledger when ε is dyadic).
-    pub spent_epsilon: f64,
-    /// Sum of committed δ.
-    pub spent_delta: f64,
-    /// Number of commit records replayed.
-    pub commits: u64,
-}
-
 /// What [`BudgetWal::open`] found on disk.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Recovery {
-    /// Recovered per-tenant spend (sorted for deterministic iteration).
-    pub tenants: BTreeMap<String, ReplayedLedger>,
+    /// Per-tenant totals of every replayed record, folded in journal order
+    /// (sorted for deterministic iteration). A recovered ledger is the
+    /// committed `(ε, δ)`: reserves and refunds are transient, and counting
+    /// commits alone is what makes recovery *never under-charge*.
+    pub tenants: BTreeMap<String, TenantTotals>,
     /// Total valid records replayed (all kinds).
     pub records: u64,
     /// Commit records among them.
@@ -222,7 +222,7 @@ struct SegmentScan {
     valid_len: u64,
     /// Offset of the first damaged byte, if any damage was found.
     damage_at: Option<u64>,
-    records: Vec<JournalRecord>,
+    records: Vec<Settlement>,
 }
 
 fn scan_segment(bytes: &[u8]) -> SegmentScan {
@@ -246,7 +246,7 @@ fn scan_segment(bytes: &[u8]) -> SegmentScan {
         if crc32(payload) != crc {
             return SegmentScan { valid_len: off as u64, damage_at: Some(off as u64), records };
         }
-        match JournalRecord::decode_payload(payload) {
+        match decode_payload(payload) {
             Some(rec) => records.push(rec),
             None => {
                 return SegmentScan { valid_len: off as u64, damage_at: Some(off as u64), records }
@@ -298,16 +298,18 @@ impl BudgetWal {
                 }
                 recovery.torn_tail_truncated = true;
             }
-            for rec in &scan.records {
+            for rec in scan.records {
                 recovery.records += 1;
-                if rec.kind == RecordKind::Commit {
-                    recovery.commits += 1;
-                    let t = recovery.tenants.entry(rec.tenant.clone()).or_default();
-                    // Journal order == per-tenant charge order, so these
-                    // f64 additions reproduce the ledger bit-for-bit.
-                    t.spent_epsilon += rec.epsilon;
-                    t.spent_delta += rec.delta;
-                    t.commits += 1;
+                recovery.commits += u64::from(rec.kind == SettlementKind::Commit);
+                // Journal order == per-tenant charge order, so the f64
+                // additions in `apply` reproduce the ledger bit-for-bit.
+                match recovery.tenants.get_mut(&rec.tenant) {
+                    Some(totals) => totals.apply(&rec),
+                    None => {
+                        let mut totals = TenantTotals::default();
+                        totals.apply(&rec);
+                        recovery.tenants.insert(rec.tenant, totals);
+                    }
                 }
             }
             if is_last {
@@ -368,13 +370,15 @@ impl BudgetWal {
     }
 
     /// Append one record. Under [`SyncPolicy::Group`]/[`SyncPolicy::Always`]
-    /// the record is on stable storage when this returns `Ok`. Any failure
-    /// permanently breaks the handle (see module docs on fail-stop).
-    pub fn append(&self, record: &JournalRecord) -> Result<(), WalError> {
+    /// the record is on stable storage when this returns `Ok`. Any IO
+    /// failure permanently breaks the handle (see module docs on
+    /// fail-stop); an [`WalError::Oversize`] record is refused before a
+    /// byte is written and breaks nothing.
+    pub fn append(&self, record: &Settlement) -> Result<(), WalError> {
         if self.broken.load(Ordering::Acquire) {
             return Err(WalError::Broken);
         }
-        let frame = record.encode_frame();
+        let frame = encode_frame(record)?;
 
         // -- write half ---------------------------------------------------
         let (my_seq, durable_up_to, file) = {
@@ -542,10 +546,11 @@ impl BudgetWal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{RecordKind, MAX_TENANT_BYTES};
     use crate::tempdir::TempDir;
 
-    fn rec(kind: RecordKind, tenant: &str, eps: f64) -> JournalRecord {
-        JournalRecord {
+    fn rec(kind: RecordKind, tenant: &str, eps: f64) -> Settlement {
+        Settlement {
             kind,
             tenant: tenant.into(),
             query_hash: 0x1234,
@@ -578,9 +583,33 @@ mod tests {
         assert_eq!(recovery.records, 6);
         assert_eq!(recovery.commits, 2);
         assert!(!recovery.torn_tail_truncated);
-        assert_eq!(recovery.tenants["a"].spent_epsilon, 0.25);
+        assert_eq!(recovery.tenants["a"].committed_epsilon, 0.25);
         assert_eq!(recovery.tenants["a"].commits, 1);
-        assert_eq!(recovery.tenants["b"].spent_epsilon, 0.125);
+        assert_eq!(recovery.tenants["b"].committed_epsilon, 0.125);
+    }
+
+    #[test]
+    fn oversize_record_is_refused_unwritten_and_later_records_recover() {
+        let dir = TempDir::new("wal").unwrap();
+        {
+            let (wal, _) = BudgetWal::open(cfg(&dir), None).unwrap();
+            wal.append(&rec(RecordKind::Commit, "a", 0.25)).unwrap();
+            let bytes = wal.counters().bytes;
+            let long = "x".repeat(MAX_TENANT_BYTES + 1);
+            assert!(matches!(
+                wal.append(&rec(RecordKind::Commit, &long, 1.0)),
+                Err(WalError::Oversize { .. })
+            ));
+            assert_eq!(wal.counters().bytes, bytes, "nothing written");
+            assert!(!wal.is_broken(), "an oversize record breaks nothing");
+            wal.append(&rec(RecordKind::Commit, "a", 0.25)).unwrap();
+            wal.append(&rec(RecordKind::Commit, "b", 0.125)).unwrap();
+        }
+        let (_, recovery) = BudgetWal::open(cfg(&dir), None).unwrap();
+        assert!(!recovery.torn_tail_truncated);
+        assert_eq!(recovery.commits, 3);
+        assert_eq!(recovery.tenants["a"].committed_epsilon, 0.5);
+        assert_eq!(recovery.tenants["b"].committed_epsilon, 0.125);
     }
 
     #[test]
@@ -606,7 +635,7 @@ mod tests {
         drop(wal);
         let (_, again) = BudgetWal::open(cfg(&dir), None).unwrap();
         assert_eq!(again.commits, 2);
-        assert_eq!(again.tenants["a"].spent_epsilon, 0.75);
+        assert_eq!(again.tenants["a"].committed_epsilon, 0.75);
         assert!(!again.torn_tail_truncated);
     }
 
@@ -645,7 +674,7 @@ mod tests {
         }
         let (_, recovery) = BudgetWal::open(small, None).unwrap();
         assert_eq!(recovery.commits, 20);
-        assert_eq!(recovery.tenants["t"].spent_epsilon, 20.0 * 0.0078125);
+        assert_eq!(recovery.tenants["t"].committed_epsilon, 20.0 * 0.0078125);
     }
 
     #[test]
@@ -679,7 +708,7 @@ mod tests {
         let (_, recovery) = BudgetWal::open(cfg(&dir), None).unwrap();
         assert!(recovery.torn_tail_truncated);
         assert_eq!(recovery.commits, 2);
-        assert_eq!(recovery.tenants["a"].spent_epsilon, 0.75);
+        assert_eq!(recovery.tenants["a"].committed_epsilon, 0.75);
     }
 
     #[test]

@@ -293,6 +293,7 @@ pub fn service_code(err: &ServiceError) -> &'static str {
         ServiceError::BudgetExhausted { .. } => "budget_exhausted",
         ServiceError::UnknownTenant(_) => "unknown_tenant",
         ServiceError::DuplicateTenant(_) => "duplicate_tenant",
+        ServiceError::TenantIdTooLong { .. } => "tenant_id_too_long",
         ServiceError::InvalidQuery(_) => "invalid_query",
         ServiceError::InvalidBudget(_) => "invalid_budget",
         ServiceError::BelowMinFrequency { .. } => "below_min_frequency",

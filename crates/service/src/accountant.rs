@@ -20,20 +20,22 @@
 //! thread interleaving — N threads hammering one tenant can never over-spend
 //! it, which the cross-crate stress test (`tests/service_concurrency.rs`)
 //! exercises with 8+ threads.
+//!
+//! Each of those steps — and a refused reserve — is one [`Settlement`],
+//! emitted once, by the reservation's [`SettlementCtx`], into the journal,
+//! the audit ring, and the event bus.
 
-use crate::durable::JournalCtx;
+use crate::durable::DurableState;
 use crate::error::ServiceError;
-use starj_durable::{RecordKind, ReplayedLedger};
+use starj_durable::record::MAX_TENANT_BYTES;
 use starj_noise::{BudgetLedger, PrivacyBudget};
-use starj_telemetry::{AuditKind, AuditTrail};
+use starj_telemetry::{AuditTrail, Settlement, SettlementKind, TenantTotals};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 #[derive(Debug)]
 struct TenantState {
-    /// The tenant id as a shared string, so audit events clone a pointer,
-    /// not a heap allocation.
-    name: Arc<str>,
+    name: String,
     ledger: BudgetLedger,
     in_flight_epsilon: f64,
     in_flight_delta: f64,
@@ -55,9 +57,7 @@ impl TenantState {
             self.in_flight_delta = (self.in_flight_delta - cost.delta()).max(0.0);
         }
     }
-}
 
-impl TenantState {
     /// In-flight reservations count as spent for admission, and the rule
     /// itself is [`PrivacyBudget::admits`] — the same one
     /// [`BudgetLedger::charge`] enforces, so a reservation that was admitted
@@ -72,24 +72,62 @@ impl TenantState {
     }
 }
 
-/// Audit context attached to a reservation: where to log the settlement
-/// events and what request/data they concern. Carried by the reservation
-/// itself so *every* settlement path — commit, explicit rollback, or an
-/// RAII drop from `?`-unwinding — lands in the trail without call-site
-/// cooperation.
-#[derive(Debug, Clone)]
-pub struct AuditCtx {
-    /// The trail settlement events append to.
-    pub trail: Arc<AuditTrail>,
+/// Where a reservation's settlements go and which request they concern.
+/// The reservation carries it, so *every* settlement path — commit,
+/// explicit rollback, or an RAII drop from `?`-unwinding — is emitted
+/// without call-site cooperation. The default has no sinks.
+#[derive(Debug, Clone, Default)]
+pub struct SettlementCtx {
+    /// The audit ring, which also publishes on the event bus (`None` when
+    /// the trail is disabled).
+    pub trail: Option<Arc<AuditTrail>>,
+    /// The budget journal (`None` when the service runs without one).
+    pub journal: Option<Arc<DurableState>>,
     /// Hash of the canonical request being charged (0 = none).
     pub query_hash: u64,
     /// The data version the request was admitted against.
     pub data_version: u64,
-    /// The wire request id captured at submit time (0 = internal). Carried
-    /// explicitly because settlement can happen on a different thread — a
-    /// coalescer worker refunding a stale job must still tag the Refund
-    /// event with the frame id of the connection that submitted it.
+    /// The wire request id, captured on the submitting thread (0 =
+    /// internal): a coalescer worker refunding a stale job must still tag
+    /// the Refund with the frame id of the connection that submitted it.
     pub request_id: u64,
+}
+
+impl SettlementCtx {
+    /// The one settlement seam, run under the tenant lock, in write-ahead
+    /// order: the journal takes the settlement first (fail-closed for
+    /// Reserve and Commit, best-effort for Refund and Refusal, which
+    /// therefore never fail here); then `apply` moves the in-memory
+    /// ledger; then the audit ring records it and publishes it on the bus.
+    /// A refused journal append returns before anything else happens.
+    fn emit<T>(
+        &self,
+        state: &mut TenantState,
+        kind: SettlementKind,
+        cost: &PrivacyBudget,
+        apply: impl FnOnce(&mut TenantState) -> T,
+    ) -> Result<T, ServiceError> {
+        if self.trail.is_none() && self.journal.is_none() {
+            return Ok(apply(state));
+        }
+        let settlement = Settlement {
+            kind,
+            tenant: state.name.clone(),
+            query_hash: self.query_hash,
+            epsilon: cost.epsilon(),
+            delta: cost.delta(),
+            data_version: self.data_version,
+            request_id: self.request_id,
+        };
+        if let Some(journal) = &self.journal {
+            journal.append(&settlement)?;
+        }
+        let out = apply(state);
+        if let Some(trail) = &self.trail {
+            trail.record(settlement);
+        }
+        Ok(out)
+    }
 }
 
 /// A committed-or-refunded hold on a tenant's budget. Obtained from
@@ -101,10 +139,7 @@ pub struct Reservation {
     tenant: Arc<Mutex<TenantState>>,
     cost: PrivacyBudget,
     settled: bool,
-    audit: Option<AuditCtx>,
-    /// When the owning service journals budget movements, the settlement
-    /// paths below journal **before** they mutate the ledger (write-ahead).
-    journal: Option<JournalCtx>,
+    ctx: SettlementCtx,
 }
 
 impl Reservation {
@@ -124,44 +159,21 @@ impl Reservation {
     /// [`ServiceError::DurabilityUnavailable`]: the answer must not be
     /// released, because a crash would forget the spend it represents.
     pub fn commit(mut self) -> Result<(), ServiceError> {
-        let mut state = lock(&self.tenant);
-        if let Some(j) = &self.journal {
-            if let Err(e) =
-                j.state.append_spend(RecordKind::Commit, &state.name, &self.cost, &j.meta)
-            {
-                state.settle(&self.cost);
-                self.settled = true;
-                if let Some(ctx) = &self.audit {
-                    ctx.trail.record_for_request(
-                        &state.name,
-                        AuditKind::Refund,
-                        ctx.query_hash,
-                        self.cost.epsilon(),
-                        self.cost.delta(),
-                        ctx.data_version,
-                        ctx.request_id,
-                    );
-                }
-                return Err(e);
-            }
-        }
-        state.settle(&self.cost);
         self.settled = true;
-        // Cannot fail: `reserve` admitted spent + in-flight + cost under the
-        // same tolerance the ledger charges with.
-        state.ledger.charge(self.cost).map_err(ServiceError::InvalidBudget)?;
-        if let Some(ctx) = &self.audit {
-            ctx.trail.record_for_request(
-                &state.name,
-                AuditKind::Commit,
-                ctx.query_hash,
-                self.cost.epsilon(),
-                self.cost.delta(),
-                ctx.data_version,
-                ctx.request_id,
-            );
-        }
-        Ok(())
+        let cost = self.cost;
+        let mut state = lock(&self.tenant);
+        let committed = self.ctx.emit(&mut state, SettlementKind::Commit, &cost, |s| {
+            s.settle(&cost);
+            // Cannot fail: `reserve` admitted spent + in-flight + cost under
+            // the same tolerance the ledger charges with.
+            s.ledger.charge(cost).map_err(ServiceError::InvalidBudget)
+        });
+        committed.unwrap_or_else(|e| {
+            // The failure latched degraded mode, so this Refund reaches the
+            // ring and the bus but not the journal.
+            let _ = self.ctx.emit(&mut state, SettlementKind::Refund, &cost, |s| s.settle(&cost));
+            Err(e)
+        })
     }
 
     /// Returns the hold to the tenant. Equivalent to dropping the
@@ -172,26 +184,13 @@ impl Reservation {
 
     fn release(&mut self) {
         if !self.settled {
+            self.settled = true;
+            let cost = self.cost;
             let mut state = lock(&self.tenant);
             // Best-effort: a lost Refund record only over-states the
-            // recovered spend (replay ignores refunds), so the in-memory
-            // refund proceeds even if the journal is gone.
-            if let Some(j) = &self.journal {
-                j.state.append_note(RecordKind::Refund, &state.name, &self.cost, &j.meta);
-            }
-            state.settle(&self.cost);
-            self.settled = true;
-            if let Some(ctx) = &self.audit {
-                ctx.trail.record_for_request(
-                    &state.name,
-                    AuditKind::Refund,
-                    ctx.query_hash,
-                    self.cost.epsilon(),
-                    self.cost.delta(),
-                    ctx.data_version,
-                    ctx.request_id,
-                );
-            }
+            // recovered spend (replay counts commits only), so the refund
+            // proceeds even if the journal is gone.
+            let _ = self.ctx.emit(&mut state, SettlementKind::Refund, &cost, |s| s.settle(&cost));
         }
     }
 }
@@ -235,8 +234,15 @@ impl BudgetAccountant {
 
     /// Registers a tenant with its lifetime `(ε, δ)` allotment. Errors if
     /// the tenant already exists — an allotment is a policy decision, not
-    /// something a repeat registration should silently replace.
+    /// something a repeat registration should silently replace — or if its
+    /// id is too long for a journal record to carry.
     pub fn register(&self, tenant: &str, allotment: PrivacyBudget) -> Result<(), ServiceError> {
+        if tenant.len() > MAX_TENANT_BYTES {
+            return Err(ServiceError::TenantIdTooLong {
+                bytes: tenant.len(),
+                max: MAX_TENANT_BYTES,
+            });
+        }
         let mut map = self.tenants.write().unwrap_or_else(|e| e.into_inner());
         if map.contains_key(tenant) {
             return Err(ServiceError::DuplicateTenant(tenant.to_string()));
@@ -254,7 +260,7 @@ impl BudgetAccountant {
         map.insert(
             tenant.to_string(),
             Arc::new(Mutex::new(TenantState {
-                name: Arc::from(tenant),
+                name: tenant.to_string(),
                 ledger,
                 in_flight_epsilon: 0.0,
                 in_flight_delta: 0.0,
@@ -264,15 +270,15 @@ impl BudgetAccountant {
         Ok(())
     }
 
-    /// Installs WAL-recovered per-tenant spends, to be applied as tenants
-    /// register. Refuses (rather than merges) when any tenant is already
-    /// registered: replaying a journal *onto* live ledgers would
-    /// double-count every commit both sides saw, and there is no safe way
-    /// to reconcile after the fact — recovery belongs at startup, before
-    /// traffic.
+    /// Installs WAL-recovered per-tenant totals; each tenant's committed
+    /// `(ε, δ)` is applied when it registers. Refuses (rather than merges)
+    /// when any tenant is already registered: replaying a journal *onto*
+    /// live ledgers would double-count every commit both sides saw, and
+    /// there is no safe way to reconcile after the fact — recovery belongs
+    /// at startup, before traffic.
     pub fn adopt_recovery(
         &self,
-        recovered: &BTreeMap<String, ReplayedLedger>,
+        recovered: &BTreeMap<String, TenantTotals>,
     ) -> Result<(), ServiceError> {
         let map = self.tenants.read().unwrap_or_else(|e| e.into_inner());
         if !map.is_empty() {
@@ -283,96 +289,49 @@ impl BudgetAccountant {
             ));
         }
         let mut pending = self.recovered.lock().unwrap_or_else(|e| e.into_inner());
-        for (tenant, ledger) in recovered {
-            pending.insert(tenant.clone(), (ledger.spent_epsilon, ledger.spent_delta));
+        for (tenant, totals) in recovered {
+            pending.insert(tenant.clone(), (totals.committed_epsilon, totals.committed_delta));
         }
         Ok(())
     }
 
     /// Atomically reserves `cost` against the tenant's remaining budget.
-    /// Refuses with [`ServiceError::BudgetExhausted`] when
-    /// `spent + in-flight + cost` would exceed the allotment.
-    pub fn reserve(&self, tenant: &str, cost: PrivacyBudget) -> Result<Reservation, ServiceError> {
-        self.reserve_audited(tenant, cost, None)
-    }
-
-    /// [`BudgetAccountant::reserve`] with an audit context: the admission
-    /// decision (Reserve or Refusal) is logged here, and the context rides
-    /// the reservation so its settlement (Commit or Refund) is logged by
-    /// whichever path settles it.
-    pub fn reserve_audited(
+    /// The admission decision (Reserve or Refusal) is emitted through
+    /// `ctx`, which then rides the reservation so its settlement (Commit or
+    /// Refund) is emitted by whichever path settles it. Refuses with
+    /// [`ServiceError::BudgetExhausted`] when `spent + in-flight + cost`
+    /// would exceed the allotment, and with
+    /// [`ServiceError::DurabilityUnavailable`] when the journal is degraded
+    /// or cannot take the `Reserve` record; either way nothing is held.
+    pub fn reserve(
         &self,
         tenant: &str,
         cost: PrivacyBudget,
-        audit: Option<AuditCtx>,
-    ) -> Result<Reservation, ServiceError> {
-        self.reserve_journaled(tenant, cost, audit, None)
-    }
-
-    /// [`BudgetAccountant::reserve_audited`] with a budget journal: the
-    /// `Reserve` record is made durable *before* any in-flight budget is
-    /// held (write-ahead). In degraded mode — or if the journal fails
-    /// right here — the spend is refused with
-    /// [`ServiceError::DurabilityUnavailable`] and nothing changes.
-    /// Refusal records are journaled best-effort (they spend nothing).
-    pub fn reserve_journaled(
-        &self,
-        tenant: &str,
-        cost: PrivacyBudget,
-        audit: Option<AuditCtx>,
-        journal: Option<JournalCtx>,
+        ctx: SettlementCtx,
     ) -> Result<Reservation, ServiceError> {
         let state_arc = self.tenant_arc(tenant)?;
         let mut state = lock(&state_arc);
-        if let Some(j) = &journal {
-            if j.state.is_degraded() {
-                j.state.note_degraded_refusal();
-                return Err(ServiceError::DurabilityUnavailable {
-                    reason: "journal broken by an earlier failure; restart to recover".into(),
-                });
-            }
+        if let Some(journal) = &ctx.journal {
+            // Before admission: a degraded journal refuses as such, never as
+            // an exhausted budget.
+            journal.refuse_if_degraded()?;
         }
         if !state.admits(&cost) {
             let remaining = (state.ledger.remaining_epsilon() - state.in_flight_epsilon).max(0.0);
-            if let Some(j) = &journal {
-                j.state.append_note(RecordKind::Refusal, &state.name, &cost, &j.meta);
-            }
-            if let Some(ctx) = &audit {
-                ctx.trail.record_for_request(
-                    &state.name,
-                    AuditKind::Refusal,
-                    ctx.query_hash,
-                    cost.epsilon(),
-                    cost.delta(),
-                    ctx.data_version,
-                    ctx.request_id,
-                );
-            }
+            ctx.emit(&mut state, SettlementKind::Refusal, &cost, |_| ())?;
             return Err(ServiceError::BudgetExhausted {
                 tenant: tenant.to_string(),
                 requested_epsilon: cost.epsilon(),
                 remaining_epsilon: remaining,
             });
         }
-        if let Some(j) = &journal {
-            j.state.append_spend(RecordKind::Reserve, &state.name, &cost, &j.meta)?;
-        }
-        state.in_flight_epsilon += cost.epsilon();
-        state.in_flight_delta += cost.delta();
-        state.in_flight_count += 1;
-        if let Some(ctx) = &audit {
-            ctx.trail.record_for_request(
-                &state.name,
-                AuditKind::Reserve,
-                ctx.query_hash,
-                cost.epsilon(),
-                cost.delta(),
-                ctx.data_version,
-                ctx.request_id,
-            );
-        }
+        ctx.emit(&mut state, SettlementKind::Reserve, &cost, |s| {
+            s.in_flight_epsilon += cost.epsilon();
+            s.in_flight_delta += cost.delta();
+            s.in_flight_count += 1;
+        })?;
         drop(state);
-        Ok(Reservation { tenant: state_arc, cost, settled: false, audit, journal })
+        Ok(Reservation { tenant: state_arc, cost, settled: false, ctx })
     }
 
     /// The tenant's current usage snapshot.
@@ -417,11 +376,19 @@ mod tests {
         PrivacyBudget::pure(e).unwrap()
     }
 
+    fn reserve(
+        acc: &BudgetAccountant,
+        t: &str,
+        cost: PrivacyBudget,
+    ) -> Result<Reservation, ServiceError> {
+        acc.reserve(t, cost, SettlementCtx::default())
+    }
+
     #[test]
     fn reserve_commit_spends() {
         let acc = BudgetAccountant::new();
         acc.register("t", eps(1.0)).unwrap();
-        let r = acc.reserve("t", eps(0.4)).unwrap();
+        let r = reserve(&acc, "t", eps(0.4)).unwrap();
         assert!((acc.usage("t").unwrap().in_flight_epsilon - 0.4).abs() < 1e-12);
         r.commit().unwrap();
         let u = acc.usage("t").unwrap();
@@ -434,10 +401,10 @@ mod tests {
     fn rollback_and_drop_both_refund() {
         let acc = BudgetAccountant::new();
         acc.register("t", eps(1.0)).unwrap();
-        acc.reserve("t", eps(0.7)).unwrap().rollback();
+        reserve(&acc, "t", eps(0.7)).unwrap().rollback();
         assert!((acc.usage("t").unwrap().remaining_epsilon - 1.0).abs() < 1e-12);
         {
-            let _r = acc.reserve("t", eps(0.7)).unwrap();
+            let _r = reserve(&acc, "t", eps(0.7)).unwrap();
             // Dropped without commit — e.g. `?` unwound a failing request.
         }
         assert!((acc.usage("t").unwrap().remaining_epsilon - 1.0).abs() < 1e-12);
@@ -448,16 +415,16 @@ mod tests {
     fn in_flight_reservations_block_overcommit() {
         let acc = BudgetAccountant::new();
         acc.register("t", eps(1.0)).unwrap();
-        let hold = acc.reserve("t", eps(0.8)).unwrap();
+        let hold = reserve(&acc, "t", eps(0.8)).unwrap();
         // Nothing committed yet, but only 0.2 is admissible now.
-        let refused = acc.reserve("t", eps(0.5));
+        let refused = reserve(&acc, "t", eps(0.5));
         match refused {
             Err(ServiceError::BudgetExhausted { remaining_epsilon, .. }) => {
                 assert!((remaining_epsilon - 0.2).abs() < 1e-9);
             }
             other => panic!("expected BudgetExhausted, got {other:?}"),
         }
-        let small = acc.reserve("t", eps(0.2)).unwrap();
+        let small = reserve(&acc, "t", eps(0.2)).unwrap();
         hold.commit().unwrap();
         small.commit().unwrap();
         let u = acc.usage("t").unwrap();
@@ -469,8 +436,8 @@ mod tests {
     fn exhausted_tenant_gets_typed_refusal() {
         let acc = BudgetAccountant::new();
         acc.register("t", eps(0.5)).unwrap();
-        acc.reserve("t", eps(0.5)).unwrap().commit().unwrap();
-        let err = acc.reserve("t", eps(0.01)).unwrap_err();
+        reserve(&acc, "t", eps(0.5)).unwrap().commit().unwrap();
+        let err = reserve(&acc, "t", eps(0.01)).unwrap_err();
         assert!(matches!(err, ServiceError::BudgetExhausted { .. }));
     }
 
@@ -479,17 +446,17 @@ mod tests {
         let acc = BudgetAccountant::new();
         acc.register("a", eps(0.1)).unwrap();
         acc.register("b", eps(5.0)).unwrap();
-        acc.reserve("a", eps(0.1)).unwrap().commit().unwrap();
+        reserve(&acc, "a", eps(0.1)).unwrap().commit().unwrap();
         // Tenant a is drained; b is untouched.
-        assert!(acc.reserve("a", eps(0.1)).is_err());
-        assert!(acc.reserve("b", eps(1.0)).is_ok());
+        assert!(reserve(&acc, "a", eps(0.1)).is_err());
+        assert!(reserve(&acc, "b", eps(1.0)).is_ok());
         assert_eq!(acc.tenants(), vec!["a".to_string(), "b".to_string()]);
     }
 
     #[test]
     fn unknown_and_duplicate_tenants_are_typed() {
         let acc = BudgetAccountant::new();
-        assert!(matches!(acc.reserve("ghost", eps(0.1)), Err(ServiceError::UnknownTenant(_))));
+        assert!(matches!(reserve(&acc, "ghost", eps(0.1)), Err(ServiceError::UnknownTenant(_))));
         acc.register("t", eps(1.0)).unwrap();
         assert!(matches!(acc.register("t", eps(1.0)), Err(ServiceError::DuplicateTenant(_))));
     }
@@ -500,9 +467,9 @@ mod tests {
         // approximate-DP query must not erode it by a tolerance's worth.
         let acc = BudgetAccountant::new();
         acc.register("t", eps(1.0)).unwrap();
-        let err = acc.reserve("t", PrivacyBudget::approx(0.1, 1e-9).unwrap()).unwrap_err();
+        let err = reserve(&acc, "t", PrivacyBudget::approx(0.1, 1e-9).unwrap()).unwrap_err();
         assert!(matches!(err, ServiceError::BudgetExhausted { .. }));
-        assert!(acc.reserve("t", eps(0.1)).is_ok(), "pure costs still admitted");
+        assert!(reserve(&acc, "t", eps(0.1)).is_ok(), "pure costs still admitted");
     }
 
     #[test]
@@ -510,9 +477,9 @@ mod tests {
         let acc = BudgetAccountant::new();
         acc.register("t", PrivacyBudget::approx(10.0, 1e-6).unwrap()).unwrap();
         let cost = PrivacyBudget::approx(0.1, 6e-7).unwrap();
-        acc.reserve("t", cost).unwrap().commit().unwrap();
+        reserve(&acc, "t", cost).unwrap().commit().unwrap();
         // ε easily fits; δ does not.
-        let err = acc.reserve("t", cost).unwrap_err();
+        let err = reserve(&acc, "t", cost).unwrap_err();
         assert!(matches!(err, ServiceError::BudgetExhausted { .. }));
     }
 }

@@ -553,7 +553,7 @@ fn answer_partition(core: &ServiceCore, mut jobs: Vec<Job>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accountant::BudgetAccountant;
+    use crate::accountant::{BudgetAccountant, SettlementCtx};
     use crate::cache::{Mechanism, RequestKey};
     use crate::service::ServiceAnswer;
     use starj_engine::{
@@ -581,7 +581,7 @@ mod tests {
             cost,
             mechanism: Mechanism::Pm,
             key: RequestKey::Single(canonicalize(&q)),
-            reservation: accountant.reserve(tenant, cost).unwrap(),
+            reservation: accountant.reserve(tenant, cost, SettlementCtx::default()).unwrap(),
             schema,
             version: 0,
             start: Instant::now(),

@@ -16,49 +16,14 @@
 //! the process (which re-runs recovery against what actually hit disk).
 
 use crate::error::ServiceError;
-use starj_durable::{
-    BudgetWal, JournalRecord, RecordKind, Recovery, SyncPolicy, WalConfig, WalCounters,
-};
-use starj_noise::PrivacyBudget;
-use std::path::PathBuf;
+use starj_durable::{BudgetWal, Recovery, WalCounters};
+use starj_telemetry::{Settlement, SettlementKind};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
-/// Where and how a service journals budget movements.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DurableConfig {
-    /// Journal directory (created if missing). The router namespaces this
-    /// per dataset: `<durable_root>/<dataset>`.
-    pub dir: PathBuf,
-    /// Fsync policy; [`SyncPolicy::Group`] is the production default.
-    pub sync: SyncPolicy,
-    /// Segment rotation threshold in bytes.
-    pub segment_bytes: u64,
-}
-
-impl DurableConfig {
-    /// Production defaults (group fsync, 4 MiB segments) at `dir`.
-    pub fn at(dir: impl Into<PathBuf>) -> Self {
-        DurableConfig { dir: dir.into(), sync: SyncPolicy::Group, segment_bytes: 4 << 20 }
-    }
-
-    pub(crate) fn wal_config(&self) -> WalConfig {
-        WalConfig { dir: self.dir.clone(), sync: self.sync, segment_bytes: self.segment_bytes }
-    }
-}
-
-/// Request metadata journaled alongside every settlement record, so the
-/// on-disk trail answers "which query, against which data, from which
-/// connection" — the same fields the telemetry audit trail carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecordMeta {
-    /// Canonical-query hash ([`crate::query_hash`]); 0 = none.
-    pub query_hash: u64,
-    /// Data version the request was admitted against.
-    pub data_version: u64,
-    /// Wire request id (0 = in-process caller).
-    pub request_id: u64,
-}
+/// Where and how a service journals budget movements: the journal's own
+/// configuration (the router namespaces `dir` per dataset,
+/// `<durable_root>/<dataset>`).
+pub use starj_durable::WalConfig as DurableConfig;
 
 /// What recovery found, kept for metrics exposition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -127,74 +92,39 @@ impl DurableState {
         self.degraded.load(Ordering::Acquire)
     }
 
-    pub(crate) fn note_degraded_refusal(&self) {
+    /// Refuses a spend while degraded mode is latched, counting the
+    /// refusal.
+    pub(crate) fn refuse_if_degraded(&self) -> Result<(), ServiceError> {
+        if !self.is_degraded() {
+            return Ok(());
+        }
         self.degraded_refusals.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn record(
-        kind: RecordKind,
-        tenant: &str,
-        cost: &PrivacyBudget,
-        meta: &RecordMeta,
-    ) -> JournalRecord {
-        JournalRecord {
-            kind,
-            tenant: tenant.to_string(),
-            query_hash: meta.query_hash,
-            epsilon: cost.epsilon(),
-            delta: cost.delta(),
-            data_version: meta.data_version,
-            request_id: meta.request_id,
-        }
-    }
-
-    fn latch_degraded(&self, reason: String) -> ServiceError {
-        self.journal_errors.fetch_add(1, Ordering::Relaxed);
-        self.degraded.store(true, Ordering::Release);
-        ServiceError::DurabilityUnavailable { reason }
-    }
-
-    /// Fail-closed append for the spend path (`Reserve`, `Commit`): the
-    /// record must be durable before the caller may proceed. Refuses
-    /// immediately in degraded mode; a fresh journal failure latches
-    /// degraded mode and refuses.
-    pub(crate) fn append_spend(
-        &self,
-        kind: RecordKind,
-        tenant: &str,
-        cost: &PrivacyBudget,
-        meta: &RecordMeta,
-    ) -> Result<(), ServiceError> {
-        if self.is_degraded() {
-            self.note_degraded_refusal();
-            return Err(ServiceError::DurabilityUnavailable {
-                reason: "journal broken by an earlier failure; restart to recover".into(),
-            });
-        }
-        self.wal.append(&Self::record(kind, tenant, cost, meta)).map_err(|e| {
-            self.note_degraded_refusal();
-            self.latch_degraded(e.to_string())
+        Err(ServiceError::DurabilityUnavailable {
+            reason: "journal broken by an earlier failure; restart to recover".into(),
         })
     }
 
-    /// Best-effort append for non-spend records (`Refund`, `Refusal`).
-    /// Losing one can only *over*-state the recovered spend (a refund that
-    /// never hit disk was already applied in memory and replay ignores
-    /// refunds anyway), so the in-memory settlement proceeds regardless;
-    /// a failure still latches degraded mode.
-    pub(crate) fn append_note(
-        &self,
-        kind: RecordKind,
-        tenant: &str,
-        cost: &PrivacyBudget,
-        meta: &RecordMeta,
-    ) {
-        if self.is_degraded() {
-            return;
+    /// Journals one settlement; a journal failure latches degraded mode.
+    /// `Reserve` and `Commit` are fail-closed: the record must be durable
+    /// before the caller may proceed, so degraded mode or a fresh failure
+    /// refuses. `Refund` and `Refusal` are best-effort and never refuse:
+    /// losing one can only *over*-state the recovered spend (replay counts
+    /// commits only), so the in-memory settlement proceeds regardless.
+    pub(crate) fn append(&self, settlement: &Settlement) -> Result<(), ServiceError> {
+        let spends = matches!(settlement.kind, SettlementKind::Reserve | SettlementKind::Commit);
+        if spends {
+            self.refuse_if_degraded()?;
+        } else if self.is_degraded() {
+            return Ok(());
         }
-        if let Err(e) = self.wal.append(&Self::record(kind, tenant, cost, meta)) {
-            let _ = self.latch_degraded(e.to_string());
+        let Err(e) = self.wal.append(settlement) else { return Ok(()) };
+        self.journal_errors.fetch_add(1, Ordering::Relaxed);
+        self.degraded.store(true, Ordering::Release);
+        if !spends {
+            return Ok(());
         }
+        self.degraded_refusals.fetch_add(1, Ordering::Relaxed);
+        Err(ServiceError::DurabilityUnavailable { reason: e.to_string() })
     }
 
     /// Current durability status for metrics exposition.
@@ -206,21 +136,5 @@ impl DurableState {
             degraded_refusals: self.degraded_refusals.load(Ordering::Relaxed),
             replay: self.replay,
         }
-    }
-}
-
-/// Journal context carried by a [`crate::accountant::Reservation`] so every
-/// settlement path (commit, rollback, RAII drop) journals through the same
-/// shared state with the same request metadata.
-#[derive(Debug, Clone)]
-pub struct JournalCtx {
-    pub(crate) state: Arc<DurableState>,
-    pub(crate) meta: RecordMeta,
-}
-
-impl JournalCtx {
-    /// Bind the shared durable state to one request's metadata.
-    pub fn new(state: Arc<DurableState>, meta: RecordMeta) -> Self {
-        JournalCtx { state, meta }
     }
 }

@@ -30,6 +30,15 @@ pub enum ServiceError {
     UnknownTenant(String),
     /// A tenant with this id is already registered.
     DuplicateTenant(String),
+    /// The tenant id is longer than a budget-journal record can carry
+    /// (`starj_durable::record::MAX_TENANT_BYTES`); refused at
+    /// registration.
+    TenantIdTooLong {
+        /// UTF-8 byte length of the refused id.
+        bytes: usize,
+        /// The longest id accepted.
+        max: usize,
+    },
     /// The query failed schema admission (unknown table/column, constraint
     /// outside its domain, non-measure aggregate target, …). Rejected before
     /// any budget was reserved.
@@ -107,6 +116,9 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::UnknownTenant(t) => write!(f, "unknown tenant `{t}`"),
             ServiceError::DuplicateTenant(t) => write!(f, "tenant `{t}` already registered"),
+            ServiceError::TenantIdTooLong { bytes, max } => {
+                write!(f, "tenant id of {bytes} bytes exceeds the {max}-byte limit")
+            }
             ServiceError::InvalidQuery(e) => write!(f, "query rejected at admission: {e}"),
             ServiceError::InvalidBudget(e) => write!(f, "invalid privacy budget: {e}"),
             // Client-facing: floor only. The estimate (and which predicate

@@ -98,10 +98,10 @@ pub mod metrics;
 pub mod service;
 pub mod wcache;
 
-pub use accountant::{BudgetAccountant, Reservation, TenantUsage};
+pub use accountant::{BudgetAccountant, Reservation, SettlementCtx, TenantUsage};
 pub use cache::{AnswerCache, CachedAnswer, Mechanism, RequestKey};
 pub use coalesce::{Pending, Submitted};
-pub use durable::{DurableConfig, DurableState, DurableStatus, RecordMeta, ReplaySummary};
+pub use durable::{DurableConfig, DurableState, DurableStatus, ReplaySummary};
 pub use error::ServiceError;
 pub use explain::{ExplainProfile, ExplainReport};
 pub use metrics::{LatencyHistogram, MetricsSnapshot, ServiceMetrics, LATENCY_BUCKETS};
@@ -113,6 +113,6 @@ pub use wcache::WeightHistogramCache;
 // Re-export the observability vocabulary so service consumers configure
 // tracing/auditing without naming the telemetry crate directly.
 pub use starj_telemetry::{
-    AuditEvent, AuditKind, AuditTrail, KernelSnapshot, RequestKind, Stage, Telemetry,
-    TelemetryConfig, TraceOutcome, TraceRecord,
+    AuditEvent, AuditTrail, KernelSnapshot, RequestKind, Settlement, SettlementKind, Stage,
+    Telemetry, TelemetryConfig, TraceOutcome, TraceRecord,
 };

@@ -40,11 +40,11 @@
 //! that version, so no pre-refresh release or histogram can ever serve a
 //! post-refresh request.
 
-use crate::accountant::{AuditCtx, BudgetAccountant, Reservation, TenantUsage};
+use crate::accountant::{BudgetAccountant, Reservation, SettlementCtx, TenantUsage};
 use crate::admission::{min_frequency_check, validate_query, validate_workload};
 use crate::cache::{AnswerCache, CachedAnswer, Mechanism, RequestKey};
 use crate::coalesce::{pending_pair, Coalescer, Job, Submitted};
-use crate::durable::{DurableConfig, DurableState, DurableStatus, JournalCtx, RecordMeta};
+use crate::durable::{DurableConfig, DurableState, DurableStatus};
 use crate::error::ServiceError;
 use crate::explain::ExplainReport;
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
@@ -458,10 +458,8 @@ impl Service {
         let durable = match &config.durable {
             None => None,
             Some(durable_config) => {
-                let (wal, recovery) =
-                    BudgetWal::open(durable_config.wal_config(), config.fault.clone()).map_err(
-                        |e| ServiceError::DurabilityUnavailable { reason: e.to_string() },
-                    )?;
+                let (wal, recovery) = BudgetWal::open(durable_config.clone(), config.fault.clone())
+                    .map_err(|e| ServiceError::DurabilityUnavailable { reason: e.to_string() })?;
                 Some((Arc::new(DurableState::new(wal, &recovery)), recovery))
             }
         };
@@ -1138,25 +1136,16 @@ impl ServiceCore {
         version: u64,
     ) -> Result<Reservation, ServiceError> {
         let trail = self.telemetry.audit();
-        let audit = trail.enabled().then(|| AuditCtx {
-            trail: Arc::clone(trail),
+        let ctx = SettlementCtx {
+            trail: trail.enabled().then(|| Arc::clone(trail)),
+            journal: self.durable.clone(),
             query_hash,
             data_version: version,
-            // Captured here — on the submitting thread — so settlement
-            // events recorded later on a coalescer worker still carry it.
+            // Captured here — on the submitting thread — so settlements
+            // emitted later on a coalescer worker still carry it.
             request_id: starj_telemetry::current_wire_request_id(),
-        });
-        let journal = self.durable.as_ref().map(|state| {
-            JournalCtx::new(
-                Arc::clone(state),
-                RecordMeta {
-                    query_hash,
-                    data_version: version,
-                    request_id: starj_telemetry::current_wire_request_id(),
-                },
-            )
-        });
-        self.accountant.reserve_journaled(tenant, cost, audit, journal).inspect_err(|e| {
+        };
+        self.accountant.reserve(tenant, cost, ctx).inspect_err(|e| {
             if matches!(e, ServiceError::BudgetExhausted { .. }) {
                 ServiceMetrics::inc(&self.metrics.budget_refusals);
             }

@@ -1,12 +1,15 @@
-//! The privacy-budget audit trail: an append-only structured log of every
-//! accountant decision.
+//! The privacy-budget audit trail: the bounded in-memory record of every
+//! accountant settlement.
 //!
 //! A DP deployment's budget ledger is its privacy *claim*; the audit trail
-//! is the *evidence*. Every reserve, commit, refund, and refusal lands
-//! here as a structured [`AuditEvent`] carrying the tenant, the canonical
-//! request hash, the `(ε, δ)` delta, the data version it was admitted
-//! against, and the outcome — so "tenant `a` spent `ε = 0.75`" can be
-//! decomposed into *which queries, against which data, when*.
+//! is the *evidence*. The accountant emits every reserve, commit, refund,
+//! and refusal exactly once, as one [`Settlement`] carrying the tenant, the
+//! canonical request hash, the `(ε, δ)` delta, the data version it was
+//! admitted against, the wire request id, and the outcome. That one value
+//! is journaled by `starj-durable` (when the service has a journal), pushed
+//! into this ring, and published on the [`EventBus`] — so "tenant `a`
+//! spent `ε = 0.75`" decomposes into *which queries, against which data,
+//! when*, and the journal and the ring cannot disagree about it.
 //!
 //! # The reconciliation invariant
 //!
@@ -20,7 +23,9 @@
 //! With dyadic ε values (k/2ⁿ — every workspace test and bench uses
 //! these) floating-point addition is exact and order-independent, so the
 //! first identity holds *bitwise*; `tests/prop_telemetry.rs` pins it
-//! property-style. [`AuditTrail::committed`] computes the left-hand side.
+//! property-style. [`AuditTrail::committed`] computes the left-hand side,
+//! and journal recovery rebuilds the ledger through the same
+//! [`TenantTotals::apply`].
 //!
 //! The trail is bounded: past `capacity`, the oldest events are dropped
 //! and counted in [`AuditTrail::dropped`] — reconciliation sums therefore
@@ -30,14 +35,16 @@ use crate::clock::now_ns;
 use crate::events::EventBus;
 use crate::json::Json;
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Deref;
 use std::sync::{Arc, Mutex};
 
 /// What the accountant did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AuditKind {
+pub enum SettlementKind {
     /// A hold was admitted: `spent + in-flight + cost ≤ allotment`.
     Reserve,
-    /// A hold became committed spending (the answer was released).
+    /// A hold became committed spending (the answer was released). Journal
+    /// recovery replays only these.
     Commit,
     /// A hold was returned (rollback, drop, failed or stale request).
     Refund,
@@ -45,41 +52,59 @@ pub enum AuditKind {
     Refusal,
 }
 
-impl AuditKind {
+impl SettlementKind {
     /// Stable snake_case name (JSONL `kind` field).
     pub fn name(self) -> &'static str {
         match self {
-            AuditKind::Reserve => "reserve",
-            AuditKind::Commit => "commit",
-            AuditKind::Refund => "refund",
-            AuditKind::Refusal => "refusal",
+            SettlementKind::Reserve => "reserve",
+            SettlementKind::Commit => "commit",
+            SettlementKind::Refund => "refund",
+            SettlementKind::Refusal => "refusal",
         }
     }
 }
 
-/// One accountant decision.
+/// One accountant decision: the value the audit ring, the event bus, and
+/// the budget journal all consume.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Settlement {
+    /// What happened.
+    pub kind: SettlementKind,
+    /// The tenant whose budget moved.
+    pub tenant: String,
+    /// Hash of the canonical request (0 when the caller had none, e.g. a
+    /// bare accountant test).
+    pub query_hash: u64,
+    /// The ε component of the `(ε, δ)` delta (journaled as its exact bit
+    /// pattern).
+    pub epsilon: f64,
+    /// The δ component.
+    pub delta: f64,
+    /// The data version the request was admitted against.
+    pub data_version: u64,
+    /// The wire request id captured on the submitting thread (the network
+    /// front door's frame id; see [`crate::reqid`]). 0 = internal traffic.
+    pub request_id: u64,
+}
+
+/// A settlement as the ring retains it. `seq` and `at_ns` are the ring's
+/// own stamps; they never reach the journal.
 #[derive(Debug, Clone)]
 pub struct AuditEvent {
     /// Monotone per-trail sequence number (stable across eviction).
     pub seq: u64,
     /// Nanoseconds since the process epoch.
     pub at_ns: u64,
-    /// The tenant charged (shared, not cloned, on the hot path).
-    pub tenant: Arc<str>,
-    /// Hash of the canonical request (0 when the caller had none, e.g. a
-    /// bare accountant test).
-    pub query_hash: u64,
-    /// The ε component of the `(ε, δ)` delta.
-    pub epsilon: f64,
-    /// The δ component.
-    pub delta: f64,
-    /// The data version the request was admitted against.
-    pub data_version: u64,
-    /// The wire request id ambient on the recording thread (the network
-    /// front door's frame id; see [`crate::reqid`]). 0 = internal traffic.
-    pub request_id: u64,
-    /// What happened.
-    pub kind: AuditKind,
+    /// The settlement itself.
+    pub settlement: Settlement,
+}
+
+impl Deref for AuditEvent {
+    type Target = Settlement;
+
+    fn deref(&self) -> &Settlement {
+        &self.settlement
+    }
 }
 
 impl AuditEvent {
@@ -89,7 +114,7 @@ impl AuditEvent {
         let mut pairs = vec![
             ("seq", Json::Num(self.seq as f64)),
             ("at_ns", Json::Num(self.at_ns as f64)),
-            ("tenant", Json::Str(self.tenant.to_string())),
+            ("tenant", Json::Str(self.tenant.clone())),
             ("kind", Json::Str(self.kind.name().to_string())),
             ("query_hash", Json::Str(format!("{:016x}", self.query_hash))),
             ("epsilon", Json::Num(self.epsilon)),
@@ -103,7 +128,8 @@ impl AuditEvent {
     }
 }
 
-/// Per-tenant running totals, exact under eviction.
+/// Per-tenant running totals over a settlement stream, exact under
+/// eviction.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TenantTotals {
     /// Σ ε over Reserve events.
@@ -120,10 +146,28 @@ pub struct TenantTotals {
     pub commits: u64,
 }
 
+impl TenantTotals {
+    /// Folds one settlement in. The audit ring and journal recovery both
+    /// accumulate through here, in stream order, so their committed sums
+    /// are the same `f64` additions.
+    pub fn apply(&mut self, settlement: &Settlement) {
+        match settlement.kind {
+            SettlementKind::Reserve => self.reserved_epsilon += settlement.epsilon,
+            SettlementKind::Commit => {
+                self.committed_epsilon += settlement.epsilon;
+                self.committed_delta += settlement.delta;
+                self.commits += 1;
+            }
+            SettlementKind::Refund => self.refunded_epsilon += settlement.epsilon,
+            SettlementKind::Refusal => self.refusals += 1,
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct TrailState {
     events: VecDeque<AuditEvent>,
-    totals: BTreeMap<Arc<str>, TenantTotals>,
+    totals: BTreeMap<String, TenantTotals>,
     next_seq: u64,
     dropped: u64,
 }
@@ -165,72 +209,24 @@ impl AuditTrail {
         self.capacity > 0
     }
 
-    /// Appends one event, stamped with the wire request id ambient on the
-    /// recording thread. No-op when disabled.
-    pub fn record(
-        &self,
-        tenant: &Arc<str>,
-        kind: AuditKind,
-        query_hash: u64,
-        epsilon: f64,
-        delta: f64,
-        data_version: u64,
-    ) {
-        self.record_for_request(
-            tenant,
-            kind,
-            query_hash,
-            epsilon,
-            delta,
-            data_version,
-            crate::reqid::current_wire_request_id(),
-        );
-    }
-
-    /// [`AuditTrail::record`] with an explicit wire request id (0 =
-    /// internal). Settlement events fire on whatever thread settles the
-    /// reservation — a coalescer worker refusing a stale job, for example —
-    /// so callers that captured the id at submit time pass it here instead
-    /// of relying on the recording thread's ambient state.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_for_request(
-        &self,
-        tenant: &Arc<str>,
-        kind: AuditKind,
-        query_hash: u64,
-        epsilon: f64,
-        delta: f64,
-        data_version: u64,
-        request_id: u64,
-    ) {
+    /// Stamps one settlement with the next sequence number and the time,
+    /// publishes it on the bus, and pushes it into the ring. No-op when
+    /// disabled.
+    pub fn record(&self, settlement: Settlement) {
         if !self.enabled() {
             return;
         }
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let seq = state.next_seq;
         state.next_seq += 1;
-        let totals = state.totals.entry(Arc::clone(tenant)).or_default();
-        match kind {
-            AuditKind::Reserve => totals.reserved_epsilon += epsilon,
-            AuditKind::Commit => {
-                totals.committed_epsilon += epsilon;
-                totals.committed_delta += delta;
-                totals.commits += 1;
-            }
-            AuditKind::Refund => totals.refunded_epsilon += epsilon,
-            AuditKind::Refusal => totals.refusals += 1,
+        // Look up before inserting: the tenant key is cloned once per
+        // tenant, not once per event.
+        if let Some(totals) = state.totals.get_mut(&settlement.tenant) {
+            totals.apply(&settlement);
+        } else {
+            state.totals.entry(settlement.tenant.clone()).or_default().apply(&settlement);
         }
-        let event = AuditEvent {
-            seq,
-            at_ns: now_ns(),
-            tenant: Arc::clone(tenant),
-            query_hash,
-            epsilon,
-            delta,
-            data_version,
-            request_id,
-            kind,
-        };
+        let event = AuditEvent { seq, at_ns: now_ns(), settlement };
         if let Some(bus) = &self.bus {
             bus.publish_audit(&self.component, &event);
         }
@@ -250,7 +246,7 @@ impl AuditTrail {
     /// The retained events of one tenant, oldest first.
     pub fn events_for(&self, tenant: &str) -> Vec<AuditEvent> {
         let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.events.iter().filter(|e| &*e.tenant == tenant).cloned().collect()
+        state.events.iter().filter(|e| e.tenant == tenant).cloned().collect()
     }
 
     /// The running totals of one tenant (exact even after eviction).
@@ -269,7 +265,7 @@ impl AuditTrail {
     /// Tenants with recorded totals, sorted.
     pub fn tenants(&self) -> Vec<String> {
         let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.totals.keys().map(|t| t.to_string()).collect()
+        state.totals.keys().cloned().collect()
     }
 
     /// Retained event count.
@@ -330,14 +326,21 @@ fn render_jsonl(events: &[AuditEvent], extra: &[(&str, &str)]) -> String {
 mod tests {
     use super::*;
 
-    fn tenant(name: &str) -> Arc<str> {
-        Arc::from(name)
+    fn settle(
+        tenant: &str,
+        kind: SettlementKind,
+        query_hash: u64,
+        epsilon: f64,
+        data_version: u64,
+    ) -> Settlement {
+        let tenant = tenant.to_string();
+        Settlement { kind, tenant, query_hash, epsilon, delta: 0.0, data_version, request_id: 0 }
     }
 
     #[test]
     fn disabled_trail_records_nothing() {
         let trail = AuditTrail::new(0);
-        trail.record(&tenant("t"), AuditKind::Commit, 1, 0.5, 0.0, 0);
+        trail.record(settle("t", SettlementKind::Commit, 1, 0.5, 0));
         assert!(trail.is_empty());
         assert_eq!(trail.committed("t"), (0.0, 0.0));
     }
@@ -345,10 +348,9 @@ mod tests {
     #[test]
     fn commit_sums_are_exact_for_dyadic_epsilons() {
         let trail = AuditTrail::new(16);
-        let t = tenant("a");
         for eps in [0.5, 0.25, 0.125, 0.125] {
-            trail.record(&t, AuditKind::Reserve, 7, eps, 0.0, 0);
-            trail.record(&t, AuditKind::Commit, 7, eps, 0.0, 0);
+            trail.record(settle("a", SettlementKind::Reserve, 7, eps, 0));
+            trail.record(settle("a", SettlementKind::Commit, 7, eps, 0));
         }
         let (eps, delta) = trail.committed("a");
         assert_eq!(eps, 1.0, "dyadic sum is bit-exact");
@@ -361,9 +363,8 @@ mod tests {
     #[test]
     fn eviction_keeps_totals_exact() {
         let trail = AuditTrail::new(2);
-        let t = tenant("a");
         for _ in 0..5 {
-            trail.record(&t, AuditKind::Commit, 0, 0.25, 0.0, 3);
+            trail.record(settle("a", SettlementKind::Commit, 0, 0.25, 3));
         }
         assert_eq!(trail.len(), 2, "capacity bound enforced");
         assert_eq!(trail.dropped(), 3);
@@ -376,9 +377,9 @@ mod tests {
     #[test]
     fn per_tenant_queries_filter() {
         let trail = AuditTrail::new(16);
-        trail.record(&tenant("a"), AuditKind::Reserve, 1, 0.5, 0.0, 0);
-        trail.record(&tenant("b"), AuditKind::Refusal, 2, 9.0, 0.0, 0);
-        trail.record(&tenant("a"), AuditKind::Refund, 1, 0.5, 0.0, 0);
+        trail.record(settle("a", SettlementKind::Reserve, 1, 0.5, 0));
+        trail.record(settle("b", SettlementKind::Refusal, 2, 9.0, 0));
+        trail.record(settle("a", SettlementKind::Refund, 1, 0.5, 0));
         assert_eq!(trail.events_for("a").len(), 2);
         assert_eq!(trail.events_for("b").len(), 1);
         assert_eq!(trail.totals("b").refusals, 1);
@@ -387,16 +388,14 @@ mod tests {
     }
 
     #[test]
-    fn ambient_wire_request_id_lands_on_events() {
+    fn wire_request_ids_render_only_when_non_zero() {
         let trail = AuditTrail::new(4);
-        {
-            let _scope = crate::reqid::WireRequestScope::enter(9001);
-            trail.record(&tenant("t"), AuditKind::Refusal, 1, 0.5, 0.0, 0);
-        }
-        trail.record(&tenant("t"), AuditKind::Reserve, 1, 0.5, 0.0, 0);
-        let events = trail.events();
-        assert_eq!(events[0].request_id, 9001, "wire-scoped event carries the frame id");
-        assert_eq!(events[1].request_id, 0, "internal traffic records no id");
+        trail.record(Settlement {
+            request_id: 9001,
+            ..settle("t", SettlementKind::Refusal, 1, 0.5, 0)
+        });
+        trail.record(settle("t", SettlementKind::Reserve, 1, 0.5, 0));
+        assert_eq!(trail.events()[0].request_id, 9001, "the event carries the frame id");
         let jsonl = trail.to_jsonl();
         let first = Json::parse(jsonl.lines().next().expect("line")).expect("parses");
         assert_eq!(first.get("request_id").and_then(Json::as_f64), Some(9001.0));
@@ -407,7 +406,10 @@ mod tests {
     #[test]
     fn jsonl_lines_parse_and_carry_tags() {
         let trail = AuditTrail::new(4);
-        trail.record(&tenant("t"), AuditKind::Commit, 0xdead_beef, 0.5, 1e-9, 2);
+        trail.record(Settlement {
+            delta: 1e-9,
+            ..settle("t", SettlementKind::Commit, 0xdead_beef, 0.5, 2)
+        });
         let jsonl = trail.to_jsonl_tagged(&[("dataset", "ssb")]);
         let line = jsonl.lines().next().expect("one line");
         let parsed = Json::parse(line).expect("line parses");

@@ -15,12 +15,14 @@
 //!   seqlock version, so tracing never takes a lock on the serving path
 //!   and — critically — never touches the request RNG, the budget ledger,
 //!   or any answer bit.
-//! * [`audit`] — an append-only privacy-budget audit trail
-//!   ([`AuditTrail`]): every accountant reserve / commit / refund /
-//!   refusal lands as a structured [`AuditEvent`] carrying tenant,
-//!   canonical-query hash, `(ε, δ)` delta, data version, and outcome. The
-//!   ledger stops being just a number and becomes evidence: summing a
-//!   tenant's commit events bit-equals the ledger's dyadic spend.
+//! * [`audit`] — the settlement event and its bounded in-memory trail
+//!   ([`AuditTrail`]): the accountant emits every reserve / commit /
+//!   refund / refusal once, as one [`Settlement`] carrying tenant,
+//!   canonical-query hash, `(ε, δ)` delta, data version, wire request id,
+//!   and outcome. The same value feeds the trail, the [`EventBus`], and
+//!   (through `starj-durable`) the budget journal. The ledger stops being
+//!   just a number and becomes evidence: summing a tenant's commit events
+//!   bit-equals the ledger's dyadic spend.
 //! * [`counters`] — process-wide kernel profiling counters
 //!   ([`KernelCounters`]): chunks scanned, stage-buffer copies and staged
 //!   vs direct gathers, probe fast-path classification tallies
@@ -49,7 +51,7 @@ pub mod reqid;
 pub mod slowlog;
 pub mod trace;
 
-pub use audit::{AuditEvent, AuditKind, AuditTrail};
+pub use audit::{AuditEvent, AuditTrail, Settlement, SettlementKind, TenantTotals};
 pub use clock::now_ns;
 pub use counters::{
     cost_counters, kernel_counters, CostCounters, CostSnapshot, KernelCounters, KernelSnapshot,

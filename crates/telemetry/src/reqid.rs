@@ -13,9 +13,9 @@
 //!   non-zero) as the span's `trace_id` and `parent_span_id`, so the trace
 //!   ring's span ids *are* the wire request ids for front-door traffic and
 //!   child spans link back to the span that spawned them;
-//! * [`crate::AuditTrail::record`] stamps the request id into every
-//!   [`crate::AuditEvent`], so a refusal or refund observed on the wire can
-//!   be found in the audit trail by the id the client saw.
+//! * the service's budget reserve captures the request id into every
+//!   [`crate::Settlement`] it emits, so a refusal or refund observed on the
+//!   wire can be found in the audit trail by the id the client saw.
 //!
 //! An all-zero context means "no wire request" — internal traffic keeps
 //! its process-unique monotone trace ids and records `request_id: 0`

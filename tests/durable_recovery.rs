@@ -11,6 +11,9 @@
 //!   and multi-segment journals replay across segment boundaries;
 //! * replaying a journal onto a non-empty accountant is refused — the
 //!   fail-closed guard against double-applying spends;
+//! * a tenant id too long for a journal record is refused at
+//!   registration, so it can never truncate the journal and drop other
+//!   tenants' spends;
 //! * degraded mode keeps serving cache hits and free answers while
 //!   refusing new spends, all the way out to the gate's stable
 //!   `journal_unavailable` wire code;
@@ -18,7 +21,8 @@
 //!   [`ServiceError::Internal`], the reservation is refunded, and the
 //!   worker survives to answer the next request.
 
-use dp_starj_repro::durable::{FaultKind, FaultPlan, ReplayedLedger, TempDir};
+use dp_starj_repro::durable::record::MAX_TENANT_BYTES;
+use dp_starj_repro::durable::{FaultKind, FaultPlan, TempDir};
 use dp_starj_repro::engine::{Column, Dimension, Domain, Predicate, StarQuery, StarSchema, Table};
 use dp_starj_repro::gate::{Gate, GateClient, GateConfig};
 use dp_starj_repro::noise::PrivacyBudget;
@@ -26,7 +30,7 @@ use dp_starj_repro::router::{Router, RouterConfig};
 use dp_starj_repro::service::{
     BudgetAccountant, DurableConfig, Service, ServiceConfig, ServiceError,
 };
-use dp_starj_repro::telemetry::Json;
+use dp_starj_repro::telemetry::{Json, TenantTotals};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -239,7 +243,12 @@ fn replaying_onto_a_non_empty_accountant_is_refused() {
     let mut recovered = BTreeMap::new();
     recovered.insert(
         "alice".to_string(),
-        ReplayedLedger { spent_epsilon: 0.5, spent_delta: 0.0, commits: 2 },
+        TenantTotals {
+            committed_epsilon: 0.5,
+            committed_delta: 0.0,
+            commits: 2,
+            ..TenantTotals::default()
+        },
     );
     let err = accountant.adopt_recovery(&recovered).unwrap_err();
     assert!(
@@ -251,6 +260,39 @@ fn replaying_onto_a_non_empty_accountant_is_refused() {
     fresh.adopt_recovery(&recovered).unwrap();
     fresh.register("alice", PrivacyBudget::pure(1.0).unwrap()).unwrap();
     assert_eq!(fresh.usage("alice").unwrap().spent_epsilon.to_bits(), 0.5f64.to_bits());
+}
+
+#[test]
+fn registration_refuses_tenant_ids_too_long_to_journal() {
+    let dir = TempDir::new("durable-long-tenant").unwrap();
+    let budget = PrivacyBudget::pure(4.0).unwrap();
+    let longest = "y".repeat(MAX_TENANT_BYTES);
+    {
+        let service = open(dir.path(), None);
+        let err = service.register_tenant(&"x".repeat(MAX_TENANT_BYTES + 1), budget).unwrap_err();
+        assert_eq!(
+            err,
+            ServiceError::TenantIdTooLong { bytes: MAX_TENANT_BYTES + 1, max: MAX_TENANT_BYTES }
+        );
+        // The longest accepted id journals like any other, and the records
+        // around it survive.
+        service.register_tenant(&longest, budget).unwrap();
+        service.register_tenant("alice", budget).unwrap();
+        service.register_tenant("bob", budget).unwrap();
+        service.pm_answer("alice", &query(0), 0.25).unwrap();
+        service.pm_answer(&longest, &query(1), 0.5).unwrap();
+        service.pm_answer("alice", &query(2), 0.25).unwrap();
+        service.pm_answer("bob", &query(3), 0.125).unwrap();
+    }
+    let recovered = open(dir.path(), None);
+    let replay = recovered.durable_status().unwrap().replay;
+    assert!(!replay.torn_tail_truncated);
+    assert_eq!(replay.commits, 4);
+    for (tenant, spent) in [("alice", 0.5f64), (longest.as_str(), 0.5), ("bob", 0.125)] {
+        recovered.register_tenant(tenant, budget).unwrap();
+        let usage = recovered.tenant_usage(tenant).unwrap();
+        assert_eq!(usage.spent_epsilon.to_bits(), spent.to_bits());
+    }
 }
 
 #[test]

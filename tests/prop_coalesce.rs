@@ -353,7 +353,7 @@ fn scarce_budget_refusals_match_the_sequential_path() {
         let refusals = audit
             .events_for("t")
             .iter()
-            .filter(|e| e.kind == dp_starj_repro::service::AuditKind::Refusal)
+            .filter(|e| e.kind == dp_starj_repro::service::SettlementKind::Refusal)
             .count();
         assert_eq!(refusals, 4, "every budget refusal leaves an audit event");
     }

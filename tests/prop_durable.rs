@@ -93,7 +93,8 @@ fn run_workload(dir: &Path, plan: Arc<FaultPlan>) -> BTreeMap<String, f64> {
         }
     }
     // The in-memory ledger must agree with what we released even before
-    // recovery: refusals refund.
+    // recovery: refusals refund. So must Σ Commit over the emitted
+    // settlement stream, whatever the fault did to the journal's copy.
     for tenant in TENANTS {
         let usage = service.tenant_usage(tenant).unwrap();
         assert_eq!(usage.in_flight_epsilon, 0.0, "{tenant}: no reservation may leak");
@@ -101,6 +102,12 @@ fn run_workload(dir: &Path, plan: Arc<FaultPlan>) -> BTreeMap<String, f64> {
             usage.spent_epsilon.to_bits(),
             released[tenant].to_bits(),
             "{tenant}: live ledger must equal released answers"
+        );
+        let (emitted, _) = service.telemetry().audit().committed(tenant);
+        assert_eq!(
+            emitted.to_bits(),
+            usage.spent_epsilon.to_bits(),
+            "{tenant}: Σ Commit over the emitted stream must equal the live ledger"
         );
     }
     released
@@ -122,7 +129,10 @@ fn recover(dir: &Path) -> BTreeMap<String, f64> {
         .collect()
 }
 
-/// The core invariant check for one crash scenario.
+/// The core invariant check for one crash scenario. `released` is also
+/// Σ Commit over the emitted settlement stream (checked in
+/// [`run_workload`]), so recovery never falls below what the audit trail
+/// says was spent.
 fn assert_never_undercharges(
     label: &str,
     released: &BTreeMap<String, f64>,

@@ -13,7 +13,7 @@
 use dp_starj_repro::engine::{Column, Dimension, Domain, Predicate, StarQuery, StarSchema, Table};
 use dp_starj_repro::noise::PrivacyBudget;
 use dp_starj_repro::service::{
-    AuditKind, Request, Service, ServiceConfig, ServiceError, Stage, TraceRecord,
+    Request, Service, ServiceConfig, ServiceError, SettlementKind, Stage, TraceRecord,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -128,7 +128,7 @@ proptest! {
             let resummed: f64 = audit
                 .events_for(t)
                 .iter()
-                .filter(|e| e.kind == AuditKind::Commit)
+                .filter(|e| e.kind == SettlementKind::Commit)
                 .fold(0.0, |acc, e| acc + e.epsilon);
             prop_assert_eq!(audit.dropped(), 0);
             prop_assert_eq!(resummed.to_bits(), usage.spent_epsilon.to_bits());
@@ -136,11 +136,11 @@ proptest! {
             // Conservation: every Reserve settles as exactly one Commit or
             // Refund — in-flight ends at zero, so the counts must balance.
             let events = audit.events_for(t);
-            let count = |k: AuditKind| events.iter().filter(|e| e.kind == k).count();
+            let count = |k: SettlementKind| events.iter().filter(|e| e.kind == k).count();
             prop_assert_eq!(usage.in_flight_epsilon, 0.0);
             prop_assert_eq!(
-                count(AuditKind::Reserve),
-                count(AuditKind::Commit) + count(AuditKind::Refund),
+                count(SettlementKind::Reserve),
+                count(SettlementKind::Commit) + count(SettlementKind::Refund),
                 "unsettled reservation in the audit trail for {}", t
             );
         }
