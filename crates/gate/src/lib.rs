@@ -29,6 +29,7 @@
 
 #![warn(missing_docs)]
 
+pub mod accept;
 pub mod client;
 pub mod error;
 pub mod listener;
@@ -36,6 +37,7 @@ pub mod metrics;
 pub mod sql;
 pub mod wire;
 
+pub use accept::{AcceptLoop, MAX_CONNECTIONS};
 pub use client::{sql_request, ClientConfig, GateClient, GateClientError};
 pub use error::GateError;
 pub use listener::{Gate, GateConfig};

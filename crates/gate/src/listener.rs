@@ -1,9 +1,12 @@
 //! The wire listener: a dependency-free blocking-accept front door.
 //!
 //! [`Gate::bind`] opens a TCP listener and serves the protocol in
-//! [`crate::wire`] with one accept thread plus one thread per connection —
-//! the same "std threads, no async runtime" shape as the service's
-//! coalescer worker pool (the workspace ships no tokio). Per connection:
+//! [`crate::wire`] on the shared [`crate::accept::AcceptLoop`]: one accept
+//! thread plus one thread per connection, at most
+//! [`crate::accept::MAX_CONNECTIONS`] at once (the next is answered with an
+//! `overloaded` refusal and closed) — the same "std threads, no async
+//! runtime" shape as the service's coalescer worker pool (the workspace
+//! ships no tokio). Per connection:
 //!
 //! * **auth** — the first thing every request resolves is its token
 //!   against [`GateConfig::tokens`]; an unknown token is a structured
@@ -22,8 +25,15 @@
 //!   requests without waiting; answers come back in request order.
 //!   Requests the service parks in its coalescer queue
 //!   ([`starj_service::Submitted::Queued`]) ride in a per-connection
-//!   FIFO; front entries are resolved (blocking) whenever the connection
-//!   goes idle, the peer closes, or …
+//!   FIFO. While a parked answer is at its front, the next read is a
+//!   non-blocking probe: a waiting frame is served as usual (so pipelined
+//!   submissions keep reaching the coalescer), and an empty socket
+//!   blocks on the front answer and writes it, with every ready answer
+//!   behind it, the moment it resolves — a wait capped at
+//!   [`GateConfig::poll_interval`], after which it probes again. The
+//!   socket is non-blocking for that one read only — every write blocks,
+//!   so a full send buffer paces the connection instead of failing it.
+//!   The FIFO also drains when the peer closes, or …
 //! * **backpressure** — … more than [`GateConfig::max_in_flight`] answers
 //!   are outstanding: the reader stops pulling frames until the front of
 //!   the queue resolves, so a flooding client backs up its own TCP
@@ -38,6 +48,7 @@
 //! Dropping the [`Gate`] stops accepting, joins every thread, and
 //! resolves all outstanding answers first — no request is abandoned.
 
+use crate::accept::{AcceptLoop, MAX_CONNECTIONS};
 use crate::metrics::GateMetrics;
 use crate::sql::parse_query;
 use crate::wire::{
@@ -45,7 +56,7 @@ use crate::wire::{
 };
 use starj_engine::canonicalize;
 use starj_router::Router;
-use starj_service::{Answer, Request, ServiceError, Submitted};
+use starj_service::{Answer, Pending, Request, ServiceError, Submitted};
 use starj_telemetry::{
     Json, RequestKind, Subscription, Telemetry, TelemetryConfig, TraceContextScope, TraceOutcome,
     WireRequestScope,
@@ -54,8 +65,7 @@ use std::collections::VecDeque;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Ring capacity for a `subscribe` whose request omits `capacity`.
@@ -78,8 +88,12 @@ pub struct GateConfig {
     /// Maximum frame size in bytes; larger frames close the connection
     /// with a `frame_too_large` refusal.
     pub max_frame: usize,
-    /// How often blocked reads wake up to notice shutdown or drain idle
-    /// queues.
+    /// How often a connection with nothing outstanding wakes from its
+    /// blocking read to notice shutdown, pump its subscription and check a
+    /// stalled partial frame. Parked answers never wait on it: they are
+    /// written as soon as they resolve, and it only caps how long a
+    /// connection waits on one before looking for new frames again.
+    /// Clamped to ≥ 1 ms.
     pub poll_interval: Duration,
     /// How long a connection may sit **mid-frame** — length prefix or
     /// body partially received — before the gate gives up on it: the
@@ -121,10 +135,7 @@ pub struct GateShared {
 /// joins every spawned thread.
 #[derive(Debug)]
 pub struct Gate {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    accept: AcceptLoop,
     shared: Arc<GateShared>,
 }
 
@@ -133,9 +144,6 @@ impl Gate {
     /// starts serving `router` behind it.
     pub fn bind(router: Arc<Router>, config: GateConfig, addr: &str) -> std::io::Result<Gate> {
         let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let telemetry = match router.bus() {
             Some(bus) => Telemetry::new(&TelemetryConfig {
                 trace_capacity: 256,
@@ -148,75 +156,43 @@ impl Gate {
             None => Telemetry::disabled(),
         };
         let shared = Arc::new(GateShared {
-            config: GateConfig { max_in_flight: config.max_in_flight.max(1), ..config },
+            config: GateConfig {
+                max_in_flight: config.max_in_flight.max(1),
+                // A zero read timeout is rejected by the OS and would leave
+                // the socket blocking forever, so drop could never join.
+                poll_interval: config.poll_interval.max(Duration::from_millis(1)),
+                ..config
+            },
             metrics: GateMetrics::default(),
             telemetry,
         });
-
-        let accept = {
-            let shutdown = Arc::clone(&shutdown);
-            let conns = Arc::clone(&conns);
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new().name("starj-gate-accept".into()).spawn(move || {
-                let mut next_conn = 0u64;
-                for stream in listener.incoming() {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    GateMetrics::inc(&shared.metrics.connections_total);
-                    let router = Arc::clone(&router);
-                    let shared = Arc::clone(&shared);
-                    let shutdown = Arc::clone(&shutdown);
-                    let name = format!("starj-gate-conn-{next_conn}");
-                    next_conn += 1;
-                    let handle = std::thread::Builder::new()
-                        .name(name)
-                        .spawn(move || serve_connection(stream, &router, &shared, &shutdown))
-                        .expect("spawn gate connection thread");
-                    let mut held = conns.lock().unwrap_or_else(|e| e.into_inner());
-                    // Reap finished connections so the handle list stays
-                    // proportional to live connections, not total served.
-                    let (done, live): (Vec<_>, Vec<_>) =
-                        held.drain(..).partition(|h| h.is_finished());
-                    for h in done {
-                        let _ = h.join();
-                    }
-                    *held = live;
-                    held.push(handle);
-                }
-            })?
-        };
-
-        Ok(Gate { addr, shutdown, accept: Some(accept), conns, shared })
+        let serving = Arc::clone(&shared);
+        let refusing = Arc::clone(&shared);
+        let accept = AcceptLoop::spawn(
+            listener,
+            "gate",
+            move |stream, shutdown| serve_connection(stream, &router, &serving, shutdown),
+            move |mut stream| {
+                GateMetrics::inc(&refusing.metrics.connections_total);
+                let note = refusal(
+                    0,
+                    "overloaded",
+                    &format!("the gate serves at most {MAX_CONNECTIONS} connections; retry later"),
+                );
+                let _ = send_frame(&mut stream, &refusing.metrics, &note);
+            },
+        )?;
+        Ok(Gate { accept, shared })
     }
 
     /// The bound address (useful with an ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.accept.addr()
     }
 
     /// The listener's own counters (connections, frames, verbs, refusals).
     pub fn metrics(&self) -> &GateMetrics {
         &self.shared.metrics
-    }
-}
-
-impl Drop for Gate {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the blocking accept so it observes the flag.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        let handles: Vec<JoinHandle<()>> = {
-            let mut held = self.conns.lock().unwrap_or_else(|e| e.into_inner());
-            held.drain(..).collect()
-        };
-        for h in handles {
-            let _ = h.join();
-        }
     }
 }
 
@@ -227,7 +203,7 @@ enum Entry {
     /// Already rendered; waiting its turn behind earlier slots.
     Ready(Json),
     /// Parked in the service's coalescer; resolving blocks.
-    InFlight { id: u64, pending: Submitted<Answer> },
+    InFlight { id: u64, pending: Pending<Answer> },
 }
 
 fn resolve(entry: Entry) -> Json {
@@ -271,6 +247,7 @@ fn serve_connection(
 ) {
     let config = &shared.config;
     let metrics = &shared.metrics;
+    GateMetrics::inc(&metrics.connections_total);
     GateMetrics::inc(&metrics.active_connections);
     let _active = ActiveGuard(&metrics.active_connections);
     let _ = stream.set_read_timeout(Some(config.poll_interval));
@@ -280,14 +257,49 @@ fn serve_connection(
     let mut subscription: Option<LiveSubscription> = None;
 
     loop {
-        match reader.step(&mut stream, config.max_frame) {
-            Ok(Event::Idle) => {
-                // The client paused: flush everything outstanding so
-                // answers are not held hostage to the next request, then
-                // push any queued stream events, then notice shutdown.
-                if flush(&mut stream, &mut queue, 0, metrics).is_err()
+        // After every turn the FIFO is empty or starts with a parked
+        // answer. With one parked, read without blocking: a frame already
+        // on the socket is served first, and an empty socket means the
+        // client is waiting on that answer.
+        let parked = !queue.is_empty();
+        let event = if parked {
+            if stream.set_nonblocking(true).is_err() {
+                return;
+            }
+            let event = reader.step(&mut stream, config.max_frame);
+            // O_NONBLOCK is socket-wide: left on, a full send buffer would
+            // fail the next write instead of pacing it.
+            if stream.set_nonblocking(false).is_err() {
+                return;
+            }
+            event
+        } else {
+            reader.step(&mut stream, config.max_frame)
+        };
+        match event {
+            Ok(Event::Idle) if parked => {
+                // The client is waiting: block on the front answer and write
+                // it, with every ready one behind it, the moment it
+                // resolves. The wait is capped at one poll interval, so a
+                // frame sent meanwhile (say, the one that fills the
+                // coalescer's batch) is still read; then probe again.
+                let resolved = match queue.front() {
+                    Some(Entry::InFlight { pending, .. }) => {
+                        pending.ready_within(config.poll_interval)
+                    }
+                    _ => true,
+                };
+                let behind = queue.len() - usize::from(resolved);
+                if flush(&mut stream, &mut queue, behind, metrics).is_err()
                     || pump_subscription(&mut stream, &mut subscription, metrics).is_err()
                 {
+                    return;
+                }
+            }
+            Ok(Event::Idle) => {
+                // Nothing outstanding: push any queued stream events, then
+                // notice shutdown and a stalled partial frame.
+                if pump_subscription(&mut stream, &mut subscription, metrics).is_err() {
                     return;
                 }
                 if shutdown.load(Ordering::SeqCst) {
@@ -571,7 +583,7 @@ fn handle_request(
                     shared.telemetry.trace_finish(trace, outcome);
                     queue.push_back(Entry::Ready(answer_frame(id, &answer, None)));
                 }
-                Ok(pending @ Submitted::Queued(_)) => {
+                Ok(Submitted::Queued(pending)) => {
                     // The root span covers parse + submit; the queued
                     // evaluation gets its own (child) spans on the
                     // coalescer side.

@@ -19,17 +19,19 @@
 //! `metrics` verb takes. A stock Prometheus scrape config needs only
 //! `bearer_token` (or `authorization.credentials`) plus the address.
 //!
-//! Threading matches the gate listener: one blocking accept thread, one
-//! thread per connection, keep-alive honored per HTTP version, shutdown
-//! on drop joins everything. No async runtime, no HTTP library.
+//! Threading is the gate listener's own [`starj_gate::AcceptLoop`]: one
+//! blocking accept thread, one thread per connection up to
+//! [`starj_gate::MAX_CONNECTIONS`] (the next gets a `503` and is closed),
+//! keep-alive honored per HTTP version, shutdown on drop joins
+//! everything. No async runtime, no HTTP library.
 
 use crate::http::{response, HttpError, Request};
 use crate::OpsSource;
+use starj_gate::AcceptLoop;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Endpoint configuration.
@@ -44,7 +46,8 @@ pub struct OpsConfig {
     /// How long a connection may take to deliver one request head before
     /// the server gives up on it.
     pub read_timeout: Duration,
-    /// How often blocked reads wake up to notice shutdown.
+    /// How often blocked reads wake up to notice shutdown. Clamped to
+    /// ≥ 1 ms.
     pub poll_interval: Duration,
 }
 
@@ -63,10 +66,7 @@ impl Default for OpsConfig {
 /// down and joins every spawned thread.
 #[derive(Debug)]
 pub struct OpsServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    accept: AcceptLoop,
 }
 
 impl OpsServer {
@@ -77,68 +77,35 @@ impl OpsServer {
         addr: &str,
     ) -> std::io::Result<OpsServer> {
         let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let config = Arc::new(config);
-        let started = Instant::now();
-
-        let accept = {
-            let shutdown = Arc::clone(&shutdown);
-            let conns = Arc::clone(&conns);
-            std::thread::Builder::new().name("starj-ops-accept".into()).spawn(move || {
-                let mut next_conn = 0u64;
-                for stream in listener.incoming() {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let source = Arc::clone(&source);
-                    let config = Arc::clone(&config);
-                    let shutdown = Arc::clone(&shutdown);
-                    let name = format!("starj-ops-conn-{next_conn}");
-                    next_conn += 1;
-                    let handle = std::thread::Builder::new()
-                        .name(name)
-                        .spawn(move || {
-                            serve_connection(stream, &*source, &config, &shutdown, started)
-                        })
-                        .expect("spawn ops connection thread");
-                    let mut held = conns.lock().unwrap_or_else(|e| e.into_inner());
-                    let (done, live): (Vec<_>, Vec<_>) =
-                        held.drain(..).partition(|h| h.is_finished());
-                    for h in done {
-                        let _ = h.join();
-                    }
-                    *held = live;
-                    held.push(handle);
-                }
-            })?
+        // A zero read timeout is rejected by the OS and would leave the
+        // socket blocking forever, so drop could never join.
+        let config = OpsConfig {
+            poll_interval: config.poll_interval.max(Duration::from_millis(1)),
+            ..config
         };
-
-        Ok(OpsServer { addr, shutdown, accept: Some(accept), conns })
+        let started = Instant::now();
+        let accept = AcceptLoop::spawn(
+            listener,
+            "ops",
+            move |stream, shutdown| serve_connection(stream, &*source, &config, shutdown, started),
+            |mut stream| {
+                let body = b"too many connections; retry later\n";
+                let _ = stream.write_all(&response(
+                    503,
+                    "Service Unavailable",
+                    "text/plain; charset=utf-8",
+                    body,
+                    false,
+                    &[],
+                ));
+            },
+        )?;
+        Ok(OpsServer { accept })
     }
 
     /// The bound address (useful with an ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-}
-
-impl Drop for OpsServer {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        let handles: Vec<JoinHandle<()>> = {
-            let mut held = self.conns.lock().unwrap_or_else(|e| e.into_inner());
-            held.drain(..).collect()
-        };
-        for h in handles {
-            let _ = h.join();
-        }
+        self.accept.addr()
     }
 }
 

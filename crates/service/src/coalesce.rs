@@ -124,6 +124,15 @@ impl<T> Pending<T> {
             value = self.slot.ready.wait(value).unwrap_or_else(|e| e.into_inner());
         }
     }
+
+    /// Blocks until the request is answered or `timeout` passes, whichever
+    /// comes first; true iff the answer is in (so [`Pending::wait`] will
+    /// not block).
+    pub fn ready_within(&self, timeout: Duration) -> bool {
+        let value = self.slot.value.lock().unwrap_or_else(|e| e.into_inner());
+        let waited = self.slot.ready.wait_timeout_while(value, timeout, |v| v.is_none());
+        waited.unwrap_or_else(|e| e.into_inner()).0.is_some()
+    }
 }
 
 impl<T> SlotHandle<T> {

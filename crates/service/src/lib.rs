@@ -99,7 +99,7 @@ pub mod service;
 pub mod wcache;
 
 pub use accountant::{BudgetAccountant, Reservation, SettlementCtx, TenantUsage};
-pub use cache::{AnswerCache, CachedAnswer, Mechanism, RequestKey};
+pub use cache::{AnswerCache, Mechanism, RequestKey};
 pub use coalesce::{Pending, Submitted};
 pub use durable::{DurableConfig, DurableState, DurableStatus, ReplaySummary};
 pub use error::ServiceError;

@@ -42,7 +42,7 @@
 
 use crate::accountant::{BudgetAccountant, Reservation, SettlementCtx, TenantUsage};
 use crate::admission::{min_frequency_check, validate_query, validate_workload};
-use crate::cache::{AnswerCache, CachedAnswer, Mechanism, RequestKey};
+use crate::cache::{AnswerCache, Mechanism, RequestKey};
 use crate::coalesce::{pending_pair, Coalescer, Job, Submitted};
 use crate::durable::{DurableConfig, DurableState, DurableStatus};
 use crate::error::ServiceError;
@@ -79,7 +79,10 @@ pub struct ServiceConfig {
     pub seed: u64,
     /// Set false to disable answer replay (every request pays).
     pub cache_answers: bool,
-    /// Maximum cached answers before FIFO eviction (bounds service memory).
+    /// Maximum cached answers before FIFO eviction. Bounds the cache's
+    /// memory at ≈ 131 B per scalar PM answer (more for batches, grouped
+    /// results and set constraints), so the default 65 536 entries hold
+    /// ≈ 9 MB.
     pub cache_capacity: usize,
     /// Route `pm_answer` / `wd_answer` through the group-commit coalescer
     /// ([`crate::coalesce`]): concurrent single-query traffic parks in a
@@ -331,17 +334,11 @@ impl Answer {
         }
     }
 
-    /// This cached release replayed to `request`: flagged cached, charging
-    /// nothing, and labelled with the caller's names.
+    /// A cache hit (already flagged cached, charging nothing) relabelled
+    /// with the caller's names.
     fn replayed(mut self, request: Request<'_>) -> Self {
-        match &mut self {
-            Answer::Pm(_) => {}
-            Answer::PmBatch(batch) => (batch.cached, batch.cost) = (true, None),
-            Answer::Wd(workload) => (workload.cached, workload.cost) = (true, None),
-        }
         for (member, query) in self.members_mut().iter_mut().zip(request.queries()) {
             member.name.clone_from(&query.name);
-            (member.cached, member.cost) = (true, None);
         }
         self
     }
@@ -884,7 +881,7 @@ impl ServiceCore {
         if let Some(hit) = hit {
             self.served(start);
             self.telemetry.trace_finish(trace, TraceOutcome::Cached);
-            return Ok(Phase::Done(hit.answer.replayed(request)));
+            return Ok(Phase::Done(hit.replayed(request)));
         }
 
         let query_hash = query_hash(mechanism, &key);
@@ -1115,9 +1112,15 @@ impl ServiceCore {
                 ServiceMetrics::add(&self.metrics.fused_queries_saved, paid as u64 - 1);
             }
             if self.config.cache_answers {
-                let cached = CachedAnswer { answer: answer.clone(), original_cost: work.cost };
                 let (mechanism, epsilon) = (work.mechanism, work.cost.epsilon());
-                self.cache.insert(&work.tenant, mechanism, epsilon, work.version, work.key, cached);
+                self.cache.insert(
+                    &work.tenant,
+                    mechanism,
+                    epsilon,
+                    work.version,
+                    &work.key,
+                    &answer,
+                );
             }
             Ok::<_, ServiceError>(())
         })?;
@@ -1162,7 +1165,7 @@ impl ServiceCore {
         epsilon: f64,
         version: u64,
         key: &RequestKey,
-    ) -> Option<CachedAnswer> {
+    ) -> Option<Answer> {
         if !self.config.cache_answers {
             return None;
         }

@@ -17,7 +17,8 @@
 //!   exposition and audit JSONL.
 
 use dp_starj_repro::engine::{
-    canonicalize, to_sql, Column, Dimension, Domain, Predicate, StarQuery, StarSchema, Table,
+    canonicalize, to_sql, Column, Dimension, Domain, GroupAttr, Predicate, StarQuery, StarSchema,
+    Table,
 };
 use dp_starj_repro::gate::{sql_request, Gate, GateClient, GateConfig};
 use dp_starj_repro::noise::PrivacyBudget;
@@ -474,4 +475,202 @@ fn shutdown_joins_even_under_a_continuously_streaming_client() {
     std::thread::sleep(Duration::from_millis(200));
     drop(gate);
     streamer.join().unwrap();
+}
+
+// ---- parked answers are written as soon as they resolve ----------------------
+
+/// A gate over a coalescing router whose idle poll is far longer than any
+/// answer takes: a reply that waited on the poll would show up as ≥ 2 s.
+fn slow_poll_gate(router: &Arc<Router>) -> Gate {
+    let config = GateConfig {
+        tokens: vec![(TOKEN.to_string(), TENANT.to_string())],
+        poll_interval: Duration::from_secs(2),
+        ..GateConfig::default()
+    };
+    Gate::bind(Arc::clone(router), config, "127.0.0.1:0").unwrap()
+}
+
+/// A request the coalescer parks is answered as soon as it resolves, not
+/// when the connection's idle poll next wakes up.
+#[test]
+fn a_parked_answer_is_written_without_waiting_for_the_poll() {
+    let router = router(ServiceConfig { coalesce: true, ..ServiceConfig::default() });
+    let gate = slow_poll_gate(&router);
+    let mut client = GateClient::connect(gate.addr()).unwrap();
+    let schema = router.dataset_schema(DATASET).unwrap();
+    let sql = to_sql(&schema, &StarQuery::count("q").with(Predicate::point("Dim", "c", 1)));
+
+    let started = std::time::Instant::now();
+    let answer = client.sql(TOKEN, DATASET, &sql, 0.5).unwrap();
+    let waited = started.elapsed();
+    assert_eq!(answer.get("ok").and_then(Json::as_f64), Some(1.0), "{answer:?}");
+    assert_eq!(answer.get("cached").and_then(Json::as_f64), Some(0.0), "the answer was paid");
+    assert!(waited < Duration::from_secs(1), "answered after {waited:?}");
+}
+
+/// Pipelined requests that all park come back in order, each as soon as it
+/// resolves.
+#[test]
+fn pipelined_parked_answers_arrive_in_order_without_the_poll() {
+    let router = router(ServiceConfig { coalesce: true, ..ServiceConfig::default() });
+    let gate = slow_poll_gate(&router);
+    let mut client = GateClient::connect(gate.addr()).unwrap();
+    let schema = router.dataset_schema(DATASET).unwrap();
+
+    let started = std::time::Instant::now();
+    let mut sent = Vec::new();
+    for (lo, hi) in [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 3)] {
+        let sql =
+            to_sql(&schema, &StarQuery::count("q").with(Predicate::range("Dim", "c", lo, hi)));
+        sent.push(client.send(sql_request(0, TOKEN, DATASET, &sql, 0.25)).unwrap());
+    }
+    for id in sent {
+        let response = client.recv().unwrap();
+        assert_eq!(response.get("id").and_then(Json::as_f64), Some(id as f64), "out of order");
+        assert_eq!(response.get("ok").and_then(Json::as_f64), Some(1.0), "{response:?}");
+    }
+    let waited = started.elapsed();
+    assert!(waited < Duration::from_secs(1), "8 answers took {waited:?}");
+}
+
+/// The probe for a waiting frame is the only non-blocking read, and no
+/// write ever runs non-blocking: a client that pipelines megabytes of
+/// replies and reads none of them for a while fills the gate's send
+/// buffer, and the gate must wait that out rather than drop the
+/// connection. Every 50th request is distinct, so the connection probes
+/// with answers parked all the way through. Loopback absorbs about 4 MB
+/// between the two socket buffers before a write blocks, so the replies
+/// total several times that.
+#[test]
+fn megabytes_of_pipelined_replies_survive_a_late_reader() {
+    use dp_starj_repro::gate::wire::{frame_of, read_frame, write_frame};
+
+    const GROUPS: u32 = 256;
+    const REQUESTS: u64 = 2000;
+    let domain = Domain::numeric("g", GROUPS).unwrap();
+    let dim = Table::new(
+        "Big",
+        vec![
+            Column::key("pk", (0..GROUPS).collect()),
+            Column::attr("g", domain, (0..GROUPS).collect()),
+        ],
+    )
+    .unwrap();
+    let fact = Table::new(
+        "Fact",
+        vec![
+            Column::key("fk", (0..2 * GROUPS).map(|r| r % GROUPS).collect()),
+            Column::measure("m", (0..2 * GROUPS).map(i64::from).collect()),
+        ],
+    )
+    .unwrap();
+    let schema = Arc::new(StarSchema::new(fact, vec![Dimension::new(dim, "pk", "fk")]).unwrap());
+    let router = Router::new(RouterConfig {
+        shards: 1,
+        replication: 8,
+        seed: 7,
+        shard_config: ServiceConfig { coalesce: true, ..ServiceConfig::default() },
+        ..RouterConfig::default()
+    })
+    .unwrap();
+    router.add_dataset(DATASET, Arc::clone(&schema)).unwrap();
+    router.register_tenant(DATASET, TENANT, PrivacyBudget::pure(64.0).unwrap()).unwrap();
+    let router = Arc::new(router);
+    let gate = gate_over(&router);
+
+    // The hot query answers every group exactly (no predicate to perturb)
+    // and is answered once up front, so its replays are cache hits.
+    let grouped = |name: &str| StarQuery::count(name).group_by(GroupAttr::new("Big", "g"));
+    let hot = to_sql(&schema, &grouped("hot"));
+    let distinct: Vec<String> = (0..REQUESTS / 50)
+        .map(|k| {
+            let q = grouped("d").with(Predicate::range("Big", "g", 0, GROUPS - 2 - k as u32));
+            to_sql(&schema, &q)
+        })
+        .collect();
+    let mut warm = GateClient::connect(gate.addr()).unwrap();
+    assert_eq!(
+        warm.sql(TOKEN, DATASET, &hot, 0.01).unwrap().get("ok").and_then(Json::as_f64),
+        Some(1.0)
+    );
+
+    let stream = std::net::TcpStream::connect(gate.addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = stream;
+    let sender = std::thread::spawn(move || {
+        for id in 1..=REQUESTS {
+            let sql = if id % 50 == 0 { &distinct[(id / 50 - 1) as usize] } else { &hot };
+            let request = sql_request(id, TOKEN, DATASET, sql, 0.01);
+            write_frame(&mut writer, &frame_of(&request)).unwrap();
+        }
+    });
+    let receiver = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(300));
+        let mut bytes = 0usize;
+        for id in 1..=REQUESTS {
+            let body = read_frame(&mut reader, 1 << 24).unwrap().expect("the gate hung up");
+            bytes += body.len() + 4;
+            let reply = Json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+            assert_eq!(reply.get("id").and_then(Json::as_f64), Some(id as f64), "out of order");
+            assert_eq!(reply.get("ok").and_then(Json::as_f64), Some(1.0), "{reply:?}");
+        }
+        bytes
+    });
+    sender.join().unwrap();
+    let bytes = receiver.join().unwrap();
+    assert!(bytes >= 12 << 20, "only {bytes} reply bytes: the send buffer never filled");
+}
+
+/// `poll_interval: ZERO` is clamped: the OS rejects a zero read timeout,
+/// and a socket left with none blocks its connection thread forever, so
+/// dropping the gate would never return.
+#[test]
+fn zero_poll_interval_still_lets_drop_join_an_idle_connection() {
+    let router = router(ServiceConfig::default());
+    let config = GateConfig {
+        tokens: vec![(TOKEN.to_string(), TENANT.to_string())],
+        poll_interval: Duration::ZERO,
+        ..GateConfig::default()
+    };
+    let gate = Gate::bind(Arc::clone(&router), config, "127.0.0.1:0").unwrap();
+    let mut idle = GateClient::connect(gate.addr()).unwrap();
+    let answer = idle.sql(TOKEN, DATASET, "SELECT count(*) FROM Fact;", 0.25).unwrap();
+    assert_eq!(answer.get("ok").and_then(Json::as_f64), Some(1.0));
+
+    let (done, dropped) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        drop(gate);
+        let _ = done.send(());
+    });
+    let joined = dropped.recv_timeout(Duration::from_secs(2));
+    assert!(joined.is_ok(), "dropping the gate hung on an idle connection");
+    drop(idle);
+}
+
+/// One connection past [`MAX_CONNECTIONS`] gets a typed `overloaded`
+/// refusal and is closed; the connections already open keep serving.
+#[test]
+fn the_connection_past_the_cap_is_refused_overloaded() {
+    use dp_starj_repro::gate::wire::read_frame;
+    use dp_starj_repro::gate::MAX_CONNECTIONS;
+
+    let router = router(ServiceConfig::default());
+    let gate = gate_over(&router);
+    let mut open: Vec<GateClient> =
+        (0..MAX_CONNECTIONS).map(|_| GateClient::connect(gate.addr()).unwrap()).collect();
+
+    let mut extra = std::net::TcpStream::connect(gate.addr()).unwrap();
+    extra.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let body = read_frame(&mut extra, 1 << 20).unwrap().expect("a refusal before the close");
+    let refused = Json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+    assert_eq!(refused.get("ok").and_then(Json::as_f64), Some(0.0));
+    assert_eq!(refused.get("code").and_then(Json::as_str), Some("overloaded"));
+    assert!(read_frame(&mut extra, 1 << 20).unwrap().is_none(), "then the gate closes");
+
+    for (i, client) in open.iter_mut().enumerate() {
+        let answer = client.sql(TOKEN, DATASET, "SELECT count(*) FROM Fact;", 0.25).unwrap();
+        assert_eq!(answer.get("ok").and_then(Json::as_f64), Some(1.0), "connection {i}");
+    }
+    let refusals = gate.metrics().refusal_counts();
+    assert_eq!(refusals, vec![("overloaded".to_string(), 1)], "the refusal is tallied");
 }

@@ -602,6 +602,27 @@ fn http_keep_alive_serves_sequential_requests_on_one_connection() {
     }
 }
 
+/// `poll_interval: ZERO` is clamped: the OS rejects a zero read timeout,
+/// and a socket left with none blocks its connection thread forever, so
+/// dropping the endpoint would never return.
+#[test]
+fn zero_poll_interval_still_lets_drop_join_an_idle_connection() {
+    let router = router_with(None, ServiceConfig::default());
+    let config = OpsConfig { poll_interval: Duration::ZERO, ..OpsConfig::default() };
+    let server = OpsServer::bind(Arc::clone(&router), config, "127.0.0.1:0").unwrap();
+    let idle = TcpStream::connect(server.addr()).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+
+    let (done, dropped) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        drop(server);
+        let _ = done.send(());
+    });
+    let joined = dropped.recv_timeout(Duration::from_secs(2));
+    assert!(joined.is_ok(), "dropping the endpoint hung on an idle connection");
+    drop(idle);
+}
+
 /// Hostile tenant names survive the whole exposition path: registered
 /// with quotes, backslashes, and a newline, served, then scraped over
 /// real HTTP — the metrics body still lints and the audit JSONL still
