@@ -270,7 +270,7 @@ pub mod bool {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// The length specification for [`vec`]: a fixed length or a half-open
+    /// The length specification for [`vec()`]: a fixed length or a half-open
     /// range of lengths.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
@@ -297,7 +297,7 @@ pub mod collection {
         VecStrategy { element, size: size.into() }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -110,7 +110,13 @@ fn filter_table(table: &Table, keep: impl Fn(usize) -> bool) -> Result<Table, Co
                 ColumnData::Code { domain, values } => {
                     Column::attr(name, domain.clone(), filtered(values, &keep))
                 }
-                ColumnData::Measure(v) => Column::measure(name, filtered(v, &keep)),
+                ColumnData::Measure(m) => {
+                    let rows = m.as_measures().iter().enumerate();
+                    Column::from_measures(
+                        name,
+                        rows.filter(|(i, _)| keep(*i)).map(|(_, v)| v).collect(),
+                    )
+                }
             }
         })
         .collect();
@@ -289,6 +295,35 @@ mod tests {
         // …and narrows once the last one is gone.
         let narrowed = delete_fact_tuple(&still_wide, 3).unwrap();
         assert!(matches!(narrowed.fact().key("fk").unwrap(), Keys::U16(_)));
+    }
+
+    #[test]
+    fn deleting_the_only_wide_measure_narrows_the_column() {
+        use starj_engine::Domain;
+        // Row 2 holds the one measure past `i8`; the rest fit one byte.
+        let build = |fks: Vec<u32>, values: Vec<i64>| {
+            let dim = Table::new(
+                "D",
+                vec![
+                    Column::key("pk", vec![0, 1]),
+                    Column::attr("x", Domain::numeric("x", 2).unwrap(), vec![0, 1]),
+                ],
+            )
+            .unwrap();
+            let fact = Table::new("F", vec![Column::key("fk", fks), Column::measure("m", values)])
+                .unwrap();
+            StarSchema::new(fact, vec![Dimension::new(dim, "pk", "fk")]).unwrap()
+        };
+        let wide = build(vec![0, 1, 1, 0], vec![-128, 127, -129, 5]);
+        assert_eq!(wide.fact().measure("m").unwrap().width_bytes(), 2);
+
+        let neighbor = delete_fact_tuple(&wide, 2).unwrap();
+        let direct = build(vec![0, 1, 0], vec![-128, 127, 5]);
+        assert_eq!(neighbor.fact().measure("m").unwrap().width_bytes(), 1);
+        assert_eq!(neighbor.fact().columns(), direct.fact().columns());
+        assert_eq!(neighbor.fact().column("m").unwrap().measure_abs_max(), 128);
+        let sum = StarQuery::sum("s", "m");
+        assert_eq!(execute(&neighbor, &sum).unwrap(), execute(&direct, &sum).unwrap());
     }
 
     #[test]

@@ -296,7 +296,7 @@ impl CostModel {
     /// amortizes the copy; beyond that, staging pays off only when the
     /// chunk's probe working set (distinct codes × key width) is
     /// large enough that direct re-reads keep missing cache — a dimension
-    /// whose chunk codes collapse to ≤ [`RESIDENT_DISTINCT_CAP`] distinct
+    /// whose chunk codes collapse to ≤ `RESIDENT_DISTINCT_CAP` distinct
     /// values stays hot without the copy.
     pub fn should_stage(&self, dim: usize, uses: usize, min_uses: usize) -> bool {
         uses >= min_uses.max(2) && self.residency(dim) > RESIDENT_DISTINCT_CAP

@@ -14,7 +14,7 @@
 //! [`execute`] and [`execute_weighted`] remain the single-query entry
 //! points (now thin wrappers over one-query plans); [`execute_batch`] and
 //! [`execute_weighted_batch`] are the fused forms. The legacy row-at-a-time
-//! executor survives verbatim in [`reference`] as the semantic oracle for
+//! executor survives verbatim in [`mod@reference`] as the semantic oracle for
 //! equivalence tests.
 
 use crate::error::EngineError;

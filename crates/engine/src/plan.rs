@@ -46,7 +46,7 @@
 //!   milliseconds, so there is no persistent pool to manage).
 //!
 //! * **SIMD-width chunk interior.** The hot interior is a staging-based
-//!   kernel ([`crate::stage`]): each referenced dimension's fk codes are
+//!   kernel (the `stage` module): each referenced dimension's fk codes are
 //!   copied into a cache-resident buffer **once per chunk** and shared by
 //!   every fused query (the pre-staging kernel re-read them from main
 //!   memory once per query per chunk); per-dimension pass masks are
@@ -70,15 +70,15 @@
 //! the same ascending order.
 
 use crate::bitset::BitSet;
-use crate::column::Keys;
+use crate::column::{Keys, Measures};
 use crate::cost::{cost_model_for, CostConfig, CostModel};
 use crate::error::EngineError;
 use crate::predicate::{Predicate, WeightedPredicate};
 use crate::query::{Agg, QueryResult, StarQuery};
 use crate::schema::StarSchema;
 use crate::stage::{
-    fold_flat, gather_word_bytes, gather_word_small, gather_word_wide, with_keys, ChunkStage, Key,
-    CHUNK_ROWS, CHUNK_WORDS,
+    fold_flat, gather_word_bytes, gather_word_small, gather_word_wide, with_keys, with_measures,
+    ChunkStage, Key, CHUNK_ROWS, CHUNK_WORDS,
 };
 use starj_telemetry::{cost_counters, kernel_counters, CostCounters, Json, KernelCounters};
 use std::collections::BTreeMap;
@@ -190,12 +190,14 @@ impl WeightedQuery {
     }
 }
 
-/// Row-weight accessor for an aggregate, resolved once at plan time.
+/// Row-weight accessor for an aggregate, resolved once at plan time. The
+/// measures stay at their stored width: the chunk drains match it once per
+/// chunk ([`with_measures!`]), per-row readers go through [`RowWeight::at`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum RowWeight<'a> {
     Ones,
-    Measure(&'a [i64]),
-    Diff(&'a [i64], &'a [i64]),
+    Measure(Measures<'a>),
+    Diff(Measures<'a>, Measures<'a>),
 }
 
 impl<'a> RowWeight<'a> {
@@ -224,8 +226,18 @@ impl<'a> RowWeight<'a> {
     pub(crate) fn at(&self, row: usize) -> f64 {
         match self {
             RowWeight::Ones => 1.0,
-            RowWeight::Measure(m) => m[row] as f64,
-            RowWeight::Diff(a, b) => (a[row] - b[row]) as f64,
+            RowWeight::Measure(m) => m.get(row) as f64,
+            RowWeight::Diff(a, b) => (a.get(row) - b.get(row)) as f64,
+        }
+    }
+
+    /// Bytes of stored measure the aggregate reads per row: 0 for COUNT,
+    /// the wider column for a difference.
+    fn width_bytes(&self) -> usize {
+        match self {
+            RowWeight::Ones => 0,
+            RowWeight::Measure(m) => m.width_bytes(),
+            RowWeight::Diff(a, b) => a.width_bytes().max(b.width_bytes()),
         }
     }
 
@@ -238,8 +250,8 @@ impl<'a> RowWeight<'a> {
     fn key(&self) -> (u8, usize, usize) {
         match self {
             RowWeight::Ones => (0, 0, 0),
-            RowWeight::Measure(m) => (1, m.as_ptr() as usize, 0),
-            RowWeight::Diff(a, b) => (2, a.as_ptr() as usize, b.as_ptr() as usize),
+            RowWeight::Measure(m) => (1, m.addr(), 0),
+            RowWeight::Diff(a, b) => (2, a.addr(), b.addr()),
         }
     }
 }
@@ -812,7 +824,12 @@ impl<'a> ScanPlan<'a> {
                             }
                         })
                         .collect();
-                QueryExplain { filters, histogram, weighted_axes: q.weights.len() }
+                QueryExplain {
+                    filters,
+                    histogram,
+                    weighted_axes: q.weights.len(),
+                    measure_width_bytes: q.row_weight.width_bytes(),
+                }
             })
             .collect();
         PlanExplain {
@@ -1197,7 +1214,9 @@ impl<'a> ScanPlan<'a> {
         }
     }
 
-    /// Drains a chunk mask into the query's accumulator.
+    /// Drains a chunk mask into the query's accumulator. A SUM matches its
+    /// measure's width once here and drains monomorphic in it; COUNT and
+    /// SUM-diff read their row weight through [`RowWeight::at`].
     fn drain_binary(&self, q: &PlannedQuery, acc: &mut Acc, chunk_start: usize, mask: &[u64]) {
         if q.is_pure_count() {
             let hits: u64 = mask.iter().map(|w| u64::from(w.count_ones())).sum();
@@ -1206,13 +1225,31 @@ impl<'a> ScanPlan<'a> {
             }
             return;
         }
+        match q.row_weight {
+            RowWeight::Measure(m) => with_measures!(m, |m| {
+                self.drain_rows(q, acc, chunk_start, mask, |row| widen(m[row]))
+            }),
+            weight => self.drain_rows(q, acc, chunk_start, mask, |row| weight.at(row)),
+        }
+    }
+
+    /// Adds `value(row)` for every row set in the chunk mask, in ascending
+    /// row order, into the query's scalar or grouped accumulator.
+    fn drain_rows(
+        &self,
+        q: &PlannedQuery,
+        acc: &mut Acc,
+        chunk_start: usize,
+        mask: &[u64],
+        value: impl Fn(usize) -> f64,
+    ) {
         for (wi, &word) in mask.iter().enumerate() {
             let mut w = word;
             let base = chunk_start + (wi << 6);
             while w != 0 {
                 let row = base + w.trailing_zeros() as usize;
                 w &= w - 1;
-                let value = q.row_weight.at(row);
+                let value = value(row);
                 match (&mut *acc, &q.grouping) {
                     (Acc::Scalar(total), _) => *total += value,
                     (Acc::Dense { sums, touched }, Some(g)) => {
@@ -1286,8 +1323,9 @@ impl<'a> ScanPlan<'a> {
 
 /// Drains one chunk of staged flat codes into a histogram for one aggregate
 /// kind: a flat, unrollable scatter-add loop with the kind's row-weight
-/// match hoisted out of the row loop. Rows are visited in ascending order,
-/// so accumulation is bit-identical to the per-row form.
+/// match — and a SUM's measure width — hoisted out of the row loop. Rows
+/// are visited in ascending order, so accumulation is bit-identical to the
+/// per-row form.
 fn drain_hist(hist: &mut [f64], flat: &[u32], kind: &RowWeight, chunk_start: usize) {
     match kind {
         RowWeight::Ones => {
@@ -1296,19 +1334,31 @@ fn drain_hist(hist: &mut [f64], flat: &[u32], kind: &RowWeight, chunk_start: usi
             }
         }
         RowWeight::Measure(m) => {
-            let m = &m[chunk_start..chunk_start + flat.len()];
-            for (&f, &v) in flat.iter().zip(m) {
-                hist[f as usize] += v as f64;
-            }
+            let rows = chunk_start..chunk_start + flat.len();
+            with_measures!(m.slice(rows), |m| scatter_add(hist, flat, m));
         }
         RowWeight::Diff(a, b) => {
-            let a = &a[chunk_start..chunk_start + flat.len()];
-            let b = &b[chunk_start..chunk_start + flat.len()];
-            for ((&f, &x), &y) in flat.iter().zip(a).zip(b) {
-                hist[f as usize] += (x - y) as f64;
+            for (row, &f) in (chunk_start..).zip(flat) {
+                hist[f as usize] += (a.get(row) - b.get(row)) as f64;
             }
         }
     }
+}
+
+/// `hist[flat[i]] += values[i]` — the SUM histogram drain, monomorphic in
+/// the stored measure width.
+#[inline]
+fn scatter_add<M: Copy + Into<i64>>(hist: &mut [f64], flat: &[u32], values: &[M]) {
+    for (&f, &v) in flat.iter().zip(values) {
+        hist[f as usize] += widen(v);
+    }
+}
+
+/// A stored measure value as the row weight it adds: widened to `i64`,
+/// then converted, exactly as an `i64` column's value would be.
+#[inline]
+fn widen<M: Into<i64>>(value: M) -> f64 {
+    value.into() as f64
 }
 
 /// Cores the kernel may shard across, read once per process.
@@ -1700,6 +1750,10 @@ pub struct QueryExplain {
     pub histogram: bool,
     /// Weighted aggregation axes (0 for plain counts).
     pub weighted_axes: usize,
+    /// Bytes of stored measure the scan reads per row: 0 for COUNT, the
+    /// SUM column's width (1, 2, 4 or 8), the wider of the two for a
+    /// SUM-diff.
+    pub measure_width_bytes: usize,
 }
 
 /// One filter's row in a [`QueryExplain`].
@@ -1770,6 +1824,7 @@ impl PlanExplain {
                     ("filters", Json::Arr(filters)),
                     ("histogram", Json::Num(f64::from(u8::from(q.histogram)))),
                     ("weighted_axes", Json::Num(q.weighted_axes as f64)),
+                    ("measure_width_bytes", Json::Num(q.measure_width_bytes as f64)),
                 ])
             })
             .collect();
@@ -1818,6 +1873,7 @@ mod tests {
                 Column::key("fk_a", vec![0, 0, 1, 1, 2, 2]),
                 Column::key("fk_b", vec![0, 1, 0, 1, 0, 1]),
                 Column::measure("qty", vec![1, 2, 3, 4, 5, 6]),
+                Column::measure("cost", vec![300, -2, 0, 1, 1, 1]),
             ],
         )
         .unwrap();
@@ -1899,6 +1955,20 @@ mod tests {
         assert_eq!(parsed.get("fact_rows").and_then(Json::as_f64), Some(6.0));
         assert_eq!(parsed.get("shards").and_then(Json::as_f64), Some(1.0));
         assert_eq!(parsed.get("queries").and_then(Json::as_arr).map(<[Json]>::len), Some(2));
+        assert!(ex.queries.iter().all(|q| q.measure_width_bytes == 0), "COUNT reads no measure");
+
+        // A SUM reads its column's stored width; a SUM-diff the wider one.
+        let mut plan = ScanPlan::new(&s).unwrap();
+        plan.add_query(&StarQuery::sum("s1", "qty")).unwrap();
+        plan.add_query(&StarQuery::sum("s2", "cost")).unwrap();
+        plan.add_query(&StarQuery::sum_diff("d", "qty", "cost")).unwrap();
+        let ex = plan.describe();
+        let widths: Vec<usize> = ex.queries.iter().map(|q| q.measure_width_bytes).collect();
+        assert_eq!(widths, [1, 2, 2]);
+        let parsed = Json::parse(&ex.to_json().render()).unwrap();
+        let s2 = parsed.get("queries").and_then(Json::as_arr).map(|qs| &qs[1]);
+        let rendered = s2.and_then(|q| q.get("measure_width_bytes")).and_then(Json::as_f64);
+        assert_eq!(rendered, Some(2.0));
     }
 
     #[test]

@@ -33,7 +33,9 @@
 //! flat-code fold are generic over the stored key type ([`Key`]) and the
 //! width is matched **once per chunk per dimension** (at the same
 //! granularity as the probe-class match), never per row: a `u16` column is
-//! read, staged and gathered as `u16`, with no widening copy.
+//! read, staged and gathered as `u16`, with no widening copy. Measure
+//! columns ([`crate::column::Measures`]) are matched the same way, once per chunk per
+//! drain ([`with_measures!`]).
 
 use crate::bitset::BitSet;
 use crate::column::{KeyData, Keys};
@@ -69,6 +71,21 @@ macro_rules! with_keys {
     };
 }
 pub(crate) use with_keys;
+
+/// Runs `$body` with `$m` bound to the typed slice behind a
+/// [`crate::column::Measures`]
+/// view — how a drain enters the loop monomorphic in its measure's width.
+macro_rules! with_measures {
+    ($measures:expr, |$m:ident| $body:expr) => {
+        match $measures {
+            Measures::I8($m) => $body,
+            Measures::I16($m) => $body,
+            Measures::I32($m) => $body,
+            Measures::I64($m) => $body,
+        }
+    };
+}
+pub(crate) use with_measures;
 
 /// Rows per scan chunk (64 mask words of 64 rows). Re-exported into
 /// [`crate::plan`]; lives here so the staging buffers and the chunk loop

@@ -1,6 +1,6 @@
 //! Named columnar tables.
 
-use crate::column::{Column, Keys};
+use crate::column::{Column, Keys, Measures};
 use crate::domain::Domain;
 use crate::error::EngineError;
 use std::collections::HashMap;
@@ -89,8 +89,8 @@ impl Table {
         })
     }
 
-    /// Values of a measure column.
-    pub fn measure(&self, column: &str) -> Result<&[i64], EngineError> {
+    /// Values of a measure column, at their stored width.
+    pub fn measure(&self, column: &str) -> Result<Measures<'_>, EngineError> {
         self.column(column)?.as_measure().ok_or_else(|| EngineError::WrongColumnKind {
             table: self.name.clone(),
             column: column.to_string(),
@@ -131,7 +131,7 @@ mod tests {
         assert_eq!(t.num_rows(), 4);
         assert_eq!(t.key("pk").unwrap(), [0, 1, 2, 3][..]);
         assert_eq!(t.codes("color").unwrap(), &[0, 1, 2, 1]);
-        assert_eq!(t.measure("price").unwrap(), &[5, 10, 15, 20]);
+        assert_eq!(t.measure("price").unwrap(), [5, 10, 15, 20][..]);
         assert_eq!(t.domain("color").unwrap().size(), 3);
         assert!(t.has_column("pk") && !t.has_column("nope"));
         assert_eq!(t.columns().len(), 3);

@@ -7,9 +7,9 @@
 //! allowlist, so this crate implements exactly the pieces needed:
 //!
 //! * [`matrix::Mat`] — a row-major dense matrix with the usual operations;
-//! * [`solve`] — Gauss–Jordan inversion and linear solves with partial
+//! * [`mod@solve`] — Gauss–Jordan inversion and linear solves with partial
 //!   pivoting;
-//! * [`pinv`] — the Moore–Penrose pseudo-inverse via normal equations;
+//! * [`mod@pinv`] — the Moore–Penrose pseudo-inverse via normal equations;
 //! * [`strategy`] — strategy-matrix builders (identity, dyadic ranges) whose
 //!   rows stay contiguous so they remain valid PM predicates.
 

@@ -59,13 +59,13 @@ pub struct RouterMetrics {
     /// Fleet totals: counters summed over every dataset, p50/p99 from the
     /// fleet-merged latency buckets.
     pub aggregate: MetricsSnapshot,
-    /// See [`RouterCounters::routed_requests`].
+    /// Single-dataset requests routed to an owning shard.
     pub routed_requests: u64,
-    /// See [`RouterCounters::fanout_requests`].
+    /// Cross-shard fan-out requests planned and executed.
     pub fanout_requests: u64,
-    /// See [`RouterCounters::fanout_subrequests`].
+    /// Per-shard sub-requests those fan-outs expanded into.
     pub fanout_subrequests: u64,
-    /// See [`RouterCounters::rebalanced_datasets`].
+    /// Datasets moved between shards by shard add/remove.
     pub rebalanced_datasets: u64,
 }
 

@@ -15,7 +15,9 @@
 //! instances valid.
 
 use crate::labels;
-use starj_engine::{Column, Dimension, Domain, EngineError, KeyData, StarSchema, Table};
+use starj_engine::{
+    Column, Dimension, Domain, EngineError, KeyData, MeasureData, StarSchema, Table,
+};
 use starj_noise::samplers::{Exponential, Gamma, GaussianMixture};
 use starj_noise::StarRng;
 
@@ -316,12 +318,12 @@ fn build_lineorder(
         }
     };
 
-    // Keys go straight into their stored width: at SF 1 three of the four
-    // 6 M-row fk columns never exist in 4-byte form.
+    // Keys and measures go straight into their stored width: at SF 1 three
+    // of the four 6 M-row fk columns never exist in 4-byte form, and no
+    // measure in 8-byte form.
     let mut fks: [KeyData; 4] = std::array::from_fn(|_| KeyData::with_capacity(rows));
-    let mut quantity = Vec::with_capacity(rows);
-    let mut revenue = Vec::with_capacity(rows);
-    let mut supplycost = Vec::with_capacity(rows);
+    let [mut quantity, mut revenue, mut supplycost]: [MeasureData; 3] =
+        std::array::from_fn(|_| MeasureData::with_capacity(rows));
 
     let key_of = |unit: f64, n: usize| ((unit * n as f64) as u32).min(n as u32 - 1);
     for row in 0..rows {
@@ -346,9 +348,9 @@ fn build_lineorder(
             Column::from_keys("custkey", custkey),
             Column::from_keys("suppkey", suppkey),
             Column::from_keys("partkey", partkey),
-            Column::measure("quantity", quantity),
-            Column::measure("revenue", revenue),
-            Column::measure("supplycost", supplycost),
+            Column::from_measures("quantity", quantity),
+            Column::from_measures("revenue", revenue),
+            Column::from_measures("supplycost", supplycost),
         ],
     )
 }
@@ -451,9 +453,9 @@ mod tests {
     fn measures_are_in_declared_ranges() {
         let schema = generate(&tiny()).unwrap();
         let q = schema.fact().measure("quantity").unwrap();
-        assert!(q.iter().all(|&v| (1..=50).contains(&v)));
+        assert!(q.iter().all(|v| (1..=50).contains(&v)));
         let r = schema.fact().measure("revenue").unwrap();
-        assert!(r.iter().all(|&v| (1..=10_000).contains(&v)));
+        assert!(r.iter().all(|v| (1..=10_000).contains(&v)));
     }
 
     #[test]

@@ -589,3 +589,163 @@ fn default_sharding_is_bit_identical_and_skips_real_weighted_plans() {
         reference::execute_weighted(&schema, &real, &Agg::Sum("m".into())).unwrap().to_bits(),
     );
 }
+
+// ---------------------------------------------------------------------------
+// Measure widths. A measure column is stored in the narrowest of `i8` /
+// `i16` / `i32` / `i64` that holds every value, and each drain matches the
+// width once per chunk. These columns sit just inside and just past each
+// boundary (±2⁷, ±2¹⁵, ±2³¹) with both signs, and one re-widens only at its
+// last row; every kernel path over them is bit-identical to the reference.
+// ---------------------------------------------------------------------------
+
+/// Fact rows for the width battery: two full chunks and a ragged third.
+const WIDTH_ROWS: usize = 2 * 4096 + 17;
+
+/// `(name, stored bytes)` of the width-battery measures.
+const WIDTH_COLUMNS: [(&str, usize); 7] =
+    [("in8", 1), ("out8", 2), ("in16", 2), ("out16", 4), ("in32", 4), ("out32", 8), ("late", 8)];
+
+/// Signed values cycling through `lo`, `hi`, their neighbours and small
+/// numbers of both signs.
+fn straddling(lo: i64, hi: i64) -> Vec<i64> {
+    (0..WIDTH_ROWS as i64)
+        .map(|i| match i % 8 {
+            0 => lo,
+            1 => hi,
+            2 => lo + 1,
+            3 => hi - 1,
+            4 => -(i % 97),
+            5 => i % 89,
+            6 => 0,
+            _ => -1,
+        })
+        .collect()
+}
+
+/// Dimension A (5 rows) and dimensions B, C (300 rows each), identity
+/// attribute codes, over a fact table carrying every width-battery measure.
+/// A×B×C's joint space (450 000 codes) is past the dense cap.
+fn width_schema() -> StarSchema {
+    let dim = |name: &str, rows: u32| {
+        Table::new(
+            name,
+            vec![
+                Column::key("pk", (0..rows).collect()),
+                Column::attr("x", Domain::numeric("x", rows).unwrap(), (0..rows).collect()),
+            ],
+        )
+        .unwrap()
+    };
+    let fk = |rows: usize, mul: usize| (0..WIDTH_ROWS).map(|i| ((i * mul) % rows) as u32).collect();
+    let mut late: Vec<i64> = (0..WIDTH_ROWS as i64).map(|i| i % 13 - 6).collect();
+    *late.last_mut().unwrap() = -(1 << 31) - 1;
+    let fact = Table::new(
+        "F",
+        vec![
+            Column::key("fa", fk(5, 3)),
+            Column::key("fb", fk(300, 7)),
+            Column::key("fc", fk(300, 11)),
+            Column::measure("in8", straddling(-(1 << 7), (1 << 7) - 1)),
+            Column::measure("out8", straddling(-(1 << 7) - 1, 1 << 7)),
+            Column::measure("in16", straddling(-(1 << 15), (1 << 15) - 1)),
+            Column::measure("out16", straddling(-(1 << 15) - 1, 1 << 15)),
+            Column::measure("in32", straddling(-(1 << 31), (1 << 31) - 1)),
+            Column::measure("out32", straddling(-(1 << 31) - 1, 1 << 31)),
+            Column::measure("late", late),
+        ],
+    )
+    .unwrap();
+    StarSchema::new(
+        fact,
+        vec![
+            Dimension::new(dim("A", 5), "pk", "fa"),
+            Dimension::new(dim("B", 300), "pk", "fb"),
+            Dimension::new(dim("C", 300), "pk", "fc"),
+        ],
+    )
+    .unwrap()
+}
+
+#[test]
+fn measure_widths_sit_on_both_sides_of_each_boundary() {
+    let schema = width_schema();
+    for (name, bytes) in WIDTH_COLUMNS {
+        let m = schema.fact().measure(name).unwrap();
+        assert_eq!(m.width_bytes(), bytes, "{name}");
+    }
+    let late = schema.fact().measure("late").unwrap();
+    assert!(late.iter().take(WIDTH_ROWS - 1).all(|v| i8::try_from(v).is_ok()));
+}
+
+#[test]
+fn measure_width_boundaries_match_reference_on_every_kernel_path() {
+    let schema = width_schema();
+    let names = WIDTH_COLUMNS.map(|(name, _)| name);
+    let mut queries = Vec::new();
+    for (i, &m) in names.iter().enumerate() {
+        // Scalar SUM, unfiltered and filtered.
+        queries.push(StarQuery::sum(format!("{m}.all"), m));
+        queries.push(StarQuery::sum(format!("{m}.sel"), m).with(Predicate::range("A", "x", 1, 3)));
+        // Dense and sparse GROUP BY.
+        queries.push(
+            StarQuery::sum(format!("{m}.dense"), m)
+                .with(Predicate::range("B", "x", 10, 250))
+                .group_by(GroupAttr::new("A", "x")),
+        );
+        queries.push(
+            StarQuery::sum(format!("{m}.sparse"), m)
+                .with(Predicate::point("A", "x", 2))
+                .group_by(GroupAttr::new("B", "x"))
+                .group_by(GroupAttr::new("C", "x")),
+        );
+        // SUM-diff against the next width, and against the narrowest.
+        let next = names[(i + 1) % names.len()];
+        queries.push(
+            StarQuery::sum_diff(format!("{m}-{next}"), m, next)
+                .with(Predicate::range("C", "x", 0, 200)),
+        );
+        queries.push(StarQuery::sum_diff(format!("in8-{m}"), "in8", m));
+    }
+    let staged = execute_batch(&schema, &queries).unwrap();
+    let sharded = execute_batch_with(&schema, &queries, ScanOptions::parallel(2)).unwrap();
+    for (i, q) in queries.iter().enumerate() {
+        let oracle = reference::execute(&schema, q).unwrap();
+        assert_eq!(staged[i], oracle, "{} (staged)", q.name);
+        assert_eq!(sharded[i], oracle, "{} (threads = 2)", q.name);
+    }
+
+    // Weighted: A alone answers through the joint histogram; B × C (90 000
+    // codes) is past the dense cap and runs the weighted row loop. Dyadic
+    // weights keep every product and partial exact.
+    let quarters = |n: u32| (0..n).map(|c| f64::from(c % 9) / 4.0).collect::<Vec<f64>>();
+    let hist = vec![WeightedPredicate::new("A", "x", quarters(5))];
+    let rows = vec![
+        WeightedPredicate::new("B", "x", quarters(300)),
+        WeightedPredicate::new("C", "x", quarters(300)),
+    ];
+    let mut items = Vec::new();
+    for (i, &m) in names.iter().enumerate() {
+        let next = names[(i + 1) % names.len()];
+        for agg in [Agg::Sum(m.into()), Agg::SumDiff(m.into(), next.into())] {
+            items.push(WeightedQuery { predicates: hist.clone(), agg: agg.clone() });
+            items.push(WeightedQuery { predicates: rows.clone(), agg });
+        }
+    }
+    let fused = execute_weighted_batch(&schema, &items).unwrap();
+    let sharded = execute_weighted_batch_with(&schema, &items, ScanOptions::parallel(2)).unwrap();
+    let axes = [("A".to_string(), "x".to_string())];
+    for (i, item) in items.iter().enumerate() {
+        let oracle = reference::execute_weighted(&schema, &item.predicates, &item.agg).unwrap();
+        let what = format!("{:?} over {} axes", item.agg, item.predicates.len());
+        assert_eq!(fused[i].to_bits(), oracle.to_bits(), "{what} (fused)");
+        assert_eq!(sharded[i].to_bits(), oracle.to_bits(), "{what} (threads = 2)");
+        if item.predicates.len() == 1 {
+            // The WD path: one histogram built on its own, then answered.
+            for opts in [ScanOptions::default(), ScanOptions::parallel(2)] {
+                let h = WeightHistogram::build(&schema, &axes, &item.agg, opts).unwrap();
+                let answer = h.answer(&item.predicates, &item.agg).unwrap();
+                assert_eq!(answer.to_bits(), oracle.to_bits(), "{what} (histogram)");
+            }
+        }
+    }
+}
