@@ -258,11 +258,6 @@ impl MeasureData {
             MeasureRepr::I64(v) => Measures::I64(v),
         }
     }
-
-    /// Largest `|value|` (0 when empty).
-    pub(crate) fn abs_max(&self) -> u64 {
-        self.abs_max
-    }
 }
 
 impl FromIterator<i64> for MeasureData {
@@ -483,7 +478,7 @@ impl Column {
     /// and attributes.
     pub fn measure_abs_max(&self) -> u64 {
         match &self.data {
-            ColumnData::Measure(m) => m.abs_max(),
+            ColumnData::Measure(m) => m.abs_max,
             _ => 0,
         }
     }
@@ -569,7 +564,7 @@ mod tests {
         assert_eq!(grown.as_measures(), values[..]);
         assert_eq!(grown.as_measures().get(3), i64::MIN);
         assert_eq!(grown.as_measures().width_bytes(), 8);
-        assert_eq!(grown.abs_max(), 1 << 63);
+        assert_eq!(grown.abs_max, 1 << 63);
         assert_eq!(grown, values.into_iter().collect::<MeasureData>());
         // Views compare by value across widths.
         assert_eq!(Measures::I8(&[1, -2]), Measures::I64(&[1, -2]));

@@ -667,19 +667,16 @@ fn width_schema() -> StarSchema {
 }
 
 #[test]
-fn measure_widths_sit_on_both_sides_of_each_boundary() {
+fn measure_width_boundaries_match_reference_on_every_kernel_path() {
     let schema = width_schema();
+    // The columns sit on both sides of each boundary.
     for (name, bytes) in WIDTH_COLUMNS {
         let m = schema.fact().measure(name).unwrap();
         assert_eq!(m.width_bytes(), bytes, "{name}");
     }
     let late = schema.fact().measure("late").unwrap();
     assert!(late.iter().take(WIDTH_ROWS - 1).all(|v| i8::try_from(v).is_ok()));
-}
 
-#[test]
-fn measure_width_boundaries_match_reference_on_every_kernel_path() {
-    let schema = width_schema();
     let names = WIDTH_COLUMNS.map(|(name, _)| name);
     let mut queries = Vec::new();
     for (i, &m) in names.iter().enumerate() {
