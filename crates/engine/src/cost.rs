@@ -28,11 +28,10 @@
 //! — including adversarially wrong ones, which the force-hooks below let
 //! the property tests inject.
 //!
-//! Models are cached process-wide per (schema instance, sample config) in
-//! a small registry ([`cost_model_for`]); `Service::refresh_schema`
-//! invalidates the outgoing instance's entry ([`invalidate_cost_model`]).
-//! A stale or colliding entry is harmless for correctness for the same
-//! reason every estimate is: it can only change plan shape.
+//! Each schema instance owns its model ([`cost_model_for`] builds it on
+//! first use and keeps it in the schema), so a model lives and dies with
+//! the data it sampled: `Service::refresh_schema` swaps in a new instance,
+//! and that instance builds its own.
 
 use crate::column::Keys;
 use crate::error::EngineError;
@@ -42,7 +41,7 @@ use crate::BitSet;
 use starj_noise::rng::{fnv1a, splitmix64, FNV_OFFSET};
 use starj_telemetry::{cost_counters, CostCounters};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Fact rows sampled per model build ([`CostConfig::default`]).
 const DEFAULT_COST_SAMPLES: usize = 1024;
@@ -54,10 +53,6 @@ const RESIDENCY_PROBES: usize = 8;
 /// served from a handful of hot cache lines, so staging the chunk's fk
 /// codes is a pure copy tax even for multiple users.
 const RESIDENT_DISTINCT_CAP: f64 = 64.0;
-
-/// Registry capacity: models are a few KB each, and a process serves a
-/// handful of live schema versions at a time.
-const REGISTRY_CAP: usize = 32;
 
 /// Per-model estimate memo capacity: recurring masks (the same filters
 /// appear across every plan of a serving workload) re-walk nothing. The
@@ -119,7 +114,7 @@ pub struct DimensionStats {
 }
 
 /// The sampled cost model of one schema instance. Fully owned (no borrow
-/// of the schema), so the registry can cache it across plans and the
+/// of the schema), so the schema can keep it across plans and the
 /// service can hold it across requests.
 #[derive(Debug, Clone)]
 pub struct CostModel {
@@ -263,10 +258,9 @@ impl CostModel {
                 return *est;
             }
         }
-        // Codes past the mask are misses, not panics: a registry key
-        // collision (schema address reuse) can hand a plan a model sampled
-        // from a *different* instance, and the documented contract is that
-        // a mismatched model may only shift plan shape — never abort.
+        // Codes past the mask are misses, not panics: a model installed
+        // through `ScanPlan::set_cost_model` may have sampled another
+        // instance, and an estimate may only shift plan shape — never abort.
         let hits =
             lanes.iter().filter(|&&k| (k as usize) < bits.len() && bits.get(k as usize)).count();
         let p = hits as f64 / n as f64;
@@ -317,62 +311,20 @@ impl CostModel {
     }
 }
 
-/// Registry key: the schema instance's address plus a cheap shape
-/// fingerprint (rows, dims) and the sample config. The address can be
-/// reused after a schema is dropped; the fingerprint makes a collision
-/// unlikely, and a collision is harmless anyway — a mismatched model only
-/// shifts plan shape, never answers.
-type RegistryKey = (usize, usize, usize, u64, usize, u64);
-
-type Registry = Mutex<Vec<(RegistryKey, Arc<CostModel>)>>;
-
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn registry_key(schema: &StarSchema, config: &CostConfig) -> RegistryKey {
-    // FNV-1a over the per-dimension row counts: distinguishes reused
-    // addresses whose fact size and dimension count happen to match.
-    let dim_shape = fnv1a(FNV_OFFSET, schema.dims().iter().map(|d| d.table.num_rows() as u64));
-    (
-        schema as *const StarSchema as usize,
-        schema.fact().num_rows(),
-        schema.num_dims(),
-        dim_shape,
-        config.sample_size,
-        config.seed,
-    )
-}
-
-/// The cached cost model for `schema` under `config`, building (and
-/// caching) it on first sight of the instance. Hits and builds are tallied
-/// in the `starj_cost_*` counters.
-pub fn cost_model_for(
-    schema: &StarSchema,
-    config: &CostConfig,
-) -> Result<Arc<CostModel>, EngineError> {
-    let key = registry_key(schema, config);
+/// The cost model of `schema` under the default [`CostConfig`], built on
+/// the instance's first use and kept in the schema after that. Hits and
+/// builds are tallied in the `starj_cost_*` counters. Racing first uses
+/// may each build; the first model stored wins and every later call
+/// returns it.
+pub fn cost_model_for(schema: &StarSchema) -> Result<Arc<CostModel>, EngineError> {
     let c = cost_counters();
-    let mut reg = registry().lock().expect("cost registry poisoned");
-    if let Some((_, model)) = reg.iter().find(|(k, _)| *k == key) {
+    if let Some(model) = schema.cost.get() {
         CostCounters::add(&c.cache_hits, 1);
         return Ok(Arc::clone(model));
     }
-    let model = Arc::new(CostModel::build(schema, config)?);
+    let model = Arc::new(CostModel::build(schema, &CostConfig::default())?);
     CostCounters::add(&c.cache_builds, 1);
-    if reg.len() >= REGISTRY_CAP {
-        reg.remove(0);
-    }
-    reg.push((key, Arc::clone(&model)));
-    Ok(model)
-}
-
-/// Drops every cached model of this schema instance — called by
-/// `Service::refresh_schema` when the instance is replaced.
-pub fn invalidate_cost_model(schema: &StarSchema) {
-    let ptr = schema as *const StarSchema as usize;
-    registry().lock().expect("cost registry poisoned").retain(|((p, ..), _)| *p != ptr);
+    Ok(Arc::clone(schema.cost.get_or_init(|| model)))
 }
 
 #[cfg(test)]
@@ -460,7 +412,6 @@ mod tests {
             [41, 60, 84, 119, 194, 238, 440, 485, 526, 570, 604, 765, 784, 801, 951, 992]
         );
         assert_eq!(mask_fingerprint(&BitSet::from_fn(130, |i| i % 3 == 0)), 243670499723444504);
-        assert_eq!(registry_key(&s, &CostConfig::default()).3, 12637493408718240855);
     }
 
     #[test]
@@ -496,20 +447,19 @@ mod tests {
     }
 
     #[test]
-    fn registry_caches_per_instance_and_invalidates() {
+    fn each_instance_builds_its_model_once() {
         let s = skewed_schema(7, 100);
         let c = cost_counters();
         let builds0 = c.snapshot();
-        let cfg = CostConfig::default();
-        let a = cost_model_for(&s, &cfg).unwrap();
-        let b = cost_model_for(&s, &cfg).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "second fetch hits the cache");
+        let a = cost_model_for(&s).unwrap();
+        let b = cost_model_for(&s).unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "the same instance reuses its model");
         let delta = c.snapshot().since(&builds0);
         assert_eq!(delta.cache_builds, 1);
         assert!(delta.cache_hits >= 1);
-        invalidate_cost_model(&s);
-        let rebuilt = cost_model_for(&s, &cfg).unwrap();
-        assert!(!Arc::ptr_eq(&a, &rebuilt), "invalidation forces a rebuild");
+        let fresh = skewed_schema(7, 100);
+        let own = cost_model_for(&fresh).unwrap();
+        assert!(!Arc::ptr_eq(&a, &own), "a new instance builds its own model");
     }
 
     #[test]

@@ -69,9 +69,7 @@ pub mod table;
 pub use bitset::BitSet;
 pub use canon::{canonicalize, implies, CanonicalQuery};
 pub use column::{Column, ColumnData, KeyData, Keys, MeasureData, Measures};
-pub use cost::{
-    cost_model_for, invalidate_cost_model, CostConfig, CostModel, DimensionStats, PredicateEstimate,
-};
+pub use cost::{cost_model_for, CostConfig, CostModel, DimensionStats, PredicateEstimate};
 pub use domain::Domain;
 pub use error::EngineError;
 pub use exec::{

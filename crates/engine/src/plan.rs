@@ -71,7 +71,7 @@
 
 use crate::bitset::BitSet;
 use crate::column::{Keys, Measures};
-use crate::cost::{cost_model_for, CostConfig, CostModel};
+use crate::cost::{cost_model_for, CostModel};
 use crate::error::EngineError;
 use crate::predicate::{Predicate, WeightedPredicate};
 use crate::query::{Agg, QueryResult, StarQuery};
@@ -656,16 +656,16 @@ impl<'a> ScanPlan<'a> {
     }
 
     /// An empty plan compiled under explicit options (resolves the
-    /// foreign-key arrays). The per-schema sampling cost model is resolved
-    /// from the process-wide registry (built on first use, cached until
-    /// [`crate::cost::invalidate_cost_model`]) and steers filter ordering,
-    /// mask-sharing promotion, subsumption refinement, and fk staging.
+    /// foreign-key arrays). The schema's sampling cost model (built on the
+    /// instance's first use, [`crate::cost::cost_model_for`]) steers filter
+    /// ordering, mask-sharing promotion, subsumption refinement, and fk
+    /// staging.
     /// Every model-driven choice is plan-shape-only: answers and ledgers
     /// are bit-identical to [`crate::exec::reference`] by construction.
     pub fn with_options(schema: &'a StarSchema, options: ScanOptions) -> Result<Self, EngineError> {
         let fks: Vec<Keys> =
             schema.dims().iter().map(|d| schema.fact().key(&d.fk)).collect::<Result<_, _>>()?;
-        let model = cost_model_for(schema, &CostConfig::default())?;
+        let model = cost_model_for(schema)?;
         Ok(ScanPlan {
             schema,
             fact_rows: schema.fact().num_rows(),
@@ -1849,6 +1849,7 @@ impl PlanExplain {
 mod tests {
     use super::*;
     use crate::column::Column;
+    use crate::cost::CostConfig;
     use crate::domain::Domain;
     use crate::query::GroupAttr;
     use crate::schema::Dimension;

@@ -1,7 +1,9 @@
 //! Star and snowflake schemas with validated foreign keys.
 
+use crate::cost::CostModel;
 use crate::error::EngineError;
 use crate::table::Table;
+use std::sync::{Arc, OnceLock};
 
 /// A sub-dimension (snowflake normalization, one level deep): the parent
 /// dimension holds a key column referencing this table's dense primary key.
@@ -48,6 +50,10 @@ impl Dimension {
 pub struct StarSchema {
     fact: Table,
     dims: Vec<Dimension>,
+    /// The instance's sampled cost model, built on first use by
+    /// [`crate::cost::cost_model_for`]. A clone holds identical data, so
+    /// it shares the model.
+    pub(crate) cost: OnceLock<Arc<CostModel>>,
 }
 
 impl StarSchema {
@@ -105,7 +111,7 @@ impl StarSchema {
                 }
             }
         }
-        Ok(StarSchema { fact, dims })
+        Ok(StarSchema { fact, dims, cost: OnceLock::new() })
     }
 
     /// The fact table.

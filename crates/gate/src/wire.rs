@@ -314,8 +314,6 @@ pub fn router_code(err: &RouterError) -> &'static str {
     match err {
         RouterError::Shard { source, .. } => service_code(source),
         RouterError::NoShards => "no_shards",
-        RouterError::UnknownShard(_) => "unknown_shard",
-        RouterError::LastShard(_) => "last_shard",
         RouterError::UnknownDataset(_) => "unknown_dataset",
         RouterError::DuplicateDataset(_) => "duplicate_dataset",
         RouterError::UnknownTable(_) => "unknown_table",
@@ -329,6 +327,53 @@ pub fn router_code(err: &RouterError) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every code [`service_code`] and [`router_code`] can return is a row
+    /// of the README's refusal-code table, so the documented code space
+    /// cannot drift from the one clients receive.
+    #[test]
+    fn every_refusal_code_is_in_the_readme_table() {
+        let readme = include_str!("../../../README.md");
+        let start = readme.find("| code | raised by |").expect("README refusal-code table");
+        let table = readme[start..].split("\n\n").next().unwrap_or_default();
+        let service = [
+            ServiceError::BudgetExhausted {
+                tenant: "t".into(),
+                requested_epsilon: 1.0,
+                remaining_epsilon: 0.0,
+            },
+            ServiceError::UnknownTenant("t".into()),
+            ServiceError::DuplicateTenant("t".into()),
+            ServiceError::TenantIdTooLong { bytes: 300, max: 255 },
+            ServiceError::InvalidQuery(starj_engine::EngineError::UnknownTable("T".into())),
+            ServiceError::InvalidBudget(starj_noise::NoiseError::InvalidEpsilon(0.0)),
+            ServiceError::BelowMinFrequency {
+                table: "T".into(),
+                attr: "a".into(),
+                estimated_rows: 1.0,
+                floor: 10,
+            },
+            ServiceError::Mechanism(dp_starj::CoreError::Invalid("x".into())),
+            ServiceError::DurabilityUnavailable { reason: "disk".into() },
+            ServiceError::Internal("x".into()),
+            ServiceError::StaleDataVersion { submitted: 0, current: 1 },
+        ];
+        let router = [
+            RouterError::NoShards,
+            RouterError::UnknownDataset("d".into()),
+            RouterError::DuplicateDataset("d".into()),
+            RouterError::UnknownTable("T".into()),
+            RouterError::AmbiguousTable("T".into()),
+            RouterError::MixedDatasets { query: "q".into(), datasets: vec![] },
+            RouterError::Unroutable("q".into()),
+            RouterError::Shard { dataset: "d".into(), shard: 0, source: service[0].clone() },
+            RouterError::Fanout(vec![]),
+        ];
+        let codes = service.iter().map(service_code).chain(router.iter().map(router_code));
+        for code in codes {
+            assert!(table.contains(&format!("`{code}`")), "README table lacks `{code}`");
+        }
+    }
 
     #[test]
     fn frames_round_trip() {

@@ -26,11 +26,6 @@ pub struct ShardFailure {
 pub enum RouterError {
     /// The router was configured with zero shards.
     NoShards,
-    /// No shard with this id is on the ring.
-    UnknownShard(u32),
-    /// Removing this shard would leave the ring empty with datasets
-    /// still placed.
-    LastShard(u32),
     /// No dataset with this name is hosted.
     UnknownDataset(String),
     /// A dataset with this name is already hosted.
@@ -72,10 +67,6 @@ impl fmt::Display for RouterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RouterError::NoShards => write!(f, "router needs at least one shard"),
-            RouterError::UnknownShard(s) => write!(f, "no shard {s} on the ring"),
-            RouterError::LastShard(s) => {
-                write!(f, "cannot remove shard {s}: it is the last shard and datasets are placed")
-            }
             RouterError::UnknownDataset(d) => write!(f, "unknown dataset `{d}`"),
             RouterError::DuplicateDataset(d) => write!(f, "dataset `{d}` already hosted"),
             RouterError::UnknownTable(t) => write!(f, "no hosted dataset owns table `{t}`"),

@@ -1,24 +1,19 @@
-//! **starj-router** — sharded multi-schema serving for DP-starJ.
+//! **starj-router** — multi-schema serving for DP-starJ.
 //!
-//! One [`starj_service::Service`] owns one `Arc<StarSchema>`; the ROADMAP's
-//! north star (heavy traffic from millions of users) needs a tier above it
-//! that spreads many datasets — SSB scale slices, distinct product schemas,
-//! per-region instances — across many schema shards, each with its own scan
-//! plans, caches, and **privacy budget domain**. Chorus-style deployments
-//! (Johnson et al., "Towards Practical Differential Privacy for SQL
-//! Queries") make the same argument: scalable DP answering wants a front
-//! tier that isolates per-dataset privacy state while multiplexing traffic.
-//! This crate is that tier:
+//! One [`starj_service::Service`] owns one `Arc<StarSchema>`; a tier above
+//! it hosts many datasets — SSB scale slices, distinct product schemas,
+//! per-region instances — each with its own scan plans, caches, and
+//! **privacy budget domain**. Chorus-style deployments (Johnson et al.,
+//! "Towards Practical Differential Privacy for SQL Queries") make the same
+//! argument: scalable DP answering wants a front tier that isolates
+//! per-dataset privacy state while multiplexing traffic. This crate is
+//! that tier:
 //!
-//! * [`Router`] — owns N shards, hosts datasets on them, and routes every
-//!   [`starj_service::Request`] to the owning shard through one
-//!   [`Router::submit`] (with [`Router::pm_answer`] as its blocking PM
-//!   adapter);
-//! * [`crate::ring::HashRing`] — deterministic consistent-hash placement
-//!   with virtual nodes: the same configuration places every dataset
-//!   identically across runs, and shard add/remove moves only the minimal
-//!   key range ([`Router::add_shard`] / [`Router::remove_shard`] report
-//!   exactly which datasets moved, ledgers and caches intact);
+//! * [`Router`] — hosts datasets, labels each with a shard
+//!   (`hash(seed, name) % shards`, computed once when the dataset is
+//!   added), and routes every [`starj_service::Request`] to the owning
+//!   dataset's service through one [`Router::submit`] (with
+//!   [`Router::pm_answer`] as its blocking PM adapter);
 //! * [`Router::pm_fanout_answer`] — cross-shard fan-out: a mixed batch is
 //!   resolved through the table-ownership index, sent to **exactly** the
 //!   shards owning the referenced tables, and merged back in submission
@@ -27,11 +22,11 @@
 //! * [`RouterMetrics`] — fleet roll-up summing per-shard counters and
 //!   merging latency *histograms* (quantiles come from merged buckets,
 //!   never from averaged per-shard p50/p99);
-//! * [`RouterConfig`] — shard count, ring replication factor, seed, and
-//!   per-shard [`starj_service::ServiceConfig`] overrides (e.g. the
-//!   group-commit coalescer on for hot shards only).
+//! * [`RouterConfig`] — shard count, placement seed, the
+//!   [`starj_service::ServiceConfig`] every dataset's service starts from,
+//!   and the optional journal root and event bus.
 //!
-//! Budget accounting stays strictly per-shard: the router adds no privacy
+//! Budget accounting stays strictly per-dataset: the router adds no privacy
 //! logic of its own, so its answers and ledgers are **bit-identical** to N
 //! standalone services — `tests/router_parity.rs` proves it in lockstep
 //! under a randomized mixed workload.
@@ -73,15 +68,13 @@
 //! ];
 //! let fanned = router.pm_fanout_answer("alice", &batch, 0.5).unwrap();
 //! assert_eq!(fanned.answers.len(), 2);
-//! assert_eq!(fanned.groups.len(), 2, "two shards answered");
+//! assert_eq!(fanned.groups.len(), 2, "two datasets answered");
 //! ```
 
 pub mod error;
 pub mod metrics;
-pub mod ring;
 pub mod router;
 
 pub use error::{RouterError, ShardFailure};
 pub use metrics::{DatasetMetrics, RouterMetrics};
-pub use ring::HashRing;
 pub use router::{FanoutAnswer, FanoutGroup, Placement, Router, RouterConfig};

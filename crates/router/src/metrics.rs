@@ -22,8 +22,6 @@ pub(crate) struct RouterCounters {
     pub fanout_requests: AtomicU64,
     /// Per-shard sub-requests those fan-outs expanded into.
     pub fanout_subrequests: AtomicU64,
-    /// Datasets moved between shards by shard add/remove.
-    pub rebalanced_datasets: AtomicU64,
 }
 
 impl RouterCounters {
@@ -65,8 +63,6 @@ pub struct RouterMetrics {
     pub fanout_requests: u64,
     /// Per-shard sub-requests those fan-outs expanded into.
     pub fanout_subrequests: u64,
-    /// Datasets moved between shards by shard add/remove.
-    pub rebalanced_datasets: u64,
 }
 
 impl RouterMetrics {
@@ -80,7 +76,6 @@ impl RouterMetrics {
             ("routed_requests", Json::Num(self.routed_requests as f64)),
             ("fanout_requests", Json::Num(self.fanout_requests as f64)),
             ("fanout_subrequests", Json::Num(self.fanout_subrequests as f64)),
-            ("rebalanced_datasets", Json::Num(self.rebalanced_datasets as f64)),
             ("aggregate", self.aggregate.to_json()),
             (
                 "per_shard",

@@ -2,21 +2,19 @@
 //!
 //! A [`Router`] hosts any number of **datasets** (each its own validated
 //! [`StarSchema`] instance served by its own
-//! [`starj_service::Service`]) and spreads them across **shards** with the
-//! consistent-hash ring in [`crate::ring`]. The shard is the isolation
-//! unit a real deployment would put on its own box; the dataset is the
-//! privacy unit:
+//! [`starj_service::Service`]) and labels each with a **shard**. The
+//! dataset is the privacy unit; in one process the shard is only a label
+//! (it names the hop in metrics and span components):
 //!
-//! * **budget domains never cross shards** — every dataset keeps its own
+//! * **budget domains never cross datasets** — every dataset keeps its own
 //!   [`starj_service::BudgetAccountant`], so ε spent against one dataset
 //!   is invisible to every other. The router adds *zero* privacy logic:
 //!   it only decides which service answers, which is why router answers
 //!   and ledgers are bit-identical to standalone per-dataset services
 //!   (`tests/router_parity.rs` proves it in lockstep);
-//! * **placement is deterministic and minimal-motion** — datasets place
-//!   by consistent hash, so adding/removing a shard moves only the
-//!   affected arc's datasets ([`Router::add_shard`] /
-//!   [`Router::remove_shard`] report exactly what moved);
+//! * **placement is one hash** — a dataset's shard is a pure function of
+//!   `(seed, shards, name)`, computed once in [`Router::add_dataset`] and
+//!   never on the request path;
 //! * **fan-out is planned, not broadcast** — a multi-query batch is
 //!   resolved against the table-ownership index
 //!   ([`starj_engine::StarSchema::table_names`]), grouped per owning
@@ -26,9 +24,9 @@
 
 use crate::error::{RouterError, ShardFailure};
 use crate::metrics::{merge, DatasetMetrics, RouterCounters, RouterMetrics};
-use crate::ring::HashRing;
 use dp_starj::PredicateWorkload;
 use starj_engine::{StarQuery, StarSchema};
+use starj_noise::rng::{fnv1a, splitmix64, FNV_OFFSET};
 use starj_noise::PrivacyBudget;
 use starj_service::{
     Answer, BatchAnswer, DurableConfig, ExplainReport, Request, Service, ServiceAnswer,
@@ -44,26 +42,20 @@ use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 /// Router-wide configuration.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Initial shard count (shard ids `0..shards`).
+    /// Shard count (shard ids `0..shards`).
     pub shards: usize,
-    /// Virtual nodes per shard on the placement ring. More replication
-    /// smooths placement (imbalance ~ `1/√replication`); 8 is the floor
-    /// for the ~2× balance the placement tests pin down.
-    pub replication: usize,
-    /// Deterministic ring seed: two routers with the same seed, shard
-    /// set, and replication place every dataset identically.
+    /// Placement seed: two routers with the same seed and shard count
+    /// place every dataset identically.
     pub seed: u64,
-    /// The per-shard service configuration every dataset starts from.
+    /// The service configuration every dataset's service starts from.
     pub shard_config: ServiceConfig,
-    /// Per-shard overrides (e.g. coalescer on for the hot shard, off for
-    /// the archival one). Later entries for the same shard win.
-    pub shard_overrides: Vec<(u32, ServiceConfig)>,
     /// Crash-safe budget accounting for every hosted dataset: when set,
     /// each dataset's service journals to `<durable_root>/<dataset>` (its
     /// own WAL namespace — budgets are per-dataset, so their journals must
     /// be too). Dataset names become directory names verbatim; callers
-    /// keep them path-safe. Overrides any `durable` field in the shard
-    /// configs, which would otherwise aim every dataset at one directory.
+    /// keep them path-safe. Overrides any `durable` field in
+    /// `shard_config`, which would otherwise aim every dataset at one
+    /// directory.
     pub durable_root: Option<std::path::PathBuf>,
     /// Live operator streaming: when set, every shard service publishes
     /// its completed spans, audit events, and slow-query records onto
@@ -78,10 +70,8 @@ impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             shards: 4,
-            replication: 64,
             seed: 2023,
             shard_config: ServiceConfig::default(),
-            shard_overrides: Vec::new(),
             durable_root: None,
             bus: None,
         }
@@ -89,12 +79,6 @@ impl Default for RouterConfig {
 }
 
 impl RouterConfig {
-    /// Overrides the service configuration for one shard (builder style).
-    pub fn with_shard_config(mut self, shard: u32, config: ServiceConfig) -> Self {
-        self.shard_overrides.push((shard, config));
-        self
-    }
-
     /// Enables per-dataset budget journaling under `root` (builder style);
     /// see [`RouterConfig::durable_root`].
     pub fn with_durable_root(mut self, root: impl Into<std::path::PathBuf>) -> Self {
@@ -108,22 +92,21 @@ impl RouterConfig {
         self.bus = Some(bus);
         self
     }
+}
 
-    /// The effective service configuration for `shard`.
-    pub(crate) fn config_for(&self, shard: u32) -> ServiceConfig {
-        self.shard_overrides
-            .iter()
-            .rev()
-            .find(|(s, _)| *s == shard)
-            .map(|(_, c)| c.clone())
-            .unwrap_or_else(|| self.shard_config.clone())
-    }
+/// Hashes a dataset name for placement: seed-offset FNV-1a over the bytes,
+/// then a splitmix64 finisher for avalanche (plain FNV clusters short
+/// suffixes). Pure arithmetic — no `RandomState`, no process entropy — so
+/// placement is identical across processes and runs.
+fn hash_key(seed: u64, key: &str) -> u64 {
+    let mut h = fnv1a(FNV_OFFSET ^ splitmix64(&mut { seed }), key.bytes().map(u64::from));
+    splitmix64(&mut h)
 }
 
 /// Where a dataset lives.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
-    /// The dataset name (the ring key).
+    /// The dataset name.
     pub dataset: String,
     /// The shard hosting it.
     pub shard: u32,
@@ -149,10 +132,8 @@ struct DatasetEntry {
 
 #[derive(Debug)]
 struct RouterState {
-    ring: HashRing,
     /// Hosted datasets by name (`BTreeMap` keeps every iteration —
-    /// placement reports, metric roll-ups, fan-out merge order —
-    /// deterministic).
+    /// metric roll-ups, fan-out merge order — deterministic).
     datasets: BTreeMap<String, DatasetEntry>,
     /// Table name → owning dataset, rebuilt whenever the dataset set or
     /// any schema changes.
@@ -256,7 +237,6 @@ impl Router {
         if config.shards == 0 {
             return Err(RouterError::NoShards);
         }
-        let ring = HashRing::new(0..config.shards as u32, config.replication, config.seed);
         let telemetry = match &config.bus {
             Some(bus) => Telemetry::new(&TelemetryConfig {
                 trace_capacity: 256,
@@ -270,11 +250,7 @@ impl Router {
         };
         Ok(Router {
             config,
-            state: RwLock::new(RouterState {
-                ring,
-                datasets: BTreeMap::new(),
-                tables: HashMap::new(),
-            }),
+            state: RwLock::new(RouterState { datasets: BTreeMap::new(), tables: HashMap::new() }),
             counters: RouterCounters::default(),
             telemetry,
         })
@@ -288,9 +264,10 @@ impl Router {
         self.state.write().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Hosts a dataset: the ring places it, the owning shard gets a fresh
-    /// [`Service`] over `schema` (with the shard's effective
-    /// configuration), and the table-ownership index picks it up.
+    /// Hosts a dataset: its name hashes to a shard
+    /// (`hash_key(seed, name) % shards`), a fresh [`Service`] over
+    /// `schema` starts from [`RouterConfig::shard_config`], and the
+    /// table-ownership index picks it up. Returns where it was placed.
     pub fn add_dataset(
         &self,
         name: &str,
@@ -300,9 +277,9 @@ impl Router {
         if state.datasets.contains_key(name) {
             return Err(RouterError::DuplicateDataset(name.to_string()));
         }
-        let shard = state.ring.place(name).ok_or(RouterError::NoShards)?;
+        let shard = (hash_key(self.config.seed, name) % self.config.shards as u64) as u32;
         let tables: Vec<String> = schema.table_names().into_iter().map(str::to_string).collect();
-        let mut config = self.config.config_for(shard);
+        let mut config = self.config.shard_config.clone();
         if let Some(bus) = &self.config.bus {
             // Every shard service streams onto the router's bus; the
             // component label names the hop so subscribers can stitch the
@@ -332,78 +309,6 @@ impl Router {
             .insert(name.to_string(), DatasetEntry { shard, service: Arc::new(service), tables });
         state.rebuild_table_index();
         Ok(Placement { dataset: name.to_string(), shard })
-    }
-
-    /// Where every hosted dataset lives, sorted by dataset name.
-    pub fn placements(&self) -> Vec<Placement> {
-        self.read()
-            .datasets
-            .iter()
-            .map(|(name, e)| Placement { dataset: name.clone(), shard: e.shard })
-            .collect()
-    }
-
-    /// Where one dataset lives.
-    pub fn placement(&self, dataset: &str) -> Result<Placement, RouterError> {
-        let state = self.read();
-        let entry = state
-            .datasets
-            .get(dataset)
-            .ok_or_else(|| RouterError::UnknownDataset(dataset.to_string()))?;
-        Ok(Placement { dataset: dataset.to_string(), shard: entry.shard })
-    }
-
-    /// Current shard ids, ascending.
-    pub fn shard_ids(&self) -> Vec<u32> {
-        self.read().ring.shards()
-    }
-
-    /// Adds a fresh shard (next unused id) and re-places the datasets the
-    /// ring now assigns to it — by the consistent-hash guarantee, only
-    /// keys landing on the new shard's arcs move. Returns the new shard
-    /// id and the moved placements, sorted by dataset.
-    pub fn add_shard(&self) -> (u32, Vec<Placement>) {
-        let mut state = self.write();
-        let next = state.ring.shards().last().map_or(0, |s| s + 1);
-        state.ring.add_shard(next);
-        let moved = self.rebalance(&mut state);
-        (next, moved)
-    }
-
-    /// Removes a shard, re-placing only its datasets onto their ring
-    /// successors (each keeps its `Service` — budget ledgers, caches, and
-    /// data version move with it, untouched). Returns the moved
-    /// placements, sorted by dataset.
-    pub fn remove_shard(&self, shard: u32) -> Result<Vec<Placement>, RouterError> {
-        let mut state = self.write();
-        if !state.ring.contains(shard) {
-            return Err(RouterError::UnknownShard(shard));
-        }
-        if state.ring.len() == 1 && !state.datasets.is_empty() {
-            return Err(RouterError::LastShard(shard));
-        }
-        state.ring.remove_shard(shard);
-        let moved = self.rebalance(&mut state);
-        Ok(moved)
-    }
-
-    /// Re-derives every dataset's shard from the ring, reporting the ones
-    /// that moved. The services themselves never restart: a move is a
-    /// placement-map update (in a distributed deployment, the data-copy
-    /// step would hang off exactly this list).
-    fn rebalance(&self, state: &mut RouterState) -> Vec<Placement> {
-        let mut moved = Vec::new();
-        let names: Vec<String> = state.datasets.keys().cloned().collect();
-        for name in names {
-            let target = state.ring.place(&name).expect("rebalance requires a non-empty ring");
-            let entry = state.datasets.get_mut(&name).expect("iterating live keys");
-            if entry.shard != target {
-                entry.shard = target;
-                moved.push(Placement { dataset: name, shard: target });
-            }
-        }
-        RouterCounters::add(&self.counters.rebalanced_datasets, moved.len() as u64);
-        moved
     }
 
     /// The owning shard's service for `dataset`, plus its shard id.
@@ -818,10 +723,6 @@ impl Router {
                 .counters
                 .fanout_subrequests
                 .load(std::sync::atomic::Ordering::Relaxed),
-            rebalanced_datasets: self
-                .counters
-                .rebalanced_datasets
-                .load(std::sync::atomic::Ordering::Relaxed),
         }
     }
 
@@ -848,11 +749,6 @@ impl Router {
                 "fanout_subrequests",
                 "Per-shard sub-requests the fan-outs expanded into.",
                 m.fanout_subrequests,
-            ),
-            (
-                "rebalanced_datasets",
-                "Datasets moved between shards by shard add/remove.",
-                m.rebalanced_datasets,
             ),
         ] {
             let metric = format!("starj_router_{name}_total");
@@ -953,13 +849,75 @@ mod tests {
 
     #[test]
     fn datasets_place_deterministically_and_duplicates_are_refused() {
-        let a = router_with(&["alpha", "beta", "gamma"]);
-        let b = router_with(&["alpha", "beta", "gamma"]);
-        assert_eq!(a.placements(), b.placements());
+        let a = Router::new(RouterConfig { shards: 3, ..RouterConfig::default() }).unwrap();
+        let b = Router::new(RouterConfig { shards: 3, ..RouterConfig::default() }).unwrap();
+        for name in ["alpha", "beta", "gamma"] {
+            let placed = a.add_dataset(name, schema(name)).unwrap();
+            assert_eq!(placed.dataset, name);
+            assert_eq!(placed, b.add_dataset(name, schema(name)).unwrap());
+        }
         assert!(matches!(
             a.add_dataset("alpha", schema("alpha")),
             Err(RouterError::DuplicateDataset(_))
         ));
+    }
+
+    /// A router whose services carry no telemetry rings, so placement
+    /// tests can host hundreds of datasets cheaply.
+    fn bare_router(shards: usize, seed: u64) -> Router {
+        let shard_config =
+            ServiceConfig { telemetry: TelemetryConfig::disabled(), ..ServiceConfig::default() };
+        Router::new(RouterConfig { shards, seed, shard_config, ..RouterConfig::default() }).unwrap()
+    }
+
+    #[test]
+    fn placement_is_deterministic_and_in_range() {
+        let schema = schema("D");
+        for (seed, shards) in [(2023, 4), (7, 3), (99, 1)] {
+            let (a, b) = (bare_router(shards, seed), bare_router(shards, seed));
+            for i in 0..200 {
+                let name = format!("dataset-{i}");
+                let placed = a.add_dataset(&name, Arc::clone(&schema)).unwrap();
+                assert!((placed.shard as usize) < shards, "shard {} of {shards}", placed.shard);
+                assert_eq!(placed, b.add_dataset(&name, Arc::clone(&schema)).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn placement_stays_within_twice_ideal_load() {
+        const DATASETS: usize = 64;
+        const SHARDS: usize = 4;
+        let schema = schema("D");
+        for seed in 0..16 {
+            let router = bare_router(SHARDS, seed);
+            let mut counts = [0usize; SHARDS];
+            for i in 0..DATASETS {
+                let placed = router.add_dataset(&format!("dataset-{i}"), Arc::clone(&schema));
+                counts[placed.unwrap().shard as usize] += 1;
+            }
+            let heaviest = *counts.iter().max().unwrap();
+            assert!(heaviest <= 2 * DATASETS / SHARDS, "seed {seed}: loads {counts:?}");
+        }
+    }
+
+    #[test]
+    fn placement_is_pinned_across_releases() {
+        // A golden value: if the hash ever changes, every deployed
+        // placement (and every shard label in metrics) would silently
+        // shuffle. Fail loudly instead.
+        let router = bare_router(4, 2023);
+        let schema = schema("D");
+        let shards: Vec<u32> =
+            ["ssb-0", "ssb-1", "ssb-2", "ssb-3", "sales", "web", "tenant-alpha", "tenant-beta"]
+                .iter()
+                .map(|name| router.add_dataset(name, Arc::clone(&schema)).unwrap().shard)
+                .collect();
+        assert_eq!(
+            shards,
+            vec![0, 1, 0, 2, 0, 2, 0, 1],
+            "placement drifted — hash function changed?"
+        );
     }
 
     #[test]
@@ -1096,61 +1054,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_remove_moves_only_that_shards_datasets() {
-        let router = Router::new(RouterConfig { shards: 4, ..RouterConfig::default() }).unwrap();
-        let names: Vec<String> = (0..24).map(|i| format!("ds-{i}")).collect();
-        for n in &names {
-            router.add_dataset(n, schema("D")).unwrap();
-        }
-        let before: BTreeMap<String, u32> =
-            router.placements().into_iter().map(|p| (p.dataset, p.shard)).collect();
-        let victim = 2u32;
-        let moved = router.remove_shard(victim).unwrap();
-        for p in &moved {
-            assert_eq!(before[&p.dataset], victim, "only the removed shard's datasets move");
-            assert_ne!(p.shard, victim);
-        }
-        let after: BTreeMap<String, u32> =
-            router.placements().into_iter().map(|p| (p.dataset, p.shard)).collect();
-        for (name, shard) in &before {
-            if *shard != victim {
-                assert_eq!(after[name], *shard, "surviving placements are untouched");
-            }
-        }
-        assert_eq!(router.metrics().rebalanced_datasets, moved.len() as u64);
-    }
-
-    #[test]
-    fn removing_the_last_shard_with_datasets_is_refused() {
-        let router = Router::new(RouterConfig { shards: 1, ..RouterConfig::default() }).unwrap();
-        router.add_dataset("only", schema("D")).unwrap();
-        assert!(matches!(router.remove_shard(0), Err(RouterError::LastShard(0))));
-        assert!(matches!(router.remove_shard(9), Err(RouterError::UnknownShard(9))));
-    }
-
-    #[test]
-    fn services_survive_rebalancing_with_ledgers_intact() {
-        let router = Router::new(RouterConfig { shards: 4, ..RouterConfig::default() }).unwrap();
-        for i in 0..12 {
-            router.add_dataset(&format!("ds-{i}"), schema("D")).unwrap();
-        }
-        router.register_tenant_all("t", PrivacyBudget::pure(5.0).unwrap()).unwrap();
-        let q = StarQuery::count("q").with(Predicate::point("D", "c", 1));
-        for i in 0..12 {
-            router.pm_answer(&format!("ds-{i}"), "t", &q, 0.25).unwrap();
-        }
-        let (new_shard, _) = router.add_shard();
-        assert_eq!(new_shard, 4);
-        for i in 0..12 {
-            let usage = router.tenant_usage(&format!("ds-{i}"), "t").unwrap();
-            assert!(
-                (usage.spent_epsilon - 0.25).abs() < 1e-12,
-                "ledger must move with the dataset, untouched"
-            );
-        }
-    }
-
-    #[test]
     fn refresh_schema_is_shard_local_and_updates_the_table_index() {
         let router = router_with(&["alpha", "beta"]);
         router.register_tenant_all("t", PrivacyBudget::pure(10.0).unwrap()).unwrap();
@@ -1171,21 +1074,22 @@ mod tests {
     }
 
     #[test]
-    fn per_shard_config_overrides_apply() {
-        let base = ServiceConfig { cache_answers: true, ..ServiceConfig::default() };
-        let no_cache = ServiceConfig { cache_answers: false, ..base.clone() };
-        // Find where "only" places, then override exactly that shard.
-        let probe = Router::new(RouterConfig { shards: 2, ..RouterConfig::default() }).unwrap();
-        let shard = probe.add_dataset("only", schema("D")).unwrap().shard;
-        let config = RouterConfig { shards: 2, shard_config: base, ..RouterConfig::default() }
-            .with_shard_config(shard, no_cache);
-        let router = Router::new(config).unwrap();
-        router.add_dataset("only", schema("D")).unwrap();
-        router.register_tenant("only", "t", PrivacyBudget::pure(10.0).unwrap()).unwrap();
+    fn shard_config_applies_to_every_dataset() {
+        let no_cache = ServiceConfig { cache_answers: false, ..ServiceConfig::default() };
+        let router = Router::new(RouterConfig {
+            shards: 2,
+            shard_config: no_cache,
+            ..RouterConfig::default()
+        })
+        .unwrap();
         let q = StarQuery::count("q").with(Predicate::point("D", "c", 1));
-        router.pm_answer("only", "t", &q, 0.5).unwrap();
-        let again = router.pm_answer("only", "t", &q, 0.5).unwrap();
-        assert!(!again.cached, "the override disabled this shard's answer cache");
+        for name in ["one", "two", "three"] {
+            router.add_dataset(name, schema("D")).unwrap();
+            router.register_tenant(name, "t", PrivacyBudget::pure(10.0).unwrap()).unwrap();
+            router.pm_answer(name, "t", &q, 0.5).unwrap();
+            let again = router.pm_answer(name, "t", &q, 0.5).unwrap();
+            assert!(!again.cached, "`{name}` runs with the configured (cache-off) service");
+        }
     }
 
     #[test]

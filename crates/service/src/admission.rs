@@ -10,9 +10,7 @@
 
 use crate::error::ServiceError;
 use dp_starj::PredicateWorkload;
-use starj_engine::{
-    cost_model_for, BitSet, CostConfig, EngineError, Predicate, StarQuery, StarSchema,
-};
+use starj_engine::{cost_model_for, BitSet, EngineError, Predicate, StarQuery, StarSchema};
 
 /// Validates a star-join query against the schema: aggregate measures exist
 /// on the fact table, every predicate resolves to a dimension (or snowflake
@@ -70,8 +68,7 @@ pub fn min_frequency_check(
     if floor == 0 || predicates.is_empty() {
         return Ok(());
     }
-    let model =
-        cost_model_for(schema, &CostConfig::default()).map_err(ServiceError::InvalidQuery)?;
+    let model = cost_model_for(schema).map_err(ServiceError::InvalidQuery)?;
     let fact_rows = model.fact_rows() as f64;
     for pred in predicates {
         // Build the dimension pass mask the estimator scores: one bit per

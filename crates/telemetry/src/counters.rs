@@ -77,7 +77,7 @@ pub struct CostCounters {
     /// Wander-join-style row walks executed while building cost models
     /// (one per sampled fact row per build).
     pub walks: AtomicU64,
-    /// Cost models served from the per-(schema, data version) cache.
+    /// Cost-model lookups served by the schema instance's built model.
     pub cache_hits: AtomicU64,
     /// Cost models built by sampling (cache misses + explicit builds).
     pub cache_builds: AtomicU64,

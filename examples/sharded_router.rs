@@ -1,7 +1,8 @@
-//! The router tier end to end: four SSB scale slices placed on four
-//! shards by consistent hash, eight tenants firing mixed PM/WD traffic at
-//! their owning shards, per-shard vs aggregate metrics, and a shard-local
-//! `refresh_schema` that leaves the other three shards' caches untouched.
+//! The router tier end to end: four SSB scale slices, each its own
+//! dataset and budget domain, labelled with one of four shards by a hash
+//! of the dataset name; eight tenants firing mixed PM/WD traffic at them;
+//! per-shard vs aggregate metrics; and a dataset-local `refresh_schema`
+//! that leaves the other three slices' caches untouched.
 //!
 //! ```text
 //! cargo run --release --example sharded_router
@@ -101,8 +102,8 @@ fn main() {
         m.aggregate.p99_latency_us.unwrap_or(0.0),
     );
 
-    // Shard-local refresh: slice-0 gets fresh data — its caches die and
-    // its version bumps, while every other shard keeps its caches warm.
+    // Dataset-local refresh: slice-0 gets fresh data — its caches die and
+    // its version bumps, while every other slice keeps its caches warm.
     let cached_before: Vec<u64> = m.per_shard.iter().map(|(_, s)| s.cache_hits).collect();
     let version = router
         .refresh_schema(
@@ -110,7 +111,7 @@ fn main() {
             Arc::new(generate(&SsbConfig::at_scale(0.02 / SHARDS as f64, 99)).unwrap()),
         )
         .unwrap();
-    println!("\nrefreshed `slice-0` to data version {version} (shard-local):");
+    println!("\nrefreshed `slice-0` to data version {version} (dataset-local):");
     let q = StarQuery::count("post-refresh").with(Predicate::range("Date", "year", 0, 6));
     let fresh = router.pm_answer("slice-0", "tenant-0", &q, 0.05).unwrap();
     println!("  slice-0 re-pays after refresh: cached={}", fresh.cached);

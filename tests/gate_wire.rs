@@ -54,7 +54,6 @@ fn schema() -> Arc<StarSchema> {
 fn router(config: ServiceConfig) -> Arc<Router> {
     let router = Router::new(RouterConfig {
         shards: 1,
-        replication: 8,
         seed: 7,
         shard_config: config,
         ..RouterConfig::default()
@@ -257,7 +256,6 @@ fn budget_refusal_spends_nothing_and_lands_in_audit_with_wire_id() {
     let router = {
         let r = Router::new(RouterConfig {
             shards: 1,
-            replication: 8,
             seed: 7,
             shard_config: ServiceConfig::default(),
             ..RouterConfig::default()
@@ -567,7 +565,6 @@ fn megabytes_of_pipelined_replies_survive_a_late_reader() {
     let schema = Arc::new(StarSchema::new(fact, vec![Dimension::new(dim, "pk", "fk")]).unwrap());
     let router = Router::new(RouterConfig {
         shards: 1,
-        replication: 8,
         seed: 7,
         shard_config: ServiceConfig { coalesce: true, ..ServiceConfig::default() },
         ..RouterConfig::default()

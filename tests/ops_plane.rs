@@ -43,7 +43,6 @@ fn schema(fact: &str, dim: &str) -> Arc<StarSchema> {
 fn router_with(bus: Option<Arc<EventBus>>, config: ServiceConfig) -> Arc<Router> {
     let router = Router::new(RouterConfig {
         shards: 1,
-        replication: 8,
         seed: 7,
         shard_config: config,
         bus,
@@ -218,7 +217,6 @@ fn fanout_spans_parent_to_the_fanout_span() {
     let bus = EventBus::new();
     let router = Router::new(RouterConfig {
         shards: 2,
-        replication: 8,
         seed: 7,
         shard_config: ServiceConfig::default(),
         bus: Some(Arc::clone(&bus)),
