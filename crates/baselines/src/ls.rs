@@ -15,8 +15,8 @@
 //!
 //! Local sensitivity at distance t grows by at most 1 per added fact tuple
 //! and is capped by the declared global bound: `LS^(t) = min(LS + t, GS)`
-//! (DESIGN.md interpretation #9). SUM and GROUP BY queries are rejected,
-//! matching Table 1's "Not supported" rows.
+//! (README, "Interpretations and substitutions", #9). SUM and GROUP BY
+//! queries are rejected, matching Table 1's "Not supported" rows.
 
 use crate::error::BaselineError;
 use starj_engine::{contributions, Agg, StarQuery, StarSchema};

@@ -12,7 +12,8 @@
 //! SSB star-joins have no self-join, so per-entity capping suffices and no
 //! LP is needed (the paper notes LP-based truncation is only required with
 //! self-joins); the k-star variant caps each *center's* star count — the
-//! non-LP surrogate documented in DESIGN.md (interpretation #6).
+//! non-LP surrogate listed in the README, "Interpretations and
+//! substitutions", #6.
 
 use crate::error::BaselineError;
 use starj_engine::{contributions, StarQuery, StarSchema};

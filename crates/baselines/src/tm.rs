@@ -10,8 +10,8 @@
 //!   general-Cauchy noise calibrated to a β-smooth bound on the truncated
 //!   count's local sensitivity. On the θ-bounded graph one node change
 //!   affects at most `D(θ,k) = C(θ,k) + θ·C(θ−1,k−1)` stars; local
-//!   sensitivity at distance t is bounded by `(t+1)·D(θ,k)` (DESIGN.md,
-//!   interpretation #10).
+//!   sensitivity at distance t is bounded by `(t+1)·D(θ,k)` (README,
+//!   "Interpretations and substitutions", #10).
 
 use crate::error::BaselineError;
 use starj_engine::{contributions, StarQuery, StarSchema};

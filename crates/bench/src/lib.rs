@@ -1,9 +1,11 @@
 //! Experiment harness reproducing every table and figure of the DP-starJ
 //! evaluation (paper §6).
 //!
-//! Each binary in `src/bin/` regenerates one table or figure:
+//! One binary, `paper`, runs the figures named on its command line, or all
+//! of them when given none (`paper table1 fig9`). Each figure is one entry
+//! of [`figures::FIGURES`]:
 //!
-//! | binary   | reproduces | what it prints |
+//! | name     | reproduces | what it prints |
 //! |----------|------------|----------------|
 //! | `table1` | Table 1    | relative error of PM/R2T/LS on the 9 SSB queries, ε ∈ {0.1,0.2,0.5,0.8,1} |
 //! | `table2` | Table 2    | relative error + runtime of PM/R2T/TM on Q2*/Q3*, Deezer- and Amazon-like graphs |
@@ -15,19 +17,18 @@
 //! | `fig9`   | Figure 9   | PM vs Workload Decomposition on W1/W2 |
 //! | `fig10`  | Figure 10  | error on snowflake queries Qtc/Qts |
 //! | `fig11`  | Figure 11  | error under Gaussian-mixture data |
-//! | `ablations` | DESIGN.md §7 | PMA policy / budget-split / strategy / R2T-grid ablations |
+//! | `ablations` | README, "Interpretations and substitutions" | PMA policy / budget-split / strategy / R2T-grid / noise-family ablations |
 //!
-//! Environment knobs (all optional): `SSB_SF` (scale factor, default 0.05),
-//! `TRIALS` (independent runs per cell, default 10), `GRAPH_FRAC` (graph
-//! scale for Table 2, default 0.05), `SEED` (root seed, default 2023).
+//! The environment knobs (`SSB_SF`, `TRIALS`, `GRAPH_FRAC`, `SEED`,
+//! `TIME_LIMIT_SECS`) are the fields of [`Knobs`]; a set knob that does not
+//! parse is an error, not the default.
 //!
 //! Serving-stack performance (wire, service, durable, kernel) is measured
 //! by the standalone `benchmark/` package, not here.
 
-pub mod harness;
-pub mod mechanisms;
-pub mod scenarios;
+pub mod figures;
+mod harness;
+mod mechanisms;
+mod scenarios;
 
-pub use harness::{env_f64, stats, TablePrinter};
-pub use mechanisms::{ls_rel_err, pm_rel_err, r2t_rel_err, MechOutcome};
-pub use scenarios::{graph_frac, private_dims_for, root_seed, ssb_sf, trials_count};
+pub use scenarios::Knobs;

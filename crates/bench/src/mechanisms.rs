@@ -1,9 +1,10 @@
-//! Mechanism adapters: run one mechanism on one query, return the relative
-//! error against the exact answer plus the wall-clock time.
+//! The star-join mechanisms the paper compares, behind one [`Mech::run`]
+//! that returns the relative error against the exact answer plus the
+//! wall-clock time, and holds the support matrix once.
 
 use dp_starj::pm::{pm_answer, PmConfig};
-use starj_baselines::{LsMechanism, R2tConfig};
-use starj_engine::{execute, QueryResult, StarQuery, StarSchema};
+use starj_baselines::{r2t_answer, LsMechanism, R2tConfig};
+use starj_engine::{execute, Agg, QueryResult, StarQuery, StarSchema};
 use starj_noise::StarRng;
 use std::time::Instant;
 
@@ -18,25 +19,17 @@ pub enum MechOutcome {
         /// Wall-clock seconds of the mechanism call.
         secs: f64,
     },
-    /// Mechanism does not support this query shape.
+    /// Mechanism does not support this query shape (Table 2 also reports a
+    /// cell over its time limit this way).
     NotSupported,
 }
 
 impl MechOutcome {
-    /// The relative error if the mechanism ran.
-    pub fn rel_err(&self) -> Option<f64> {
-        match self {
-            MechOutcome::Ran { rel_err, .. } => Some(*rel_err),
-            MechOutcome::NotSupported => None,
-        }
-    }
-
-    /// The elapsed seconds if the mechanism ran.
-    pub fn secs(&self) -> Option<f64> {
-        match self {
-            MechOutcome::Ran { secs, .. } => Some(*secs),
-            MechOutcome::NotSupported => None,
-        }
+    /// Runs `f`, which returns a relative error, and times it.
+    pub fn timed(f: impl FnOnce() -> f64) -> Self {
+        let start = Instant::now();
+        let rel_err = f();
+        MechOutcome::Ran { rel_err, secs: start.elapsed().as_secs_f64() }
     }
 }
 
@@ -45,75 +38,83 @@ pub fn truth(schema: &StarSchema, query: &StarQuery) -> QueryResult {
     execute(schema, query).expect("exact query must run")
 }
 
-/// PM (DP-starJ) on any supported star-join query.
-pub fn pm_rel_err(
-    schema: &StarSchema,
-    query: &StarQuery,
-    truth: &QueryResult,
-    epsilon: f64,
-    rng: &mut StarRng,
-) -> MechOutcome {
-    let start = Instant::now();
-    let ans = pm_answer(schema, query, epsilon, &PmConfig::default(), rng)
-        .expect("PM supports all star-join queries");
-    MechOutcome::Ran {
-        // Positional group comparison: the paper's GROUP BY metric is
-        // insensitive to key relabelling (DESIGN.md interpretation #8).
-        rel_err: ans.result.positional_relative_error(truth),
-        secs: start.elapsed().as_secs_f64(),
-    }
+/// A mechanism answering star-join queries.
+#[derive(Debug, Clone, Copy)]
+pub enum Mech {
+    /// PM (DP-starJ): every star-join query.
+    Pm,
+    /// R2T with declared global sensitivity `gs`: COUNT and SUM.
+    R2t {
+        /// Declared global sensitivity bound.
+        gs: f64,
+    },
+    /// Cauchy local sensitivity capped at `cap`: COUNT only.
+    Ls {
+        /// Global bound capping the local sensitivity at distance t.
+        cap: f64,
+        /// FK-cascade neighbouring: the cap is reachable in one step.
+        fk_cascade: bool,
+    },
 }
 
-/// R2T on COUNT/SUM queries; `NotSupported` for GROUP BY.
-pub fn r2t_rel_err(
-    schema: &StarSchema,
-    query: &StarQuery,
-    truth: &QueryResult,
-    epsilon: f64,
-    gs: f64,
-    private_dims: Vec<String>,
-    rng: &mut StarRng,
-) -> MechOutcome {
-    if query.is_grouped() {
-        return MechOutcome::NotSupported;
-    }
-    let cfg = R2tConfig::new(gs, private_dims);
-    let start = Instant::now();
-    let ans = starj_baselines::r2t_answer(schema, query, epsilon, &cfg, rng)
-        .expect("R2T supports scalar aggregates");
-    let t = truth.scalar().expect("scalar truth");
-    MechOutcome::Ran {
-        rel_err: (ans.value - t).abs() / t.abs().max(1.0),
-        secs: start.elapsed().as_secs_f64(),
-    }
-}
+/// Table 1's line-up: PM, R2T with declared `GS = 10⁵`, and LS capped at
+/// 10⁶ (also Figures 4, 8 and 10).
+pub const MECHS: [Mech; 3] =
+    [Mech::Pm, Mech::R2t { gs: 1e5 }, Mech::Ls { cap: 1e6, fk_cascade: false }];
 
-/// LS on COUNT queries; `NotSupported` for SUM and GROUP BY.
-#[allow(clippy::too_many_arguments)] // experiment adapter mirrors the CLI knobs 1:1
-pub fn ls_rel_err(
-    schema: &StarSchema,
-    query: &StarQuery,
-    truth: &QueryResult,
-    epsilon: f64,
-    gs_cap: f64,
-    fk_cascade: bool,
-    private_dims: Vec<String>,
-    rng: &mut StarRng,
-) -> MechOutcome {
-    if query.is_grouped() || !matches!(query.agg, starj_engine::Agg::Count) {
-        return MechOutcome::NotSupported;
+impl Mech {
+    /// The mechanism's column label (also part of every RNG derive tag).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Mech::Pm => "PM",
+            Mech::R2t { .. } => "R2T",
+            Mech::Ls { .. } => "LS",
+        }
     }
-    let mech = if fk_cascade {
-        LsMechanism::cauchy_fk(private_dims, gs_cap)
-    } else {
-        LsMechanism::cauchy(private_dims, gs_cap)
-    };
-    let start = Instant::now();
-    let ans = mech.answer(schema, query, epsilon, rng).expect("LS supports COUNT");
-    let t = truth.scalar().expect("scalar truth");
-    MechOutcome::Ran {
-        rel_err: (ans.value - t).abs() / t.abs().max(1.0),
-        secs: start.elapsed().as_secs_f64(),
+
+    /// Answers `query` once and scores it against `truth`; the baselines
+    /// protect `private_dims`. `NotSupported` for R2T on GROUP BY and for LS
+    /// on anything but a scalar COUNT.
+    pub fn run(
+        &self,
+        schema: &StarSchema,
+        query: &StarQuery,
+        truth: &QueryResult,
+        epsilon: f64,
+        private_dims: &[String],
+        rng: &mut StarRng,
+    ) -> MechOutcome {
+        let supported = match self {
+            Mech::Pm => true,
+            Mech::R2t { .. } => !query.is_grouped(),
+            Mech::Ls { .. } => !query.is_grouped() && matches!(query.agg, Agg::Count),
+        };
+        if !supported {
+            return MechOutcome::NotSupported;
+        }
+        MechOutcome::timed(|| {
+            let answer = match *self {
+                Mech::Pm => {
+                    pm_answer(schema, query, epsilon, &PmConfig::default(), rng)
+                        .expect("PM supports all star-join queries")
+                        .result
+                }
+                Mech::R2t { gs } => {
+                    let cfg = R2tConfig::new(gs, private_dims.to_vec());
+                    let ans = r2t_answer(schema, query, epsilon, &cfg, rng);
+                    QueryResult::Scalar(ans.expect("R2T supports scalar aggregates").value)
+                }
+                Mech::Ls { cap, fk_cascade } => {
+                    let ls = if fk_cascade { LsMechanism::cauchy_fk } else { LsMechanism::cauchy };
+                    let ans = ls(private_dims.to_vec(), cap).answer(schema, query, epsilon, rng);
+                    QueryResult::Scalar(ans.expect("LS supports COUNT").value)
+                }
+            };
+            // Positional group comparison: the paper's GROUP BY metric is
+            // insensitive to key relabelling (README, "Interpretations and
+            // substitutions", #8). Scalars score `|x̂ − x| / max(|x|, 1)`.
+            answer.positional_relative_error(truth)
+        })
     }
 }
 
@@ -122,49 +123,21 @@ mod tests {
     use super::*;
     use starj_ssb::{generate, qc3, qg2, qs3, SsbConfig};
 
-    fn setup() -> StarSchema {
-        generate(&SsbConfig { scale: 0.002, seed: 77, ..Default::default() }).unwrap()
-    }
-
     #[test]
     fn support_matrix_matches_table1() {
-        let s = setup();
+        let s = generate(&SsbConfig { scale: 0.002, seed: 77, ..Default::default() }).unwrap();
         let mut rng = StarRng::from_seed(1);
-        let dims = vec!["Customer".to_string()];
-
-        // PM runs on everything.
-        for q in [qc3(), qs3(), qg2()] {
+        let dims = ["Customer".to_string()];
+        // PM runs on everything, R2T on COUNT + SUM, LS on COUNT only.
+        for (q, supports) in
+            [(qc3(), [true; 3]), (qs3(), [true, true, false]), (qg2(), [true, false, false])]
+        {
             let t = truth(&s, &q);
-            assert!(pm_rel_err(&s, &q, &t, 1.0, &mut rng).rel_err().is_some());
+            for (mech, supported) in MECHS.into_iter().zip(supports) {
+                let ran =
+                    matches!(mech.run(&s, &q, &t, 1.0, &dims, &mut rng), MechOutcome::Ran { .. });
+                assert_eq!(ran, supported, "{} on {}", mech.name(), q.name);
+            }
         }
-        // R2T: count + sum, not group-by.
-        let t = truth(&s, &qc3());
-        assert!(r2t_rel_err(&s, &qc3(), &t, 1.0, 1e5, dims.clone(), &mut rng).rel_err().is_some());
-        let t = truth(&s, &qs3());
-        assert!(r2t_rel_err(&s, &qs3(), &t, 1.0, 1e5, dims.clone(), &mut rng).rel_err().is_some());
-        let t = truth(&s, &qg2());
-        assert!(matches!(
-            r2t_rel_err(&s, &qg2(), &t, 1.0, 1e5, dims.clone(), &mut rng),
-            MechOutcome::NotSupported
-        ));
-        // LS: count only.
-        let t = truth(&s, &qc3());
-        assert!(ls_rel_err(&s, &qc3(), &t, 1.0, 1e6, false, dims.clone(), &mut rng)
-            .rel_err()
-            .is_some());
-        let t = truth(&s, &qs3());
-        assert!(matches!(
-            ls_rel_err(&s, &qs3(), &t, 1.0, 1e6, false, dims, &mut rng),
-            MechOutcome::NotSupported
-        ));
-    }
-
-    #[test]
-    fn outcomes_report_time() {
-        let s = setup();
-        let mut rng = StarRng::from_seed(2);
-        let t = truth(&s, &qc3());
-        let out = pm_rel_err(&s, &qc3(), &t, 1.0, &mut rng);
-        assert!(out.secs().unwrap() >= 0.0);
     }
 }

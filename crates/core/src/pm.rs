@@ -5,7 +5,7 @@
 //! 1. extracts the per-dimension predicates (Phase 1, "Extract Predicates");
 //! 2. perturbs each with PMA under budget `ε_i = ε/n` (Phase 2,
 //!    "Perturbation Query") — multiple predicates on one table split that
-//!    table's `ε_i` evenly (DESIGN.md interpretation #2);
+//!    table's `ε_i` evenly (README, "Interpretations and substitutions", #2);
 //! 3. evaluates the noisy query exactly on the raw instance (Phase 3,
 //!    "Answering Star-join Query").
 //!

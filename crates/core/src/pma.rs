@@ -9,7 +9,8 @@
 //!
 //! Algorithm 2's `while l̂ < r̂` guard leaves the invalid-range case
 //! under-specified; [`RangePolicy`] captures the three defensible readings
-//! (DESIGN.md interpretation #1) and the ablation bench compares them.
+//! (README, "Interpretations and substitutions", #1), and the `paper`
+//! binary's `ablations` compares them.
 
 use crate::error::CoreError;
 use starj_engine::{Constraint, Domain};

@@ -7,7 +7,8 @@
 //! 1. choose a strategy matrix `A_i` whose rows are *valid PM predicates*
 //!    (points / contiguous ranges) spanning the block's workload rows;
 //! 2. compute the decomposition `X_i = P_i · A_i⁺` (the consistent reading
-//!    of Definition 5.1's `M = XA`; see DESIGN.md interpretation #3);
+//!    of Definition 5.1's `M = XA`; see the README, "Interpretations and
+//!    substitutions", #3);
 //! 3. perturb every strategy row with PMA under the block budget
 //!    `ε_i = ε/n` split across the block's strategy rows;
 //! 4. reconstruct the noisy predicate matrix `P̂_i = X_i · Â_i`.

@@ -292,8 +292,8 @@ impl CostModel {
     /// large enough that direct re-reads keep missing cache — a dimension
     /// whose chunk codes collapse to ≤ `RESIDENT_DISTINCT_CAP` distinct
     /// values stays hot without the copy.
-    pub fn should_stage(&self, dim: usize, uses: usize, min_uses: usize) -> bool {
-        uses >= min_uses.max(2) && self.residency(dim) > RESIDENT_DISTINCT_CAP
+    pub fn should_stage(&self, dim: usize, uses: usize) -> bool {
+        uses >= 2 && self.residency(dim) > RESIDENT_DISTINCT_CAP
     }
 
     /// Test hook: forces `pass_fraction` for a dimension (any bitset),
@@ -436,13 +436,13 @@ mod tests {
         let m = CostModel::build(&s2, &CostConfig::default()).unwrap();
         assert_eq!(m.residency(0), 16.0);
         assert!(m.dim_stats(0).probed_chunks >= 1);
-        assert!(!m.should_stage(0, 4, 2), "16 distinct codes stay cache-hot unstaged");
+        assert!(!m.should_stage(0, 4), "16 distinct codes stay cache-hot unstaged");
         // A high-residency dimension stages at ≥ 2 uses, never at 1.
         let wide = skewed_schema(50_000, 2 * CHUNK_ROWS);
         let mw = CostModel::build(&wide, &CostConfig::default()).unwrap();
         assert!(mw.residency(0) > RESIDENT_DISTINCT_CAP);
-        assert!(mw.should_stage(0, 2, 2));
-        assert!(!mw.should_stage(0, 1, 2));
+        assert!(mw.should_stage(0, 2));
+        assert!(!mw.should_stage(0, 1));
         let _ = s;
     }
 
@@ -470,6 +470,6 @@ mod tests {
         assert_eq!(m.pass_fraction(0, &BitSet::zeros(7)).fraction, 0.99);
         m.force_residency(0, 5000.0);
         assert_eq!(m.residency(0), 5000.0);
-        assert!(m.should_stage(0, 2, 2));
+        assert!(m.should_stage(0, 2));
     }
 }

@@ -134,24 +134,11 @@ pub struct ScanOptions {
     pub word_probe_cap: usize,
     /// Largest dimension row count probed through the byte-LUT fast path.
     pub byte_probe_cap: usize,
-    /// Minimum per-chunk gathers of a dimension before its fk codes are
-    /// staged (the cost model still demotes cache-resident dimensions).
-    pub stage_min_uses: usize,
-    /// Minimum cross-query uses of a filter before it is considered for
-    /// the shared-mask cache (the cost model still demotes filters whose
-    /// private re-gathers are estimated nearly free).
-    pub share_min_uses: usize,
 }
 
 impl Default for ScanOptions {
     fn default() -> Self {
-        ScanOptions {
-            threads: 0,
-            word_probe_cap: WORD_PROBE_CAP,
-            byte_probe_cap: BYTE_PROBE_CAP,
-            stage_min_uses: 2,
-            share_min_uses: 2,
-        }
+        ScanOptions { threads: 0, word_probe_cap: WORD_PROBE_CAP, byte_probe_cap: BYTE_PROBE_CAP }
     }
 }
 
@@ -937,7 +924,7 @@ impl<'a> ScanPlan<'a> {
 
     /// Builds the cross-query mask-sharing program. Promotion is
     /// savings-driven: a filter whose `(dimension, pass mask)` recurs
-    /// across ≥ `share_min_uses` mask-building queries is promoted to the
+    /// across ≥ 2 mask-building queries is promoted to the
     /// shared gather list only when the summed expected cost of its private
     /// per-query gathers (each discounted by the early-exit survival of the
     /// filters ordered before it) exceeds the one full shared gather pass
@@ -964,13 +951,12 @@ impl<'a> ScanPlan<'a> {
                 }
             }
         }
-        let min_uses = self.opts.share_min_uses.max(2);
         let mut shared: Vec<&Filter> = Vec::new();
         let mut shared_uses: Vec<usize> = Vec::new();
         let shared_slot: Vec<Option<usize>> = distinct
             .iter()
             .map(|&(f, uses)| {
-                if uses < min_uses {
+                if uses < 2 {
                     return None;
                 }
                 // Σ over using queries of the expected private-gather
@@ -1052,18 +1038,17 @@ impl<'a> ScanPlan<'a> {
     }
 
     /// Which dimensions the staged kernel should copy per chunk
-    /// ([`CostModel::should_stage`]): those read by ≥ `stage_min_uses`
-    /// (floored at 2) gathers ([`ScanPlan::gather_uses`]) per chunk — a
+    /// ([`CostModel::should_stage`]): those read by ≥ 2 gathers
+    /// ([`ScanPlan::gather_uses`]) per chunk — a
     /// single reader is served straight from the source array, since
     /// staging it would be a pure copy tax — unless their sampled
     /// distinct-codes-per-chunk is small enough that the fk reads stay
     /// cache-resident without a staging copy.
     fn staged_dims(&self, hist_plan: Option<&HistPlan>, program: &MaskProgram) -> Vec<bool> {
-        let min_uses = self.opts.stage_min_uses;
         self.gather_uses(hist_plan, program)
             .into_iter()
             .enumerate()
-            .map(|(di, u)| self.model.should_stage(di, u, min_uses))
+            .map(|(di, u)| self.model.should_stage(di, u))
             .collect()
     }
 

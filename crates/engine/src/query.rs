@@ -171,7 +171,8 @@ impl QueryResult {
     ///
     /// Scalars: `|x̂ − x| / max(|x|, 1)`. Groups: `Σ_g |x̂_g − x_g| / Σ_g
     /// |x_g|` over the union of group keys (a group missing on either side
-    /// counts with value 0) — interpretation decision #8 in DESIGN.md.
+    /// counts with value 0) — interpretation #8 in the README's
+    /// "Interpretations and substitutions".
     pub fn relative_error(&self, truth: &QueryResult) -> f64 {
         match (self, truth) {
             (QueryResult::Scalar(est), QueryResult::Scalar(t)) => {

@@ -8,7 +8,7 @@
 //! weight distribution, which yields a power-law-ish degree sequence. All
 //! k-star statistics (and hence every mechanism's error) depend only on the
 //! degree sequence, so matching size + tail shape preserves the comparison
-//! (DESIGN.md, substitutions).
+//! (README, "Interpretations and substitutions").
 
 use crate::graph::{Graph, GraphError};
 use starj_noise::samplers::Zipf;

@@ -9,7 +9,7 @@
 //!
 //! The SNAP files are not available offline; [`generate`] provides synthetic
 //! stand-ins with the same node/edge counts and a heavy-tailed degree
-//! distribution (see DESIGN.md substitutions) — every mechanism's error is a
+//! distribution (see the README, "Interpretations and substitutions") — every mechanism's error is a
 //! function of the degree sequence only, which preserves the comparison.
 //!
 //! # Example

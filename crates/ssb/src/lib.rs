@@ -4,7 +4,7 @@
 //! TPC-H: a `Lineorder` fact table joined to `Date`, `Customer`, `Supplier`
 //! and `Part` dimensions. The official `dbgen` data files are not available
 //! offline, so this crate regenerates the benchmark from its published
-//! specification (see DESIGN.md, substitutions table):
+//! specification (see the README, "Interpretations and substitutions"):
 //!
 //! * table cardinalities follow the SSB scale-factor formulas;
 //! * attribute hierarchies (region → nation → city, mfgr → category → brand,

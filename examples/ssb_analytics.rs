@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "\nGROUP BY rows compare group-count histograms positionally \
-         (see DESIGN.md, interpretation #8)."
+         (see the README, \"Interpretations and substitutions\", #8)."
     );
     Ok(())
 }
