@@ -222,39 +222,58 @@ struct SegmentScan {
     valid_len: u64,
     /// Offset of the first damaged byte, if any damage was found.
     damage_at: Option<u64>,
-    records: Vec<Settlement>,
 }
 
-fn scan_segment(bytes: &[u8]) -> SegmentScan {
+/// Scans one segment, handing each intact record to `apply` as it decodes,
+/// up to the end or the first damaged byte.
+fn scan_segment(bytes: &[u8], mut apply: impl FnMut(Settlement)) -> SegmentScan {
     if bytes.len() < SEGMENT_MAGIC.len() || &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
         // Partial or missing header: a crash during rotation leaves this.
-        return SegmentScan { valid_len: 0, damage_at: Some(0), records: Vec::new() };
+        return SegmentScan { valid_len: 0, damage_at: Some(0) };
     }
     let mut off = SEGMENT_MAGIC.len();
-    let mut records = Vec::new();
     while off < bytes.len() {
-        let rest = &bytes[off..];
-        if rest.len() < 8 {
-            return SegmentScan { valid_len: off as u64, damage_at: Some(off as u64), records };
-        }
-        let len = u32::from_le_bytes(rest[0..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(rest[4..8].try_into().unwrap());
-        if len > MAX_PAYLOAD || rest.len() < 8 + len {
-            return SegmentScan { valid_len: off as u64, damage_at: Some(off as u64), records };
-        }
-        let payload = &rest[8..8 + len];
-        if crc32(payload) != crc {
-            return SegmentScan { valid_len: off as u64, damage_at: Some(off as u64), records };
-        }
-        match decode_payload(payload) {
-            Some(rec) => records.push(rec),
+        let Some((record, frame_len)) = decode_frame(&bytes[off..]) else {
+            return SegmentScan { valid_len: off as u64, damage_at: Some(off as u64) };
+        };
+        apply(record);
+        off += frame_len;
+    }
+    SegmentScan { valid_len: off as u64, damage_at: None }
+}
+
+/// The record framed at the start of `rest` and the frame's byte length;
+/// `None` for a partial frame, a bad CRC, or an undecodable payload.
+fn decode_frame(rest: &[u8]) -> Option<(Settlement, usize)> {
+    let header = rest.get(..8)?;
+    let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
+    let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
+    if len > MAX_PAYLOAD {
+        return None;
+    }
+    let payload = rest.get(8..8 + len)?;
+    if crc32(payload) != crc {
+        return None;
+    }
+    Some((decode_payload(payload)?, 8 + len))
+}
+
+impl Recovery {
+    /// Folds one replayed record into the totals. Journal order is
+    /// per-tenant charge order, so the f64 additions in `apply` reproduce
+    /// the ledger bit-for-bit.
+    fn apply(&mut self, record: Settlement) {
+        self.records += 1;
+        self.commits += u64::from(record.kind == SettlementKind::Commit);
+        match self.tenants.get_mut(&record.tenant) {
+            Some(totals) => totals.apply(&record),
             None => {
-                return SegmentScan { valid_len: off as u64, damage_at: Some(off as u64), records }
+                let mut totals = TenantTotals::default();
+                totals.apply(&record);
+                self.tenants.insert(record.tenant, totals);
             }
         }
-        off += 8 + len;
     }
-    SegmentScan { valid_len: off as u64, damage_at: None, records }
 }
 
 impl BudgetWal {
@@ -284,33 +303,25 @@ impl BudgetWal {
             .collect();
         seqs.sort_unstable();
 
+        // Records fold into the recovery as they decode, so replay holds
+        // one segment's bytes (one reused buffer) and never a record list.
+        // A damaged earlier segment fails the whole open, so what it folded
+        // in is discarded with the recovery; a torn final segment keeps its
+        // valid prefix.
         let mut recovery = Recovery::default();
         let mut tail: Option<(u64, u64)> = None; // (seq, valid_len) of the final segment
+        let mut bytes = Vec::new();
         for (i, &seq) in seqs.iter().enumerate() {
             let is_last = i + 1 == seqs.len();
             let path = segment_path(&config.dir, seq);
-            let mut bytes = Vec::new();
+            bytes.clear();
             File::open(&path).and_then(|mut f| f.read_to_end(&mut bytes)).map_err(io_err)?;
-            let scan = scan_segment(&bytes);
+            let scan = scan_segment(&bytes, |record| recovery.apply(record));
             if let Some(offset) = scan.damage_at {
                 if !is_last {
                     return Err(WalError::Corrupt { segment: seq, offset });
                 }
                 recovery.torn_tail_truncated = true;
-            }
-            for rec in scan.records {
-                recovery.records += 1;
-                recovery.commits += u64::from(rec.kind == SettlementKind::Commit);
-                // Journal order == per-tenant charge order, so the f64
-                // additions in `apply` reproduce the ledger bit-for-bit.
-                match recovery.tenants.get_mut(&rec.tenant) {
-                    Some(totals) => totals.apply(&rec),
-                    None => {
-                        let mut totals = TenantTotals::default();
-                        totals.apply(&rec);
-                        recovery.tenants.insert(rec.tenant, totals);
-                    }
-                }
             }
             if is_last {
                 tail = Some((seq, scan.valid_len));

@@ -65,6 +65,7 @@ pub mod sql;
 mod stage;
 pub mod stats;
 pub mod table;
+pub mod whist;
 
 pub use bitset::BitSet;
 pub use canon::{canonicalize, implies, CanonicalQuery};
@@ -78,7 +79,7 @@ pub use exec::{
 };
 pub use plan::{
     fact_scan_count, CostModelExplain, DimExplain, FilterExplain, PlanExplain, QueryExplain,
-    ScanOptions, ScanPlan, WeightHistogram, WeightedQuery, DENSE_GROUP_CAP,
+    ScanOptions, ScanPlan, WeightedQuery, DENSE_GROUP_CAP,
 };
 pub use predicate::{Constraint, Predicate, WeightedPredicate};
 pub use query::{Agg, GroupAttr, QueryResult, StarQuery};
@@ -86,3 +87,4 @@ pub use schema::{Dimension, StarSchema, SubDimension};
 pub use sql::{escape_label, to_sql, unescape_label};
 pub use stats::{contributions, max_contribution, Contributions};
 pub use table::Table;
+pub use whist::{AxisNames, WeightHistogram};

@@ -22,7 +22,8 @@
 //!   `Q = Φ·W` form of paper Eq. 11) share one joint attribute-code
 //!   histogram `W`: the single scan accumulates, per aggregate kind, the
 //!   total row weight of every combination of the batch's weighted
-//!   attribute codes, and each query then reduces to a `space`-length dot
+//!   attribute codes (natural-width integer cells, [`crate::whist`]), and
+//!   each query then reduces to a `space`-length dot
 //!   product `Φ_q · W` — answering `l` reconstructed WD rows costs one scan
 //!   plus `O(l · space)` flops instead of `l` scans. Falls back to a
 //!   per-row loop when the joint code space exceeds [`DENSE_GROUP_CAP`] or
@@ -77,9 +78,10 @@ use crate::predicate::{Predicate, WeightedPredicate};
 use crate::query::{Agg, QueryResult, StarQuery};
 use crate::schema::StarSchema;
 use crate::stage::{
-    fold_flat, gather_word_bytes, gather_word_small, gather_word_wide, with_keys, with_measures,
-    ChunkStage, Key, CHUNK_ROWS, CHUNK_WORDS,
+    gather_word_bytes, gather_word_small, gather_word_wide, with_keys, with_measures, ChunkStage,
+    Key, CHUNK_ROWS, CHUNK_WORDS,
 };
+use crate::whist::{cells_fit, drain_hist, weight_tensor, Cells};
 use starj_telemetry::{cost_counters, kernel_counters, CostCounters, Json, KernelCounters};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -116,6 +118,11 @@ static FACT_SCANS: AtomicU64 = AtomicU64::new(0);
 /// Total fact-table scans completed by this process so far.
 pub fn fact_scan_count() -> u64 {
     FACT_SCANS.load(Ordering::Relaxed)
+}
+
+/// Counts one completed fact-table scan.
+pub(crate) fn fact_scans_add() {
+    FACT_SCANS.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Execution options for a compiled scan.
@@ -200,7 +207,7 @@ impl<'a> RowWeight<'a> {
 
     /// Largest `|at(row)|` the aggregate can take over the fact table, from
     /// the measure columns' build-time maxima.
-    fn max_abs(schema: &StarSchema, agg: &Agg) -> Result<u64, EngineError> {
+    pub(crate) fn max_abs(schema: &StarSchema, agg: &Agg) -> Result<u64, EngineError> {
         let of = |m: &str| Ok(schema.fact().column(m)?.measure_abs_max());
         Ok(match agg {
             Agg::Count => 1,
@@ -220,7 +227,7 @@ impl<'a> RowWeight<'a> {
 
     /// Bytes of stored measure the aggregate reads per row: 0 for COUNT,
     /// the wider column for a difference.
-    fn width_bytes(&self) -> usize {
+    pub(crate) fn width_bytes(&self) -> usize {
         match self {
             RowWeight::Ones => 0,
             RowWeight::Measure(m) => m.width_bytes(),
@@ -543,20 +550,15 @@ impl<'a> HistPlan<'a> {
     /// the outer product of its axis weight vectors, axes it does not
     /// constrain contributing factor 1.
     fn weight_tensor(&self, q: &PlannedQuery) -> Vec<f64> {
-        let mut tensor = vec![1.0f64];
-        for (_, codes, domain) in &self.axes {
-            let axis_weights =
-                q.weights.iter().find(|a| std::ptr::eq(a.codes, *codes)).map(|a| &a.weights);
-            let mut next = Vec::with_capacity(tensor.len() * domain);
-            for &t in &tensor {
-                match axis_weights {
-                    Some(w) => next.extend(w.iter().map(|&wc| t * wc)),
-                    None => next.extend(std::iter::repeat_n(t, *domain)),
-                }
-            }
-            tensor = next;
-        }
-        tensor
+        let domains: Vec<usize> = self.axes.iter().map(|&(_, _, domain)| domain).collect();
+        let per_axis: Vec<Option<Vec<f64>>> = self
+            .axes
+            .iter()
+            .map(|(_, codes, _)| {
+                q.weights.iter().find(|a| std::ptr::eq(a.codes, *codes)).map(|a| a.weights.clone())
+            })
+            .collect();
+        weight_tensor(&domains, &per_axis)
     }
 }
 
@@ -600,7 +602,7 @@ impl Acc {
 struct ScanState {
     accs: Vec<Acc>,
     /// One histogram per aggregate kind of the [`HistPlan`].
-    hists: Vec<Vec<f64>>,
+    hists: Vec<Cells>,
 }
 
 impl ScanState {
@@ -609,9 +611,7 @@ impl ScanState {
             acc.merge(partial);
         }
         for (hist, partial) in self.hists.iter_mut().zip(other.hists) {
-            for (slot, v) in hist.iter_mut().zip(partial) {
-                *slot += v;
-            }
+            hist.merge(partial);
         }
     }
 }
@@ -758,7 +758,7 @@ impl<'a> ScanPlan<'a> {
     /// structures [`ScanPlan::execute`] runs, so EXPLAIN output cannot
     /// drift from the executed plan shape.
     pub fn describe(&self) -> PlanExplain {
-        let hist_plan = HistPlan::build(&self.queries);
+        let hist_plan = self.hist_plan();
         let program = self.mask_program(hist_plan.as_ref());
         let staged = self.staged_dims(hist_plan.as_ref(), &program);
         let shards = self.shard_bounds(hist_plan.as_ref(), self.opts.threads).len();
@@ -839,7 +839,7 @@ impl<'a> ScanPlan<'a> {
     /// shard count — and, for integer-valued accumulators, the same for
     /// every shard count.
     pub fn execute(&self, options: ScanOptions) -> Vec<QueryResult> {
-        let hist_plan = HistPlan::build(&self.queries);
+        let hist_plan = self.hist_plan();
         let hp = hist_plan.as_ref();
         let program = self.mask_program(hp);
         let bounds = self.shard_bounds(hp, options.threads);
@@ -852,9 +852,16 @@ impl<'a> ScanPlan<'a> {
             },
             ScanState::merge,
         );
-        FACT_SCANS.fetch_add(1, Ordering::Relaxed);
+        fact_scans_add();
         self.flush_kernel_counters(&bounds, hp, &program);
         self.finalize(state, hp)
+    }
+
+    /// The batch's shared histogram program, unless some aggregate's sums
+    /// could overflow the widest (`i64`) cell — then every weighted query
+    /// runs the row loop.
+    fn hist_plan(&self) -> Option<HistPlan<'a>> {
+        HistPlan::build(&self.queries).filter(|_| cells_fit(self.fact_rows, self.max_row_weight))
     }
 
     /// The shard bounds a scan under `threads` covers. Kernel-sized
@@ -1073,7 +1080,7 @@ impl<'a> ScanPlan<'a> {
             })
             .collect();
         let hists = hist_plan
-            .map(|hp| hp.kinds.iter().map(|_| vec![0.0; hp.space]).collect())
+            .map(|hp| hp.kinds.iter().map(|kind| Cells::for_kind(hp.space, kind)).collect())
             .unwrap_or_default();
         ScanState { accs, hists }
     }
@@ -1095,11 +1102,8 @@ impl<'a> ScanPlan<'a> {
                 Acc::Hist => {
                     let hp = hist_plan.expect("hist acc implies hist plan");
                     let kind = hp.assignment[qi].expect("hist acc implies assignment");
-                    let tensor = hp.weight_tensor(q);
-                    let hist = &state.hists[kind];
                     // Φ_q · W, in ascending flat-code order.
-                    let dot: f64 = tensor.iter().zip(hist).map(|(p, w)| p * w).sum();
-                    QueryResult::Scalar(dot)
+                    QueryResult::Scalar(state.hists[kind].dot(&hp.weight_tensor(q)))
                 }
             })
             .collect()
@@ -1306,39 +1310,6 @@ impl<'a> ScanPlan<'a> {
     }
 }
 
-/// Drains one chunk of staged flat codes into a histogram for one aggregate
-/// kind: a flat, unrollable scatter-add loop with the kind's row-weight
-/// match — and a SUM's measure width — hoisted out of the row loop. Rows
-/// are visited in ascending order, so accumulation is bit-identical to the
-/// per-row form.
-fn drain_hist(hist: &mut [f64], flat: &[u32], kind: &RowWeight, chunk_start: usize) {
-    match kind {
-        RowWeight::Ones => {
-            for &f in flat {
-                hist[f as usize] += 1.0;
-            }
-        }
-        RowWeight::Measure(m) => {
-            let rows = chunk_start..chunk_start + flat.len();
-            with_measures!(m.slice(rows), |m| scatter_add(hist, flat, m));
-        }
-        RowWeight::Diff(a, b) => {
-            for (row, &f) in (chunk_start..).zip(flat) {
-                hist[f as usize] += (a.get(row) - b.get(row)) as f64;
-            }
-        }
-    }
-}
-
-/// `hist[flat[i]] += values[i]` — the SUM histogram drain, monomorphic in
-/// the stored measure width.
-#[inline]
-fn scatter_add<M: Copy + Into<i64>>(hist: &mut [f64], flat: &[u32], values: &[M]) {
-    for (&f, &v) in flat.iter().zip(values) {
-        hist[f as usize] += widen(v);
-    }
-}
-
 /// A stored measure value as the row weight it adds: widened to `i64`,
 /// then converted, exactly as an `i64` column's value would be.
 #[inline]
@@ -1355,7 +1326,7 @@ fn available_cores() -> usize {
 /// True iff any sum of up to `fact_rows` integers of magnitude ≤
 /// `max_row_weight` stays below 2⁵³: every partial is then an exact `f64`,
 /// so the sums re-associate — and shard — without changing a bit.
-fn sums_stay_exact(fact_rows: usize, max_row_weight: u64) -> bool {
+pub(crate) fn sums_stay_exact(fact_rows: usize, max_row_weight: u64) -> bool {
     (fact_rows as u128) * u128::from(max_row_weight) < 1 << 53
 }
 
@@ -1364,10 +1335,13 @@ fn sums_stay_exact(fact_rows: usize, max_row_weight: u64) -> bool {
 /// machine — one shard per core, none under [`MIN_SHARD_ROWS`] — provided
 /// the caller's sums are `reassociable` (bit-identical for any split), and
 /// otherwise keeps one shard. Never more shards than chunks. Used by both
-/// [`ScanPlan::execute`] and [`WeightHistogram::build`] so a histogram
-/// built standalone merges partials at exactly the same row boundaries as
-/// the fused scan, keeping the two bit-identical.
-fn shard_bounds(fact_rows: usize, threads: usize, reassociable: bool) -> Vec<(usize, usize)> {
+/// [`ScanPlan::execute`] and [`crate::WeightHistogram::build`], whose
+/// integer cells merge exactly on any split.
+pub(crate) fn shard_bounds(
+    fact_rows: usize,
+    threads: usize,
+    reassociable: bool,
+) -> Vec<(usize, usize)> {
     let chunks = fact_rows.div_ceil(CHUNK_ROWS);
     let wanted = match threads {
         0 if reassociable => available_cores().min(fact_rows / MIN_SHARD_ROWS),
@@ -1390,13 +1364,13 @@ fn shard_bounds(fact_rows: usize, threads: usize, reassociable: bool) -> Vec<(us
 }
 
 /// Chunks a scan over `bounds` visits.
-fn chunk_count(bounds: &[(usize, usize)]) -> u64 {
+pub(crate) fn chunk_count(bounds: &[(usize, usize)]) -> u64 {
     bounds.iter().map(|&(lo, hi)| (hi - lo).div_ceil(CHUNK_ROWS) as u64).sum()
 }
 
 /// Scans every shard — shard 0 on the calling thread, the others on scoped
 /// threads — and merges the partials in shard order.
-fn scan_shards<T: Send>(
+pub(crate) fn scan_shards<T: Send>(
     bounds: &[(usize, usize)],
     scan: impl Fn(usize, usize) -> T + Sync,
     mut merge: impl FnMut(&mut T, T),
@@ -1412,244 +1386,6 @@ fn scan_shards<T: Send>(
         }
         merged
     })
-}
-
-/// A reusable joint attribute-code histogram `W` — the build half of the
-/// paper's `Q = Φ·W` factoring (Eq. 11), split out of the fused scan so a
-/// service can build `W` once per (axis set, aggregate, data version) and
-/// answer every later weighted query as a scan-free dot product.
-///
-/// Unlike the per-batch `HistPlan` (which borrows the schema), a
-/// `WeightHistogram` is fully owned: it keeps the normalized axis list
-/// (deduplicated, ascending dimension order — the same order
-/// [`ScanPlan::add_weighted`] sorts a query's axes into), the joint code
-/// space, the aggregate kind, and the `space`-length histogram itself.
-/// [`WeightHistogram::answer`] reproduces `HistPlan`'s weight-tensor and
-/// dot-product arithmetic operation-for-operation, so for any weighted
-/// query over a subset of the axes it returns **bit-identical** `f64`s to
-/// [`ScanPlan::execute`]'s histogram path on the same data.
-#[derive(Debug, Clone)]
-pub struct WeightHistogram {
-    /// Normalized `(table, attr, domain)` axes, ascending dimension order.
-    axes: Vec<(String, String, usize)>,
-    space: usize,
-    agg: Agg,
-    hist: Vec<f64>,
-}
-
-/// Normalized weighted-axis names: deduplicated `(table, attr)` pairs in
-/// ascending dimension order — the shape cache layers key on.
-pub type AxisNames = Vec<(String, String)>;
-
-/// Axes resolved against a schema: dimension index, pk-indexed codes,
-/// domain size, and the owned names.
-struct ResolvedAxis<'a> {
-    dim: usize,
-    codes: &'a [u32],
-    domain: usize,
-    table: String,
-    attr: String,
-}
-
-fn resolve_axes<'a>(
-    schema: &'a StarSchema,
-    axes: &[(String, String)],
-) -> Result<Vec<ResolvedAxis<'a>>, EngineError> {
-    let mut resolved: Vec<ResolvedAxis<'a>> = Vec::with_capacity(axes.len());
-    for (table, attr) in axes {
-        let dim = schema.dim_index(table)?;
-        let codes = schema.dims()[dim].table.codes(attr)?;
-        let domain = schema.dims()[dim].table.domain(attr)?.size() as usize;
-        // One column → one axis, exactly like `add_weighted`'s merge.
-        if !resolved.iter().any(|a| std::ptr::eq(a.codes, codes)) {
-            resolved.push(ResolvedAxis {
-                dim,
-                codes,
-                domain,
-                table: table.clone(),
-                attr: attr.clone(),
-            });
-        }
-    }
-    // Stable sort: ascending dimension, first-appearance order within one.
-    resolved.sort_by_key(|a| a.dim);
-    Ok(resolved)
-}
-
-impl WeightHistogram {
-    /// Normalizes an axis list against `schema` without scanning anything:
-    /// returns the deduplicated `(table, attr)` names in ascending dimension
-    /// order plus `Some(joint code space)` when it fits [`DENSE_GROUP_CAP`]
-    /// (`None` means a histogram over these axes would be refused by
-    /// [`WeightHistogram::build`], so callers should fall back to a fused
-    /// scan). Cache layers key on this normalized form.
-    pub fn plan_axes(
-        schema: &StarSchema,
-        axes: &[(String, String)],
-    ) -> Result<(AxisNames, Option<usize>), EngineError> {
-        let resolved = resolve_axes(schema, axes)?;
-        let mut space = Some(1usize);
-        for a in &resolved {
-            space = space.and_then(|s| s.checked_mul(a.domain)).filter(|&s| s <= DENSE_GROUP_CAP);
-        }
-        Ok((resolved.into_iter().map(|a| (a.table, a.attr)).collect(), space))
-    }
-
-    /// Builds the histogram in **one** scan of the fact table (counted in
-    /// [`fact_scan_count`]): `hist[flat(row)] += agg(row)` over every fact
-    /// row, sharded as `options.threads` says with the same shard bounds
-    /// and shard-order merge as [`ScanPlan::execute`]. Errors if the joint
-    /// code space exceeds [`DENSE_GROUP_CAP`] or the axis list is empty.
-    pub fn build(
-        schema: &StarSchema,
-        axes: &[(String, String)],
-        agg: &Agg,
-        options: ScanOptions,
-    ) -> Result<Self, EngineError> {
-        let resolved = resolve_axes(schema, axes)?;
-        if resolved.is_empty() {
-            return Err(EngineError::InvalidConstraint(
-                "a weight histogram needs at least one axis".into(),
-            ));
-        }
-        let mut space = 1usize;
-        for a in &resolved {
-            space =
-                space.checked_mul(a.domain).filter(|&s| s <= DENSE_GROUP_CAP).ok_or_else(|| {
-                    EngineError::InvalidConstraint(format!(
-                        "joint code space of {} axes exceeds the dense cap {DENSE_GROUP_CAP}",
-                        resolved.len()
-                    ))
-                })?;
-        }
-        let kind = RowWeight::resolve(schema, agg)?;
-        let fks: Vec<Keys> = resolved
-            .iter()
-            .map(|a| schema.fact().key(&schema.dims()[a.dim].fk))
-            .collect::<Result<_, _>>()?;
-        let fact_rows = schema.fact().num_rows();
-
-        // Same staged interior as the fused scan's histogram path: flat
-        // codes staged axis-major once per 4096-row chunk, then one flat
-        // drain per chunk. Row order is unchanged (ascending within the
-        // shard), so histograms stay bit-identical to the per-row form.
-        let scan = |lo: usize, hi: usize| -> Vec<f64> {
-            let mut hist = vec![0.0f64; space];
-            let mut flat: Vec<u32> = Vec::with_capacity(CHUNK_ROWS);
-            let mut chunk_start = lo;
-            while chunk_start < hi {
-                let chunk_end = (chunk_start + CHUNK_ROWS).min(hi);
-                let len = chunk_end - chunk_start;
-                flat.clear();
-                flat.resize(len, 0);
-                for (fk, axis) in fks.iter().zip(&resolved) {
-                    with_keys!(fk.slice(chunk_start..chunk_end), |fk| {
-                        fold_flat(&mut flat, fk, axis.codes, axis.domain)
-                    });
-                }
-                drain_hist(&mut hist, &flat, &kind, chunk_start);
-                chunk_start = chunk_end;
-            }
-            hist
-        };
-        // A histogram sums row counts or integer measures: while those stay
-        // exact any split merges to the same bits, so the kernel may size
-        // the shards.
-        let reassociable = sums_stay_exact(fact_rows, RowWeight::max_abs(schema, agg)?);
-        let bounds = shard_bounds(fact_rows, options.threads, reassociable);
-        let hist = scan_shards(&bounds, scan, |merged, partial| {
-            for (slot, v) in merged.iter_mut().zip(partial) {
-                *slot += v;
-            }
-        });
-        FACT_SCANS.fetch_add(1, Ordering::Relaxed);
-        let k = kernel_counters();
-        let chunks = chunk_count(&bounds);
-        KernelCounters::add(&k.chunks_scanned, chunks);
-        // The histogram interior reads each axis fk straight from the
-        // source array — one direct pass per axis per chunk, no staging.
-        KernelCounters::add(&k.direct_gathers, resolved.len() as u64 * chunks);
-        let fk_bytes: usize = fks.iter().map(|fk| fk.width_bytes() * fact_rows).sum();
-        KernelCounters::add(&k.fk_bytes_read, fk_bytes as u64);
-        Ok(WeightHistogram {
-            axes: resolved.into_iter().map(|a| (a.table, a.attr, a.domain)).collect(),
-            space,
-            agg: agg.clone(),
-            hist,
-        })
-    }
-
-    /// The normalized `(table, attr)` axes this histogram covers.
-    pub fn axes(&self) -> Vec<(String, String)> {
-        self.axes.iter().map(|(t, a, _)| (t.clone(), a.clone())).collect()
-    }
-
-    /// The joint code space (= histogram length).
-    pub fn space(&self) -> usize {
-        self.space
-    }
-
-    /// The aggregate the histogram accumulates.
-    pub fn agg(&self) -> &Agg {
-        &self.agg
-    }
-
-    /// Answers one weighted query as the dot product `Φ_q · W` — no fact
-    /// scan. Same-axis predicates multiply into one weight vector and axes
-    /// the query does not constrain contribute factor 1, mirroring the fused
-    /// scan's arithmetic exactly. Errors when the aggregate differs from the
-    /// histogram's, a predicate names an uncovered axis, or a weight vector
-    /// has the wrong length.
-    pub fn answer(&self, predicates: &[WeightedPredicate], agg: &Agg) -> Result<f64, EngineError> {
-        if *agg != self.agg {
-            return Err(EngineError::InvalidConstraint(format!(
-                "histogram accumulates {:?}, query aggregates {:?}",
-                self.agg, agg
-            )));
-        }
-        let mut per_axis: Vec<Option<Vec<f64>>> = vec![None; self.axes.len()];
-        for wp in predicates {
-            let slot =
-                self.axes.iter().position(|(t, a, _)| *t == wp.table && *a == wp.attr).ok_or_else(
-                    || {
-                        EngineError::InvalidConstraint(format!(
-                            "axis `{}.{}` is not covered by this histogram",
-                            wp.table, wp.attr
-                        ))
-                    },
-                )?;
-            let domain = self.axes[slot].2;
-            if wp.weights.len() != domain {
-                return Err(EngineError::WeightLengthMismatch {
-                    attr: wp.attr.clone(),
-                    got: wp.weights.len(),
-                    expected: domain as u32,
-                });
-            }
-            match &mut per_axis[slot] {
-                Some(weights) => {
-                    for (slot, w) in weights.iter_mut().zip(&wp.weights) {
-                        *slot *= w;
-                    }
-                }
-                None => per_axis[slot] = Some(wp.weights.clone()),
-            }
-        }
-        // The outer product Φ_q over the joint code space, then Φ_q · W —
-        // the same loops as `HistPlan::weight_tensor` / finalization.
-        let mut tensor = vec![1.0f64];
-        for ((_, _, domain), weights) in self.axes.iter().zip(&per_axis) {
-            let mut next = Vec::with_capacity(tensor.len() * domain);
-            for &t in &tensor {
-                match weights {
-                    Some(w) => next.extend(w.iter().map(|&wc| t * wc)),
-                    None => next.extend(std::iter::repeat_n(t, *domain)),
-                }
-            }
-            tensor = next;
-        }
-        Ok(tensor.iter().zip(&self.hist).map(|(p, w)| p * w).sum())
-    }
 }
 
 /// Builds per-dimension pass bitsets for a predicate conjunction; `None`
@@ -1839,6 +1575,7 @@ mod tests {
     use crate::query::GroupAttr;
     use crate::schema::Dimension;
     use crate::table::Table;
+    use crate::whist::WeightHistogram;
 
     fn schema() -> StarSchema {
         let da = Domain::numeric("attr", 3).unwrap();
@@ -2373,112 +2110,5 @@ mod tests {
         assert_eq!(results[0].scalar().unwrap(), 1.0);
         assert_eq!(results[1].scalar().unwrap(), 1.0);
         assert_eq!(results[2].scalar().unwrap(), 2.0);
-    }
-
-    #[test]
-    fn weight_histogram_matches_fused_scan_bit_for_bit() {
-        let s = schema();
-        // Arbitrary (non-dyadic) weights: bit-identity must come from doing
-        // the same float ops in the same order, not from exact arithmetic.
-        let batch = vec![
-            WeightedQuery::count(vec![WeightedPredicate::new("A", "attr", vec![0.3, 1.7, 0.0])]),
-            WeightedQuery {
-                predicates: vec![
-                    WeightedPredicate::new("A", "attr", vec![1.0, 0.1, 2.3]),
-                    WeightedPredicate::new("B", "attr", vec![0.9, 1.1]),
-                ],
-                agg: Agg::Sum("qty".into()),
-            },
-        ];
-        let axes =
-            vec![("A".to_string(), "attr".to_string()), ("B".to_string(), "attr".to_string())];
-        for threads in [1usize, 3] {
-            let options = ScanOptions::parallel(threads);
-            let fused = crate::exec::execute_weighted_batch_with(&s, &batch, options).unwrap();
-            let count_hist = WeightHistogram::build(&s, &axes, &Agg::Count, options).unwrap();
-            let sum_hist =
-                WeightHistogram::build(&s, &axes, &Agg::Sum("qty".into()), options).unwrap();
-            assert_eq!(
-                count_hist.answer(&batch[0].predicates, &batch[0].agg).unwrap().to_bits(),
-                fused[0].to_bits(),
-                "count dot product diverged at threads={threads}"
-            );
-            assert_eq!(
-                sum_hist.answer(&batch[1].predicates, &batch[1].agg).unwrap().to_bits(),
-                fused[1].to_bits(),
-                "sum dot product diverged at threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn weight_histogram_normalizes_axes_and_probes_eligibility() {
-        let s = schema();
-        // Duplicates collapse and axes sort into ascending dimension order
-        // regardless of the caller's order.
-        let messy = vec![
-            ("B".to_string(), "attr".to_string()),
-            ("A".to_string(), "attr".to_string()),
-            ("B".to_string(), "attr".to_string()),
-        ];
-        let (axes, space) = WeightHistogram::plan_axes(&s, &messy).unwrap();
-        assert_eq!(
-            axes,
-            vec![("A".to_string(), "attr".to_string()), ("B".to_string(), "attr".to_string())]
-        );
-        assert_eq!(space, Some(6));
-        let hist = WeightHistogram::build(&s, &messy, &Agg::Count, ScanOptions::default()).unwrap();
-        assert_eq!(hist.axes(), axes);
-        assert_eq!(hist.space(), 6);
-        // Same-axis predicates multiply into one weight vector: weights
-        // 1·0.5, 2·0.5, 4·0.5 over fanout 2 each → 2 · 3.5 = 7.
-        let merged = hist
-            .answer(
-                &[
-                    WeightedPredicate::new("A", "attr", vec![1.0, 2.0, 4.0]),
-                    WeightedPredicate::new("A", "attr", vec![0.5, 0.5, 0.5]),
-                ],
-                &Agg::Count,
-            )
-            .unwrap();
-        assert_eq!(merged, 7.0);
-    }
-
-    #[test]
-    fn weight_histogram_rejects_mismatches() {
-        let s = schema();
-        let axes = vec![("A".to_string(), "attr".to_string())];
-        let hist = WeightHistogram::build(&s, &axes, &Agg::Count, ScanOptions::default()).unwrap();
-        // Wrong aggregate.
-        assert!(hist
-            .answer(&[WeightedPredicate::new("A", "attr", vec![1.0; 3])], &Agg::Sum("qty".into()))
-            .is_err());
-        // Uncovered axis.
-        assert!(hist
-            .answer(&[WeightedPredicate::new("B", "attr", vec![1.0; 2])], &Agg::Count)
-            .is_err());
-        // Wrong weight length.
-        assert!(hist
-            .answer(&[WeightedPredicate::new("A", "attr", vec![1.0; 5])], &Agg::Count)
-            .is_err());
-        // Empty axis list refuses to build; oversized joint spaces refuse too.
-        assert!(WeightHistogram::build(&s, &[], &Agg::Count, ScanOptions::default()).is_err());
-        // Unknown table errors cleanly.
-        assert!(WeightHistogram::plan_axes(&s, &[("Ghost".into(), "attr".into())]).is_err());
-    }
-
-    #[test]
-    fn weight_histogram_counts_one_fact_scan() {
-        let s = schema();
-        let axes = vec![("A".to_string(), "attr".to_string())];
-        let before = fact_scan_count();
-        let hist = WeightHistogram::build(&s, &axes, &Agg::Count, ScanOptions::default()).unwrap();
-        assert_eq!(fact_scan_count() - before, 1, "building W costs exactly one scan");
-        let before = fact_scan_count();
-        for _ in 0..4 {
-            hist.answer(&[WeightedPredicate::new("A", "attr", vec![1.0, 0.5, 0.25])], &Agg::Count)
-                .unwrap();
-        }
-        assert_eq!(fact_scan_count() - before, 0, "answering from W is scan-free");
     }
 }

@@ -42,13 +42,17 @@ impl Constraint {
 
     /// Validates the constraint against a domain.
     pub fn validate(&self, domain: &Domain) -> Result<(), EngineError> {
+        self.validate_size(domain.name(), domain.size())
+    }
+
+    /// Validates the constraint against the domain `name` of codes
+    /// `0..size`.
+    pub fn validate_size(&self, name: &str, size: u32) -> Result<(), EngineError> {
         match self {
             Constraint::Point(v) => {
-                if !domain.contains(*v) {
+                if *v >= size {
                     return Err(EngineError::InvalidConstraint(format!(
-                        "point {v} outside domain `{}` of size {}",
-                        domain.name(),
-                        domain.size()
+                        "point {v} outside domain `{name}` of size {size}"
                     )));
                 }
             }
@@ -58,11 +62,9 @@ impl Constraint {
                         "range [{lo}, {hi}] has lo > hi"
                     )));
                 }
-                if !domain.contains(*hi) {
+                if *hi >= size {
                     return Err(EngineError::InvalidConstraint(format!(
-                        "range end {hi} outside domain `{}` of size {}",
-                        domain.name(),
-                        domain.size()
+                        "range end {hi} outside domain `{name}` of size {size}"
                     )));
                 }
             }
@@ -70,11 +72,9 @@ impl Constraint {
                 if vs.is_empty() {
                     return Err(EngineError::InvalidConstraint("empty IN-set".into()));
                 }
-                if let Some(bad) = vs.iter().find(|v| !domain.contains(**v)) {
+                if let Some(bad) = vs.iter().find(|&&v| v >= size) {
                     return Err(EngineError::InvalidConstraint(format!(
-                        "set member {bad} outside domain `{}` of size {}",
-                        domain.name(),
-                        domain.size()
+                        "set member {bad} outside domain `{name}` of size {size}"
                     )));
                 }
             }

@@ -30,29 +30,39 @@
 //!
 //! ## Entry layout
 //!
-//! Each entry is one `Arc<[u8]>` shared by the hash index and the FIFO:
-//! `[key length][key][release]`, integers as LEB128 varints. The **key**
-//! is the tenant, mechanism, ε bits, version and canonical request, with
-//! table, attribute and measure names as ids from the cache's own
-//! append-only name table; every variable-length part is count-prefixed
-//! and every variant tagged, so the encoding is injective. The
-//! **release** is, per PM member, a free/paid tag, the original label, the
-//! noisy constraints and the result, or WD's values. A hit rebuilds each
-//! noisy query from the probe's canonical member (PM only replaces
-//! constraints), so the replay is `==` the first release, label included.
+//! Each entry is one byte string, `[key length][key][release]`, integers
+//! as LEB128 varints. The **key** is the tenant, mechanism, ε bits,
+//! version and canonical request, with tenant, table, attribute and
+//! measure names as ids from the cache's own append-only name table; every
+//! variable-length part is count-prefixed and every variant tagged, so the
+//! encoding is injective. The **release** is, per PM member, a free/paid
+//! tag, the original label, the noisy constraints and the result, or WD's
+//! values. A hit rebuilds each noisy query from the probe's canonical
+//! member (PM only replaces constraints), so the replay is `==` the first
+//! release, label included.
 //!
-//! A scalar PM entry costs ≈ 131 B all in, as `tests/cache_footprint.rs`
-//! counts (2 016 B when the key was deep-copied into both the map and the
-//! FIFO and the value was a full [`Answer`] clone), so the default 65 536
-//! entries hold ≈ 9 MB.
+//! Entries are stored back to back, length-prefixed, in insertion order in
+//! 64 KiB segments of one append-only log: FIFO eviction walks the front
+//! of the log and frees a segment once nothing in it is live, so an entry
+//! costs its bytes and no allocation of its own. The index maps a keyed
+//! (per-process) hash of the key bytes to the entry's place in the log. A
+//! hit also compares the key bytes, so a hash collision between two
+//! distinct keys can only leave the later one uncached (a repeat pays
+//! again); it never replays a wrong answer.
+//!
+//! A scalar PM entry costs ≈ 80 B all in, as `tests/cache_footprint.rs`
+//! counts (131 B when each entry was its own shared allocation, referenced
+//! from a hash set and a FIFO queue; 2 016 B when the key was deep-copied
+//! into both and the value was a full [`Answer`] clone), so the default
+//! 65 536 entries hold ≈ 5 MB.
 
 use crate::service::{Answer, BatchAnswer, ServiceAnswer, WorkloadAnswer};
 use starj_engine::{Agg, CanonicalQuery, Constraint, QueryResult};
-use std::borrow::Borrow;
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, RwLock};
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasher;
+use std::sync::RwLock;
 
 /// Which mechanism produced (or is being asked to produce) an answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,48 +97,79 @@ impl RequestKey {
 /// Default [`AnswerCache`] capacity (entries).
 pub const DEFAULT_CACHE_CAPACITY: usize = 65_536;
 
-/// One stored release, `[key length][key][release]` in one allocation.
-/// Clones share it; hashing and equality see the key bytes only.
-#[derive(Debug, Clone)]
-struct Entry(Arc<[u8]>);
-
-impl Entry {
-    /// The key bytes and the release bytes.
-    fn split(&self) -> (&[u8], &[u8]) {
-        let mut r = Reader(&self.0);
-        let len = r.len();
-        r.0.split_at(len)
-    }
-}
-
-impl Borrow<[u8]> for Entry {
-    fn borrow(&self) -> &[u8] {
-        self.split().0
-    }
-}
-
-impl Hash for Entry {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.split().0.hash(state);
-    }
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.split().0 == other.split().0
-    }
-}
-
-impl Eq for Entry {}
+/// Bytes per log segment. Entries never straddle segments; one longer
+/// than a segment gets a segment of its own.
+const SEGMENT_BYTES: usize = 64 << 10;
 
 #[derive(Debug, Default)]
 struct CacheInner {
-    entries: HashSet<Entry>,
-    /// Insertion order for FIFO eviction once `capacity` is reached.
-    order: VecDeque<Entry>,
-    /// Append-only name table: every table, attribute and measure name a
-    /// stored key mentions, by id. Bounded by the schemas' vocabulary.
+    /// Every stored entry, `[entry length][key length][key][release]`, back
+    /// to back in insertion order, in segments of [`SEGMENT_BYTES`].
+    log: VecDeque<Vec<u8>>,
+    /// Sequence number of `log[0]`; segments are numbered as appended.
+    first_segment: u64,
+    /// Offset of the oldest live entry in `log[0]`.
+    head: usize,
+    /// Live entries.
+    len: usize,
+    /// Hash of an entry's key bytes → its place in the log,
+    /// `segment << 32 | offset`.
+    index: HashMap<u64, u64>,
+    /// Keys the key hash, per process, so no client can aim collisions.
+    hasher: RandomState,
+    /// Append-only name table: every tenant, table, attribute and measure
+    /// name a stored key mentions, by id. Bounded by the registered tenants
+    /// and the schemas' vocabulary.
     names: HashMap<String, u32>,
+}
+
+/// The key and release of the entry at the start of `bytes`, and the
+/// entry's length including its length prefix.
+fn split_entry(bytes: &[u8]) -> (&[u8], &[u8], usize) {
+    let mut r = Reader(bytes);
+    let len = r.len();
+    let prefix = bytes.len() - r.0.len();
+    let mut body = Reader(&r.0[..len]);
+    let key_len = body.len();
+    let (key, release) = body.0.split_at(key_len);
+    (key, release, prefix + len)
+}
+
+impl CacheInner {
+    /// The key and release of the entry at `place`.
+    fn entry(&self, place: u64) -> (&[u8], &[u8]) {
+        let segment = &self.log[((place >> 32) - self.first_segment) as usize];
+        let (key, release, _) = split_entry(&segment[(place & u64::from(u32::MAX)) as usize..]);
+        (key, release)
+    }
+
+    /// Appends an entry to the log and returns its place.
+    fn push(&mut self, entry: &[u8]) -> u64 {
+        let fits = self.log.back().is_some_and(|s| s.capacity() - s.len() >= entry.len());
+        if !fits {
+            self.log.push_back(Vec::with_capacity(SEGMENT_BYTES.max(entry.len())));
+        }
+        let segment = self.first_segment + self.log.len() as u64 - 1;
+        let tail = self.log.back_mut().expect("a segment with room");
+        let place = segment << 32 | tail.len() as u64;
+        tail.extend_from_slice(entry);
+        self.len += 1;
+        place
+    }
+
+    /// Drops the oldest entry, and its segment once nothing in it is live.
+    fn evict_oldest(&mut self) {
+        let (key, _, length) = split_entry(&self.log[0][self.head..]);
+        let hash = self.hasher.hash_one(key);
+        self.index.remove(&hash);
+        self.head += length;
+        self.len -= 1;
+        if self.head == self.log[0].len() {
+            self.log.pop_front();
+            self.first_segment += 1;
+            self.head = 0;
+        }
+    }
 }
 
 thread_local! {
@@ -165,20 +206,22 @@ impl AnswerCache {
         version: u64,
         request: &RequestKey,
     ) -> Option<Answer> {
-        let entry = PROBE.with_borrow_mut(|probe| {
+        PROBE.with_borrow_mut(|probe| {
             probe.clear();
             let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
             let mut id = |name: &str| inner.names.get(name).copied();
             // A name never interned cannot occur in any stored key.
             encode_key(probe, &mut id, tenant, mechanism, epsilon, version, request)?;
-            inner.entries.get(probe.as_slice()).cloned()
-        })?;
-        Some(decode_release(mechanism, request.members(), entry.split().1))
+            let place = *inner.index.get(&inner.hasher.hash_one(probe.as_slice()))?;
+            let (key, release) = inner.entry(place);
+            (key == probe.as_slice()).then(|| decode_release(mechanism, request.members(), release))
+        })
     }
 
     /// Stores an answer for replay, evicting the oldest entries past the
     /// capacity. The first release stored under a key is the one replayed:
-    /// a later insert under the same key is ignored.
+    /// a later insert under the same key (or under a key whose hash
+    /// collides with a stored one) is ignored.
     pub fn insert(
         &self,
         tenant: &str,
@@ -191,7 +234,7 @@ impl AnswerCache {
         let mut release = Vec::new();
         encode_release(&mut release, request.members(), answer);
         let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        let CacheInner { entries, order, names } = &mut *inner;
+        let names = &mut inner.names;
         let mut key = Vec::new();
         let mut id = |name: &str| {
             let next = names.len() as u32;
@@ -200,21 +243,27 @@ impl AnswerCache {
         };
         encode_key(&mut key, &mut id, tenant, mechanism, epsilon, version, request)
             .expect("interning resolves every name");
-        let mut prefix = Vec::new();
-        put_var(&mut prefix, key.len() as u64);
-        let entry = Entry([prefix, key, release].concat().into());
-        if entries.insert(entry.clone()) {
-            order.push_back(entry);
+        let hash = inner.hasher.hash_one(key.as_slice());
+        if inner.index.contains_key(&hash) {
+            return;
         }
-        while entries.len() > self.capacity {
-            let oldest = order.pop_front().expect("order tracks every entry");
-            entries.remove(oldest.split().0);
+        let mut body = Vec::with_capacity(key.len() + release.len() + 2);
+        put_var(&mut body, key.len() as u64);
+        body.extend_from_slice(&key);
+        body.extend_from_slice(&release);
+        let mut entry = Vec::with_capacity(body.len() + 2);
+        put_var(&mut entry, body.len() as u64);
+        entry.extend_from_slice(&body);
+        let place = inner.push(&entry);
+        inner.index.insert(hash, place);
+        while inner.len > self.capacity {
+            inner.evict_oldest();
         }
     }
 
     /// Number of stored answers.
     pub fn len(&self) -> usize {
-        self.inner.read().unwrap_or_else(|e| e.into_inner()).entries.len()
+        self.inner.read().unwrap_or_else(|e| e.into_inner()).len
     }
 
     /// True iff no answers are stored.
@@ -226,8 +275,11 @@ impl AnswerCache {
     /// them — note the *budget* already spent on them stays spent).
     pub fn clear(&self) {
         let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        inner.entries.clear();
-        inner.order.clear();
+        inner.log.clear();
+        inner.index.clear();
+        inner.first_segment = 0;
+        inner.head = 0;
+        inner.len = 0;
     }
 }
 
@@ -248,8 +300,8 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Writes the injective cache key. `id` maps a table, attribute or measure
-/// name to its name-table id; `None` when it has none.
+/// Writes the injective cache key. `id` maps a tenant, table, attribute or
+/// measure name to its name-table id; `None` when it has none.
 fn encode_key(
     out: &mut Vec<u8>,
     id: &mut impl FnMut(&str) -> Option<u32>,
@@ -259,7 +311,7 @@ fn encode_key(
     version: u64,
     request: &RequestKey,
 ) -> Option<()> {
-    put_str(out, tenant);
+    put_var(out, u64::from(id(tenant)?));
     out.push(mechanism as u8);
     put_f64(out, epsilon);
     put_var(out, version);
@@ -532,6 +584,29 @@ mod tests {
         assert_eq!(scalar(cache.get("t", Mechanism::Pm, 1.0, 0, &q(1))), 1.0);
         cache.insert("t", Mechanism::Pm, 1.0, 0, &q(3), &answer(3.0));
         assert!(cache.get("t", Mechanism::Pm, 1.0, 0, &q(1)).is_none(), "slot was not renewed");
+    }
+
+    #[test]
+    fn the_log_frees_segments_as_fifo_eviction_passes_them() {
+        let cache = AnswerCache::with_capacity(100);
+        let q = |i| canon(&StarQuery::count("q").with(Predicate::point("A", "x", i)));
+        for i in 0..20_000u32 {
+            cache.insert("t", Mechanism::Pm, 1.0, 0, &q(i), &answer(f64::from(i)));
+        }
+        assert_eq!(cache.len(), 100);
+        assert!(cache.get("t", Mechanism::Pm, 1.0, 0, &q(19_899)).is_none());
+        assert_eq!(scalar(cache.get("t", Mechanism::Pm, 1.0, 0, &q(19_900))), 19_900.0);
+        assert_eq!(scalar(cache.get("t", Mechanism::Pm, 1.0, 0, &q(19_999))), 19_999.0);
+        let segments = cache.inner.read().unwrap().log.len();
+        assert!(segments <= 2, "{segments} segments hold 100 small entries");
+        // An entry longer than a segment gets one of its own.
+        let key = RequestKey::Workload(Vec::new());
+        let values: Vec<f64> = (0..10_000).map(f64::from).collect();
+        let wide =
+            Answer::Wd(WorkloadAnswer { answers: values.clone(), cached: false, cost: None });
+        cache.insert("t", Mechanism::Wd, 1.0, 0, &key, &wide);
+        assert_eq!(cache.get("t", Mechanism::Wd, 1.0, 0, &key).unwrap().into_wd().answers, values);
+        assert_eq!(scalar(cache.get("t", Mechanism::Pm, 1.0, 0, &q(19_999))), 19_999.0);
     }
 
     #[test]

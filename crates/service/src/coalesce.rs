@@ -45,7 +45,8 @@
 //! * **PM requests** fuse into one
 //!   [`ScanPlan::execute`](starj_engine::ScanPlan) scan — binary queries of
 //!   any aggregate/grouping mix safely, because per-query accumulation is
-//!   independent.
+//!   independent. Members a cached W histogram covers are answered from it
+//!   ([`crate::wcache`]) and leave the scan.
 //! * **WD requests** group by normalized axis set. A
 //!   partition whose joint code space fits the dense cap answers through
 //!   the shared [`WeightHistogram`](starj_engine::WeightHistogram) — built

@@ -32,9 +32,10 @@
 //!   scan** — provably answer- and budget-equivalent to the sequential
 //!   path, because everything privacy-relevant happens at submit time;
 //! * [`WeightHistogramCache`] — reusable `Q = Φ·W` joint-code histograms
-//!   keyed on (axis set, aggregate, data version), making repeat workload
-//!   traffic scan-free; invalidated by [`Service::refresh_schema`]'s data
-//!   version bump, as is the answer cache;
+//!   keyed on (axis set, aggregate, data version), answering repeat
+//!   workload traffic and covered PM members without a scan; invalidated
+//!   by [`Service::refresh_schema`]'s data version bump, as is the answer
+//!   cache;
 //! * [`ServiceMetrics`] — queries served, cache hits, budget refusals,
 //!   coalesced requests/batches, W-cache hits, and p50/p99 latency, all
 //!   lock-free on the serving path;

@@ -118,6 +118,12 @@ pub struct ServiceMetrics {
     pub coalesced_batches: AtomicU64,
     /// Workload requests answered scan-free from a cached W histogram.
     pub w_cache_hits: AtomicU64,
+    /// W histograms built (one fact scan each), for workload requests and
+    /// covered PM members alike.
+    pub w_builds: AtomicU64,
+    /// Noisy PM members answered from a W histogram instead of a fact scan
+    /// (`pm_w_answers` over the paid PM members is the covered share).
+    pub pm_w_answers: AtomicU64,
     /// Requests refused with [`crate::ServiceError::StaleDataVersion`]
     /// because a [`crate::Service::refresh_schema`] landed between their
     /// submit and their commit — while parked in the coalescer queue or
@@ -157,6 +163,10 @@ pub struct MetricsSnapshot {
     pub coalesced_batches: u64,
     /// See [`ServiceMetrics::w_cache_hits`].
     pub w_cache_hits: u64,
+    /// See [`ServiceMetrics::w_builds`].
+    pub w_builds: u64,
+    /// See [`ServiceMetrics::pm_w_answers`].
+    pub pm_w_answers: u64,
     /// See [`ServiceMetrics::stale_refusals`].
     pub stale_refusals: u64,
     /// See [`ServiceMetrics::durable_refusals`].
@@ -184,13 +194,15 @@ impl MetricsSnapshot {
         self.coalesced_requests += other.coalesced_requests;
         self.coalesced_batches += other.coalesced_batches;
         self.w_cache_hits += other.w_cache_hits;
+        self.w_builds += other.w_builds;
+        self.pm_w_answers += other.pm_w_answers;
         self.stale_refusals += other.stale_refusals;
         self.durable_refusals += other.durable_refusals;
     }
 
     /// `(name, value)` counter pairs in declaration order — the single
     /// source the JSON, `Display`, and Prometheus expositions iterate.
-    pub fn counter_entries(&self) -> [(&'static str, u64); 13] {
+    pub fn counter_entries(&self) -> [(&'static str, u64); 15] {
         [
             ("queries_served", self.queries_served),
             ("cache_hits", self.cache_hits),
@@ -203,6 +215,8 @@ impl MetricsSnapshot {
             ("coalesced_requests", self.coalesced_requests),
             ("coalesced_batches", self.coalesced_batches),
             ("w_cache_hits", self.w_cache_hits),
+            ("w_builds", self.w_builds),
+            ("pm_w_answers", self.pm_w_answers),
             ("stale_refusals", self.stale_refusals),
             ("durable_refusals", self.durable_refusals),
         ]
@@ -246,6 +260,8 @@ impl MetricsSnapshot {
             coalesced_requests: 0,
             coalesced_batches: 0,
             w_cache_hits: 0,
+            w_builds: 0,
+            pm_w_answers: 0,
             stale_refusals: 0,
             durable_refusals: 0,
             p50_latency_us: None,
@@ -287,6 +303,8 @@ impl ServiceMetrics {
             coalesced_requests: self.coalesced_requests.load(Ordering::Relaxed),
             coalesced_batches: self.coalesced_batches.load(Ordering::Relaxed),
             w_cache_hits: self.w_cache_hits.load(Ordering::Relaxed),
+            w_builds: self.w_builds.load(Ordering::Relaxed),
+            pm_w_answers: self.pm_w_answers.load(Ordering::Relaxed),
             stale_refusals: self.stale_refusals.load(Ordering::Relaxed),
             durable_refusals: self.durable_refusals.load(Ordering::Relaxed),
             p50_latency_us: self.latency.quantile_us(0.50),
@@ -410,7 +428,7 @@ mod tests {
             again.get("cost").and_then(|c| c.get("walks")).is_some(),
             "cost-model counters ride along as a sub-object"
         );
-        assert_eq!(s.counter_entries().len(), 13);
+        assert_eq!(s.counter_entries().len(), 15);
     }
 
     #[test]

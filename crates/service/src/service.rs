@@ -54,8 +54,8 @@ use dp_starj::workload::WdConfig;
 use dp_starj::{wd_reconstruct, workload_axes, CoreError, PredicateWorkload};
 use starj_durable::{BudgetWal, FaultPlan};
 use starj_engine::{
-    canonicalize, execute_weighted_batch_with, plan::AxisNames, Agg, CanonicalQuery, EngineError,
-    QueryResult, ScanPlan, StarQuery, StarSchema, WeightHistogram, WeightedQuery,
+    canonicalize, execute_weighted_batch_with, Agg, AxisNames, CanonicalQuery, EngineError,
+    QueryResult, ScanOptions, ScanPlan, StarQuery, StarSchema, WeightHistogram, WeightedQuery,
 };
 use starj_noise::{PrivacyBudget, StarRng};
 use starj_telemetry::{
@@ -80,9 +80,9 @@ pub struct ServiceConfig {
     /// Set false to disable answer replay (every request pays).
     pub cache_answers: bool,
     /// Maximum cached answers before FIFO eviction. Bounds the cache's
-    /// memory at ≈ 131 B per scalar PM answer (more for batches, grouped
+    /// memory at ≈ 80 B per scalar PM answer (more for batches, grouped
     /// results and set constraints), so the default 65 536 entries hold
-    /// ≈ 9 MB.
+    /// ≈ 5 MB.
     pub cache_capacity: usize,
     /// Route `pm_answer` / `wd_answer` through the group-commit coalescer
     /// ([`crate::coalesce`]): concurrent single-query traffic parks in a
@@ -121,11 +121,9 @@ pub struct ServiceConfig {
     /// are round-robin across tenants, so a capped backlog also cannot
     /// starve another tenant's head-of-line request.
     pub coalesce_tenant_queue: usize,
-    /// Cache the joint attribute-code W histograms that answer workload
-    /// requests (`Q = Φ·W`), keyed on (axis set, aggregate, data version).
-    /// With a warm cache, repeat workload traffic is scan-free.
-    pub cache_w_histograms: bool,
-    /// Maximum cached W histograms before FIFO eviction.
+    /// Maximum cached W histograms — the joint attribute-code histograms
+    /// that answer workload requests and covered PM members
+    /// ([`crate::wcache`]) — before FIFO eviction.
     pub w_cache_capacity: usize,
     /// Observability: span-ring / audit-trail / slow-query-log capacities
     /// and the slow-query latency threshold. The defaults keep everything
@@ -166,7 +164,6 @@ impl Default for ServiceConfig {
             coalesce_workers: 2,
             coalesce_queue: 4096,
             coalesce_tenant_queue: 256,
-            cache_w_histograms: true,
             w_cache_capacity: crate::wcache::DEFAULT_W_CACHE_CAPACITY,
             telemetry: TelemetryConfig::default(),
             min_pass_rows: 0,
@@ -986,30 +983,85 @@ impl ServiceCore {
         })
     }
 
-    /// One fused binary scan answers every noisy PM member of the group.
+    /// Answers every noisy PM member of the group: a covered member from
+    /// a cached W histogram ([`crate::wcache`]), the rest in one fused
+    /// binary scan. Both give the same bits.
     fn evaluate_pm(
         &self,
         schema: &StarSchema,
         group: &mut [&mut Work],
     ) -> Result<(), ServiceError> {
-        let scan = self.config.pm.scan;
-        let members: Vec<(&StarQuery, &mut QueryResult)> = group
-            .iter_mut()
-            .flat_map(|work| work.answer.members_mut())
-            .filter_map(|m| Some((m.noisy_query.as_ref()?, &mut m.result)))
-            .collect();
-        let mut plan = ScanPlan::with_options(schema, scan).map_err(engine_failure)?;
-        for (query, _) in &members {
+        let (scan, version) = (self.config.pm.scan, group[0].version);
+        let mut plan: Option<ScanPlan> = None;
+        let mut scanned: Vec<&mut QueryResult> = Vec::new();
+        for member in group.iter_mut().flat_map(|work| work.answer.members_mut()) {
+            let ServiceAnswer { noisy_query: Some(query), result, .. } = member else {
+                continue;
+            };
+            if let Some(value) = self.w_answer(schema, version, query)? {
+                *result = QueryResult::Scalar(value);
+                ServiceMetrics::inc(&self.metrics.pm_w_answers);
+                continue;
+            }
+            let plan = match &mut plan {
+                Some(plan) => plan,
+                None => plan.insert(ScanPlan::with_options(schema, scan).map_err(engine_failure)?),
+            };
             plan.add_query(query).map_err(engine_failure)?;
+            scanned.push(result);
         }
-        for ((_, slot), result) in members.into_iter().zip(plan.execute(scan)) {
-            *slot = result;
+        if let Some(plan) = plan {
+            for (slot, result) in scanned.into_iter().zip(plan.execute(scan)) {
+                *slot = result;
+            }
         }
         if group.len() > 1 {
             ServiceMetrics::inc(&self.metrics.fused_scans);
             ServiceMetrics::add(&self.metrics.fused_queries_saved, group.len() as u64 - 1);
         }
         Ok(())
+    }
+
+    /// A noisy PM member's answer from a W histogram when the member is
+    /// covered ([`WeightHistogram::covered_axes`]): the smallest cached `W`
+    /// over a superset of its axes, else the `W` over exactly its axes,
+    /// built once. `None` sends the member to the fused scan.
+    fn w_answer(
+        &self,
+        schema: &StarSchema,
+        version: u64,
+        query: &StarQuery,
+    ) -> Result<Option<f64>, ServiceError> {
+        let Some(axes) = WeightHistogram::covered_axes(schema, query).map_err(engine_failure)?
+        else {
+            return Ok(None);
+        };
+        let histogram = match self.wcache.covering(&axes, &query.agg, version) {
+            Some(histogram) => histogram,
+            None => {
+                let key = WKey { axes, agg: query.agg.clone(), version };
+                self.histogram(schema, &key, self.config.pm.scan)?.0
+            }
+        };
+        histogram.answer_query(query).map(Some).map_err(engine_failure)
+    }
+
+    /// The cached `W` under `key`, built on a miss (single-flight). The
+    /// flag is true iff this call ran the build scan.
+    fn histogram(
+        &self,
+        schema: &StarSchema,
+        key: &WKey,
+        scan: ScanOptions,
+    ) -> Result<(Arc<WeightHistogram>, bool), ServiceError> {
+        let built = self
+            .wcache
+            .get_or_build(key, || WeightHistogram::build(schema, &key.axes, &key.agg, scan))
+            .map_err(engine_failure)?;
+        if built.1 {
+            ServiceMetrics::inc(&self.metrics.w_builds);
+        }
+        Ok(built)
     }
 
     /// Answers an axis-compatible group of reconstructed row sets. When the
@@ -1030,19 +1082,9 @@ impl ServiceCore {
         let batches: Vec<&[WeightedQuery]> =
             group.iter().filter_map(|work| work.wd.as_ref()).map(|wd| wd.rows.as_slice()).collect();
         let total_rows: usize = batches.iter().map(|b| b.len()).sum();
-        let space = if self.config.cache_w_histograms { space } else { None };
         let answer_sets: Vec<Vec<f64>> = if space.is_some() {
             let key = WKey { axes: axes.to_vec(), agg: Agg::Count, version };
-            let (histogram, built) = match self.wcache.get(&key) {
-                Some(h) => (h, false),
-                None => {
-                    let h = WeightHistogram::build(schema, axes, &Agg::Count, self.config.wd.scan)
-                        .map_err(engine_failure)?;
-                    let h = Arc::new(h);
-                    self.wcache.insert(key, Arc::clone(&h));
-                    (h, true)
-                }
-            };
+            let (histogram, built) = self.histogram(schema, &key, self.config.wd.scan)?;
             if built {
                 ServiceMetrics::inc(&self.metrics.fused_scans);
             } else {

@@ -1,15 +1,38 @@
 //! The W-histogram cache: reusable joint attribute-code histograms, keyed
-//! on `(axis set, aggregate, data version)`.
+//! on `(axis set, aggregate, data version)`, shared by both mechanisms.
 //!
-//! Workload Decomposition answers every reconstructed query as the dot
-//! product `Φ̂·W` (paper Eq. 11), where `W` — the joint histogram of the
-//! workload's attribute codes over the fact table — depends only on the
-//! **data**, never on the queries or their noise. That makes `W` safe to
-//! share across requests, tenants, and mechanisms alike: it is an internal
+//! `W` — the joint histogram of a set of attribute codes over the fact
+//! table, one integer cell per code combination — depends only on the
+//! **data**, never on a query or its noise. That makes it safe to share
+//! across requests, tenants, and mechanisms alike: it is an internal
 //! evaluation artifact, not a release, and everything computed *from* it is
 //! post-processing of already-perturbed queries, so caching it affects no
-//! budget accounting. With a warm cache, repeat workload traffic over the
-//! same axes becomes entirely scan-free.
+//! budget accounting.
+//!
+//! Both mechanisms evaluate through it (`ServiceCore::evaluate`):
+//!
+//! * **Workload Decomposition** answers every reconstructed row as the dot
+//!   product `Φ̂·W` (paper Eq. 11) against the `W` over exactly the
+//!   workload's axes ([`WeightHistogramCache::get_or_build`]): the weights
+//!   are real-valued, so the answer keeps `W`'s own axes and tensor order.
+//! * **The Predicate Mechanism** answers a noisy member from the smallest
+//!   cached `W` whose axes contain the member's
+//!   ([`WeightHistogramCache::covering`]), building the `W` over exactly its
+//!   axes on a miss, whenever the member is *covered*
+//!   ([`WeightHistogram::covered_axes`]): scalar, COUNT or SUM of a
+//!   measure, star predicates only, a joint code space within the dense
+//!   cap and no larger than the fact table, and sums below 2⁵³. Anything
+//!   else takes the fused scan. A covered answer is the exact COUNT or
+//!   integer SUM of the noisy query — the 0/1 masks and integer cells make
+//!   every summation order exact — so it is the same `f64` the scan
+//!   returns, bit for bit, and no budget or ledger moves.
+//!
+//! A covered answer's latency depends on the shape of `W` (its axes and
+//! cell count) and on whether it was cached, never on the data values:
+//! the timing channel is the query's shape, which the caller chose.
+//!
+//! Builds are single-flight per key: concurrent misses on one key wait for
+//! the first builder's scan instead of each paying one.
 //!
 //! The key carries the data version so [`crate::Service::refresh_schema`]
 //! invalidates by construction: after a refresh, lookups carry the new
@@ -19,7 +42,7 @@
 
 use starj_engine::{Agg, WeightHistogram};
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Cache key: normalized axes (ascending dimension order, as
 /// [`WeightHistogram::plan_axes`] returns them), aggregate kind, and the
@@ -35,8 +58,9 @@ pub struct WKey {
 }
 
 /// Default [`WeightHistogramCache`] capacity (entries). Histograms are
-/// bounded by the engine's dense cap (`2^16` f64s ≈ 512 KiB each), so the
-/// default bounds worst-case retention at ~16 MiB.
+/// bounded by the engine's dense cap (`2^16` cells of at most 8 bytes,
+/// 512 KiB; one to four bytes a cell in practice), so the default bounds
+/// worst-case retention at ~16 MiB.
 pub const DEFAULT_W_CACHE_CAPACITY: usize = 32;
 
 #[derive(Debug, Default)]
@@ -47,11 +71,14 @@ struct Inner {
 }
 
 /// Thread-safe, bounded map from axis sets to their built histograms
-/// (FIFO eviction, like the answer cache). Shared via `Arc` so a long dot
-/// product never holds the cache lock.
+/// (FIFO eviction, like the answer cache). Shared via `Arc` so a long
+/// answer never holds the cache lock.
 #[derive(Debug)]
 pub struct WeightHistogramCache {
     inner: RwLock<Inner>,
+    /// One gate per key being built: a miss holds its key's gate for the
+    /// whole build, so a concurrent miss on the same key waits for it.
+    building: Mutex<HashMap<WKey, Arc<Mutex<()>>>>,
     capacity: usize,
 }
 
@@ -65,12 +92,69 @@ impl WeightHistogramCache {
     /// An empty cache holding at most `capacity` histograms. A capacity of
     /// 0 disables retention entirely.
     pub fn with_capacity(capacity: usize) -> Self {
-        WeightHistogramCache { inner: RwLock::new(Inner::default()), capacity }
+        WeightHistogramCache {
+            inner: RwLock::new(Inner::default()),
+            building: Mutex::new(HashMap::new()),
+            capacity,
+        }
     }
 
     /// Looks a histogram up; `None` is a miss.
     pub fn get(&self, key: &WKey) -> Option<Arc<WeightHistogram>> {
         self.inner.read().unwrap_or_else(|e| e.into_inner()).map.get(key).cloned()
+    }
+
+    /// The smallest cached histogram of `agg` at `version` whose axes
+    /// contain every one of `axes`: the cheapest `W` a binary query over
+    /// `axes` can be answered from, the other axes summed out.
+    pub fn covering(
+        &self,
+        axes: &[(String, String)],
+        agg: &Agg,
+        version: u64,
+    ) -> Option<Arc<WeightHistogram>> {
+        let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
+        inner
+            .map
+            .iter()
+            .filter(|(k, _)| k.version == version && k.agg == *agg)
+            .filter(|(k, _)| axes.iter().all(|a| k.axes.contains(a)))
+            .map(|(_, h)| h)
+            .min_by_key(|h| h.space())
+            .cloned()
+    }
+
+    /// The histogram under `key`, built by `build` on a miss and stored.
+    /// Single-flight: a miss waits while another caller builds the same
+    /// key, then takes its histogram. The flag is true iff this call built.
+    pub fn get_or_build<E>(
+        &self,
+        key: &WKey,
+        build: impl FnOnce() -> Result<WeightHistogram, E>,
+    ) -> Result<(Arc<WeightHistogram>, bool), E> {
+        if let Some(histogram) = self.get(key) {
+            return Ok((histogram, false));
+        }
+        let gate = {
+            let mut building = self.building.lock().unwrap_or_else(|e| e.into_inner());
+            Arc::clone(building.entry(key.clone()).or_default())
+        };
+        let held = gate.lock().unwrap_or_else(|e| e.into_inner());
+        // Whoever held the gate before us has stored its histogram by now.
+        let outcome = match self.get(key) {
+            Some(histogram) => Ok((histogram, false)),
+            None => build().map(|histogram| {
+                let histogram = Arc::new(histogram);
+                self.insert(key.clone(), Arc::clone(&histogram));
+                (histogram, true)
+            }),
+        };
+        let mut building = self.building.lock().unwrap_or_else(|e| e.into_inner());
+        if building.get(key).is_some_and(|g| Arc::ptr_eq(g, &gate)) {
+            building.remove(key);
+        }
+        drop(held);
+        outcome
     }
 
     /// Stores a histogram, evicting the oldest entries past the capacity.
@@ -163,5 +247,69 @@ mod tests {
         let zero = WeightHistogramCache::with_capacity(0);
         zero.insert(key(0), hist());
         assert!(zero.is_empty(), "zero capacity disables retention");
+    }
+
+    #[test]
+    fn covering_picks_the_smallest_superset_of_the_axes() {
+        let y = Domain::numeric("y", 2).unwrap();
+        let e =
+            Table::new("E", vec![Column::key("pk", vec![0, 1]), Column::attr("y", y, vec![0, 1])])
+                .unwrap();
+        let x = Domain::numeric("x", 3).unwrap();
+        let d = Table::new(
+            "D",
+            vec![Column::key("pk", vec![0, 1, 2]), Column::attr("x", x, vec![0, 1, 2])],
+        )
+        .unwrap();
+        let fact = Table::new(
+            "F",
+            vec![Column::key("fd", vec![0, 1, 2, 2]), Column::key("fe", vec![0, 1, 0, 1])],
+        )
+        .unwrap();
+        let s = StarSchema::new(
+            fact,
+            vec![Dimension::new(d, "pk", "fd"), Dimension::new(e, "pk", "fe")],
+        )
+        .unwrap();
+        let dx = ("D".to_string(), "x".to_string());
+        let ey = ("E".to_string(), "y".to_string());
+        let cache = WeightHistogramCache::default();
+        for axes in [vec![dx.clone(), ey.clone()], vec![dx.clone()]] {
+            let h = WeightHistogram::build(&s, &axes, &Agg::Count, ScanOptions::default());
+            cache.insert(WKey { axes, agg: Agg::Count, version: 0 }, Arc::new(h.unwrap()));
+        }
+        let space =
+            |axes: &[(String, String)]| cache.covering(axes, &Agg::Count, 0).map(|h| h.space());
+        let (x, y) = (std::slice::from_ref(&dx), std::slice::from_ref(&ey));
+        assert_eq!(space(x), Some(3), "the exact W beats the wider one");
+        assert_eq!(space(y), Some(6), "only the joint W holds E.y");
+        assert_eq!(space(&[ey.clone(), dx.clone()]), Some(6));
+        assert!(cache.covering(x, &Agg::Count, 1).is_none(), "version must match");
+        assert!(cache.covering(x, &Agg::Sum("m".into()), 0).is_none(), "agg must match");
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_key_build_once() {
+        let cache = WeightHistogramCache::default();
+        let builds = std::sync::atomic::AtomicUsize::new(0);
+        let barrier = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    barrier.wait();
+                    let (h, _) = cache
+                        .get_or_build(&key(0), || {
+                            builds.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            std::thread::sleep(std::time::Duration::from_millis(20));
+                            Ok::<_, ()>(WeightHistogram::clone(&hist()))
+                        })
+                        .unwrap();
+                    assert_eq!(h.space(), 3);
+                });
+            }
+        });
+        assert_eq!(builds.into_inner(), 1);
+        assert_eq!(cache.len(), 1);
+        assert!(cache.building.lock().unwrap().is_empty(), "no gate outlives its build");
     }
 }

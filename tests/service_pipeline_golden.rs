@@ -349,11 +349,13 @@ free_answers=4
 budget_refusals=2
 admission_rejections=7
 mechanism_failures=0
-fused_scans=2
-fused_queries_saved=3
+fused_scans=1
+fused_queries_saved=4
 coalesced_requests=0
 coalesced_batches=0
-w_cache_hits=1
+w_cache_hits=2
+w_builds=2
+pm_w_answers=3
 stale_refusals=0
 durable_refusals=0
 "#;
@@ -364,11 +366,13 @@ free_answers=4
 budget_refusals=2
 admission_rejections=7
 mechanism_failures=0
-fused_scans=2
-fused_queries_saved=3
+fused_scans=1
+fused_queries_saved=4
 coalesced_requests=4
 coalesced_batches=4
-w_cache_hits=1
+w_cache_hits=2
+w_builds=2
+pm_w_answers=3
 stale_refusals=0
 durable_refusals=0
 "#;
