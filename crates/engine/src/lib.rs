@@ -87,4 +87,4 @@ pub use schema::{Dimension, StarSchema, SubDimension};
 pub use sql::{escape_label, to_sql, unescape_label};
 pub use stats::{contributions, max_contribution, Contributions};
 pub use table::Table;
-pub use whist::{AxisNames, WeightHistogram};
+pub use whist::{AxisNames, WeightHistogram, W_SPACE_CEILING};

@@ -25,6 +25,15 @@ impl Agg {
     }
 }
 
+/// One aggregate reads as a one-element list, so an API that takes
+/// `impl AsRef<[Agg]>` ([`crate::WeightHistogram::build`]) accepts `&agg`
+/// and `&[a, b]` alike.
+impl AsRef<[Agg]> for Agg {
+    fn as_ref(&self) -> &[Agg] {
+        std::slice::from_ref(self)
+    }
+}
+
 /// A grouping attribute `table.attr` (e.g. `Date.year`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GroupAttr {

@@ -46,7 +46,9 @@
 //!   [`ScanPlan::execute`](starj_engine::ScanPlan) scan — binary queries of
 //!   any aggregate/grouping mix safely, because per-query accumulation is
 //!   independent. Members a cached W histogram covers are answered from it
-//!   ([`crate::wcache`]) and leave the scan.
+//!   ([`crate::wcache`]) and leave the scan, as do covered members past
+//!   the cache's cap when enough of them share an axis set to pay for one
+//!   transient W.
 //! * **WD requests** group by normalized axis set. A
 //!   partition whose joint code space fits the dense cap answers through
 //!   the shared [`WeightHistogram`](starj_engine::WeightHistogram) — built

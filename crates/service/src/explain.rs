@@ -31,6 +31,12 @@ pub struct ExplainReport {
     pub unsatisfiable: bool,
     /// Data version the plan was resolved against.
     pub data_version: u64,
+    /// How PM would evaluate the query, decided by the serving path's own
+    /// coverage rule: `"w_cached"` (a cached W histogram answers),
+    /// `"w_batch"` (covered only under the transient ceiling: a W built
+    /// for the batch answers when enough batch members share its axes,
+    /// else the scan) or `"scan"`. `None` for unsatisfiable queries.
+    pub route: Option<&'static str>,
     /// The plan shape; `None` for unsatisfiable queries (nothing would
     /// be scanned).
     pub plan: Option<PlanExplain>,
@@ -69,6 +75,7 @@ impl ExplainReport {
             ("canonical_sql", Json::Str(self.canonical_sql.clone())),
             ("unsatisfiable", Json::Num(f64::from(u8::from(self.unsatisfiable)))),
             ("data_version", Json::Num(self.data_version as f64)),
+            ("route", self.route.map_or(Json::Null, |r| Json::Str(r.into()))),
             ("plan", self.plan.as_ref().map_or(Json::Null, PlanExplain::to_json)),
             ("profile", profile),
         ])

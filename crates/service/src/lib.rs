@@ -109,7 +109,7 @@ pub use metrics::{LatencyHistogram, MetricsSnapshot, ServiceMetrics, LATENCY_BUC
 pub use service::{
     Answer, BatchAnswer, Request, Service, ServiceAnswer, ServiceConfig, WorkloadAnswer,
 };
-pub use wcache::WeightHistogramCache;
+pub use wcache::{WeightHistogramCache, MIN_BATCH_W_MEMBERS};
 
 // Re-export the observability vocabulary so service consumers configure
 // tracing/auditing without naming the telemetry crate directly.

@@ -118,11 +118,13 @@ pub struct ServiceMetrics {
     pub coalesced_batches: AtomicU64,
     /// Workload requests answered scan-free from a cached W histogram.
     pub w_cache_hits: AtomicU64,
-    /// W histograms built (one fact scan each), for workload requests and
-    /// covered PM members alike.
+    /// W histograms built (one fact scan each): cached ones for workload
+    /// requests and covered PM members alike, and transient ones for a
+    /// batch of covered PM members past the cache's cap.
     pub w_builds: AtomicU64,
-    /// Noisy PM members answered from a W histogram instead of a fact scan
-    /// (`pm_w_answers` over the paid PM members is the covered share).
+    /// Noisy PM members answered from a W histogram, cached or transient,
+    /// instead of a fact scan (`pm_w_answers` over the paid PM members is
+    /// the covered share).
     pub pm_w_answers: AtomicU64,
     /// Requests refused with [`crate::ServiceError::StaleDataVersion`]
     /// because a [`crate::Service::refresh_schema`] landed between their

@@ -48,7 +48,7 @@ use crate::durable::{DurableConfig, DurableState, DurableStatus};
 use crate::error::ServiceError;
 use crate::explain::ExplainReport;
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
-use crate::wcache::{WKey, WeightHistogramCache};
+use crate::wcache::{PmRoute, WKey, WeightHistogramCache, MIN_BATCH_W_MEMBERS};
 use dp_starj::pm::{perturb_query, PmConfig};
 use dp_starj::workload::WdConfig;
 use dp_starj::{wd_reconstruct, workload_axes, CoreError, PredicateWorkload};
@@ -56,6 +56,7 @@ use starj_durable::{BudgetWal, FaultPlan};
 use starj_engine::{
     canonicalize, execute_weighted_batch_with, Agg, AxisNames, CanonicalQuery, EngineError,
     QueryResult, ScanOptions, ScanPlan, StarQuery, StarSchema, WeightHistogram, WeightedQuery,
+    DENSE_GROUP_CAP,
 };
 use starj_noise::{PrivacyBudget, StarRng};
 use starj_telemetry::{
@@ -792,7 +793,8 @@ impl Service {
     }
 
     /// Describes what serving `query` *would* do, without doing it: the
-    /// canonical SQL the cache would key on, the compiled plan shape
+    /// canonical SQL the cache would key on, the PM evaluation route
+    /// ([`ExplainReport::route`]), the compiled plan shape
     /// (filter order, probe classes, mask sharing, fk staging, cost-model
     /// estimates with confidence intervals), and — when `profile` is set —
     /// the kernel-counter deltas of one discarded profiling scan. Spends
@@ -812,16 +814,19 @@ impl Service {
                 canonical_sql,
                 unsatisfiable: true,
                 data_version: version,
+                route: None,
                 plan: None,
                 profile: None,
             });
         }
+        let route = PmRoute::of(&schema, &canonical).map_err(ServiceError::InvalidQuery)?;
         let (plan, profiled) =
             crate::explain::describe_query(&schema, &canonical, core.config.pm.scan, profile)?;
         Ok(ExplainReport {
             canonical_sql,
             unsatisfiable: false,
             data_version: version,
+            route: Some(route.name()),
             plan: Some(plan),
             profile: profiled,
         })
@@ -942,6 +947,8 @@ impl ServiceCore {
         let epsilon = cost.epsilon();
         if let Request::Wd(workload) = request {
             let (axes, space) = WeightHistogram::plan_axes(schema, &workload_axes(workload))?;
+            // WD evaluates through cached W's only, which the dense cap bounds.
+            let space = space.filter(|&s| s <= DENSE_GROUP_CAP);
             let rows = wd_reconstruct(schema, workload, epsilon, &self.config.wd, rng)?;
             let answer = WorkloadAnswer { answers: Vec::new(), cached: false, cost: Some(cost) };
             return Ok((Answer::Wd(answer), Some(WdRows { rows, axes, space })));
@@ -983,35 +990,57 @@ impl ServiceCore {
         })
     }
 
-    /// Answers every noisy PM member of the group: a covered member from
-    /// a cached W histogram ([`crate::wcache`]), the rest in one fused
-    /// binary scan. Both give the same bits.
+    /// Answers every noisy PM member of the group by its [`PmRoute`]: a
+    /// covered member within the retention cap from a cached W histogram
+    /// ([`crate::wcache`]); covered members past it that share an axis
+    /// set, when at least [`MIN_BATCH_W_MEMBERS`] of them, from one
+    /// transient `W` over all their aggregates, pruned to the codes they
+    /// pass ([`WeightHistogram::build_for`]) and dropped on return; the
+    /// rest in one fused binary scan. Every route gives the same bits.
     fn evaluate_pm(
         &self,
         schema: &StarSchema,
         group: &mut [&mut Work],
     ) -> Result<(), ServiceError> {
         let (scan, version) = (self.config.pm.scan, group[0].version);
-        let mut plan: Option<ScanPlan> = None;
-        let mut scanned: Vec<&mut QueryResult> = Vec::new();
+        let mut scanned: Vec<(&StarQuery, &mut QueryResult)> = Vec::new();
+        let mut batches: Vec<(AxisNames, Vec<(&StarQuery, &mut QueryResult)>)> = Vec::new();
         for member in group.iter_mut().flat_map(|work| work.answer.members_mut()) {
             let ServiceAnswer { noisy_query: Some(query), result, .. } = member else {
                 continue;
             };
-            if let Some(value) = self.w_answer(schema, version, query)? {
-                *result = QueryResult::Scalar(value);
-                ServiceMetrics::inc(&self.metrics.pm_w_answers);
+            match PmRoute::of(schema, query).map_err(engine_failure)? {
+                PmRoute::Cached(axes) => {
+                    *result =
+                        QueryResult::Scalar(self.cached_w_answer(schema, version, axes, query)?);
+                    ServiceMetrics::inc(&self.metrics.pm_w_answers);
+                }
+                PmRoute::Batch(axes) => match batches.iter_mut().find(|(a, _)| *a == axes) {
+                    Some((_, members)) => members.push((query, result)),
+                    None => batches.push((axes, vec![(query, result)])),
+                },
+                PmRoute::Scan => scanned.push((query, result)),
+            }
+        }
+        for (_, members) in batches {
+            if members.len() < MIN_BATCH_W_MEMBERS {
+                scanned.extend(members);
                 continue;
             }
-            let plan = match &mut plan {
-                Some(plan) => plan,
-                None => plan.insert(ScanPlan::with_options(schema, scan).map_err(engine_failure)?),
-            };
-            plan.add_query(query).map_err(engine_failure)?;
-            scanned.push(result);
+            let queries: Vec<&StarQuery> = members.iter().map(|(query, _)| *query).collect();
+            let w = WeightHistogram::build_for(schema, &queries, scan).map_err(engine_failure)?;
+            ServiceMetrics::inc(&self.metrics.w_builds);
+            ServiceMetrics::add(&self.metrics.pm_w_answers, members.len() as u64);
+            for (query, result) in members {
+                *result = QueryResult::Scalar(w.answer_query(query).map_err(engine_failure)?);
+            }
         }
-        if let Some(plan) = plan {
-            for (slot, result) in scanned.into_iter().zip(plan.execute(scan)) {
+        if !scanned.is_empty() {
+            let mut plan = ScanPlan::with_options(schema, scan).map_err(engine_failure)?;
+            for (query, _) in &scanned {
+                plan.add_query(query).map_err(engine_failure)?;
+            }
+            for ((_, slot), result) in scanned.into_iter().zip(plan.execute(scan)) {
                 *slot = result;
             }
         }
@@ -1022,20 +1051,16 @@ impl ServiceCore {
         Ok(())
     }
 
-    /// A noisy PM member's answer from a W histogram when the member is
-    /// covered ([`WeightHistogram::covered_axes`]): the smallest cached `W`
-    /// over a superset of its axes, else the `W` over exactly its axes,
-    /// built once. `None` sends the member to the fused scan.
-    fn w_answer(
+    /// A member on [`PmRoute::Cached`]: answered from the smallest cached
+    /// `W` over a superset of its `axes`, else from the `W` over exactly
+    /// them, built once and cached.
+    fn cached_w_answer(
         &self,
         schema: &StarSchema,
         version: u64,
+        axes: AxisNames,
         query: &StarQuery,
-    ) -> Result<Option<f64>, ServiceError> {
-        let Some(axes) = WeightHistogram::covered_axes(schema, query).map_err(engine_failure)?
-        else {
-            return Ok(None);
-        };
+    ) -> Result<f64, ServiceError> {
         let histogram = match self.wcache.covering(&axes, &query.agg, version) {
             Some(histogram) => histogram,
             None => {
@@ -1043,7 +1068,7 @@ impl ServiceCore {
                 self.histogram(schema, &key, self.config.pm.scan)?.0
             }
         };
-        histogram.answer_query(query).map(Some).map_err(engine_failure)
+        histogram.answer_query(query).map_err(engine_failure)
     }
 
     /// The cached `W` under `key`, built on a miss (single-flight). The
@@ -1272,6 +1297,21 @@ mod tests {
         (0..4u32)
             .map(|v| StarQuery::count(format!("b{v}")).with(Predicate::point("D", "color", v)))
             .collect()
+    }
+
+    #[test]
+    fn explain_names_the_route_coverage_picks() {
+        // SF 0.02: 120 000 fact rows, room for city × dayofyear's 91 500.
+        let ssb = starj_ssb::generate(&starj_ssb::SsbConfig::at_scale(0.02, 7)).unwrap();
+        let service = Service::new(Arc::new(ssb), ServiceConfig::default());
+        let figure8 = starj_ssb::queries::domain_size_queries();
+        let route = |q: &StarQuery| service.explain(q, false).unwrap().route;
+        assert_eq!(route(&starj_ssb::queries::qc1()), Some("w_cached"), "7 cells");
+        assert_eq!(route(&figure8[4].1), Some("w_batch"), "250 × 366 cells");
+        assert_eq!(route(&figure8[2].1), Some("scan"), "250 × 10⁴ cells");
+        assert_eq!(route(&starj_ssb::queries::qg2()), Some("scan"), "GROUP BY");
+        let json = service.explain(&figure8[4].1, false).unwrap().to_json();
+        assert_eq!(json.get("route").and_then(|r| r.as_str()), Some("w_batch"));
     }
 
     #[test]

@@ -15,21 +15,37 @@
 //!   product `Φ̂·W` (paper Eq. 11) against the `W` over exactly the
 //!   workload's axes ([`WeightHistogramCache::get_or_build`]): the weights
 //!   are real-valued, so the answer keeps `W`'s own axes and tensor order.
-//! * **The Predicate Mechanism** answers a noisy member from the smallest
-//!   cached `W` whose axes contain the member's
-//!   ([`WeightHistogramCache::covering`]), building the `W` over exactly its
-//!   axes on a miss, whenever the member is *covered*
-//!   ([`WeightHistogram::covered_axes`]): scalar, COUNT or SUM of a
-//!   measure, star predicates only, a joint code space within the dense
-//!   cap and no larger than the fact table, and sums below 2⁵³. Anything
-//!   else takes the fused scan. A covered answer is the exact COUNT or
-//!   integer SUM of the noisy query — the 0/1 masks and integer cells make
-//!   every summation order exact — so it is the same `f64` the scan
-//!   returns, bit for bit, and no budget or ledger moves.
+//! * **The Predicate Mechanism** routes each noisy member by its coverage,
+//!   computed once ([`WeightHistogram::covered_axes`]: scalar, COUNT or
+//!   SUM of a measure, star predicates only, a joint code space within
+//!   [`W_SPACE_CEILING`] and no larger than the fact table, and sums
+//!   below 2⁵³):
+//!   1. a covered member within [`DENSE_GROUP_CAP`] is answered from the
+//!      smallest cached `W` whose axes contain the member's
+//!      ([`WeightHistogramCache::covering`]), else from the `W` over
+//!      exactly its axes, built and cached;
+//!   2. covered members over [`DENSE_GROUP_CAP`] that share an axis set,
+//!      when one evaluation holds at least [`MIN_BATCH_W_MEMBERS`] of
+//!      them, are answered from one **transient** `W` over all their
+//!      aggregates, each axis pruned to the codes they pass
+//!      ([`WeightHistogram::build_for`]), built in one scan and dropped
+//!      when the evaluation returns — never stored here;
+//!   3. everything else takes the fused scan.
+//!
+//!   A covered answer is the exact COUNT or integer SUM of the noisy
+//!   query — the 0/1 masks and integer cells make every summation order
+//!   exact — so it is the same `f64` the scan returns, bit for bit, and no
+//!   budget or ledger moves. A transient `W` is the same data-only
+//!   artifact as a cached one, held for less time.
+//!
+//! Two caps bound the memory: [`DENSE_GROUP_CAP`] bounds what this cache
+//! *retains* (every stored `W`), and [`W_SPACE_CEILING`] bounds the one
+//! transient `W` an evaluation holds at a time.
 //!
 //! A covered answer's latency depends on the shape of `W` (its axes and
-//! cell count) and on whether it was cached, never on the data values:
-//! the timing channel is the query's shape, which the caller chose.
+//! cell count), on whether it was cached, and on how many members shared
+//! its batch — never on the data values: the timing channel is the
+//! queries' shapes, which the callers chose.
 //!
 //! Builds are single-flight per key: concurrent misses on one key wait for
 //! the first builder's scan instead of each paying one.
@@ -39,10 +55,56 @@
 //! version and can never see a histogram built on the old data, even if an
 //! in-flight request inserts one late. `clear()` additionally reclaims the
 //! memory eagerly.
+//!
+//! [`W_SPACE_CEILING`]: starj_engine::W_SPACE_CEILING
 
-use starj_engine::{Agg, WeightHistogram};
+use starj_engine::{
+    Agg, AxisNames, EngineError, StarQuery, StarSchema, WeightHistogram, DENSE_GROUP_CAP,
+};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, RwLock};
+
+/// Fewest covered members over one axis set past [`DENSE_GROUP_CAP`] that
+/// one evaluation answers from a transient `W`; fewer take the fused scan.
+/// A build breaks even with the scan at about three members; four leaves
+/// a margin and keeps low-concurrency traffic, whose batches hold one or
+/// two members, off the build path.
+pub const MIN_BATCH_W_MEMBERS: usize = 4;
+
+/// How a noisy PM member is evaluated, decided from its coverage alone.
+#[derive(Debug)]
+pub(crate) enum PmRoute {
+    /// Covered within [`DENSE_GROUP_CAP`]: a cached `W` over these
+    /// normalized axes (or a superset) answers.
+    Cached(AxisNames),
+    /// Covered only under the transient ceiling
+    /// ([`starj_engine::W_SPACE_CEILING`]): a transient `W` over these axes
+    /// answers when [`MIN_BATCH_W_MEMBERS`] share them, else the scan.
+    Batch(AxisNames),
+    /// Not covered: the fused scan.
+    Scan,
+}
+
+impl PmRoute {
+    /// The route of `query` over `schema`; errors as
+    /// [`WeightHistogram::covered_axes`] does.
+    pub(crate) fn of(schema: &StarSchema, query: &StarQuery) -> Result<Self, EngineError> {
+        Ok(match WeightHistogram::covered_axes(schema, query)? {
+            Some((axes, space)) if space <= DENSE_GROUP_CAP => PmRoute::Cached(axes),
+            Some((axes, _)) => PmRoute::Batch(axes),
+            None => PmRoute::Scan,
+        })
+    }
+
+    /// The name `explain` reports: `w_cached`, `w_batch` or `scan`.
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            PmRoute::Cached(_) => "w_cached",
+            PmRoute::Batch(_) => "w_batch",
+            PmRoute::Scan => "scan",
+        }
+    }
+}
 
 /// Cache key: normalized axes (ascending dimension order, as
 /// [`WeightHistogram::plan_axes`] returns them), aggregate kind, and the
@@ -57,10 +119,12 @@ pub struct WKey {
     pub version: u64,
 }
 
-/// Default [`WeightHistogramCache`] capacity (entries). Histograms are
-/// bounded by the engine's dense cap (`2^16` cells of at most 8 bytes,
+/// Default [`WeightHistogramCache`] capacity (entries). Stored histograms
+/// are bounded by [`DENSE_GROUP_CAP`] (`2^16` cells of at most 8 bytes,
 /// 512 KiB; one to four bytes a cell in practice), so the default bounds
-/// worst-case retention at ~16 MiB.
+/// worst-case retention at ~16 MiB. The transient `W` one evaluation may
+/// build on top is bounded by [`starj_engine::W_SPACE_CEILING`] instead,
+/// and is never stored.
 pub const DEFAULT_W_CACHE_CAPACITY: usize = 32;
 
 #[derive(Debug, Default)]

@@ -9,7 +9,11 @@
 //! * a WD request answered from a W that a PM request built equals the
 //!   same request on a fresh service and `execute_weighted_batch` on the
 //!   same reconstructed rows;
-//! * eight threads missing the same W build it once.
+//! * eight threads missing the same W build it once;
+//! * a batch of `MIN_BATCH_W_MEMBERS` covered members whose shape is past
+//!   the cache's cap is answered from one transient W, built once and not
+//!   cached, equal to `exec::reference` bit for bit; one member fewer
+//!   takes the fused scan.
 
 use dp_starj_repro::core::workload::{wd_reconstruct, PredicateWorkload, WdConfig, WorkloadBlock};
 use dp_starj_repro::engine::exec::reference;
@@ -18,7 +22,7 @@ use dp_starj_repro::engine::{
     ScanOptions, StarQuery, StarSchema, Table, WeightHistogram,
 };
 use dp_starj_repro::noise::{PrivacyBudget, StarRng};
-use dp_starj_repro::service::{Service, ServiceConfig};
+use dp_starj_repro::service::{Service, ServiceConfig, MIN_BATCH_W_MEMBERS};
 use dp_starj_repro::ssb::{all_queries, generate, SsbConfig};
 use std::sync::{Arc, Barrier};
 
@@ -162,7 +166,8 @@ fn width_boundary_measures_through_w_equal_the_reference() {
     let width = |agg: Agg| {
         WeightHistogram::build(&schema, &a, &agg, ScanOptions::default())
             .unwrap()
-            .cell_width_bytes()
+            .cell_width_bytes(&agg)
+            .unwrap()
     };
     assert_eq!(width(Agg::Count), 2, "1 641 rows a cell outgrow i8");
     let widths: Vec<usize> = MEASURES.iter().map(|m| width(Agg::Sum(m.to_string()))).collect();
@@ -173,7 +178,7 @@ fn width_boundary_measures_through_w_equal_the_reference() {
     assert!(widths.contains(&4) && widths.contains(&8), "{widths:?}");
     let ab = [a[0].clone(), ("B".to_string(), "x".to_string())];
     let narrow = WeightHistogram::build(&schema, &ab, &Agg::Count, ScanOptions::default()).unwrap();
-    assert_eq!(narrow.cell_width_bytes(), 1, "about 5 rows a cell fit i8");
+    assert_eq!(narrow.cell_width_bytes(&Agg::Count), Some(1), "about 5 rows a cell fit i8");
 }
 
 fn region_workload() -> PredicateWorkload {
@@ -247,4 +252,94 @@ fn concurrent_misses_on_one_w_build_it_once() {
     assert_eq!(m.pm_w_answers, u64::from(THREADS), "{m}");
     assert_eq!(m.w_builds, 1, "{m}");
     assert_eq!(service.cached_histograms(), 1);
+}
+
+/// Dimensions A and B (64 codes each) and C (17 codes), identity codes:
+/// 69 632 joint cells — past `DENSE_GROUP_CAP`, within the fact table's
+/// 70 000 rows — with an i8 and an i32 measure.
+fn over_cap_schema() -> Arc<StarSchema> {
+    const ROWS: usize = 70_000;
+    let dim = |name: &str, rows: u32| {
+        Table::new(
+            name,
+            vec![
+                Column::key("pk", (0..rows).collect()),
+                Column::attr("x", Domain::numeric("x", rows).unwrap(), (0..rows).collect()),
+            ],
+        )
+        .unwrap()
+    };
+    let fk = |f: fn(usize) -> usize| (0..ROWS).map(|i| f(i) as u32).collect();
+    let measure = |f: fn(i64) -> i64| (0..ROWS as i64).map(f).collect();
+    let fact = Table::new(
+        "F",
+        vec![
+            Column::key("fa", fk(|i| i % 64)),
+            Column::key("fb", fk(|i| i / 64 % 64)),
+            Column::key("fc", fk(|i| i / 7 % 17)),
+            Column::measure("qty", measure(|i| i % 101 - 50)),
+            Column::measure("price", measure(|i| i * 7_919 % 100_003 - 50_000)),
+        ],
+    )
+    .unwrap();
+    let dims = vec![
+        Dimension::new(dim("A", 64), "pk", "fa"),
+        Dimension::new(dim("B", 64), "pk", "fb"),
+        Dimension::new(dim("C", 17), "pk", "fc"),
+    ];
+    Arc::new(StarSchema::new(fact, dims).unwrap())
+}
+
+/// `n` distinct members over all three axes, cycling COUNT, SUM(qty) and
+/// SUM(price).
+fn over_cap_members(n: usize) -> Vec<StarQuery> {
+    (0..n as u32)
+        .map(|i| {
+            let name = format!("m{i}");
+            let member = match i % 3 {
+                0 => StarQuery::count(name),
+                1 => StarQuery::sum(name, "qty"),
+                _ => StarQuery::sum(name, "price"),
+            };
+            member
+                .with(Predicate::range("A", "x", i, 40 + i))
+                .with(Predicate::range("B", "x", 10, 50 - i))
+                .with(Predicate::range("C", "x", 2 + i % 5, 14))
+        })
+        .collect()
+}
+
+/// Serves `queries` as one batch on a fresh service and checks every noisy
+/// member against the reference executor; returns the service.
+fn over_cap_batch(queries: &[StarQuery]) -> Service {
+    let schema = over_cap_schema();
+    let service = service(&schema);
+    service.register_tenant("t", allotment()).unwrap();
+    for q in queries {
+        assert_eq!(service.explain(q, false).unwrap().route, Some("w_batch"), "{}", q.name);
+    }
+    let batch = service.pm_batch_answer("t", queries, 1.0).unwrap();
+    assert_eq!(batch.answers.len(), queries.len());
+    for member in &batch.answers {
+        let noisy = member.noisy_query.as_ref().expect("a paid member");
+        let oracle = reference::execute(&schema, noisy).unwrap();
+        assert_eq!(bits(&member.result), bits(&oracle), "{}", member.name);
+    }
+    service
+}
+
+#[test]
+fn an_over_cap_batch_answers_from_one_transient_w() {
+    let service = over_cap_batch(&over_cap_members(MIN_BATCH_W_MEMBERS));
+    let m = service.metrics();
+    assert_eq!((m.w_builds, m.pm_w_answers), (1, MIN_BATCH_W_MEMBERS as u64), "{m}");
+    assert_eq!(service.cached_histograms(), 0, "a transient W is never cached");
+}
+
+#[test]
+fn an_over_cap_batch_one_member_short_scans() {
+    let service = over_cap_batch(&over_cap_members(MIN_BATCH_W_MEMBERS - 1));
+    let m = service.metrics();
+    assert_eq!((m.w_builds, m.pm_w_answers), (0, 0), "{m}");
+    assert_eq!(service.cached_histograms(), 0);
 }

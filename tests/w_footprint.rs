@@ -3,10 +3,17 @@
 //! A W histogram's cells are integers at their natural width: a COUNT cell
 //! starts at one byte and a SUM cell at its measure's stored width, and
 //! either widens only when a sum outgrows it. This pins that on the SSB
-//! SF 0.01 instance for the largest shape the serving benchmark caches —
-//! year × month × customer region × supplier region × part category,
-//! 52 500 cells: COUNT must take at most 1 B a cell and `SUM(revenue)` at
-//! most 4 B, plus a fixed header (axis names, aggregate) of at most 1 KiB.
+//! SF 0.01 instance for two shapes of the serving benchmark: COUNT must
+//! take at most 1 B a cell and `SUM(revenue)` at most 4 B, plus a fixed
+//! header (axis names, aggregate) of at most 1 KiB.
+//!
+//! * year × month × customer region × supplier region × part category,
+//!   52 500 cells — the largest shape the service caches, built once per
+//!   aggregate;
+//! * the same with customer nation, 262 500 cells — past the cache's cap,
+//!   so the service builds it transiently, once for COUNT and
+//!   `SUM(revenue)` together: the most one transient W of that shape
+//!   costs (the service prunes its axes to the codes a batch passes).
 //!
 //! A counting global allocator tracks live heap bytes the way glibc's
 //! `malloc` lays them out (an 8-byte chunk header, 16-byte granules, a
@@ -70,34 +77,53 @@ static ALLOCATOR: Counting = Counting;
 /// Bytes a W may hold beyond its cells: the axis names and the aggregate.
 const HEADER_BYTES: i64 = 1024;
 
+/// The shape's axes: year × month × customer `customer` × supplier region
+/// × part category.
+fn axes(customer: &str) -> Vec<(String, String)> {
+    let names = [
+        ("Date", "year"),
+        ("Date", "month"),
+        ("Customer", customer),
+        ("Supplier", "region"),
+        ("Part", "category"),
+    ];
+    names.iter().map(|&(t, a)| (t.to_string(), a.to_string())).collect()
+}
+
+/// Checks each aggregate's cell width against its bound, and the bytes a
+/// build left live against the bounds' sum a cell plus the header.
+fn check(w: &WeightHistogram, retained: i64, bounds: &[(Agg, i64)]) {
+    let cells = w.space() as i64;
+    for (agg, bound) in bounds {
+        let width = w.cell_width_bytes(agg).expect("the build accumulates it");
+        println!("W {cells} cells, {agg:?}: {width} B a cell");
+        assert!(width as i64 <= *bound, "{agg:?}: {width} B cells exceed {bound} B");
+    }
+    let bound: i64 = bounds.iter().map(|(_, b)| b).sum();
+    println!("  {:.3} B per cell ({retained} B retained)", retained as f64 / cells as f64);
+    assert!(
+        retained <= bound * cells + HEADER_BYTES,
+        "{retained} B retained exceeds {bound} B x {cells} cells + {HEADER_BYTES} B"
+    );
+}
+
+/// One test, so no other test's allocations land between a build's
+/// before and after counts.
 #[test]
 fn w_cells_take_their_natural_width() {
     let schema = generate(&SsbConfig::at_scale(0.01, 2023)).unwrap();
-    let axes: Vec<(String, String)> = [
-        ("Date", "year"),
-        ("Date", "month"),
-        ("Customer", "region"),
-        ("Supplier", "region"),
-        ("Part", "category"),
-    ]
-    .iter()
-    .map(|&(t, a)| (t.to_string(), a.to_string()))
-    .collect();
-    for (agg, bound) in [(Agg::Count, 1), (Agg::Sum("revenue".into()), 4)] {
+    let (count, revenue) = (Agg::Count, Agg::Sum("revenue".into()));
+    let build = |axes: &[(String, String)], aggs: &[Agg]| {
         let before = LIVE.load(Ordering::Relaxed);
-        let w = WeightHistogram::build(&schema, &axes, &agg, ScanOptions::default()).unwrap();
-        let retained = LIVE.load(Ordering::Relaxed) - before;
-        let cells = w.space() as i64;
-        assert_eq!(cells, 52_500);
-        println!(
-            "W {agg:?}: {:.3} B per cell ({retained} B retained for {cells} cells of {} B)",
-            retained as f64 / cells as f64,
-            w.cell_width_bytes()
-        );
-        assert!(
-            retained <= bound * cells + HEADER_BYTES,
-            "{agg:?}: {retained} B retained exceeds {bound} B x {cells} cells + {HEADER_BYTES} B"
-        );
-        drop(w);
+        let w = WeightHistogram::build(&schema, axes, aggs, ScanOptions::default()).unwrap();
+        (LIVE.load(Ordering::Relaxed) - before, w)
+    };
+    for (agg, bound) in [(count.clone(), 1), (revenue.clone(), 4)] {
+        let (retained, w) = build(&axes("region"), std::slice::from_ref(&agg));
+        assert_eq!(w.space(), 52_500);
+        check(&w, retained, &[(agg, bound)]);
     }
+    let (retained, w) = build(&axes("nation"), &[count.clone(), revenue.clone()]);
+    assert_eq!(w.space(), 262_500);
+    check(&w, retained, &[(count, 1), (revenue, 4)]);
 }
