@@ -2,10 +2,14 @@
 //!
 //! Point constraints `a = v` become `a = v + Lap(dom(a)/ε)`; range
 //! constraints `a ∈ [l, r]` get both endpoints perturbed independently with
-//! `Lap(2·dom(a)/ε)` (each endpoint carries ε/2). Perturbed constants are
-//! rounded and clamped back into the attribute domain — the paper notes that
-//! "when PM perturbs the predicate, its perturbation result is still within
-//! the domain value range" (§6, domain-size experiment).
+//! `Lap(2·dom(a)/ε)` (each endpoint carries ε/2). A perturbed constant is
+//! rounded to the nearest code and *rejected* into the attribute domain: a
+//! draw that rounds outside `[0, dom)` is thrown away and redrawn, and only
+//! after 128 misses is one more draw clamped to the nearest edge. The paper
+//! notes that "when PM perturbs the predicate, its perturbation result is
+//! still within the domain value range" (§6, domain-size experiment) but
+//! does not say how; README, "Interpretations and substitutions", #11
+//! records this rule and how often it clamps.
 //!
 //! Algorithm 2's `while l̂ < r̂` guard leaves the invalid-range case
 //! under-specified; [`RangePolicy`] captures the three defensible readings
@@ -49,19 +53,72 @@ impl ConstantNoise {
     }
 }
 
-/// Draws `base + noise` rejected into the domain (the paper's "perturbation
-/// result is still within the domain value range"): resample while the
-/// perturbed constant falls outside, clamping only after a bounded number of
-/// attempts (relevant when the noise scale vastly exceeds the domain).
+/// Redraws before the clamp fallback of [`draw_in_domain`].
+const MAX_ATTEMPTS: usize = 128;
+
+/// Relative guard band on [`skip_floor`].
+const GUARD: f64 = 1e-9;
+
+/// The code `base + shift` rounds to, if it lies in `[0, dom)`.
+fn in_domain(base: f64, dom: f64, shift: f64) -> Option<u32> {
+    let candidate = (base + shift).round();
+    (candidate >= 0.0 && candidate < dom).then_some(candidate as u32)
+}
+
+/// The threshold below which a continuous Laplace draw at `scale` cannot
+/// round from `base` into `[0, dom)`, in terms of `t = 1 − 2|u − ½|`.
+///
+/// The sample is `±b·ln(1/t)`, so a draw with `t < exp(−far/b)`, where
+/// `far` is the distance from `base` to the farther rounding edge (`−½` or
+/// `dom − ½`), overshoots both edges. The threshold is shrunk by the
+/// relative band [`GUARD`], which moves it by `b·GUARD` in sample units.
+/// The floating-point error of the sample and of `base + sample` is about
+/// `2·dom·2⁻⁵²` (that of the threshold itself under `b·1e-13`). While the
+/// threshold has not underflowed, `far/b < 745` and `far ≥ dom/2`, so
+/// `b·GUARD > dom·6e-13`, three orders of magnitude over that error: every
+/// draw below the threshold is one the full transform rejects too. Once it
+/// underflows to 0 nothing is below it.
+fn skip_floor(base: f64, dom: f64, scale: f64) -> f64 {
+    let far = (base + 0.5).max(dom - 0.5 - base);
+    (-far / scale).exp() * (1.0 - GUARD)
+}
+
+/// Draws `base + noise`, rounded to a code and rejected into the domain
+/// (the paper's "perturbation result is still within the domain value
+/// range"): a draw that rounds outside `[0, dom)` is redrawn, up to
+/// [`MAX_ATTEMPTS`] times; then one more draw is clamped to the nearest
+/// edge (likely when the noise scale dwarfs the domain, as at the paper's
+/// low ε).
+///
+/// Every attempt consumes exactly one draw of the noise: one
+/// [`StarRng::open01`] for continuous Laplace. A continuous draw whose
+/// `t = 1 − 2|u − ½|` (exact for an `open01` draw) is below [`skip_floor`]
+/// is rejected there, before its logarithm, so a miss costs one RNG step
+/// and one compare. The codes and the RNG stream are those of drawing every
+/// attempt in full.
 fn draw_in_domain(base: u32, noise: &ConstantNoise, domain: &Domain, rng: &mut StarRng) -> u32 {
-    const MAX_ATTEMPTS: usize = 128;
-    for _ in 0..MAX_ATTEMPTS {
-        let candidate = (f64::from(base) + noise.shift(rng)).round();
-        if candidate >= 0.0 && candidate < f64::from(domain.size()) {
-            return candidate as u32;
+    let (base, dom) = (f64::from(base), f64::from(domain.size()));
+    match noise {
+        ConstantNoise::Continuous(lap) => {
+            let floor = skip_floor(base, dom, lap.scale());
+            for _ in 0..MAX_ATTEMPTS {
+                let u = rng.open01();
+                if 1.0 - 2.0 * (u - 0.5).abs() >= floor {
+                    if let Some(code) = in_domain(base, dom, lap.inverse_cdf(u)) {
+                        return code;
+                    }
+                }
+            }
+        }
+        ConstantNoise::Discrete(d) => {
+            for _ in 0..MAX_ATTEMPTS {
+                if let Some(code) = in_domain(base, dom, d.sample(rng) as f64) {
+                    return code;
+                }
+            }
         }
     }
-    domain.clamp((f64::from(base) + noise.shift(rng)).round() as i64)
+    domain.clamp((base + noise.shift(rng)).round() as i64)
 }
 
 /// What to do when a perturbed range comes out inverted (`l̂ > r̂`).
@@ -182,13 +239,14 @@ pub fn perturb_constraint_with(
             if contiguous {
                 let as_range =
                     Constraint::Range { lo: sorted[0], hi: *sorted.last().expect("non-empty") };
-                return perturb_constraint(&as_range, domain, epsilon, policy, rng);
+                return perturb_constraint_with(&as_range, domain, epsilon, policy, noise, rng);
             }
             // General set: each member perturbed as a point under ε/|set|.
             let eps_each = epsilon / sorted.len() as f64;
             let mut noisy: Vec<u32> = Vec::with_capacity(sorted.len());
             for v in &sorted {
-                match perturb_constraint(&Constraint::Point(*v), domain, eps_each, policy, rng)? {
+                let point = Constraint::Point(*v);
+                match perturb_constraint_with(&point, domain, eps_each, policy, noise, rng)? {
                     Constraint::Point(p) => noisy.push(p),
                     _ => unreachable!("point perturbation returns a point"),
                 }
@@ -206,6 +264,144 @@ mod tests {
 
     fn domain(size: u32) -> Domain {
         Domain::numeric("attr", size).unwrap()
+    }
+
+    /// The continuous arm of `draw_in_domain` before the skip threshold:
+    /// the full transform on every attempt. Also says whether it clamped.
+    fn retired_draw_in_domain(
+        base: u32,
+        scale: f64,
+        domain: &Domain,
+        rng: &mut StarRng,
+    ) -> (u32, bool) {
+        let shift = |rng: &mut StarRng| {
+            let u = rng.open01() - 0.5;
+            -scale * u.signum() * (1.0 - 2.0 * u.abs()).max(f64::MIN_POSITIVE).ln()
+        };
+        for _ in 0..128 {
+            let candidate = (f64::from(base) + shift(rng)).round();
+            if candidate >= 0.0 && candidate < f64::from(domain.size()) {
+                return (candidate as u32, false);
+            }
+        }
+        (domain.clamp((f64::from(base) + shift(rng)).round() as i64), true)
+    }
+
+    #[test]
+    fn skip_threshold_matches_the_full_transform() {
+        // Scales from 1e-9 (the threshold underflows to 0, nothing is
+        // skipped) to 1e17 (on small domains its `exp` rounds to 1, nearly
+        // every draw is skipped and the clamp fallback runs).
+        let scales = [1e-9, 1e-3, 0.3, 1.0, 3.0, 16.0, 56.0, 1e3, 1e5, 1e9, 1e17];
+        let (mut exits, mut clamps) = (0, 0);
+        for size in [1, 2, 5, 7, 12, 25, 250, 10_000] {
+            let d = domain(size);
+            for base in [0, size / 2, size - 1] {
+                for &scale in &scales {
+                    let noise = ConstantNoise::Continuous(Laplace::new(scale).unwrap());
+                    for seed in 0..300 {
+                        let mut old = StarRng::from_seed(seed).derive_index(u64::from(size));
+                        let mut new = old.clone();
+                        let (want, clamped) = retired_draw_in_domain(base, scale, &d, &mut old);
+                        let got = draw_in_domain(base, &noise, &d, &mut new);
+                        assert_eq!(
+                            got, want,
+                            "dom {size}, base {base}, scale {scale}, seed {seed}"
+                        );
+                        assert_eq!(
+                            new.open01().to_bits(),
+                            old.open01().to_bits(),
+                            "RNG words consumed differ"
+                        );
+                        if clamped {
+                            clamps += 1;
+                        } else {
+                            exits += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(exits > 0 && clamps > 0, "{exits} in-domain exits, {clamps} clamps");
+    }
+
+    #[test]
+    fn draws_just_below_the_skip_floor_miss_the_domain() {
+        // The sweep above rarely draws next to the threshold; here the
+        // largest few `t` below it, on both signs, must round outside.
+        const STEP: f64 = f64::EPSILON; // `t` is a multiple of 2⁻⁵²
+        let mut probed = 0;
+        for size in [1, 2, 5, 7, 12, 25, 250, 10_000] {
+            let dom = f64::from(size);
+            for base in [0, size / 2, size - 1].map(f64::from) {
+                for scale in [1e-3, 0.3, 1.0, 3.0, 16.0, 56.0, 1e3, 1e5, 1e9] {
+                    let floor = skip_floor(base, dom, scale);
+                    let lap = Laplace::new(scale).unwrap();
+                    let top = (floor / STEP).ceil() - 1.0;
+                    for t in (0..4).map(|j| (top - f64::from(j)) * STEP).filter(|&t| t > 0.0) {
+                        for u in [t / 2.0, 1.0 - t / 2.0] {
+                            assert_eq!(1.0 - 2.0 * (u - 0.5).abs(), t, "t is exact");
+                            let shift = lap.inverse_cdf(u);
+                            assert_eq!(
+                                in_domain(base, dom, shift),
+                                None,
+                                "dom {size}, base {base}, scale {scale}: t = {t} lands"
+                            );
+                            probed += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(probed > 1_000, "{probed} draws probed");
+    }
+
+    #[test]
+    fn discrete_sets_draw_discrete_noise() {
+        let d = domain(20);
+        let draw = |c: Constraint, eps: f64| {
+            let mut rng = StarRng::from_seed(34);
+            let out = perturb_constraint_with(
+                &c,
+                &d,
+                eps,
+                RangePolicy::default(),
+                NoiseKind::DiscreteLaplace,
+                &mut rng,
+            )
+            .unwrap();
+            (out, rng.open01().to_bits())
+        };
+        // A contiguous set is its range, noise kind included.
+        let (set, set_next) = draw(Constraint::Set(vec![5, 3, 4]), 0.5);
+        let (range, range_next) = draw(Constraint::Range { lo: 3, hi: 5 }, 0.5);
+        assert_eq!(set, range);
+        assert_eq!(set_next, range_next, "the set drew different noise than its range");
+        // A general set's members are discrete points under ε/|set|.
+        let (set, set_next) = draw(Constraint::Set(vec![2, 9, 15]), 1.5);
+        let mut rng = StarRng::from_seed(34);
+        let mut members: Vec<u32> = [2, 9, 15]
+            .iter()
+            .map(|&v| {
+                match perturb_constraint_with(
+                    &Constraint::Point(v),
+                    &d,
+                    0.5,
+                    RangePolicy::default(),
+                    NoiseKind::DiscreteLaplace,
+                    &mut rng,
+                )
+                .unwrap()
+                {
+                    Constraint::Point(p) => p,
+                    other => panic!("got {other:?}"),
+                }
+            })
+            .collect();
+        members.sort_unstable();
+        members.dedup();
+        assert_eq!(set, Constraint::Set(members));
+        assert_eq!(set_next, rng.open01().to_bits());
     }
 
     #[test]

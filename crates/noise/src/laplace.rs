@@ -48,11 +48,21 @@ impl Laplace {
         2.0 * self.scale * self.scale
     }
 
-    /// Draws one sample via the inverse CDF:
-    /// `x = -b · sgn(u) · ln(1 - 2|u|)` for `u ~ U(-1/2, 1/2)`.
+    /// Draws one sample: [`Laplace::inverse_cdf`] of one
+    /// [`StarRng::open01`] draw.
     pub fn sample(&self, rng: &mut StarRng) -> f64 {
-        let u = rng.open01() - 0.5;
-        -self.scale * u.signum() * (1.0 - 2.0 * u.abs()).max(f64::MIN_POSITIVE).ln()
+        self.inverse_cdf(rng.open01())
+    }
+
+    /// The sample a uniform draw `u ∈ (0, 1)` maps to:
+    /// `x = -b · sgn(v) · ln(1 - 2|v|)` with `v = u - 1/2`. For an
+    /// [`StarRng::open01`] draw, `v` and `1 - 2|v|` are exact, so a caller
+    /// that computes `1 - 2|v|` itself sees the very argument of the
+    /// logarithm.
+    #[inline]
+    pub fn inverse_cdf(&self, u: f64) -> f64 {
+        let v = u - 0.5;
+        -self.scale * v.signum() * (1.0 - 2.0 * v.abs()).max(f64::MIN_POSITIVE).ln()
     }
 
     /// Probability density at `x`.
@@ -132,6 +142,15 @@ mod tests {
             let h = 1e-6;
             let d = (l.cdf(x + h) - l.cdf(x - h)) / (2.0 * h);
             assert!((d - l.pdf(x)).abs() < 1e-5, "pdf/cdf mismatch at {x}");
+        }
+    }
+
+    #[test]
+    fn inverse_cdf_inverts_cdf() {
+        let l = Laplace::new(2.5).unwrap();
+        for &u in &[1e-12, 0.01, 0.3, 0.5, 0.7, 0.99, 1.0 - 1e-12] {
+            let x = l.inverse_cdf(u);
+            assert!((l.cdf(x) - u).abs() < 1e-9 * u.max(1.0 - u), "cdf(F⁻¹({u})) = {}", l.cdf(x));
         }
     }
 
