@@ -40,9 +40,9 @@ pub struct PmConfig {
     pub policy: RangePolicy,
     /// Budget split rule.
     pub split: BudgetSplit,
-    /// Scan options for the answering pass (shard count, cost-model and
-    /// probe knobs). Answers are bit-identical under any of them — DP
-    /// semantics never depend on the kernel's plan shape.
+    /// Scan options for the answering pass (shard count and probe caps).
+    /// Answers are bit-identical under any of them — DP semantics never
+    /// depend on the kernel's plan shape.
     pub scan: ScanOptions,
 }
 

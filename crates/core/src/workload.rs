@@ -185,8 +185,8 @@ pub struct WdConfig {
     pub policy: RangePolicy,
     /// Budget accounting rule (default: the paper's).
     pub accounting: WdAccounting,
-    /// Scan options for the fused answering pass (shard count, cost-model
-    /// and probe knobs); answers are bit-identical under any of them.
+    /// Scan options for the fused answering pass (shard count and probe
+    /// caps); answers are bit-identical under any of them.
     pub scan: ScanOptions,
 }
 

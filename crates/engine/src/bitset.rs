@@ -80,11 +80,20 @@ impl BitSet {
 
     /// Keeps only bits whose index satisfies `f` (in-place intersection with
     /// a predicate) — how per-predicate dimension masks are conjoined.
+    /// Works a word at a time: `f` runs on every index of a non-empty word
+    /// and its answers pack into one keep-mask without a branch per bit, so
+    /// `f` must be pure. Empty words are skipped.
     pub fn retain(&mut self, mut f: impl FnMut(usize) -> bool) {
-        for i in 0..self.len {
-            if self.get(i) && !f(i) {
-                self.words[i >> 6] &= !(1u64 << (i & 63));
+        for (wi, word) in self.words.iter_mut().enumerate() {
+            if *word == 0 {
+                continue;
             }
+            let base = wi << 6;
+            let mut keep = 0u64;
+            for i in base..(base + 64).min(self.len) {
+                keep |= u64::from(f(i)) << (i - base);
+            }
+            *word &= keep;
         }
     }
 
@@ -189,6 +198,13 @@ mod tests {
         for i in 0..200 {
             assert_eq!(c.get(i), i % 6 == 0, "bit {i}");
         }
+        // Every word edge and the tail word: bits kept and cleared there.
+        let mut d = BitSet::ones(200);
+        d.retain(|i| i % 7 != 3);
+        for i in 0..200 {
+            assert_eq!(d.get(i), i % 7 != 3, "bit {i}");
+        }
+        assert_eq!(d.count_ones(), 171);
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub mod whist;
 pub use bitset::BitSet;
 pub use canon::{canonicalize, implies, CanonicalQuery};
 pub use column::{Column, ColumnData, KeyData, Keys, MeasureData, Measures};
-pub use cost::{cost_model_for, CostConfig, CostModel, DimensionStats, PredicateEstimate};
+pub use cost::{cost_model_for, CostModel};
 pub use domain::Domain;
 pub use error::EngineError;
 pub use exec::{
@@ -78,8 +78,8 @@ pub use exec::{
     execute_weighted_batch_with, execute_with,
 };
 pub use plan::{
-    fact_scan_count, CostModelExplain, DimExplain, FilterExplain, PlanExplain, QueryExplain,
-    ScanOptions, ScanPlan, WeightedQuery, DENSE_GROUP_CAP,
+    fact_scan_count, DimExplain, FilterExplain, PlanExplain, QueryExplain, ScanOptions, ScanPlan,
+    WeightedQuery, DENSE_GROUP_CAP,
 };
 pub use predicate::{Constraint, Predicate, WeightedPredicate};
 pub use query::{Agg, GroupAttr, QueryResult, StarQuery};

@@ -54,7 +54,7 @@
 //!   classified at plan time into probe fast paths (≤ 64 dimension rows →
 //!   the whole mask in one register word, ≤ 2^16 rows → a byte-granular
 //!   LUT, larger → the packed bitset) drained by 8-wide unrolled gather
-//!   loops; filters are ordered by estimated selectivity (pass-fraction,
+//!   loops; filters are ordered by selectivity (exact fact pass fraction,
 //!   ties by dimension index) so the `*word == 0` early exit fires as
 //!   early as possible; and the histogram plan stages its joint flat codes
 //!   once per chunk instead of recomputing them per row per kind.
@@ -352,16 +352,16 @@ struct Filter {
     /// probe reads it; selectivity and mask dedup come from it).
     bits: BitSet,
     probe: Probe,
-    /// Selectivity discriminant: the cost model's sampled fact-row hit
-    /// count. Deterministic per (mask, model), so it is a valid dedup key.
+    /// Exact fact rows the mask admits (the cost model's fk-degree sum),
+    /// and with the mask the dedup key.
     pass: usize,
-    /// Estimated fact pass fraction from the cost model.
+    /// Fact pass fraction, `pass / fact_rows`.
     est: f64,
 }
 
 impl Filter {
     /// Builds a filter under explicit probe caps. Selectivity comes from
-    /// the cost model's sampled walks — no full-column `count_ones` pass.
+    /// the cost model's fk degrees — no pass over the fact column.
     fn build(
         dim: usize,
         bits: BitSet,
@@ -369,7 +369,8 @@ impl Filter {
         byte_cap: usize,
         model: &CostModel,
     ) -> Self {
-        let estimate = model.pass_fraction(dim, &bits);
+        let pass = model.pass_count(dim, &bits);
+        let est = if model.fact_rows() == 0 { 0.0 } else { pass as f64 / model.fact_rows() as f64 };
         let k = kernel_counters();
         let probe = if bits.len() <= word_cap.min(WORD_PROBE_CAP) {
             KernelCounters::add(&k.probe_word, 1);
@@ -381,7 +382,7 @@ impl Filter {
             KernelCounters::add(&k.probe_bitset, 1);
             Probe::Wide
         };
-        Filter { dim, bits, probe, pass: estimate.hits, est: estimate.fraction }
+        Filter { dim, bits, probe, pass, est }
     }
 
     /// Gathers one mask word (≤ 64 fk codes) through the probe fast path.
@@ -425,7 +426,7 @@ impl Filter {
 /// dashboards overlap heavily (the same year range or region predicate
 /// appears in many queries of a batch), so a filter whose `(dimension,
 /// pass mask)` is used by ≥ 2 fused queries, and whose private gathers
-/// the cost model estimates to cost more than one shared pass, is gathered
+/// the cost model expects to cost more than one shared pass, is gathered
 /// **once per chunk** into a shared mask cache and ANDed word-wise into
 /// each user's mask — turning `N` identical gather passes into one pass
 /// plus `N` register ANDs. Query-private filters keep the per-query gather
@@ -444,14 +445,14 @@ struct MaskProgram<'p> {
     per_query: Vec<(Vec<usize>, Vec<&'p Filter>)>,
 }
 
-/// Orders filters by estimated selectivity — ascending pass fraction,
-/// ties broken by dimension index — so the most selective mask is ANDed
-/// first and the `*word == 0` early exit in later filters fires as early
-/// as possible. The fraction is the cost model's *fact-weighted* sampled
-/// estimate (a better early-exit signal than a dimension-row popcount
-/// ratio: a mask passing few dimension rows can still admit most fact rows
-/// under a skewed fk distribution). Pure reordering of a bitwise AND
-/// conjunction: the resulting mask is identical for any order.
+/// Orders filters by selectivity — ascending fact pass fraction, ties
+/// broken by dimension index — so the most selective mask is ANDed first
+/// and the `*word == 0` early exit in later filters fires as early as
+/// possible. The fraction is *fact-weighted* (a better early-exit signal
+/// than a dimension-row popcount ratio: a mask passing few dimension rows
+/// can still admit most fact rows under a skewed fk distribution). Pure
+/// reordering of a bitwise AND conjunction: the resulting mask is
+/// identical for any order.
 fn selectivity_order(filters: &mut [Filter]) {
     filters.sort_by(|a, b| {
         a.est.partial_cmp(&b.est).unwrap_or(std::cmp::Ordering::Equal).then(a.dim.cmp(&b.dim))
@@ -462,7 +463,7 @@ fn selectivity_order(filters: &mut [Filter]) {
 /// row-weight accessor, and the group program.
 #[derive(Debug, Clone)]
 struct PlannedQuery<'a> {
-    /// Binary filters, ordered by estimated selectivity (most selective
+    /// Binary filters, ordered by selectivity (most selective
     /// first — see [`selectivity_order`]).
     filters: Vec<Filter>,
     /// Weighted axes in first-appearance order (the multiply order of the
@@ -632,7 +633,7 @@ pub struct ScanPlan<'a> {
     /// The options the plan was compiled under (probe caps, staging and
     /// sharing thresholds).
     opts: ScanOptions,
-    /// The sampling cost model steering plan-shape decisions.
+    /// The exact statistics steering plan-shape decisions.
     model: Arc<CostModel>,
 }
 
@@ -643,8 +644,9 @@ impl<'a> ScanPlan<'a> {
     }
 
     /// An empty plan compiled under explicit options (resolves the
-    /// foreign-key arrays). The schema's sampling cost model (built on the
-    /// instance's first use, [`crate::cost::cost_model_for`]) steers filter
+    /// foreign-key arrays). The schema's cost model (exact fk-degree
+    /// statistics built on the instance's first use,
+    /// [`crate::cost::cost_model_for`]) steers filter
     /// ordering, mask-sharing promotion, subsumption refinement, and fk
     /// staging.
     /// Every model-driven choice is plan-shape-only: answers and ledgers
@@ -664,9 +666,9 @@ impl<'a> ScanPlan<'a> {
         })
     }
 
-    /// Replaces the plan's cost model — the adversarial-estimate test hook
+    /// Replaces the plan's cost model — the adversarial-plan test hook
     /// (see `tests/prop_cost_model.rs`). Call before `add_query`: filters
-    /// compiled earlier keep their old estimates.
+    /// compiled earlier keep their old pass counts.
     #[doc(hidden)]
     pub fn set_cost_model(&mut self, model: Arc<CostModel>) {
         self.model = model;
@@ -751,9 +753,8 @@ impl<'a> ScanPlan<'a> {
     }
 
     /// Describes the plan the kernel would execute, without executing it:
-    /// per-query filter order with probe classes and the cost model's
-    /// sampled pass-fraction estimates with confidence intervals,
-    /// the cross-query mask-sharing program, and the per-dimension fk
+    /// per-query filter order with probe classes and exact fact pass
+    /// fractions, the cross-query mask-sharing program, and the per-dimension fk
     /// staging decisions. Everything reported is derived from the same
     /// structures [`ScanPlan::execute`] runs, so EXPLAIN output cannot
     /// drift from the executed plan shape.
@@ -796,7 +797,6 @@ impl<'a> ScanPlan<'a> {
                             } else {
                                 "private"
                             };
-                            let estimate = self.model.pass_fraction(f.dim, &f.bits);
                             FilterExplain {
                                 table: self.schema.dims()[f.dim].table.name().to_string(),
                                 probe: match f.probe {
@@ -805,8 +805,6 @@ impl<'a> ScanPlan<'a> {
                                     Probe::Wide => "bitset",
                                 },
                                 estimated_fraction: f.est,
-                                ci: estimate.ci,
-                                samples: estimate.samples,
                                 sharing,
                             }
                         })
@@ -823,10 +821,6 @@ impl<'a> ScanPlan<'a> {
             fact_rows: self.fact_rows,
             shards,
             shared_masks: program.shared.len(),
-            cost_model: CostModelExplain {
-                exact: self.model.is_exact(),
-                sampled_rows: self.model.sampled_rows(),
-            },
             dims,
             queries,
         }
@@ -1048,7 +1042,7 @@ impl<'a> ScanPlan<'a> {
     /// ([`CostModel::should_stage`]): those read by ≥ 2 gathers
     /// ([`ScanPlan::gather_uses`]) per chunk — a
     /// single reader is served straight from the source array, since
-    /// staging it would be a pure copy tax — unless their sampled
+    /// staging it would be a pure copy tax — unless their probed
     /// distinct-codes-per-chunk is small enough that the fk reads stay
     /// cache-resident without a staging copy.
     fn staged_dims(&self, hist_plan: Option<&HistPlan>, program: &MaskProgram) -> Vec<bool> {
@@ -1438,8 +1432,6 @@ pub struct PlanExplain {
     pub shards: usize,
     /// Filters promoted to the cross-query shared-mask cache.
     pub shared_masks: usize,
-    /// Sampling metadata of the cost model driving the plan.
-    pub cost_model: CostModelExplain,
     /// Per-dimension staging/residency decisions, schema order.
     pub dims: Vec<DimExplain>,
     /// Per-query filter order and histogram assignment, compile order.
@@ -1458,7 +1450,7 @@ pub struct DimExplain {
     pub fk_width_bytes: usize,
     /// Whether the fk column is staged (decoded once up front).
     pub staged: bool,
-    /// Estimated distinct fk codes per scan chunk.
+    /// Distinct fk codes per scan chunk, probed at model build.
     pub residency: f64,
 }
 
@@ -1484,26 +1476,12 @@ pub struct FilterExplain {
     pub table: String,
     /// Probe class the kernel selected: `word`, `bytes`, or `bitset`.
     pub probe: &'static str,
-    /// Sampled pass fraction ordering the filter.
+    /// Exact fraction of fact rows the filter admits, which orders it.
     pub estimated_fraction: f64,
-    /// Half-width confidence interval of the sampled fraction (0 when the
-    /// model enumerated every row).
-    pub ci: f64,
-    /// Sample walks behind the estimate.
-    pub samples: usize,
     /// `shared` (gathered once per chunk for all users),
     /// `private_subsumed` (private gather refined through a shared
     /// superset mask), or `private`.
     pub sharing: &'static str,
-}
-
-/// Cost-model provenance in a [`PlanExplain`].
-#[derive(Debug, Clone, Copy)]
-pub struct CostModelExplain {
-    /// True when the model enumerated every row instead of sampling.
-    pub exact: bool,
-    /// Rows visited per dimension lane while sampling.
-    pub sampled_rows: usize,
 }
 
 impl PlanExplain {
@@ -1535,8 +1513,6 @@ impl PlanExplain {
                             ("table", Json::Str(f.table.clone())),
                             ("probe", Json::Str(f.probe.to_string())),
                             ("estimated_fraction", Json::Num(f.estimated_fraction)),
-                            ("ci", Json::Num(f.ci)),
-                            ("samples", Json::Num(f.samples as f64)),
                             ("sharing", Json::Str(f.sharing.to_string())),
                         ])
                     })
@@ -1553,13 +1529,6 @@ impl PlanExplain {
             ("fact_rows", Json::Num(self.fact_rows as f64)),
             ("shards", Json::Num(self.shards as f64)),
             ("shared_masks", Json::Num(self.shared_masks as f64)),
-            (
-                "cost_model",
-                Json::obj(vec![
-                    ("exact", Json::Num(f64::from(u8::from(self.cost_model.exact)))),
-                    ("sampled_rows", Json::Num(self.cost_model.sampled_rows as f64)),
-                ]),
-            ),
             ("dims", Json::Arr(dims)),
             ("queries", Json::Arr(queries)),
         ])
@@ -1570,7 +1539,6 @@ impl PlanExplain {
 mod tests {
     use super::*;
     use crate::column::Column;
-    use crate::cost::CostConfig;
     use crate::domain::Domain;
     use crate::query::GroupAttr;
     use crate::schema::Dimension;
@@ -1614,7 +1582,7 @@ mod tests {
     /// A model of `s` reporting every dimension's chunk codes as far out
     /// of cache, which leaves staging to the ≥ 2-uses rule alone.
     fn uncached_model(s: &StarSchema) -> Arc<CostModel> {
-        let mut model = CostModel::build(s, &CostConfig::default()).unwrap();
+        let mut model = CostModel::build(s).unwrap();
         for dim in 0..s.num_dims() {
             model.force_residency(dim, 1e6);
         }
@@ -1887,7 +1855,7 @@ mod tests {
 
     #[test]
     fn probe_classification_boundaries() {
-        let model = CostModel::build(&schema(), &CostConfig::default()).unwrap();
+        let model = CostModel::build(&schema()).unwrap();
         let classify =
             |bits: BitSet| Filter::build(0, bits, WORD_PROBE_CAP, BYTE_PROBE_CAP, &model);
         let word = classify(BitSet::from_fn(64, |i| i % 2 == 0));
@@ -1906,7 +1874,7 @@ mod tests {
     fn probe_caps_override_classification() {
         // Shrunken caps exercise every probe regime on a 40-row mask — no
         // 2^16-row fixture needed.
-        let model = CostModel::build(&schema(), &CostConfig::default()).unwrap();
+        let model = CostModel::build(&schema()).unwrap();
         let bits = BitSet::from_fn(40, |i| i % 3 == 0);
         let word = Filter::build(0, bits.clone(), 64, 1 << 16, &model);
         assert!(matches!(word.probe, Probe::Word(_)));
@@ -1941,10 +1909,11 @@ mod tests {
             StarQuery::sum("s", "qty").with(Predicate::point("A", "attr", 1)),
         ];
         let mut plan = ScanPlan::new(&s).unwrap();
-        assert!(plan.model.is_exact(), "6-row fact → exact model");
         for q in &queries {
             plan.add_query(q).unwrap();
         }
+        let passes: Vec<usize> = plan.queries[0].filters.iter().map(|f| f.pass).collect();
+        assert_eq!(passes, [3, 4], "exact fact rows: B.attr = 0, then A.attr ∈ [1, 2]");
         assert_eq!(plan.execute(ScanOptions::default()), reference_answers(&s, &queries));
     }
 
@@ -2006,7 +1975,7 @@ mod tests {
         assert_eq!(
             plan.staged_dims(None, &program),
             vec![false, false],
-            "tiny dimension stays unstaged under the sampled model"
+            "tiny dimension stays unstaged under the exact model"
         );
         // Staging is invisible to answers.
         let truth = reference_answers(&s, &queries);
@@ -2026,9 +1995,9 @@ mod tests {
                 .with(Predicate::point("B", "attr", 1)),
         ];
         let truth = reference_answers(&s, &queries);
-        // Feed the planner maximally wrong estimates in both directions.
+        // Feed the planner maximally wrong statistics in both directions.
         for (fa, fb, ra, rb) in [(0.0, 1.0, 1e6, 0.0), (1.0, 0.0, 0.0, 1e6), (0.5, 0.5, 1e6, 1e6)] {
-            let mut model = CostModel::build(&s, &CostConfig::default()).unwrap();
+            let mut model = CostModel::build(&s).unwrap();
             model.force_fraction(0, fa);
             model.force_fraction(1, fb);
             model.force_residency(0, ra);

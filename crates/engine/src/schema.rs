@@ -50,7 +50,7 @@ impl Dimension {
 pub struct StarSchema {
     fact: Table,
     dims: Vec<Dimension>,
-    /// The instance's sampled cost model, built on first use by
+    /// The instance's plan statistics, built on first use by
     /// [`crate::cost::cost_model_for`]. A clone holds identical data, so
     /// it shares the model.
     pub(crate) cost: OnceLock<Arc<CostModel>>,

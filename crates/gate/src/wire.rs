@@ -296,7 +296,6 @@ pub fn service_code(err: &ServiceError) -> &'static str {
         ServiceError::TenantIdTooLong { .. } => "tenant_id_too_long",
         ServiceError::InvalidQuery(_) => "invalid_query",
         ServiceError::InvalidBudget(_) => "invalid_budget",
-        ServiceError::BelowMinFrequency { .. } => "below_min_frequency",
         ServiceError::Mechanism(_) => "mechanism_failure",
         ServiceError::StaleDataVersion { .. } => "stale_data_version",
         // Degraded mode: the budget journal is unavailable, so spends are
@@ -347,12 +346,6 @@ mod tests {
             ServiceError::TenantIdTooLong { bytes: 300, max: 255 },
             ServiceError::InvalidQuery(starj_engine::EngineError::UnknownTable("T".into())),
             ServiceError::InvalidBudget(starj_noise::NoiseError::InvalidEpsilon(0.0)),
-            ServiceError::BelowMinFrequency {
-                table: "T".into(),
-                attr: "a".into(),
-                estimated_rows: 1.0,
-                floor: 10,
-            },
             ServiceError::Mechanism(dp_starj::CoreError::Invalid("x".into())),
             ServiceError::DurabilityUnavailable { reason: "disk".into() },
             ServiceError::Internal("x".into()),
@@ -502,12 +495,6 @@ mod tests {
             service_code(&E::UnknownTenant("t".into())),
             service_code(&E::DuplicateTenant("t".into())),
             service_code(&E::StaleDataVersion { submitted: 1, current: 2 }),
-            service_code(&E::BelowMinFrequency {
-                table: "D".into(),
-                attr: "a".into(),
-                estimated_rows: 0.5,
-                floor: 10,
-            }),
             service_code(&E::DurabilityUnavailable { reason: "disk gone".into() }),
             service_code(&E::Internal("worker panicked".into())),
         ];

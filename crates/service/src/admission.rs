@@ -10,7 +10,7 @@
 
 use crate::error::ServiceError;
 use dp_starj::PredicateWorkload;
-use starj_engine::{cost_model_for, BitSet, EngineError, Predicate, StarQuery, StarSchema};
+use starj_engine::{EngineError, StarQuery, StarSchema};
 
 /// Validates a star-join query against the schema: aggregate measures exist
 /// on the fact table, every predicate resolves to a dimension (or snowflake
@@ -44,69 +44,6 @@ pub fn validate_query(schema: &StarSchema, query: &StarQuery) -> Result<(), Serv
         // sub-dimension grouping is not supported), so admission mirrors it.
         let dim = schema.dim(&group.table)?;
         dim.table.codes(&group.attr)?;
-    }
-    Ok(())
-}
-
-/// The DPSQL+ minimum-frequency rule: refuse any predicate whose
-/// cost-model estimated pass count (estimated passing fraction × fact
-/// rows) falls below `floor`. Releasing a DP answer about a handful of
-/// rows is formally fine, but deployments following DPSQL+ refuse such
-/// queries outright as a cheap second line of defense — and the refusal is
-/// an *admission* decision, so it happens before any budget is reserved.
-///
-/// `floor == 0` disables the guard. Estimates come from the shared sampled
-/// cost model ([`starj_engine::cost`]): exact on small instances, a
-/// WanderJoin-style sample elsewhere — the guard is a policy heuristic,
-/// not a privacy mechanism, so a sampling error only moves the refusal
-/// boundary, never a ledger bit.
-pub fn min_frequency_check(
-    schema: &StarSchema,
-    predicates: &[Predicate],
-    floor: u64,
-) -> Result<(), ServiceError> {
-    if floor == 0 || predicates.is_empty() {
-        return Ok(());
-    }
-    let model = cost_model_for(schema).map_err(ServiceError::InvalidQuery)?;
-    let fact_rows = model.fact_rows() as f64;
-    for pred in predicates {
-        // Build the dimension pass mask the estimator scores: one bit per
-        // dimension row, set iff the row satisfies the predicate. Snowflake
-        // predicates fold onto the parent dimension through the link key,
-        // exactly as the scan planner does.
-        let (dim_index, mask) = if let Ok(dim) = schema.dim(&pred.table) {
-            let codes = dim.table.codes(&pred.attr)?;
-            let mut mask = BitSet::zeros(codes.len());
-            for (row, &code) in codes.iter().enumerate() {
-                mask.set(row, pred.constraint.matches(code));
-            }
-            (schema.dim_index(&pred.table)?, mask)
-        } else if let Some((parent, sub)) = schema.subdim(&pred.table) {
-            let sub_attr = sub.table.codes(&pred.attr)?;
-            let sub_pk = sub.table.key(&sub.pk)?;
-            let links = parent.table.key(&sub.fk_in_dim)?;
-            let mut mask = BitSet::zeros(links.len());
-            for (row, link) in links.iter().enumerate() {
-                let passes = sub_pk
-                    .iter()
-                    .position(|pk| pk == link)
-                    .is_some_and(|s| pred.constraint.matches(sub_attr[s]));
-                mask.set(row, passes);
-            }
-            (schema.dim_index(parent.table.name())?, mask)
-        } else {
-            return Err(EngineError::UnknownTable(pred.table.clone()).into());
-        };
-        let estimated_rows = model.pass_fraction(dim_index, &mask).fraction * fact_rows;
-        if estimated_rows < floor as f64 {
-            return Err(ServiceError::BelowMinFrequency {
-                table: pred.table.clone(),
-                attr: pred.attr.clone(),
-                estimated_rows,
-                floor,
-            });
-        }
     }
     Ok(())
 }
@@ -197,69 +134,6 @@ mod tests {
         assert!(matches!(
             validate_query(&schema, &q),
             Err(ServiceError::InvalidQuery(EngineError::InvalidConstraint(_)))
-        ));
-    }
-
-    #[test]
-    fn min_frequency_guard_is_off_at_floor_zero() {
-        let schema = toy_schema();
-        // color = 0 admits exactly 1 of 5 fact rows; with the guard off even
-        // the rarest predicate passes.
-        let q = StarQuery::count("q").with(Predicate::point("D", "color", 0));
-        assert!(min_frequency_check(&schema, &q.predicates, 0).is_ok());
-        // A predicate-free query trivially passes at any floor.
-        assert!(min_frequency_check(&schema, &[], u64::MAX).is_ok());
-    }
-
-    #[test]
-    fn min_frequency_guard_refuses_below_floor_and_admits_at_floor() {
-        let schema = toy_schema();
-        // Fact fks are [0, 1, 2, 3, 3]: color = 3 admits 2 rows, color = 0
-        // admits 1. The toy instance is small enough that the cost model is
-        // exact, so the boundary is sharp.
-        let rare = StarQuery::count("q").with(Predicate::point("D", "color", 0));
-        match min_frequency_check(&schema, &rare.predicates, 2) {
-            Err(ServiceError::BelowMinFrequency { table, attr, estimated_rows, floor }) => {
-                assert_eq!(table, "D");
-                assert_eq!(attr, "color");
-                assert!((estimated_rows - 1.0).abs() < 1e-9, "got {estimated_rows}");
-                assert_eq!(floor, 2);
-            }
-            other => panic!("expected BelowMinFrequency, got {other:?}"),
-        }
-        let common = StarQuery::count("q").with(Predicate::point("D", "color", 3));
-        assert!(min_frequency_check(&schema, &common.predicates, 2).is_ok());
-        assert!(min_frequency_check(&schema, &common.predicates, 3).is_err());
-    }
-
-    #[test]
-    fn min_frequency_guard_resolves_snowflake_predicates() {
-        // D(pk, sk) → S(sk, tier): S rows 0/1 carry tier 0/1, dimension rows
-        // [0, 1] link to S rows [0, 1], fact fks [0, 0, 1] → tier = 1 admits
-        // 1 of 3 fact rows.
-        let tier = Domain::numeric("tier", 2).unwrap();
-        let sub = Table::new(
-            "S",
-            vec![Column::key("sk", vec![0, 1]), Column::attr("tier", tier, vec![0, 1])],
-        )
-        .unwrap();
-        let dim =
-            Table::new("D", vec![Column::key("pk", vec![0, 1]), Column::key("sk", vec![0, 1])])
-                .unwrap();
-        let fact = Table::new("F", vec![Column::key("fk", vec![0, 0, 1])]).unwrap();
-        let dim = Dimension::new(dim, "pk", "fk").with_subdim(starj_engine::SubDimension {
-            table: sub,
-            pk: "sk".into(),
-            fk_in_dim: "sk".into(),
-        });
-        let schema = StarSchema::new(fact, vec![dim]).unwrap();
-
-        let q = StarQuery::count("q").with(Predicate::point("S", "tier", 1));
-        assert!(min_frequency_check(&schema, &q.predicates, 1).is_ok());
-        assert!(matches!(
-            min_frequency_check(&schema, &q.predicates, 2),
-            Err(ServiceError::BelowMinFrequency { estimated_rows, .. })
-                if (estimated_rows - 1.0).abs() < 1e-9
         ));
     }
 

@@ -45,33 +45,6 @@ pub enum ServiceError {
     InvalidQuery(EngineError),
     /// The requested privacy parameters are malformed (ε ≤ 0, δ ∉ [0, 1)).
     InvalidBudget(NoiseError),
-    /// DPSQL+-style minimum-frequency refusal: the cost model estimates
-    /// that a predicate admits fewer fact rows than the configured floor
-    /// ([`crate::ServiceConfig::min_pass_rows`]), so answering would
-    /// release a statistic about a population too small to hide in.
-    /// Refused at admission — **no budget was reserved or spent**.
-    ///
-    /// The [`fmt::Display`] message travels to untrusted callers (the
-    /// gate forwards it on the wire), so it deliberately reports only the
-    /// floor: the estimated count is an un-noised (on small instances
-    /// exact) statistic about the very sub-floor population the guard
-    /// exists to protect, and naming the predicate would reveal *which*
-    /// conjunct is rare. Server-side consumers that want the detail read
-    /// these fields directly (or `Debug`-format the error).
-    BelowMinFrequency {
-        /// Table of the offending predicate (server-side detail; not in
-        /// the `Display` message).
-        table: String,
-        /// Attribute of the offending predicate (server-side detail; not
-        /// in the `Display` message).
-        attr: String,
-        /// Cost-model estimated fact rows the predicate admits
-        /// (server-side detail; never in the `Display` message — leaking
-        /// it would undercut the guard).
-        estimated_rows: f64,
-        /// The configured minimum-frequency floor.
-        floor: u64,
-    },
     /// The underlying DP mechanism failed after admission; the reservation
     /// was rolled back, so the failed query spent nothing.
     Mechanism(CoreError),
@@ -121,14 +94,6 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::InvalidQuery(e) => write!(f, "query rejected at admission: {e}"),
             ServiceError::InvalidBudget(e) => write!(f, "invalid privacy budget: {e}"),
-            // Client-facing: floor only. The estimate (and which predicate
-            // tripped it) is an un-noised statistic about a sub-floor
-            // population — exactly what the guard refuses to release.
-            ServiceError::BelowMinFrequency { floor, .. } => write!(
-                f,
-                "a predicate was refused by the minimum-frequency guard \
-                 (floor {floor} rows; no budget spent)"
-            ),
             ServiceError::Mechanism(e) => write!(f, "mechanism failure (budget refunded): {e}"),
             ServiceError::DurabilityUnavailable { reason } => write!(
                 f,
@@ -180,26 +145,6 @@ mod tests {
         };
         let msg = e.to_string();
         assert!(msg.contains("acme") && msg.contains("0.5") && msg.contains("0.25"));
-    }
-
-    #[test]
-    fn min_frequency_display_reveals_only_the_floor() {
-        // The Display message reaches wire clients verbatim; the estimate
-        // is a (near-)exact count of a sub-floor population and the
-        // table/attr would reveal which conjunct is rare, so neither may
-        // appear.
-        let e = ServiceError::BelowMinFrequency {
-            table: "Customer".into(),
-            attr: "region".into(),
-            estimated_rows: 3.0,
-            floor: 100,
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("100"), "floor missing from `{msg}`");
-        assert!(
-            !msg.contains("Customer") && !msg.contains("region") && !msg.contains('3'),
-            "client-facing message leaks guard details: `{msg}`"
-        );
     }
 
     #[test]

@@ -4,17 +4,16 @@
 //! serving path would — admission validation, canonicalization, scan-plan
 //! compilation under the service's own scan options — and reports the
 //! result instead of executing it: the canonical SQL the cache would key
-//! on, the kernel's filter order with probe classes and (when the cost
-//! model is on) sampled pass-fraction estimates with confidence
-//! intervals, the mask-sharing and fk-staging decisions, and optionally
+//! on, the kernel's filter order with probe classes and exact fact pass
+//! fractions, the mask-sharing and fk-staging decisions, and optionally
 //! the kernel-counter deltas of one profiling scan.
 //!
 //! Nothing here touches the accountant: no reservation, no noise draw, no
 //! cache insert, no audit event. The optional profiling scan runs the
 //! **original** (un-noised) query purely for its counter deltas and
 //! discards the result — which is precisely why the gate exposes this
-//! verb to *admin* tokens only: plan shapes, sampled selectivities, and
-//! exact row counts are data-dependent and carry no DP noise, so handing
+//! verb to *admin* tokens only: plan shapes, pass fractions, and exact
+//! row counts are data-dependent and carry no DP noise, so handing
 //! them to tenants would open a side channel around the privacy budget.
 
 use crate::error::ServiceError;

@@ -227,8 +227,8 @@ impl MetricsSnapshot {
     /// The snapshot as a stable JSON object: every counter by name,
     /// `p50_latency_us` / `p99_latency_us` (null before the first
     /// request), plus a `cost` sub-object embedding the *process-wide*
-    /// cost-model counters (sampling walks, estimate-cache traffic,
-    /// subsumption merges, window adjustments) — read at render time, not
+    /// cost-model counters (model reuse and builds, subsumption merges,
+    /// window adjustments) — read at render time, not
     /// at snapshot time, since they live outside any one service.
     pub fn to_json(&self) -> Json {
         let mut pairs: Vec<(String, Json)> = self
@@ -427,7 +427,7 @@ mod tests {
         let again = m.snapshot().to_json();
         assert!(again.get("p50_latency_us").and_then(starj_telemetry::Json::as_f64).is_some());
         assert!(
-            again.get("cost").and_then(|c| c.get("walks")).is_some(),
+            again.get("cost").and_then(|c| c.get("cache_builds")).is_some(),
             "cost-model counters ride along as a sub-object"
         );
         assert_eq!(s.counter_entries().len(), 15);

@@ -41,7 +41,7 @@
 //! post-refresh request.
 
 use crate::accountant::{BudgetAccountant, Reservation, SettlementCtx, TenantUsage};
-use crate::admission::{min_frequency_check, validate_query, validate_workload};
+use crate::admission::{validate_query, validate_workload};
 use crate::cache::{AnswerCache, Mechanism, RequestKey};
 use crate::coalesce::{pending_pair, Coalescer, Job, Submitted};
 use crate::durable::{DurableConfig, DurableState, DurableStatus};
@@ -50,7 +50,7 @@ use crate::explain::ExplainReport;
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::wcache::{PmRoute, WKey, WeightHistogramCache, MIN_BATCH_W_MEMBERS};
 use dp_starj::pm::{perturb_query, PmConfig};
-use dp_starj::workload::WdConfig;
+use dp_starj::workload::{WdAccounting, WdConfig};
 use dp_starj::{wd_reconstruct, workload_axes, CoreError, PredicateWorkload};
 use starj_durable::{BudgetWal, FaultPlan};
 use starj_engine::{
@@ -74,7 +74,11 @@ use std::time::{Duration, Instant};
 pub struct ServiceConfig {
     /// Predicate Mechanism configuration.
     pub pm: PmConfig,
-    /// Workload Decomposition configuration.
+    /// Workload Decomposition configuration. The default serves
+    /// [`WdAccounting::StrictComposition`]: a request is charged ε, so each
+    /// block's ε/n must cover all of its perturbed strategy rows. The
+    /// paper's literal rule spends ε/n on *every* row and would compose to
+    /// 5.67ε (W1) or 7.67ε (W2) against an ε charge.
     pub wd: WdConfig,
     /// Root seed; request RNGs derive from it by arrival index.
     pub seed: u64,
@@ -131,12 +135,6 @@ pub struct ServiceConfig {
     /// on; [`TelemetryConfig::disabled`] turns every component off (the
     /// tracing-off arm of the coalesce bench's A/B).
     pub telemetry: TelemetryConfig,
-    /// DPSQL+-style minimum-frequency floor: refuse any query carrying a
-    /// predicate whose cost-model estimated passing fact-row count falls
-    /// below this many rows ([`ServiceError::BelowMinFrequency`], decided
-    /// at admission, before any budget is reserved). `0` (the default)
-    /// disables the guard.
-    pub min_pass_rows: u64,
     /// Crash-safe budget accounting: when set, every reserve / commit /
     /// refund / refusal is journaled to an fsync'd WAL in this directory
     /// **before** the in-memory ledger moves, and
@@ -154,7 +152,7 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             pm: PmConfig::default(),
-            wd: WdConfig::default(),
+            wd: WdConfig { accounting: WdAccounting::StrictComposition, ..WdConfig::default() },
             seed: 2023,
             cache_answers: true,
             cache_capacity: crate::cache::DEFAULT_CACHE_CAPACITY,
@@ -167,7 +165,6 @@ impl Default for ServiceConfig {
             coalesce_tenant_queue: 256,
             w_cache_capacity: crate::wcache::DEFAULT_W_CACHE_CAPACITY,
             telemetry: TelemetryConfig::default(),
-            min_pass_rows: 0,
             durable: None,
             fault: None,
         }
@@ -795,8 +792,8 @@ impl Service {
     /// Describes what serving `query` *would* do, without doing it: the
     /// canonical SQL the cache would key on, the PM evaluation route
     /// ([`ExplainReport::route`]), the compiled plan shape
-    /// (filter order, probe classes, mask sharing, fk staging, cost-model
-    /// estimates with confidence intervals), and — when `profile` is set —
+    /// (filter order, probe classes, exact pass fractions, mask sharing,
+    /// fk staging), and — when `profile` is set —
     /// the kernel-counter deltas of one discarded profiling scan. Spends
     /// no budget, draws no noise, inserts nothing into the cache, and
     /// writes no audit event. Operator-plane only: the report is exact
@@ -921,10 +918,7 @@ impl ServiceCore {
         let admitted = cost.and_then(|cost| {
             match request {
                 Request::Wd(workload) => validate_workload(schema, workload)?,
-                pm => pm.queries().iter().try_for_each(|q| {
-                    validate_query(schema, q)?;
-                    min_frequency_check(schema, &q.predicates, self.config.min_pass_rows)
-                })?,
+                pm => pm.queries().iter().try_for_each(|q| validate_query(schema, q))?,
             }
             Ok(cost)
         });

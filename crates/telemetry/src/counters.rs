@@ -68,18 +68,15 @@ pub fn kernel_counters() -> &'static KernelCounters {
 }
 
 /// The cost-model counter set (one process-wide instance,
-/// [`cost_counters`]): sampling walks, estimate-cache traffic, and the
-/// plan-shape decisions the estimates drove. Same discipline as
+/// [`cost_counters`]): model reuse and builds, and the plan-shape
+/// decisions the model drove. Same discipline as
 /// [`KernelCounters`] — relaxed atomics, flushed per build/plan, never
 /// touched inside the chunk loop.
 #[derive(Debug, Default)]
 pub struct CostCounters {
-    /// Wander-join-style row walks executed while building cost models
-    /// (one per sampled fact row per build).
-    pub walks: AtomicU64,
     /// Cost-model lookups served by the schema instance's built model.
     pub cache_hits: AtomicU64,
-    /// Cost models built by sampling (cache misses + explicit builds).
+    /// Cost models built (first uses of a schema instance).
     pub cache_builds: AtomicU64,
     /// Private filters answered by AND-refining a subsuming shared mask
     /// instead of a standalone gather pass.
@@ -90,7 +87,6 @@ pub struct CostCounters {
 }
 
 static COST: CostCounters = CostCounters {
-    walks: AtomicU64::new(0),
     cache_hits: AtomicU64::new(0),
     cache_builds: AtomicU64::new(0),
     subsumption_merges: AtomicU64::new(0),
@@ -114,7 +110,6 @@ impl CostCounters {
     /// A point-in-time copy.
     pub fn snapshot(&self) -> CostSnapshot {
         CostSnapshot {
-            walks: self.walks.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_builds: self.cache_builds.load(Ordering::Relaxed),
             subsumption_merges: self.subsumption_merges.load(Ordering::Relaxed),
@@ -126,8 +121,6 @@ impl CostCounters {
 /// A point-in-time copy of the cost-model counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostSnapshot {
-    /// See [`CostCounters::walks`].
-    pub walks: u64,
     /// See [`CostCounters::cache_hits`].
     pub cache_hits: u64,
     /// See [`CostCounters::cache_builds`].
@@ -141,9 +134,8 @@ pub struct CostSnapshot {
 impl CostSnapshot {
     /// `(name, value)` pairs in declaration order — the single source the
     /// Prometheus and JSON expositions both iterate.
-    pub fn entries(&self) -> [(&'static str, u64); 5] {
+    pub fn entries(&self) -> [(&'static str, u64); 4] {
         [
-            ("walks", self.walks),
             ("cache_hits", self.cache_hits),
             ("cache_builds", self.cache_builds),
             ("subsumption_merges", self.subsumption_merges),
@@ -154,7 +146,6 @@ impl CostSnapshot {
     /// Counter deltas since an earlier snapshot.
     pub fn since(&self, earlier: &CostSnapshot) -> CostSnapshot {
         CostSnapshot {
-            walks: self.walks.saturating_sub(earlier.walks),
             cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
             cache_builds: self.cache_builds.saturating_sub(earlier.cache_builds),
             subsumption_merges: self.subsumption_merges.saturating_sub(earlier.subsumption_merges),
@@ -283,16 +274,14 @@ mod tests {
     #[test]
     fn cost_snapshot_delta_and_json() {
         let before = cost_counters().snapshot();
-        CostCounters::add(&cost_counters().walks, 7);
         CostCounters::add(&cost_counters().subsumption_merges, 3);
         CostCounters::add(&cost_counters().window_adjustments, 0);
         let delta = cost_counters().snapshot().since(&before);
-        assert_eq!(delta.walks, 7);
         assert_eq!(delta.subsumption_merges, 3);
         assert_eq!(delta.window_adjustments, 0);
         let json = delta.to_json();
-        assert_eq!(json.get("walks").and_then(Json::as_f64), Some(7.0));
-        assert_eq!(delta.entries().len(), 5);
+        assert_eq!(json.get("subsumption_merges").and_then(Json::as_f64), Some(3.0));
+        assert_eq!(delta.entries().len(), 4);
     }
 
     #[test]

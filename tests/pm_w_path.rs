@@ -15,7 +15,7 @@
 //!   cached, equal to `exec::reference` bit for bit; one member fewer
 //!   takes the fused scan.
 
-use dp_starj_repro::core::workload::{wd_reconstruct, PredicateWorkload, WdConfig, WorkloadBlock};
+use dp_starj_repro::core::workload::{wd_reconstruct, PredicateWorkload, WorkloadBlock};
 use dp_starj_repro::engine::exec::reference;
 use dp_starj_repro::engine::{
     execute_weighted_batch, Agg, Column, Constraint, Dimension, Domain, Predicate, QueryResult,
@@ -222,7 +222,8 @@ fn wd_from_a_pm_built_w_equals_a_fresh_service_and_the_batch_executor() {
     // The same reconstructed rows (request 1's RNG) through the fused
     // weighted executor.
     let mut rng = StarRng::from_seed(SEED).derive_index(1);
-    let rows = wd_reconstruct(&schema, &workload, 0.5, &WdConfig::default(), &mut rng).unwrap();
+    let config = ServiceConfig::default().wd;
+    let rows = wd_reconstruct(&schema, &workload, 0.5, &config, &mut rng).unwrap();
     let fused = execute_weighted_batch(&schema, &rows).unwrap();
     assert_eq!(shared, fused.iter().map(|v| v.to_bits()).collect::<Vec<u64>>());
 }

@@ -1,22 +1,22 @@
-//! Cost-model property tests: the sampling estimator must be *honest*
-//! (measured truth inside its reported confidence interval) and the
-//! planner must be *immune* to it (plans built from adversarially wrong
-//! estimates stay bit-identical to `exec::reference`).
+//! Cost-model property tests: the fk-degree statistics must be *exact*
+//! (every pass count equals a brute-force count of passing fact rows) and
+//! the planner must be *immune* to them (plans built from adversarially
+//! wrong statistics stay bit-identical to `exec::reference`).
 //!
 //! The second property is the load-bearing one: every decision the model
-//! steers — filter order, mask sharing, staging, batch windows — is
-//! plan-shape-only, so even a maximally wrong estimator can cost
-//! performance but never correctness. The tests force estimates to both
-//! extremes through the `force_fraction` / `force_residency` hooks and
-//! prove answers don't move.
+//! steers — filter order, mask sharing, staging — is plan-shape-only, so
+//! even maximally wrong statistics can cost performance but never
+//! correctness. The tests force them to both extremes through the
+//! `force_fraction` / `force_residency` hooks and prove answers don't move.
 
-use dp_starj_repro::engine::cost::{CostConfig, CostModel};
+use dp_starj_repro::engine::cost::CostModel;
 use dp_starj_repro::engine::exec::reference;
 use dp_starj_repro::engine::{
     BitSet, Column, Constraint, Dimension, Domain, GroupAttr, Predicate, ScanOptions, ScanPlan,
     StarQuery, StarSchema, SubDimension, Table,
 };
 use dp_starj_repro::noise::rng::splitmix64;
+use dp_starj_repro::ssb::{all_queries, domain_size_queries, generate, SsbConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -26,7 +26,7 @@ const DOM_S: u32 = 4;
 
 /// A random snowflake instance: dimension A (attribute `x`, snowflake
 /// sub-table S via link `sk`), dimension B (attribute `y`), and a fact
-/// table big enough that a 64-row sample is a genuine subsample.
+/// table.
 #[derive(Debug, Clone)]
 struct Instance {
     dim_a_attrs: Vec<u32>,   // domain DOM_A
@@ -142,91 +142,50 @@ fn query_strategy() -> impl Strategy<Value = StarQuery> {
         })
 }
 
-/// The exact fact pass fraction of a dimension mask: the truth the
-/// estimator's interval must cover.
-fn true_fraction(inst: &Instance, dim: usize, bits: &BitSet) -> f64 {
-    if inst.fact.is_empty() {
-        return 0.0;
-    }
-    let hits = inst.fact.iter().filter(|r| bits.get(if dim == 0 { r.0 } else { r.1 })).count();
-    hits as f64 / inst.fact.len() as f64
+/// The passing fact rows of a dimension mask, counted row by row.
+fn brute_force_count(inst: &Instance, dim: usize, bits: &BitSet) -> usize {
+    inst.fact.iter().filter(|r| bits.get(if dim == 0 { r.0 } else { r.1 })).count()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Honesty, sampled mode: a 64-row subsample of a 100–300-row fact
-    /// table, 24 random masks per dimension. The 3σ + 1/n interval covers
-    /// the truth ≥ 20/24 times per dimension — far below the interval's
-    /// actual ≥ 99% coverage, so the bound holds deterministically in
-    /// practice while staying robust to unlucky draws.
+    /// Exactness: on random instances, 24 random masks per dimension at
+    /// random densities (empty and full included) each count exactly the
+    /// fact rows a row-by-row pass admits.
     #[test]
-    fn sampled_estimates_cover_the_truth(
-        inst in instance_strategy(100..300),
+    fn pass_counts_equal_the_brute_force_count(
+        inst in instance_strategy(0..300),
         mask_seed in 0u64..u64::MAX,
     ) {
         let schema = build(&inst);
-        let config = CostConfig { sample_size: 64, ..CostConfig::default() };
-        let model = CostModel::build(&schema, &config).unwrap();
-        prop_assert!(!model.is_exact(), "a 64-row sample of ≥ 100 rows must subsample");
+        let model = CostModel::build(&schema).unwrap();
+        prop_assert_eq!(model.fact_rows(), inst.fact.len());
         let mut rng = mask_seed;
         for (dim, rows) in
             [inst.dim_a_attrs.len(), inst.dim_b_attrs.len()].into_iter().enumerate()
         {
-            let mut covered = 0usize;
             for _ in 0..24 {
                 let density = (splitmix64(&mut rng) % 101) as f64 / 100.0;
-                let mut draws = rng;
                 let bits = BitSet::from_fn(rows, |_| {
-                    (splitmix64(&mut draws) % 1000) as f64 / 1000.0 < density
+                    (splitmix64(&mut rng) % 1000) as f64 / 1000.0 < density
                 });
-                rng = draws;
-                let est = model.pass_fraction(dim, &bits);
-                prop_assert!(est.ci > 0.0, "sampled estimates must admit uncertainty");
-                if est.covers(true_fraction(&inst, dim, &bits)) {
-                    covered += 1;
-                }
+                prop_assert_eq!(
+                    model.pass_count(dim, &bits),
+                    brute_force_count(&inst, dim, &bits),
+                    "dim {} mask {:?}",
+                    dim,
+                    bits
+                );
             }
-            prop_assert!(
-                covered >= 20,
-                "dim {} interval coverage collapsed: {}/24",
-                dim,
-                covered
-            );
         }
     }
 
-    /// Honesty, exact mode: a sample covering the whole fact table reports
-    /// the true fraction with a zero-width interval on every mask.
-    #[test]
-    fn exact_mode_reports_the_truth_with_zero_ci(
-        inst in instance_strategy(1..60),
-        mask_seed in 0u64..u64::MAX,
-    ) {
-        let schema = build(&inst);
-        let config =
-            CostConfig { sample_size: inst.fact.len().max(1), ..CostConfig::default() };
-        let model = CostModel::build(&schema, &config).unwrap();
-        prop_assert!(model.is_exact());
-        let mut rng = mask_seed;
-        for (dim, rows) in
-            [inst.dim_a_attrs.len(), inst.dim_b_attrs.len()].into_iter().enumerate()
-        {
-            let mut draws = rng;
-            let bits = BitSet::from_fn(rows, |_| splitmix64(&mut draws).is_multiple_of(2));
-            rng = draws;
-            let est = model.pass_fraction(dim, &bits);
-            prop_assert_eq!(est.ci, 0.0, "exact models report certainty");
-            let truth = true_fraction(&inst, dim, &bits);
-            prop_assert!((est.fraction - truth).abs() < 1e-12);
-        }
-    }
-
-    /// Immunity: plans built from adversarially wrong estimates — forced
+    /// Immunity: plans built from adversarially wrong statistics — forced
     /// pass fractions at any value in [0, 1] and residency forced to
     /// either extreme, per dimension — answer bit-identically to the
     /// row-at-a-time reference on random snowflake queries. Wrong
-    /// estimates may only reshape the plan, never the answers.
+    /// statistics may only reshape the plan, never the answers.
     #[test]
     fn adversarial_estimates_keep_plans_bit_identical_to_reference(
         inst in instance_strategy(0..120),
@@ -237,7 +196,7 @@ proptest! {
         threads in 1usize..4,
     ) {
         let schema = build(&inst);
-        let mut model = CostModel::build(&schema, &CostConfig::default()).unwrap();
+        let mut model = CostModel::build(&schema).unwrap();
         model.force_fraction(0, forced_a);
         model.force_fraction(1, forced_b);
         let (ra, rb) = if residency_hot == 1 { (1e6, 0.0) } else { (0.0, 1e6) };
@@ -258,7 +217,7 @@ proptest! {
         }
     }
 
-    /// The default path (model on, honest estimates) is equally immune —
+    /// The default path (exact statistics) is equally immune —
     /// the production configuration of the same invariant.
     #[test]
     fn default_cost_model_plans_match_reference(
@@ -277,4 +236,30 @@ proptest! {
             prop_assert_eq!(&fused[i], &oracle, "member {} diverged", i);
         }
     }
+}
+
+/// On the SSB SF 0.01 instance, every single-predicate COUNT cut from the
+/// paper's queries reports through `explain` the exact fraction of fact
+/// rows the reference executor counts.
+#[test]
+fn explain_reports_exact_fractions_on_ssb() {
+    let schema = generate(&SsbConfig { scale: 0.01, ..SsbConfig::default() }).unwrap();
+    let queries =
+        all_queries().into_iter().chain(domain_size_queries().into_iter().map(|(_, q)| q));
+    let mut checked = 0;
+    for pred in queries.flat_map(|q| q.predicates) {
+        let single = StarQuery::count("single").with(pred);
+        let mut plan = ScanPlan::new(&schema).unwrap();
+        plan.add_query(&single).unwrap();
+        let explain = plan.describe();
+        let [filter] = explain.queries[0].filters.as_slice() else {
+            panic!("one predicate compiles to one filter: {single:?}");
+        };
+        let count = reference::execute(&schema, &single).unwrap().scalar().unwrap();
+        let rows = explain.fact_rows as f64;
+        assert_eq!(filter.estimated_fraction, count / rows, "{single:?}");
+        assert_eq!((filter.estimated_fraction * rows).round(), count, "{single:?}");
+        checked += 1;
+    }
+    assert!(checked >= 20, "only {checked} predicates checked");
 }

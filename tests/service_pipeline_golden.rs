@@ -177,7 +177,6 @@ impl Run {
 fn transcript(coalesce: bool) -> (String, String, String) {
     let config = ServiceConfig {
         seed: 2023,
-        min_pass_rows: 2,
         coalesce,
         coalesce_workers: 1,
         coalesce_window: Duration::from_micros(50),
@@ -196,7 +195,6 @@ fn transcript(coalesce: bool) -> (String, String, String) {
     run.pm("pm_free", "ann", &dead("free"));
     run.pm("pm_budget", "bob", &StarQuery::count("poor").with(Predicate::point("D", "color", 3)));
     run.pm("pm_unknown", "ann", &StarQuery::count("ghost").with(Predicate::point("Ghost", "c", 1)));
-    run.pm("pm_rare", "ann", &StarQuery::count("rare").with(Predicate::point("D", "color", 1)));
     run.batch("batch_mixed", "ann", &mixed_batch("b"), EPS);
     run.batch("batch_replay", "ann", &mixed_batch("r"), EPS);
     run.batch("batch_free", "ann", &[dead("f0"), dead_scalar("f1")], EPS);
@@ -207,9 +205,7 @@ fn transcript(coalesce: bool) -> (String, String, String) {
     let common = StarQuery::count("x").with(Predicate::point("D", "color", 3));
     run.batch("batch_refused", "bob", &[common.clone(), dead("y")], EPS);
     let ghost = StarQuery::count("ghost").with(Predicate::point("Ghost", "c", 1));
-    run.batch("batch_unknown", "ann", &[common.clone(), ghost], EPS);
-    let rare = StarQuery::count("rare").with(Predicate::point("D", "color", 1));
-    run.batch("batch_rare", "ann", &[common, rare], EPS);
+    run.batch("batch_unknown", "ann", &[common, ghost], EPS);
     let w = workload(vec![
         vec![Constraint::Point(2), Constraint::Range { lo: 0, hi: 1 }],
         vec![Constraint::Range { lo: 0, hi: 3 }, Constraint::Point(2)],
@@ -276,7 +272,6 @@ pm_variant: variant cached=true cost=- result=4010000000000000 noisy=SELECT coun
 pm_free: free cached=false cost=- result={} noisy=-
 pm_budget: refused BudgetExhausted { tenant: "bob", requested_epsilon: 0.5, remaining_epsilon: 0.25 }
 pm_unknown: refused InvalidQuery(UnknownTable("Ghost"))
-pm_rare: refused BelowMinFrequency { table: "D", attr: "color", estimated_rows: 1.0, floor: 2 }
 batch_mixed: cached=false cost=3fe0000000000000
   b0 cached=false cost=- result={[0]=4026000000000000,[1]=4014000000000000,[2]=4032000000000000} noisy=SELECT sum(F.qty), S.size FROM F, D, S WHERE F.fd = D.pk AND F.fs = S.pk AND D.color BETWEEN 1 AND 2 GROUP BY S.size;
   b1 cached=false cost=- result={} noisy=-
@@ -294,9 +289,8 @@ batch_empty_bad_eps: refused InvalidBudget(InvalidEpsilon(-1.0))
 batch_empty_bad_eps: refused InvalidBudget(InvalidEpsilon(NaN))
 batch_refused: refused BudgetExhausted { tenant: "bob", requested_epsilon: 0.5, remaining_epsilon: 0.25 }
 batch_unknown: refused InvalidQuery(UnknownTable("Ghost"))
-batch_rare: refused BelowMinFrequency { table: "D", attr: "color", estimated_rows: 1.0, floor: 2 }
-wd_fresh: cached=false cost=3fe0000000000000 answers=[400430c30c30c30d,4004924924924923]
-wd_replay: cached=true cost=- answers=[400430c30c30c30d,4004924924924923]
+wd_fresh: cached=false cost=3fe0000000000000 answers=[3ffb6db6db6db6db,40036db6db6db6da]
+wd_replay: cached=true cost=- answers=[3ffb6db6db6db6db,40036db6db6db6da]
 wd_same_axes: cached=false cost=3fe0000000000000 answers=[4007fffffffffffe]
 cache: answers=4 histograms=1
 refresh: version=1
@@ -347,7 +341,7 @@ const METRICS_DIRECT: &str = r#"queries_served=10
 cache_hits=3
 free_answers=4
 budget_refusals=2
-admission_rejections=7
+admission_rejections=5
 mechanism_failures=0
 fused_scans=1
 fused_queries_saved=4
@@ -364,7 +358,7 @@ const METRICS_COALESCED: &str = r#"queries_served=10
 cache_hits=3
 free_answers=4
 budget_refusals=2
-admission_rejections=7
+admission_rejections=5
 mechanism_failures=0
 fused_scans=1
 fused_queries_saved=4
