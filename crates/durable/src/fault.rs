@@ -11,13 +11,14 @@
 //!
 //! Sites instrumented today:
 //!
-//! | site              | seam                                                |
-//! |-------------------|-----------------------------------------------------|
-//! | `wal.open`        | opening/creating the journal directory and segments |
-//! | `wal.write`       | appending one record frame                          |
-//! | `wal.sync`        | the group-commit fsync                              |
-//! | `wal.rotate`      | sealing a segment and opening its successor         |
-//! | `coalesce.drain`  | the coalescer worker's batch drain (panic testing)  |
+//! | site               | seam                                                |
+//! |--------------------|-----------------------------------------------------|
+//! | `wal.open`         | opening/creating the journal directory and segments |
+//! | `wal.write`        | appending one record frame                          |
+//! | `wal.sync`         | the group-commit fsync                              |
+//! | `wal.rotate`       | sealing a segment and opening its successor         |
+//! | `coalesce.enqueue` | parking one job in the coalescer queue (holds)      |
+//! | `coalesce.drain`   | the coalescer worker's batch drain (panic testing)  |
 
 use starj_noise::rng::splitmix64;
 use std::collections::HashMap;
@@ -41,6 +42,13 @@ pub enum FaultKind {
     },
     /// The instrumented site panics (worker-containment testing).
     Panic,
+    /// The coalescer drains nothing until its queue holds this many jobs
+    /// (shutdown always releases the hold): tests keep work parked across
+    /// an event without a long timing window.
+    Hold {
+        /// Queue depth that releases the hold.
+        depth: usize,
+    },
 }
 
 #[derive(Debug, Clone)]
@@ -154,6 +162,14 @@ mod tests {
             [13679457532755275413, 2949826092126892291, 5139283748462763858, 6349198060258255764]
         );
         assert_ne!(draws(42), draws(43));
+    }
+
+    #[test]
+    fn trip_returns_hold_without_panicking() {
+        let plan = FaultPlan::new(0).fail_at("coalesce.enqueue", 1, FaultKind::Hold { depth: 3 });
+        assert_eq!(plan.trip("coalesce.enqueue"), None);
+        assert_eq!(plan.trip("coalesce.enqueue"), Some(FaultKind::Hold { depth: 3 }));
+        assert_eq!(plan.hits("coalesce.enqueue"), 2);
     }
 
     #[test]

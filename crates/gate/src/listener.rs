@@ -77,10 +77,11 @@ pub struct GateConfig {
     /// `(token, tenant)` pairs: the token a client presents and the
     /// tenant id its requests are billed to.
     pub tokens: Vec<(String, String)>,
-    /// Tokens allowed to call the `metrics` verb. The exposition covers
-    /// **every** tenant (identities, ε/δ spends, query hashes, timing),
-    /// so a plain tenant token must not read it — tenant tokens get a
-    /// `forbidden` refusal. Empty (the default) disables the verb.
+    /// Tokens allowed to call the admin verbs: `metrics`, `subscribe` and
+    /// `explain`. Their output covers **every** tenant (identities, ε/δ
+    /// spends, query hashes, timing, plans), so a plain tenant token must
+    /// not read it — tenant tokens get a `forbidden` refusal. Empty (the
+    /// default) refuses all three verbs to every token.
     pub admin_tokens: Vec<String>,
     /// Maximum queued (not yet answered) requests per connection before
     /// the reader stops pulling frames. Clamped to ≥ 1.

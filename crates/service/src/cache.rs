@@ -94,8 +94,9 @@ impl RequestKey {
     }
 }
 
-/// Default [`AnswerCache`] capacity (entries).
-pub const DEFAULT_CACHE_CAPACITY: usize = 65_536;
+/// The service's [`AnswerCache`] capacity (entries): ≈ 5 MB of scalar PM
+/// answers (see the module doc).
+pub(crate) const DEFAULT_CACHE_CAPACITY: usize = 65_536;
 
 /// Bytes per log segment. Entries never straddle segments; one longer
 /// than a segment gets a segment of its own.

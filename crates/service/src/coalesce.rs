@@ -1,20 +1,19 @@
 //! The group-commit scan coalescer: a queued front door that fuses
 //! concurrent single-query traffic into shared fact scans.
 //!
-//! PR 2 gave the engine fused multi-query scans, but only *explicit*
-//! batches used them — N tenants concurrently asking one question each
-//! still paid N scans. The coalescer closes that gap with the group-commit
-//! idiom (as in write-ahead logging): single PM and WD submits park in a
-//! bounded queue, and a small worker pool drains it — after
-//! [`crate::ServiceConfig::coalesce_window`] elapses or
-//! [`crate::ServiceConfig::max_batch`] requests pile up — partitions the
-//! drained requests by compatibility, and answers each partition through
-//! **one** fused scan, waking every caller with its own answer. With
-//! [`crate::ServiceConfig::coalesce_window_max`] set, the hold window is
-//! *adaptive*: EWMAs over arrival gaps and observed queue depth collapse
-//! it to zero when traffic is too sparse or too serial to coalesce (idle
-//! and single-client requests stop paying the window tax) and stretch it —
-//! up to the bound — under genuinely concurrent burst.
+//! An explicit batch shares one fact scan, but N tenants concurrently
+//! asking one question each would pay N scans. The coalescer closes that
+//! gap with the group-commit idiom (as in write-ahead logging): single PM
+//! and WD submits park in a bounded queue, and a small worker pool drains
+//! it — after the hold window elapses or 64 requests pile up —
+//! partitions the drained requests by compatibility, and answers each
+//! partition through **one** fused scan, waking every caller with its own
+//! answer. The window is *adaptive*: EWMAs over arrival gaps and queue
+//! depth collapse it to zero when traffic is too sparse or too serial to
+//! coalesce (idle and single-client requests stop paying the window tax)
+//! and stretch it — up to [`crate::ServiceConfig::coalesce_window_max`] —
+//! under genuinely concurrent burst. The queue's sizes and the worker
+//! count are constants: batching never changes an answer or a ledger.
 //!
 //! # Why coalescing is invisible to DP semantics
 //!
@@ -60,6 +59,7 @@
 use crate::error::ServiceError;
 use crate::metrics::ServiceMetrics;
 use crate::service::{Answer, ServiceCore, Work};
+use starj_durable::FaultKind;
 use starj_telemetry::{cost_counters, CostCounters, Stage};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
@@ -204,9 +204,8 @@ impl<T> Submitted<T> {
 ///   rotation cursor persists across drains, so under contention every
 ///   tenant's head-of-line job is at most one rotation from service;
 /// * **per-tenant cap** — enqueue blocks a tenant whose own lane is at
-///   [`crate::ServiceConfig::coalesce_tenant_queue`], while other tenants
-///   keep enqueueing freely; the flooder backpressures itself instead of
-///   the fleet.
+///   [`TENANT_LANE_CAP`], while other tenants keep enqueueing freely; the
+///   flooder backpressures itself instead of the fleet.
 ///
 /// Reordering jobs across tenants is invisible to DP semantics: everything
 /// privacy-relevant (RNG by arrival index, perturbation, reservation)
@@ -270,6 +269,22 @@ impl FairQueue {
 
 // ---- the queue and worker pool --------------------------------------------
 
+/// Coalescer worker threads.
+const WORKERS: usize = 2;
+
+/// The largest drain (and fused batch); a queue this deep ends a hold early.
+const MAX_BATCH: usize = 64;
+
+/// Jobs parked across all tenants; submitters block while it is full.
+const QUEUE_CAP: usize = 4096;
+
+/// Jobs one tenant may park; a tenant at its cap blocks only itself.
+pub const TENANT_LANE_CAP: usize = 256;
+
+/// Arrival gap at or above which the adaptive window stays collapsed, and
+/// a cold coalescer's window (both bounded by `coalesce_window_max`).
+const IDLE_GAP: Duration = Duration::from_micros(200);
+
 /// EWMA smoothing factor for the arrival-gap estimate: each new gap
 /// contributes 20%, so the estimate settles within a handful of arrivals
 /// without chasing every jittery gap.
@@ -303,34 +318,33 @@ struct QueueState {
     /// EWMA of the queue depth observed at each enqueue (including the
     /// arriving job) — the concurrency signal gating [`DEPTH_OPEN`].
     ewma_depth: f64,
-    /// The current adaptive group-commit window. Only consulted when
-    /// [`Shared::window_max`] is non-zero; otherwise the fixed
-    /// [`Shared::window`] applies unchanged.
+    /// The current adaptive group-commit window.
     window: Duration,
+    /// Set by a [`FaultKind::Hold`] at the `coalesce.enqueue` site: no
+    /// worker drains until the queue holds this many jobs (or shutdown).
+    hold: Option<usize>,
 }
 
 impl QueueState {
     /// Folds one arrival (its gap and the queue depth it observed) into
-    /// the EWMAs and re-derives the effective window (adaptive mode only;
-    /// called under the queue mutex).
+    /// the EWMAs and re-derives the effective window (under the queue lock).
     ///
-    /// The decision rule: a drain stays open only while *both* signals say
-    /// fusing can pay — arrivals tight enough that the fixed window would
-    /// capture a second request (EWMA gap below it), **and** genuinely
-    /// concurrent traffic (EWMA depth at or above [`DEPTH_OPEN`]; a lone
-    /// client always measures depth 1 and never earns a hold). Otherwise
-    /// the window collapses to zero and idle requests stop paying the
-    /// window tax. When it opens, it stretches to [`WINDOW_STRETCH`]
-    /// expected gaps, bounded by `max`, so bursts fill fused batches.
-    /// Window choice only regroups batches — answers and ledgers are
-    /// batch-invariant — so this never touches DP semantics.
-    fn note_arrival(&mut self, now: Instant, depth: usize, fixed: Duration, max: Duration) {
+    /// A drain stays open only while *both* signals say fusing can pay:
+    /// arrivals tight enough that a hold of [`IDLE_GAP`] would capture a
+    /// second request (EWMA gap below it), **and** genuinely concurrent
+    /// traffic (EWMA depth at or above [`DEPTH_OPEN`]; a lone client always
+    /// measures depth 1 and never earns a hold). Otherwise the window
+    /// collapses to zero and idle requests stop paying the window tax. When
+    /// it opens, it stretches to [`WINDOW_STRETCH`] expected gaps, bounded
+    /// by `max` (zero never holds), so bursts fill fused batches. Window
+    /// choice only regroups batches, so it never touches DP semantics.
+    fn note_arrival(&mut self, now: Instant, depth: usize, max: Duration) {
         let depth = depth.max(1) as f64;
+        let threshold = IDLE_GAP.min(max);
         let Some(prev) = self.last_arrival.replace(now) else {
-            // First arrival: no gap signal yet — start from the fixed
-            // window so a cold coalescer behaves exactly like before.
+            // First arrival: no gap signal yet.
             self.ewma_depth = depth;
-            self.window = fixed.min(max);
+            self.window = threshold;
             return;
         };
         let gap = now.saturating_duration_since(prev).as_nanos() as f64;
@@ -340,18 +354,23 @@ impl QueueState {
             (1.0 - EWMA_ALPHA) * self.ewma_gap_ns + EWMA_ALPHA * gap
         };
         self.ewma_depth = (1.0 - EWMA_ALPHA) * self.ewma_depth + EWMA_ALPHA * depth;
-        // Idle threshold: the fixed window when set, else the adaptive cap.
-        let threshold = if fixed.is_zero() { max } else { fixed.min(max) };
-        let threshold_ns = threshold.as_nanos() as f64;
-        let next = if self.ewma_gap_ns >= threshold_ns || self.ewma_depth < DEPTH_OPEN {
-            Duration::ZERO
-        } else {
-            Duration::from_nanos((self.ewma_gap_ns * WINDOW_STRETCH) as u64).min(max)
-        };
+        let next =
+            if self.ewma_gap_ns >= threshold.as_nanos() as f64 || self.ewma_depth < DEPTH_OPEN {
+                Duration::ZERO
+            } else {
+                Duration::from_nanos((self.ewma_gap_ns * WINDOW_STRETCH) as u64).min(max)
+            };
         if next != self.window {
             self.window = next;
             CostCounters::add(&cost_counters().window_adjustments, 1);
         }
+    }
+
+    /// True iff a worker may drain now: there is work, and no hold is
+    /// waiting for more of it (shutdown releases any hold).
+    fn drainable(&self) -> bool {
+        !self.queue.is_empty()
+            && (self.shutdown || self.hold.is_none_or(|depth| self.queue.len() >= depth))
     }
 }
 
@@ -362,15 +381,6 @@ struct Shared {
     arrived: Condvar,
     /// Submitters wait here for queue space (bounded queue backpressure).
     drained: Condvar,
-    window: Duration,
-    /// Non-zero turns the adaptive window on (see
-    /// [`crate::ServiceConfig::coalesce_window_max`]); zero keeps the
-    /// fixed `window` behavior.
-    window_max: Duration,
-    max_batch: usize,
-    capacity: usize,
-    /// Per-tenant lane capacity; a tenant at its cap blocks only itself.
-    tenant_capacity: usize,
 }
 
 /// The queue plus its worker pool. Owned by [`crate::Service`]; dropping it
@@ -378,24 +388,19 @@ struct Shared {
 /// ever left waiting on an unfilled slot.
 #[derive(Debug)]
 pub(crate) struct Coalescer {
+    core: Arc<ServiceCore>,
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl Coalescer {
     pub(crate) fn start(core: Arc<ServiceCore>) -> Self {
-        let config = &core.config;
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState::default()),
             arrived: Condvar::new(),
             drained: Condvar::new(),
-            window: config.coalesce_window,
-            window_max: config.coalesce_window_max,
-            max_batch: config.max_batch.max(1),
-            capacity: config.coalesce_queue.max(1),
-            tenant_capacity: config.coalesce_tenant_queue.max(1),
         });
-        let workers = (0..config.coalesce_workers.max(1))
+        let workers = (0..WORKERS)
             .map(|i| {
                 let core = Arc::clone(&core);
                 let shared = Arc::clone(&shared);
@@ -405,7 +410,7 @@ impl Coalescer {
                     .expect("spawn coalescer worker")
             })
             .collect();
-        Coalescer { shared, workers }
+        Coalescer { core, shared, workers }
     }
 
     /// Parks a job, blocking while the bounded queue is full — globally, or
@@ -413,17 +418,22 @@ impl Coalescer {
     /// flooding tenant without blocking anyone else's submits).
     pub(crate) fn enqueue(&self, job: Job) {
         let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        while (state.queue.len() >= self.shared.capacity
-            || state.queue.tenant_len(&job.work.tenant) >= self.shared.tenant_capacity)
+        while (state.queue.len() >= QUEUE_CAP
+            || state.queue.tenant_len(&job.work.tenant) >= TENANT_LANE_CAP)
             && !state.shutdown
         {
             state = self.shared.drained.wait(state).unwrap_or_else(|e| e.into_inner());
         }
-        state.queue.push(job);
-        if !self.shared.window_max.is_zero() {
-            let depth = state.queue.len();
-            state.note_arrival(Instant::now(), depth, self.shared.window, self.shared.window_max);
+        // Fault seam: a Hold keeps jobs parked until the queue is that deep.
+        let config = &self.core.config;
+        if let Some(plan) = &config.fault {
+            if let Some(FaultKind::Hold { depth }) = plan.trip("coalesce.enqueue") {
+                state.hold = Some(depth);
+            }
         }
+        state.queue.push(job);
+        let depth = state.queue.len();
+        state.note_arrival(Instant::now(), depth, config.coalesce_window_max);
         drop(state);
         self.shared.arrived.notify_all();
     }
@@ -440,48 +450,37 @@ impl Drop for Coalescer {
     }
 }
 
-/// One worker: wait for arrivals, give the group-commit window a chance to
-/// fill the batch, drain up to `max_batch`, answer, repeat. The drain loop
-/// re-checks queue state after every wakeup, so a request arriving during a
-/// drain (or a spurious wakeup) can never be lost — degenerate
-/// `window = 0` / `max_batch = 1` configs reduce to a plain work queue.
+/// One worker: wait for drainable work, give the group-commit window a
+/// chance to fill the batch, drain up to [`MAX_BATCH`], answer, repeat.
+/// Queue state is re-checked after every wakeup and after the window, so
+/// no arrival is lost and an emptied or re-held queue is never drained.
 fn worker_loop(core: &Arc<ServiceCore>, shared: &Arc<Shared>) {
     loop {
         let batch: Vec<Job> = {
             let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                if !state.queue.is_empty() {
+                while !state.drainable() {
+                    if state.shutdown {
+                        return;
+                    }
+                    state = shared.arrived.wait(state).unwrap_or_else(|e| e.into_inner());
+                }
+                // Hold the drain for the window the arrival stream has
+                // earned so far (re-read each drain, so a traffic shift
+                // takes effect on the very next batch) so concurrent
+                // traffic can pile into one fused scan.
+                let window = state.window;
+                if !window.is_zero() {
+                    let fill = |s: &mut QueueState| s.queue.len() < MAX_BATCH && !s.shutdown;
+                    let waited = shared.arrived.wait_timeout_while(state, window, fill);
+                    state = waited.unwrap_or_else(|e| e.into_inner()).0;
+                }
+                if state.drainable() {
                     break;
                 }
-                if state.shutdown {
-                    return;
-                }
-                state = shared.arrived.wait(state).unwrap_or_else(|e| e.into_inner());
             }
-            // Fixed window by default; with adaptation on, the window the
-            // arrival stream has earned so far (re-read each drain, so a
-            // traffic shift takes effect on the very next batch).
-            let window = if shared.window_max.is_zero() { shared.window } else { state.window };
-            if !window.is_zero() {
-                // Group-commit window: hold the drain briefly so concurrent
-                // traffic can pile into one fused scan.
-                let deadline = Instant::now() + window;
-                while state.queue.len() < shared.max_batch && !state.shutdown {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (guard, timeout) = shared
-                        .arrived
-                        .wait_timeout(state, deadline - now)
-                        .unwrap_or_else(|e| e.into_inner());
-                    state = guard;
-                    if timeout.timed_out() {
-                        break;
-                    }
-                }
-            }
-            state.queue.drain_round_robin(shared.max_batch)
+            state.hold = None;
+            state.queue.drain_round_robin(MAX_BATCH)
         };
         shared.drained.notify_all();
         // A panic while answering must not kill the worker: the batch's
@@ -628,32 +627,31 @@ mod tests {
 
     #[test]
     fn adaptive_window_collapses_when_idle_and_stretches_under_burst() {
-        let fixed = Duration::from_micros(200);
         let max = Duration::from_millis(2);
         let before = cost_counters().snapshot();
         let mut s = QueueState::default();
         let t0 = Instant::now();
-        s.note_arrival(t0, 1, fixed, max);
-        assert_eq!(s.window, fixed, "cold start behaves exactly like the fixed window");
+        s.note_arrival(t0, 1, max);
+        assert_eq!(s.window, IDLE_GAP, "a cold coalescer starts from the idle threshold");
         // Sparse arrivals (1 ms apart, well past the 200 µs threshold):
         // holding a drain open can never capture a second request, so the
         // window collapses to zero.
         let mut t = t0;
         for _ in 0..4 {
             t += Duration::from_millis(1);
-            s.note_arrival(t, 1, fixed, max);
+            s.note_arrival(t, 1, max);
         }
         assert_eq!(s.window, Duration::ZERO, "idle traffic must not pay the window tax");
         // A concurrent burst (10 µs gaps, 4 jobs deep at each enqueue)
         // re-opens the window, stretched to a few expected gaps — smaller
-        // than the fixed window because the burst itself is that tight.
+        // than the cold-start window because the burst itself is that tight.
         for _ in 0..64 {
             t += Duration::from_micros(10);
-            s.note_arrival(t, 4, fixed, max);
+            s.note_arrival(t, 4, max);
         }
         assert!(!s.window.is_zero(), "concurrent burst traffic re-opens the window");
         assert!(s.window <= max, "the configured bound always holds");
-        assert!(s.window < fixed, "the window tracks the burst's own gap scale");
+        assert!(s.window < IDLE_GAP, "the window tracks the burst's own gap scale");
         let delta = cost_counters().snapshot().since(&before);
         assert!(delta.window_adjustments >= 2, "collapse and re-open each count");
     }
@@ -665,35 +663,35 @@ mod tests {
         // depth gate must keep the window collapsed, or the client cycles
         // window-open (latency grows) → gaps widen → window-closed →
         // latency shrinks → re-open, forever.
-        let fixed = Duration::from_micros(200);
         let max = Duration::from_millis(2);
         let mut s = QueueState::default();
         let mut t = Instant::now();
-        s.note_arrival(t, 1, fixed, max);
+        s.note_arrival(t, 1, max);
         for _ in 0..128 {
             t += Duration::from_micros(10);
-            s.note_arrival(t, 1, fixed, max);
+            s.note_arrival(t, 1, max);
         }
         assert_eq!(s.window, Duration::ZERO, "depth 1 means fusing gains nothing");
     }
 
     #[test]
     fn adaptive_window_is_capped_by_the_configured_bound() {
-        let fixed = Duration::from_millis(1);
-        let max = Duration::from_micros(500);
-        let mut s = QueueState::default();
-        let t0 = Instant::now();
-        s.note_arrival(t0, 1, fixed, max);
-        assert_eq!(s.window, max, "even the cold-start window respects the cap");
-        // 60 µs gaps, 3 deep → stretched window 480 µs, inside the cap; a
-        // denser stream would want more but can never exceed it.
-        let mut t = t0;
-        for _ in 0..64 {
-            t += Duration::from_micros(60);
-            s.note_arrival(t, 3, fixed, max);
-        }
-        assert!(!s.window.is_zero());
-        assert!(s.window <= max);
+        let burst = |max: Duration| {
+            let mut s = QueueState::default();
+            let mut t = Instant::now();
+            s.note_arrival(t, 1, max);
+            let cold = s.window;
+            // 60 µs gaps, 3 deep: the stretched window (480 µs) is past
+            // any bound below it.
+            for _ in 0..64 {
+                t += Duration::from_micros(60);
+                s.note_arrival(t, 3, max);
+            }
+            (cold, s.window)
+        };
+        let max = Duration::from_micros(150);
+        assert_eq!(burst(max), (max, max), "cold start and burst both respect the cap");
+        assert_eq!(burst(Duration::ZERO), (Duration::ZERO, Duration::ZERO), "zero never holds");
     }
 
     #[test]

@@ -101,7 +101,7 @@ pub mod wcache;
 
 pub use accountant::{BudgetAccountant, Reservation, SettlementCtx, TenantUsage};
 pub use cache::{AnswerCache, Mechanism, RequestKey};
-pub use coalesce::{Pending, Submitted};
+pub use coalesce::{Pending, Submitted, TENANT_LANE_CAP};
 pub use durable::{DurableConfig, DurableState, DurableStatus, ReplaySummary};
 pub use error::ServiceError;
 pub use explain::{ExplainProfile, ExplainReport};

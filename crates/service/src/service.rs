@@ -84,56 +84,24 @@ pub struct ServiceConfig {
     pub seed: u64,
     /// Set false to disable answer replay (every request pays).
     pub cache_answers: bool,
-    /// Maximum cached answers before FIFO eviction. Bounds the cache's
-    /// memory at ≈ 80 B per scalar PM answer (more for batches, grouped
-    /// results and set constraints), so the default 65 536 entries hold
-    /// ≈ 5 MB.
-    pub cache_capacity: usize,
     /// Route `pm_answer` / `wd_answer` through the group-commit coalescer
     /// ([`crate::coalesce`]): concurrent single-query traffic parks in a
     /// queue and shares fused fact scans. Off by default — the direct path
-    /// answers on the caller's thread.
+    /// answers on the caller's thread. Kept as a field because the
+    /// benchmark's shard configuration names it.
     pub coalesce: bool,
-    /// How long a coalescer worker holds a drain open for more traffic to
-    /// pile in. Zero drains immediately (batching still happens naturally
-    /// while workers are busy scanning, exactly like WAL group commit).
-    /// With [`ServiceConfig::coalesce_window_max`] non-zero this is only
-    /// the *starting* window — the coalescer adapts it to the observed
-    /// arrival rate from there.
-    pub coalesce_window: Duration,
-    /// Upper bound for the *adaptive* group-commit window. Zero (the
-    /// default) keeps the fixed [`ServiceConfig::coalesce_window`]
-    /// behavior. Non-zero turns adaptation on: the coalescer tracks an
-    /// EWMA of request arrival gaps and derives the effective window from
-    /// it — collapsing to zero when traffic is too sparse for a hold to
-    /// ever capture a second request (idle single-client latency stops
-    /// paying the window tax), and stretching up to this bound under burst
-    /// so fused batches fill. Window choice only changes how requests
-    /// group into batches; answers, ledgers, and RNG draws are
-    /// batch-composition-invariant, so adaptation is privacy-free.
+    /// Upper bound for the coalescer's adaptive group-commit window,
+    /// default 1 ms. The window collapses to zero when traffic is too sparse
+    /// or too serial for a hold to capture a second request, and stretches
+    /// up to this bound under burst so fused batches fill
+    /// ([`crate::coalesce`]); zero never holds a drain open. Batching never
+    /// changes an answer, a ledger or an RNG draw, so the window is
+    /// privacy-free. Kept as a field because the benchmark's shard
+    /// configuration names it.
     pub coalesce_window_max: Duration,
-    /// Drain at this queue depth even before the window elapses (clamped
-    /// to ≥ 1). Also the largest possible fused batch.
-    pub max_batch: usize,
-    /// Coalescer worker threads (clamped to ≥ 1).
-    pub coalesce_workers: usize,
-    /// Bounded coalescer queue capacity; submitters block (backpressure)
-    /// while it is full.
-    pub coalesce_queue: usize,
-    /// Per-tenant coalescer lane capacity (clamped to ≥ 1): one tenant may
-    /// hold at most this many parked jobs, so a flooding tenant
-    /// backpressures itself while everyone else keeps submitting. Drains
-    /// are round-robin across tenants, so a capped backlog also cannot
-    /// starve another tenant's head-of-line request.
-    pub coalesce_tenant_queue: usize,
-    /// Maximum cached W histograms — the joint attribute-code histograms
-    /// that answer workload requests and covered PM members
-    /// ([`crate::wcache`]) — before FIFO eviction.
-    pub w_cache_capacity: usize,
     /// Observability: span-ring / audit-trail / slow-query-log capacities
     /// and the slow-query latency threshold. The defaults keep everything
-    /// on; [`TelemetryConfig::disabled`] turns every component off (the
-    /// tracing-off arm of the coalesce bench's A/B).
+    /// on; [`TelemetryConfig::disabled`] turns every component off.
     pub telemetry: TelemetryConfig,
     /// Crash-safe budget accounting: when set, every reserve / commit /
     /// refund / refusal is journaled to an fsync'd WAL in this directory
@@ -143,8 +111,8 @@ pub struct ServiceConfig {
     /// with a journal must be built with the fallible [`Service::open`].
     pub durable: Option<DurableConfig>,
     /// Deterministic fault injection for tests and failure drills: seams
-    /// in the journal (`wal.*`) and the coalescer (`coalesce.drain`)
-    /// consult this plan. `None` (the default) in production.
+    /// in the journal (`wal.*`) and the coalescer (`coalesce.enqueue`,
+    /// `coalesce.drain`) consult this plan. `None` (the default) in production.
     pub fault: Option<Arc<FaultPlan>>,
 }
 
@@ -155,15 +123,8 @@ impl Default for ServiceConfig {
             wd: WdConfig { accounting: WdAccounting::StrictComposition, ..WdConfig::default() },
             seed: 2023,
             cache_answers: true,
-            cache_capacity: crate::cache::DEFAULT_CACHE_CAPACITY,
             coalesce: false,
-            coalesce_window: Duration::from_micros(200),
-            coalesce_window_max: Duration::ZERO,
-            max_batch: 64,
-            coalesce_workers: 2,
-            coalesce_queue: 4096,
-            coalesce_tenant_queue: 256,
-            w_cache_capacity: crate::wcache::DEFAULT_W_CACHE_CAPACITY,
+            coalesce_window_max: Duration::from_millis(1),
             telemetry: TelemetryConfig::default(),
             durable: None,
             fault: None,
@@ -455,8 +416,8 @@ impl Service {
                 Some((Arc::new(DurableState::new(wal, &recovery)), recovery))
             }
         };
-        let cache = AnswerCache::with_capacity(config.cache_capacity);
-        let wcache = WeightHistogramCache::with_capacity(config.w_cache_capacity);
+        let cache = AnswerCache::with_capacity(crate::cache::DEFAULT_CACHE_CAPACITY);
+        let wcache = WeightHistogramCache::default();
         let telemetry = Telemetry::new(&config.telemetry);
         let accountant = BudgetAccountant::new();
         let durable = match durable {
@@ -1333,12 +1294,7 @@ mod tests {
 
     #[test]
     fn coalesced_submit_parks_paid_requests_and_answers_free_ones_inline() {
-        let config = ServiceConfig {
-            coalesce: true,
-            coalesce_window: Duration::from_micros(100),
-            coalesce_workers: 1,
-            ..ServiceConfig::default()
-        };
+        let config = ServiceConfig { coalesce: true, ..ServiceConfig::default() };
         let service = Service::new(toy_schema(), config);
         service.register_tenant("t", starj_noise::PrivacyBudget::pure(10.0).unwrap()).unwrap();
 
@@ -1367,6 +1323,34 @@ mod tests {
         let m = service.metrics();
         assert_eq!(m.coalesced_requests, 1, "only the paid fresh request parked");
         assert!((service.tenant_usage("t").unwrap().spent_epsilon - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn dropping_a_held_service_wakes_every_parked_caller() {
+        // The queue would hold its jobs until a fourth parks; shutdown
+        // must release them instead.
+        let hold = starj_durable::FaultKind::Hold { depth: 4 };
+        let plan = FaultPlan::new(0).fail_at("coalesce.enqueue", 0, hold);
+        let config =
+            ServiceConfig { coalesce: true, fault: Some(Arc::new(plan)), ..Default::default() };
+        let service = Service::new(toy_schema(), config);
+        service.register_tenant("t", PrivacyBudget::pure(10.0).unwrap()).unwrap();
+        let parked: Vec<_> = (0..3u32)
+            .map(|c| {
+                let q = StarQuery::count(format!("h{c}")).with(Predicate::point("D", "color", c));
+                match service.submit("t", Request::Pm(&q), 0.5).unwrap() {
+                    Submitted::Queued(pending) => pending,
+                    Submitted::Ready(_) => panic!("a fresh paid request parks"),
+                }
+            })
+            .collect();
+        let Service { core, coalescer } = service;
+        drop(coalescer);
+        for pending in parked {
+            assert!(pending.ready_within(Duration::ZERO), "shutdown left a caller parked");
+            assert!(pending.wait().is_ok());
+        }
+        assert_eq!(core.accountant.usage("t").unwrap().in_flight_epsilon, 0.0);
     }
 
     #[test]

@@ -119,13 +119,13 @@ pub struct WKey {
     pub version: u64,
 }
 
-/// Default [`WeightHistogramCache`] capacity (entries). Stored histograms
-/// are bounded by [`DENSE_GROUP_CAP`] (`2^16` cells of at most 8 bytes,
-/// 512 KiB; one to four bytes a cell in practice), so the default bounds
-/// worst-case retention at ~16 MiB. The transient `W` one evaluation may
+/// The service's [`WeightHistogramCache`] capacity (entries). Stored
+/// histograms are bounded by [`DENSE_GROUP_CAP`] (`2^16` cells of at most
+/// 8 bytes, 512 KiB; one to four bytes a cell in practice), so the cap
+/// bounds worst-case retention at ~16 MiB. The transient `W` one evaluation may
 /// build on top is bounded by [`starj_engine::W_SPACE_CEILING`] instead,
 /// and is never stored.
-pub const DEFAULT_W_CACHE_CAPACITY: usize = 32;
+pub(crate) const DEFAULT_W_CACHE_CAPACITY: usize = 32;
 
 #[derive(Debug, Default)]
 struct Inner {

@@ -81,8 +81,8 @@ pub struct CostCounters {
     /// Private filters answered by AND-refining a subsuming shared mask
     /// instead of a standalone gather pass.
     pub subsumption_merges: AtomicU64,
-    /// Coalescer drain rounds whose adaptive window differed from the
-    /// configured fixed window (shrunk when idle, stretched under burst).
+    /// Coalescer arrivals that changed its adaptive window (collapsed when
+    /// idle, stretched under burst).
     pub window_adjustments: AtomicU64,
 }
 

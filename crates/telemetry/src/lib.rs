@@ -107,8 +107,7 @@ impl Default for TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// A configuration with every component disabled (the tracing-off arm
-    /// of the bench A/B).
+    /// A configuration with every component disabled.
     pub fn disabled() -> Self {
         TelemetryConfig {
             trace_capacity: 0,

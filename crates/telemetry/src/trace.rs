@@ -11,7 +11,7 @@
 //! [`SpanRing::record`] claims a slot with one `fetch_add` and publishes
 //! the record behind a per-slot seqlock version, all relaxed/release
 //! atomics, no locks. Disabled tracing (`capacity 0`) skips even the
-//! clock reads, which is what the coalesce bench's tracing A/B measures.
+//! clock reads.
 //!
 //! # The stage vocabulary
 //!

@@ -14,13 +14,11 @@ use dp_starj_repro::noise::PrivacyBudget;
 use dp_starj_repro::service::{Service, ServiceConfig};
 use dp_starj_repro::ssb::{generate, SsbConfig};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn main() {
     let schema = Arc::new(generate(&SsbConfig::at_scale(0.01, 7)).expect("SSB generation"));
     let config = ServiceConfig {
         coalesce: true,
-        coalesce_window: Duration::from_micros(300),
         cache_answers: false, // make every request pay, so fusion is visible
         ..ServiceConfig::default()
     };

@@ -34,7 +34,6 @@ use dp_starj_repro::telemetry::{Json, TenantTotals};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn schema() -> Arc<StarSchema> {
     let domain = Domain::numeric("c", 4).unwrap();
@@ -384,12 +383,7 @@ fn gate_refuses_degraded_spends_with_a_stable_wire_code() {
 fn coalescer_worker_panic_is_contained_refunded_and_survivable() {
     // Arm a panic on the first batch drain only.
     let plan = Arc::new(FaultPlan::new(13).fail_at("coalesce.drain", 0, FaultKind::Panic));
-    let config = ServiceConfig {
-        coalesce: true,
-        coalesce_window: Duration::from_micros(50),
-        fault: Some(plan),
-        ..ServiceConfig::default()
-    };
+    let config = ServiceConfig { coalesce: true, fault: Some(plan), ..ServiceConfig::default() };
     let service = Service::new(schema(), config);
     service.register_tenant("alice", PrivacyBudget::pure(4.0).unwrap()).unwrap();
 

@@ -16,6 +16,7 @@
 //!   codes, and the `metrics` verb serves the router's Prometheus
 //!   exposition and audit JSONL.
 
+use dp_starj_repro::durable::{FaultKind, FaultPlan};
 use dp_starj_repro::engine::{
     canonicalize, to_sql, Column, Dimension, Domain, GroupAttr, Predicate, StarQuery, StarSchema,
     Table,
@@ -299,38 +300,41 @@ fn budget_refusal_spends_nothing_and_lands_in_audit_with_wire_id() {
 /// a *worker* thread after a schema refresh. The RAII reservation must
 /// refund, and both the reserve and the refund must carry the wire
 /// request id captured at submit time (the worker thread never saw it).
+/// A hold keeps the request parked until a second pipelined request, sent
+/// after the refresh, joins it in the queue.
 #[test]
 fn stale_refusal_over_the_coalesced_path_refunds_with_the_wire_id() {
-    let config = ServiceConfig {
-        coalesce: true,
-        // A long fixed hold so the job is still parked when the schema
-        // refreshes underneath it.
-        coalesce_window: Duration::from_millis(1500),
-        ..ServiceConfig::default()
-    };
+    let plan = FaultPlan::new(0).fail_at("coalesce.enqueue", 0, FaultKind::Hold { depth: 2 });
+    let config =
+        ServiceConfig { coalesce: true, fault: Some(Arc::new(plan)), ..ServiceConfig::default() };
     let router = router(config);
     let gate = gate_over(&router);
     let mut client = GateClient::connect(gate.addr()).unwrap();
     let schema = router.dataset_schema(DATASET).unwrap();
-    let sql = to_sql(&schema, &StarQuery::count("q").with(Predicate::point("Dim", "c", 3)));
+    let sql = |c| to_sql(&schema, &StarQuery::count("q").with(Predicate::point("Dim", "c", c)));
 
     // Pipelined send: don't wait for the answer yet.
-    client.send(sql_request(4242, TOKEN, DATASET, &sql, 0.5)).unwrap();
+    client.send(sql_request(4242, TOKEN, DATASET, &sql(3), 0.5)).unwrap();
     // Let the connection thread submit (reserve + park), then refresh.
-    std::thread::sleep(Duration::from_millis(300));
-    assert!(
-        router.tenant_usage(DATASET, TENANT).unwrap().in_flight_epsilon > 0.0,
-        "request should be parked with a live reservation"
-    );
-    router.refresh_schema(DATASET, schema).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while router.tenant_usage(DATASET, TENANT).unwrap().in_flight_epsilon == 0.0 {
+        assert!(std::time::Instant::now() < deadline, "request never parked");
+        std::thread::yield_now();
+    }
+    router.refresh_schema(DATASET, Arc::clone(&schema)).unwrap();
+    client.send(sql_request(4243, TOKEN, DATASET, &sql(2), 0.5)).unwrap();
 
-    let refused = client.recv().unwrap();
+    let mut frames = [client.recv().unwrap(), client.recv().unwrap()];
+    frames.sort_by_key(|f| f.get("id").and_then(Json::as_f64).map(|id| id as u64));
+    let [refused, answered] = frames;
     assert_eq!(refused.get("id").and_then(Json::as_f64), Some(4242.0));
     assert_eq!(refused.get("ok").and_then(Json::as_f64), Some(0.0));
     assert_eq!(refused.get("code").and_then(Json::as_str), Some("stale_data_version"));
+    assert_eq!(answered.get("id").and_then(Json::as_f64), Some(4243.0));
+    assert_eq!(answered.get("ok").and_then(Json::as_f64), Some(1.0), "{answered:?}");
 
     let usage = router.tenant_usage(DATASET, TENANT).unwrap();
-    assert_eq!(usage.spent_epsilon, 0.0, "stale refusal must not spend");
+    assert_eq!(usage.spent_epsilon, 0.5, "only the post-refresh request spends");
     assert_eq!(usage.in_flight_epsilon, 0.0, "stale refusal must refund the reservation");
 
     let audit = router.audit_jsonl();

@@ -3,6 +3,7 @@
 //! the `explain` verb, the HTTP/1 exposition endpoint, and the
 //! slow-consumer isolation guarantee.
 
+use dp_starj_repro::durable::{FaultKind, FaultPlan};
 use dp_starj_repro::engine::{
     to_sql, Column, Dimension, Domain, Predicate, StarQuery, StarSchema, Table,
 };
@@ -285,11 +286,7 @@ fn fanout_spans_parent_to_the_fanout_span() {
 /// are counted.
 #[test]
 fn stalled_subscriber_never_perturbs_serving_and_loss_is_counted() {
-    let config = ServiceConfig {
-        coalesce: true,
-        coalesce_window: Duration::from_millis(5),
-        ..ServiceConfig::default()
-    };
+    let config = ServiceConfig { coalesce: true, ..ServiceConfig::default() };
     let bus = EventBus::new();
     let streamed = router_with(Some(Arc::clone(&bus)), config.clone());
     let quiet = router_with(None, config);
@@ -505,9 +502,9 @@ fn http_endpoint_serves_probes_metrics_and_audit_behind_bearer_auth() {
 
 /// Observing a busy fleet: with requests parked in flight, a `/metrics`
 /// scrape completes and lints, the wire subscriber streams their events
-/// once they drain, and the ledger still ends exact. The window outlasts
-/// the test, so the parked requests can only drain when the last one fills
-/// the batch — after the scrape.
+/// once they drain, and the ledger still ends exact. A hold keeps the
+/// parked requests parked until the last one brings the queue to
+/// `REQUESTS` jobs — after the scrape.
 #[test]
 fn scrape_and_subscription_work_while_requests_are_in_flight() {
     const REQUESTS: usize = 8;
@@ -518,8 +515,11 @@ fn scrape_and_subscription_work_while_requests_are_in_flight() {
         ServiceConfig {
             cache_answers: false,
             coalesce: true,
-            coalesce_window: Duration::from_secs(30),
-            max_batch: REQUESTS,
+            fault: Some(Arc::new(FaultPlan::new(0).fail_at(
+                "coalesce.enqueue",
+                0,
+                FaultKind::Hold { depth: REQUESTS },
+            ))),
             ..ServiceConfig::default()
         },
     );

@@ -20,7 +20,6 @@ use dp_starj_repro::noise::PrivacyBudget;
 use dp_starj_repro::service::{Answer, Request, Service, ServiceConfig, ServiceError, Submitted};
 use proptest::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
 
 const DOM_X: u32 = 4;
 const DOM_Y: u32 = 3;
@@ -133,14 +132,7 @@ fn sequential_service(schema: &Arc<StarSchema>, seed: u64) -> Service {
 fn coalesced_service(schema: &Arc<StarSchema>, seed: u64) -> Service {
     Service::new(
         Arc::clone(schema),
-        ServiceConfig {
-            seed,
-            coalesce: true,
-            coalesce_window: Duration::from_millis(2),
-            max_batch: 64,
-            coalesce_workers: 1,
-            ..ServiceConfig::default()
-        },
+        ServiceConfig { seed, coalesce: true, ..ServiceConfig::default() },
     )
 }
 

@@ -17,7 +17,6 @@ use dp_starj_repro::service::{
 };
 use proptest::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
 
 const DOM: u32 = 5;
 
@@ -64,15 +63,7 @@ fn assert_balanced(record: &TraceRecord) {
 }
 
 fn service(schema: &Arc<StarSchema>, seed: u64, coalesce: bool) -> Service {
-    Service::new(
-        Arc::clone(schema),
-        ServiceConfig {
-            seed,
-            coalesce,
-            coalesce_window: Duration::from_millis(1),
-            ..ServiceConfig::default()
-        },
-    )
+    Service::new(Arc::clone(schema), ServiceConfig { seed, coalesce, ..ServiceConfig::default() })
 }
 
 proptest! {

@@ -15,7 +15,6 @@ use dp_starj_repro::service::{Service, ServiceConfig, ServiceError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 use std::thread;
-use std::time::Duration;
 
 /// A schema with a wide attribute domain so tests can mint many *distinct*
 /// queries (distinct queries cannot hit the cache, so each must pay), plus
@@ -244,9 +243,6 @@ fn coalesced_storm_fuses_scans_without_overspend_or_lost_requests() {
     const EPS: f64 = 0.015625; // 2⁻⁶: ledger sums stay exact under any order
     let config = ServiceConfig {
         coalesce: true,
-        coalesce_window: Duration::from_millis(2),
-        max_batch: 32,
-        coalesce_workers: 2,
         cache_answers: false, // every request pays → every request must fuse or scan
         ..ServiceConfig::default()
     };
@@ -309,42 +305,29 @@ fn coalesced_storm_fuses_scans_without_overspend_or_lost_requests() {
 #[test]
 fn degenerate_coalescer_configs_lose_no_wakeups() {
     let _scans = shared_scan_window();
-    // window = 0 and max_batch = 1 reduce the coalescer to a plain work
-    // queue; requests arriving while a worker drains must still be picked
-    // up (the classic lost-wakeup hazard).
-    for (window_us, max_batch, workers) in [(0u64, 1usize, 1usize), (0, 64, 2), (500, 1, 2)] {
-        let config = ServiceConfig {
-            coalesce: true,
-            coalesce_window: Duration::from_micros(window_us),
-            max_batch,
-            coalesce_workers: workers,
-            cache_answers: false,
-            ..ServiceConfig::default()
-        };
-        let service = Arc::new(Service::new(Arc::new(wide_schema()), config));
-        service.register_tenant("t", PrivacyBudget::pure(100.0).unwrap()).unwrap();
-        let handles: Vec<_> = (0..8u32)
-            .map(|t| {
-                let service = Arc::clone(&service);
-                thread::spawn(move || {
-                    for i in 0..20u32 {
-                        service
-                            .pm_answer("t", &query_for(t * 20 + i), 0.0625)
-                            .expect("degenerate configs must still answer everything");
-                    }
-                })
+    // Requests arriving while a worker drains must still be picked up (the
+    // classic lost-wakeup hazard).
+    let config = ServiceConfig { coalesce: true, cache_answers: false, ..ServiceConfig::default() };
+    let service = Arc::new(Service::new(Arc::new(wide_schema()), config));
+    service.register_tenant("t", PrivacyBudget::pure(100.0).unwrap()).unwrap();
+    let handles: Vec<_> = (0..8u32)
+        .map(|t| {
+            let service = Arc::clone(&service);
+            thread::spawn(move || {
+                for i in 0..20u32 {
+                    service
+                        .pm_answer("t", &query_for(t * 20 + i), 0.0625)
+                        .expect("the coalescer must answer everything");
+                }
             })
-            .collect();
-        for h in handles {
-            h.join().expect("no thread may hang or panic");
-        }
-        let metrics = service.metrics();
-        assert_eq!(
-            metrics.queries_served, 160,
-            "window={window_us}µs max_batch={max_batch}: every request answered"
-        );
-        assert_eq!(metrics.coalesced_requests, 160, "every paid request parked");
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("no thread may hang or panic");
     }
+    let metrics = service.metrics();
+    assert_eq!(metrics.queries_served, 160, "every request answered");
+    assert_eq!(metrics.coalesced_requests, 160, "every paid request parked");
 }
 
 /// `refresh_schema` must invalidate both the answer cache and the

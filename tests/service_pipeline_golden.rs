@@ -26,7 +26,6 @@ use dp_starj_repro::noise::PrivacyBudget;
 use dp_starj_repro::service::{Service, ServiceAnswer, ServiceConfig, ServiceError};
 use std::fmt::Write;
 use std::sync::Arc;
-use std::time::Duration;
 
 const EPS: f64 = 0.5;
 
@@ -175,13 +174,7 @@ impl Run {
 /// Runs the sequence and returns `(answers + ledgers + audit, spans,
 /// metrics counters)`.
 fn transcript(coalesce: bool) -> (String, String, String) {
-    let config = ServiceConfig {
-        seed: 2023,
-        coalesce,
-        coalesce_workers: 1,
-        coalesce_window: Duration::from_micros(50),
-        ..ServiceConfig::default()
-    };
+    let config = ServiceConfig { seed: 2023, coalesce, ..ServiceConfig::default() };
     let service = Service::new(schema(0), config);
     service.register_tenant("ann", PrivacyBudget::pure(8.0).unwrap()).unwrap();
     service.register_tenant("bob", PrivacyBudget::pure(0.25).unwrap()).unwrap();
