@@ -105,16 +105,6 @@ impl BitSet {
         }
     }
 
-    /// True iff every set bit of `self` is also set in `other` — the
-    /// wordwise subset test (`self & !other == 0`) the planner uses to
-    /// detect that one dimension mask subsumes another, so the narrower
-    /// filter can be derived by AND-refinement of the wider shared mask
-    /// instead of a second gather pass.
-    pub fn is_subset(&self, other: &BitSet) -> bool {
-        assert_eq!(self.len, other.len, "bitset length mismatch");
-        self.words.iter().zip(&other.words).all(|(a, b)| a & !b == 0)
-    }
-
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -234,18 +224,6 @@ mod tests {
         let b = BitSet::from_fn(150, |i| i == 0 || i == 63 || i == 64 || i == 149);
         let got: Vec<usize> = b.iter_ones().collect();
         assert_eq!(got, vec![0, 63, 64, 149]);
-    }
-
-    #[test]
-    fn subset_detection() {
-        let narrow = BitSet::from_fn(130, |i| i % 10 == 0);
-        let wide = BitSet::from_fn(130, |i| i % 5 == 0);
-        assert!(narrow.is_subset(&wide));
-        assert!(!wide.is_subset(&narrow));
-        assert!(narrow.is_subset(&narrow), "subset is reflexive");
-        assert!(BitSet::zeros(130).is_subset(&narrow), "empty set is a subset of anything");
-        let disjoint = BitSet::from_fn(130, |i| i % 10 == 1);
-        assert!(!narrow.is_subset(&disjoint));
     }
 
     #[test]

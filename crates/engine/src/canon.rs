@@ -142,35 +142,6 @@ impl Acc {
     }
 }
 
-/// True iff every code matching `a` also matches `b` (`a ⇒ b`) — the
-/// constraint-level face of the planner's mask-subsumption test: when two
-/// queries constrain the same attribute and one constraint implies the
-/// other, the narrower pass mask is a subset of the wider one, so the
-/// planner can AND-refine it from the wider shared mask instead of running
-/// a second full gather. Decided symbolically (span containment, sorted-set
-/// sweeps) — no mask materialization. Conservative only in never claiming a
-/// false implication; unsatisfiable `a` implies anything.
-pub fn implies(a: &Constraint, b: &Constraint) -> bool {
-    let Some(a) = Acc::from_constraint(a) else {
-        return true; // matches nothing → vacuously implied
-    };
-    let Some(b) = Acc::from_constraint(b) else {
-        return false;
-    };
-    match (&a, &b) {
-        (Acc::Span(alo, ahi), Acc::Span(blo, bhi)) => blo <= alo && ahi <= bhi,
-        (Acc::Span(alo, ahi), Acc::Codes(vs)) => {
-            // Every code of the span must appear in the (sorted) set; a
-            // span longer than the set can't be contained, so huge ranges
-            // never enumerate.
-            ((*ahi - *alo) as usize) < vs.len()
-                && (*alo..=*ahi).all(|v| vs.binary_search(&v).is_ok())
-        }
-        (Acc::Codes(vs), Acc::Span(blo, bhi)) => vs.iter().all(|v| (blo..=bhi).contains(&v)),
-        (Acc::Codes(xs), Acc::Codes(ys)) => xs.iter().all(|v| ys.binary_search(v).is_ok()),
-    }
-}
-
 /// Normalizes a query to its [`CanonicalQuery`] form. Deterministic: the
 /// output depends only on the input query, never on hash-map iteration
 /// order or any ambient state.
@@ -355,29 +326,5 @@ mod tests {
         let rebuilt = c.to_query("rebuilt");
         assert_eq!(rebuilt.name, "rebuilt");
         assert_eq!(canonicalize(&rebuilt), c, "canonicalization is idempotent");
-    }
-
-    #[test]
-    fn implication_is_symbolic_containment() {
-        let range = |lo, hi| Constraint::Range { lo, hi };
-        // Span ⊆ span, point ⊆ span, reflexive.
-        assert!(implies(&Constraint::Point(3), &range(1, 5)));
-        assert!(implies(&range(2, 4), &range(1, 5)));
-        assert!(implies(&range(1, 5), &range(1, 5)));
-        assert!(!implies(&range(1, 5), &range(2, 4)));
-        assert!(!implies(&range(1, 5), &Constraint::Point(3)));
-        // Sets vs spans (both directions) and set vs set.
-        assert!(implies(&Constraint::Set(vec![2, 4]), &range(1, 5)));
-        assert!(!implies(&Constraint::Set(vec![2, 6]), &range(1, 5)));
-        assert!(implies(&range(2, 3), &Constraint::Set(vec![1, 2, 3, 7])));
-        assert!(!implies(&range(2, 4), &Constraint::Set(vec![1, 2, 3, 7])));
-        assert!(implies(&Constraint::Set(vec![7, 2]), &Constraint::Set(vec![1, 2, 3, 7])));
-        assert!(!implies(&Constraint::Set(vec![2, 8]), &Constraint::Set(vec![1, 2, 3, 7])));
-        // A huge span can't hide in a small set (and must not enumerate).
-        assert!(!implies(&range(0, u32::MAX), &Constraint::Set(vec![1, 2, 3])));
-        // Unsatisfiable constraints imply anything; nothing implies them.
-        assert!(implies(&Constraint::Set(vec![]), &Constraint::Point(0)));
-        assert!(implies(&range(5, 1), &Constraint::Point(0)));
-        assert!(!implies(&Constraint::Point(0), &Constraint::Set(vec![])));
     }
 }

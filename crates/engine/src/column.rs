@@ -49,24 +49,6 @@ impl KeyData {
         }
     }
 
-    /// Replaces the contents with a copy of `keys` at *their* width — the
-    /// scan's per-chunk staging copy, one `memcpy` with no per-key width
-    /// check (so a staged chunk of a wide column stays wide).
-    pub(crate) fn refill(&mut self, keys: Keys<'_>) {
-        match (&mut self.0, keys) {
-            (Repr::U16(v), Keys::U16(k)) => {
-                v.clear();
-                v.extend_from_slice(k);
-            }
-            (Repr::U32(v), Keys::U32(k)) => {
-                v.clear();
-                v.extend_from_slice(k);
-            }
-            (repr, Keys::U16(k)) => *repr = Repr::U16(k.to_vec()),
-            (repr, Keys::U32(k)) => *repr = Repr::U32(k.to_vec()),
-        }
-    }
-
     /// A borrowed view of the keys.
     pub fn as_keys(&self) -> Keys<'_> {
         match &self.0 {

@@ -68,7 +68,7 @@ pub mod table;
 pub mod whist;
 
 pub use bitset::BitSet;
-pub use canon::{canonicalize, implies, CanonicalQuery};
+pub use canon::{canonicalize, CanonicalQuery};
 pub use column::{Column, ColumnData, KeyData, Keys, MeasureData, Measures};
 pub use cost::{cost_model_for, CostModel};
 pub use domain::Domain;

@@ -46,29 +46,29 @@
 //!   a scoped spawn + join costs ~16 µs against a ≥ 1 M-row shard's
 //!   milliseconds, so there is no persistent pool to manage).
 //!
-//! * **SIMD-width chunk interior.** The hot interior is a staging-based
-//!   kernel (the `stage` module): each referenced dimension's fk codes are
-//!   copied into a cache-resident buffer **once per chunk** and shared by
-//!   every fused query (the pre-staging kernel re-read them from main
-//!   memory once per query per chunk); per-dimension pass masks are
+//! * **SIMD-width chunk interior.** Every gather reads its chunk of fk
+//!   codes straight from the fact column. Per-dimension pass masks are
 //!   classified at plan time into probe fast paths (≤ 64 dimension rows →
 //!   the whole mask in one register word, ≤ 2^16 rows → a byte-granular
 //!   LUT, larger → the packed bitset) drained by 8-wide unrolled gather
-//!   loops; filters are ordered by selectivity (exact fact pass fraction,
-//!   ties by dimension index) so the `*word == 0` early exit fires as
-//!   early as possible; and the histogram plan stages its joint flat codes
-//!   once per chunk instead of recomputing them per row per kind.
+//!   loops (the `stage` module). Filters are ordered by selectivity (exact
+//!   fact pass fraction, ties by dimension index) so the `*word == 0` early
+//!   exit fires as early as possible, and the histogram plan folds its
+//!   joint flat codes once per chunk into one reused buffer instead of
+//!   recomputing them per row per kind.
+//!
+//! The plan makes two shape decisions from the cost model's exact fk
+//! degrees ([`crate::cost`]): filter order and cross-query mask sharing.
 //!
 //! Binary-query accumulation order within a shard is identical to the
 //! legacy row-at-a-time executor ([`crate::exec::reference`]), so results
 //! are bit-identical to it; weighted results are reassociated by the
 //! histogram factoring but remain bit-identical whenever the arithmetic is
 //! exact (integer measures, dyadic weights), which the equivalence property
-//! tests in `tests/prop_scan_kernel.rs` pin down. The staged interior
-//! preserves that guarantee construction-by-construction: staged codes are
-//! exact copies, mask words are the same AND conjunction (reordering
-//! filters cannot change a bitwise AND), and every drain visits rows in
-//! the same ascending order.
+//! tests in `tests/prop_scan_kernel.rs` pin down. The chunk interior
+//! preserves that guarantee construction-by-construction: mask words are
+//! the same AND conjunction (reordering or sharing filters cannot change a
+//! bitwise AND), and every drain visits rows in the same ascending order.
 
 use crate::bitset::BitSet;
 use crate::column::{Keys, Measures};
@@ -78,23 +78,21 @@ use crate::predicate::{Predicate, WeightedPredicate};
 use crate::query::{Agg, QueryResult, StarQuery};
 use crate::schema::StarSchema;
 use crate::stage::{
-    gather_word_bytes, gather_word_small, gather_word_wide, with_keys, with_measures, ChunkStage,
+    fold_flat, gather_word_bytes, gather_word_small, gather_word_wide, with_keys, with_measures,
     Key, CHUNK_ROWS, CHUNK_WORDS,
 };
 use crate::whist::{cells_fit, drain_hist, weight_tensor, Cells};
-use starj_telemetry::{cost_counters, kernel_counters, CostCounters, Json, KernelCounters};
+use starj_telemetry::{kernel_counters, Json, KernelCounters};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Default largest dimension row count answered through the
-/// single-register-word probe ([`Probe::Word`]); overridable per scan via
-/// [`ScanOptions::word_probe_cap`] (clamped to ≤ 64 — the mask must fit
-/// one register word).
+/// Largest dimension row count answered through the single-register-word
+/// probe ([`Probe::Word`]): the whole mask fits one `u64`.
 const WORD_PROBE_CAP: usize = 64;
-/// Default largest dimension row count answered through the byte-LUT probe
+/// Largest dimension row count answered through the byte-LUT probe
 /// ([`Probe::Bytes`]); larger dimensions gather from the packed bitset.
-/// Overridable per scan via [`ScanOptions::byte_probe_cap`].
 const BYTE_PROBE_CAP: usize = 1 << 16;
 
 /// Largest dense accumulator (group-by cross-product or weighted joint code
@@ -126,7 +124,7 @@ pub(crate) fn fact_scans_add() {
 }
 
 /// Execution options for a compiled scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanOptions {
     /// Shards of the fact scan. `0` (the default) lets the kernel decide:
     /// one shard per available core, none smaller than ~1 M rows, and a
@@ -136,33 +134,13 @@ pub struct ScanOptions {
     /// runs on the calling thread; `n > 1` forces `n` contiguous row
     /// ranges merged in deterministic shard order.
     pub threads: usize,
-    /// Largest dimension row count probed through the register-word fast
-    /// path (clamped to ≤ 64 at classification).
-    pub word_probe_cap: usize,
-    /// Largest dimension row count probed through the byte-LUT fast path.
-    pub byte_probe_cap: usize,
-}
-
-impl Default for ScanOptions {
-    fn default() -> Self {
-        ScanOptions { threads: 0, word_probe_cap: WORD_PROBE_CAP, byte_probe_cap: BYTE_PROBE_CAP }
-    }
 }
 
 impl ScanOptions {
     /// Options scanning with exactly `threads` shards (`0` = kernel-sized,
     /// the default).
     pub fn parallel(threads: usize) -> Self {
-        ScanOptions { threads, ..ScanOptions::default() }
-    }
-
-    /// The same options with explicit probe-classification caps, so tests
-    /// and benches can exercise every probe regime without 2^16-row
-    /// fixtures.
-    pub fn with_probe_caps(mut self, word: usize, byte: usize) -> Self {
-        self.word_probe_cap = word;
-        self.byte_probe_cap = byte;
-        self
+        ScanOptions { threads }
     }
 }
 
@@ -360,22 +338,17 @@ struct Filter {
 }
 
 impl Filter {
-    /// Builds a filter under explicit probe caps. Selectivity comes from
-    /// the cost model's fk degrees — no pass over the fact column.
-    fn build(
-        dim: usize,
-        bits: BitSet,
-        word_cap: usize,
-        byte_cap: usize,
-        model: &CostModel,
-    ) -> Self {
+    /// Builds a filter and classifies its probe by the dimension's row
+    /// count. Selectivity comes from the cost model's fk degrees — no pass
+    /// over the fact column.
+    fn build(dim: usize, bits: BitSet, model: &CostModel) -> Self {
         let pass = model.pass_count(dim, &bits);
         let est = if model.fact_rows() == 0 { 0.0 } else { pass as f64 / model.fact_rows() as f64 };
         let k = kernel_counters();
-        let probe = if bits.len() <= word_cap.min(WORD_PROBE_CAP) {
+        let probe = if bits.len() <= WORD_PROBE_CAP {
             KernelCounters::add(&k.probe_word, 1);
             Probe::Word(bits.words().first().copied().unwrap_or(0))
-        } else if bits.len() <= byte_cap {
+        } else if bits.len() <= BYTE_PROBE_CAP {
             KernelCounters::add(&k.probe_bytes, 1);
             Probe::Bytes(bits.to_byte_lut())
         } else {
@@ -436,10 +409,6 @@ impl Filter {
 struct MaskProgram<'p> {
     /// Distinct filters promoted to the shared cache, first-use order.
     shared: Vec<&'p Filter>,
-    /// Direct promotion uses of each shared slot (excludes the extra
-    /// via-cache references added by subsumption refinement, which save
-    /// nothing — the subsumed filter still runs its private gather).
-    shared_uses: Vec<usize>,
     /// Per query: indices into `shared`, plus the query-private filters
     /// (in the query's selectivity order).
     per_query: Vec<(Vec<usize>, Vec<&'p Filter>)>,
@@ -630,8 +599,8 @@ pub struct ScanPlan<'a> {
     /// Largest `|row weight|` over the compiled queries' aggregates — with
     /// `fact_rows`, the bound on every partial sum the scan can form.
     max_row_weight: u64,
-    /// The options the plan was compiled under (probe caps, staging and
-    /// sharing thresholds).
+    /// The options the plan was compiled under; `describe` reports the
+    /// shard count they give.
     opts: ScanOptions,
     /// The exact statistics steering plan-shape decisions.
     model: Arc<CostModel>,
@@ -646,9 +615,8 @@ impl<'a> ScanPlan<'a> {
     /// An empty plan compiled under explicit options (resolves the
     /// foreign-key arrays). The schema's cost model (exact fk-degree
     /// statistics built on the instance's first use,
-    /// [`crate::cost::cost_model_for`]) steers filter
-    /// ordering, mask-sharing promotion, subsumption refinement, and fk
-    /// staging.
+    /// [`crate::cost::cost_model_for`]) steers filter ordering and
+    /// mask-sharing promotion.
     /// Every model-driven choice is plan-shape-only: answers and ledgers
     /// are bit-identical to [`crate::exec::reference`] by construction.
     pub fn with_options(schema: &'a StarSchema, options: ScanOptions) -> Result<Self, EngineError> {
@@ -677,11 +645,10 @@ impl<'a> ScanPlan<'a> {
     /// Compiles a binary-predicate star query into the plan.
     pub fn add_query(&mut self, query: &StarQuery) -> Result<(), EngineError> {
         let bitsets = dimension_bitsets(self.schema, &query.predicates)?;
-        let (word_cap, byte_cap) = (self.opts.word_probe_cap, self.opts.byte_probe_cap);
         let mut filters: Vec<Filter> = bitsets
             .into_iter()
             .enumerate()
-            .filter_map(|(di, b)| Some(Filter::build(di, b?, word_cap, byte_cap, &self.model)))
+            .filter_map(|(di, b)| Some(Filter::build(di, b?, &self.model)))
             .collect();
         selectivity_order(&mut filters);
         let grouping = if query.group_by.is_empty() {
@@ -754,14 +721,12 @@ impl<'a> ScanPlan<'a> {
 
     /// Describes the plan the kernel would execute, without executing it:
     /// per-query filter order with probe classes and exact fact pass
-    /// fractions, the cross-query mask-sharing program, and the per-dimension fk
-    /// staging decisions. Everything reported is derived from the same
-    /// structures [`ScanPlan::execute`] runs, so EXPLAIN output cannot
-    /// drift from the executed plan shape.
+    /// fractions, and the cross-query mask-sharing program. Everything
+    /// reported is derived from the same structures [`ScanPlan::execute`]
+    /// runs, so EXPLAIN output cannot drift from the executed plan shape.
     pub fn describe(&self) -> PlanExplain {
         let hist_plan = self.hist_plan();
         let program = self.mask_program(hist_plan.as_ref());
-        let staged = self.staged_dims(hist_plan.as_ref(), &program);
         let shards = self.shard_bounds(hist_plan.as_ref(), self.opts.threads).len();
         let dims = self
             .schema
@@ -772,8 +737,6 @@ impl<'a> ScanPlan<'a> {
                 table: d.table.name().to_string(),
                 rows: d.table.num_rows(),
                 fk_width_bytes: self.fks[di].width_bytes(),
-                staged: staged.get(di).copied().unwrap_or(false),
-                residency: self.model.residency(di),
             })
             .collect();
         let queries = self
@@ -784,31 +747,24 @@ impl<'a> ScanPlan<'a> {
                 let histogram = hist_plan
                     .as_ref()
                     .is_some_and(|hp| hp.assignment.get(qi).is_some_and(Option::is_some));
-                let filters =
-                    q.filters
-                        .iter()
-                        .map(|f| {
-                            let sharing = if program.shared.iter().any(|s| s.same_mask(f)) {
-                                "shared"
-                            } else if program.shared.iter().any(|y| {
-                                y.dim == f.dim && !y.same_mask(f) && f.bits.is_subset(&y.bits)
-                            }) {
-                                "private_subsumed"
-                            } else {
-                                "private"
-                            };
-                            FilterExplain {
-                                table: self.schema.dims()[f.dim].table.name().to_string(),
-                                probe: match f.probe {
-                                    Probe::Word(_) => "word",
-                                    Probe::Bytes(_) => "bytes",
-                                    Probe::Wide => "bitset",
-                                },
-                                estimated_fraction: f.est,
-                                sharing,
-                            }
-                        })
-                        .collect();
+                let filters = q
+                    .filters
+                    .iter()
+                    .map(|f| FilterExplain {
+                        table: self.schema.dims()[f.dim].table.name().to_string(),
+                        probe: match f.probe {
+                            Probe::Word(_) => "word",
+                            Probe::Bytes(_) => "bytes",
+                            Probe::Wide => "bitset",
+                        },
+                        estimated_fraction: f.est,
+                        sharing: if program.shared.iter().any(|s| s.same_mask(f)) {
+                            "shared"
+                        } else {
+                            "private"
+                        },
+                    })
+                    .collect();
                 QueryExplain {
                     filters,
                     histogram,
@@ -874,8 +830,10 @@ impl<'a> ScanPlan<'a> {
     /// Flushes the scan's kernel profiling tallies to the process-wide
     /// [`kernel_counters`]. Everything is derived once from the plan
     /// geometry — chunk count from the shard bounds, gather counts from
-    /// the mask program and staging decision, fk bytes from the column
-    /// widths — so the chunk loop itself carries zero instrumentation.
+    /// the mask program, fk bytes from the column widths — so the chunk
+    /// loop itself carries zero instrumentation. Every gather reads its fk
+    /// chunk straight from the column, so each one is a direct gather and
+    /// one pass over its column.
     fn flush_kernel_counters(
         &self,
         bounds: &[(usize, usize)],
@@ -886,30 +844,15 @@ impl<'a> ScanPlan<'a> {
         let chunks = chunk_count(bounds);
         KernelCounters::add(&k.chunks_scanned, chunks);
         let uses = self.gather_uses(hist_plan, program);
-        let staged = self.staged_dims(hist_plan, program);
-        let (mut copies, mut staged_gathers, mut direct_gathers, mut fk_bytes) = (0, 0, 0, 0);
-        for ((&uses, &staged), fk) in uses.iter().zip(&staged).zip(&self.fks) {
-            // A staged column is read from memory once per chunk (the
-            // copy); an unstaged one once per gather.
-            let passes = if staged {
-                copies += 1;
-                staged_gathers += uses;
-                1
-            } else {
-                direct_gathers += uses;
-                uses
-            };
-            fk_bytes += passes * fk.width_bytes() * self.fact_rows;
-        }
-        KernelCounters::add(&k.staged_chunk_copies, copies * chunks);
-        KernelCounters::add(&k.staged_gathers, staged_gathers as u64 * chunks);
-        KernelCounters::add(&k.direct_gathers, direct_gathers as u64 * chunks);
+        let gathers: usize = uses.iter().sum();
+        let fk_bytes: usize =
+            uses.iter().zip(&self.fks).map(|(&u, fk)| u * fk.width_bytes() * self.fact_rows).sum();
+        KernelCounters::add(&k.direct_gathers, gathers as u64 * chunks);
         KernelCounters::add(&k.fk_bytes_read, fk_bytes as u64);
         KernelCounters::add(&k.shared_mask_filters, program.shared.len() as u64);
-        // A promotion with `u` direct users saves `u − 1` gather passes per
-        // chunk (subsumption-added cache references save nothing — the
-        // subsumed filter still runs its private gather).
-        let saved: u64 = program.shared_uses.iter().map(|&u| (u as u64).saturating_sub(1)).sum();
+        // A promotion with `u` users saves `u − 1` gather passes per chunk.
+        let users: usize = program.per_query.iter().map(|(via_cache, _)| via_cache.len()).sum();
+        let saved = (users - program.shared.len()) as u64;
         KernelCounters::add(&k.shared_mask_gathers_saved, saved * chunks);
     }
 
@@ -930,11 +873,7 @@ impl<'a> ScanPlan<'a> {
     /// per-query gathers (each discounted by the early-exit survival of the
     /// filters ordered before it) exceeds the one full shared gather pass
     /// the cache costs — ultra-selective predecessors make re-gathers
-    /// nearly free, so such filters stay private. Then subsumption
-    /// refinement: a private filter whose mask is a subset of a promoted
-    /// same-dimension mask has the subsumer's cached mask ANDed in first
-    /// (exact — `X ⊆ Y` implies `X = X ∧ Y`), so its private gather
-    /// early-exits on every word the wider shared mask already killed.
+    /// nearly free, so such filters stay private.
     fn mask_program(&self, hist_plan: Option<&HistPlan>) -> MaskProgram<'_> {
         let active: Vec<bool> = (0..self.queries.len())
             .map(|qi| hist_plan.is_none_or(|hp| hp.assignment[qi].is_none()))
@@ -953,7 +892,6 @@ impl<'a> ScanPlan<'a> {
             }
         }
         let mut shared: Vec<&Filter> = Vec::new();
-        let mut shared_uses: Vec<usize> = Vec::new();
         let shared_slot: Vec<Option<usize>> = distinct
             .iter()
             .map(|&(f, uses)| {
@@ -976,11 +914,9 @@ impl<'a> ScanPlan<'a> {
                     return None;
                 }
                 shared.push(f);
-                shared_uses.push(uses);
                 Some(shared.len() - 1)
             })
             .collect();
-        let c = cost_counters();
         let per_query = self
             .queries
             .iter()
@@ -996,26 +932,14 @@ impl<'a> ScanPlan<'a> {
                             .expect("every active filter was counted");
                         match shared_slot[di] {
                             Some(si) => via_cache.push(si),
-                            None => {
-                                // Subsumption refinement (see above).
-                                let subsumer = shared.iter().position(|y| {
-                                    y.dim == f.dim && !y.same_mask(f) && f.bits.is_subset(&y.bits)
-                                });
-                                if let Some(si) = subsumer {
-                                    if !via_cache.contains(&si) {
-                                        via_cache.push(si);
-                                        CostCounters::add(&c.subsumption_merges, 1);
-                                    }
-                                }
-                                private.push(f);
-                            }
+                            None => private.push(f),
                         }
                     }
                 }
                 (via_cache, private)
             })
             .collect();
-        MaskProgram { shared, shared_uses, per_query }
+        MaskProgram { shared, per_query }
     }
 
     /// Per dimension, the gathers that read its fk codes each chunk:
@@ -1036,21 +960,6 @@ impl<'a> ScanPlan<'a> {
             }
         }
         uses
-    }
-
-    /// Which dimensions the staged kernel should copy per chunk
-    /// ([`CostModel::should_stage`]): those read by ≥ 2 gathers
-    /// ([`ScanPlan::gather_uses`]) per chunk — a
-    /// single reader is served straight from the source array, since
-    /// staging it would be a pure copy tax — unless their probed
-    /// distinct-codes-per-chunk is small enough that the fk reads stay
-    /// cache-resident without a staging copy.
-    fn staged_dims(&self, hist_plan: Option<&HistPlan>, program: &MaskProgram) -> Vec<bool> {
-        self.gather_uses(hist_plan, program)
-            .into_iter()
-            .enumerate()
-            .map(|(di, u)| self.model.should_stage(di, u))
-            .collect()
     }
 
     fn fresh_state(&self, hist_plan: Option<&HistPlan>) -> ScanState {
@@ -1103,12 +1012,12 @@ impl<'a> ScanPlan<'a> {
             .collect()
     }
 
-    /// Scans fact rows `[lo, hi)` accumulating every query — the staged
-    /// SIMD-width chunk kernel. Per chunk: referenced dimensions' fk codes
-    /// are staged once and shared by every query's mask gather; filters
-    /// recurring across queries are gathered once into the shared mask
-    /// cache; the histogram plan's flat codes are staged once and drained
-    /// per kind.
+    /// Scans fact rows `[lo, hi)` accumulating every query — the
+    /// SIMD-width chunk kernel. Per chunk: filters recurring across queries
+    /// are gathered once into the shared mask cache; every other gather
+    /// reads its fk chunk straight from the column; the histogram plan's
+    /// flat codes are folded once into one reused buffer and drained per
+    /// kind.
     fn scan_range(
         &self,
         state: &mut ScanState,
@@ -1119,17 +1028,15 @@ impl<'a> ScanPlan<'a> {
     ) {
         let mut mask = [0u64; CHUNK_WORDS];
         let mut cache = vec![0u64; program.shared.len() * CHUNK_WORDS];
-        let mut stage = ChunkStage::new(self.staged_dims(hist_plan, program));
+        let mut flat: Vec<u32> = Vec::new();
         let mut chunk_start = lo;
         while chunk_start < hi {
-            let chunk_end = (chunk_start + CHUNK_ROWS).min(hi);
-            let len = chunk_end - chunk_start;
-            let words = len.div_ceil(64);
-            stage.begin(&self.fks, chunk_start, len);
+            let rows = chunk_start..(chunk_start + CHUNK_ROWS).min(hi);
+            let words = rows.len().div_ceil(64);
             // Gather each shared filter once for this chunk.
             for (fi, f) in program.shared.iter().enumerate() {
                 let cached = &mut cache[fi * CHUNK_WORDS..][..words];
-                with_keys!(stage.dim(&self.fks, f.dim), |fk| f.gather_chunk(fk, cached));
+                with_keys!(self.fks[f.dim].slice(rows.clone()), |fk| f.gather_chunk(fk, cached));
             }
             for ((q, acc), masks) in
                 self.queries.iter().zip(state.accs.iter_mut()).zip(&program.per_query)
@@ -1139,10 +1046,10 @@ impl<'a> ScanPlan<'a> {
                     Acc::Scalar(total) if q.filters.is_empty() && q.is_pure_count() => {
                         // Unfiltered pure COUNT: every chunk row qualifies —
                         // skip the mask build and popcount outright.
-                        *total += len as f64;
+                        *total += rows.len() as f64;
                     }
                     acc if q.weights.is_empty() => {
-                        self.chunk_mask(masks, &cache, &stage, &mut mask[..words]);
+                        self.chunk_mask(masks, &cache, rows.clone(), &mut mask[..words]);
                         self.drain_binary(q, acc, chunk_start, &mask[..words]);
                     }
                     acc => self.scan_weighted_chunk(
@@ -1150,36 +1057,41 @@ impl<'a> ScanPlan<'a> {
                         masks,
                         &cache,
                         acc,
-                        &stage,
-                        chunk_start,
+                        rows.clone(),
                         &mut mask[..words],
                     ),
                 }
             }
             if let Some(hp) = hist_plan {
-                // Stage the joint flat codes once; every kind drains flat.
-                let flat = stage.stage_flat(&self.fks, &hp.axes);
+                // Fold the joint flat codes once; every kind drains flat.
+                flat.clear();
+                flat.resize(rows.len(), 0);
+                for &(di, codes, domain) in &hp.axes {
+                    with_keys!(self.fks[di].slice(rows.clone()), |fk| {
+                        fold_flat(&mut flat, fk, codes, domain)
+                    });
+                }
                 for (kind, hist) in hp.kinds.iter().zip(state.hists.iter_mut()) {
-                    drain_hist(hist, flat, kind, chunk_start);
+                    drain_hist(hist, &flat, kind, chunk_start);
                 }
             }
-            chunk_start = chunk_end;
+            chunk_start = rows.end;
         }
     }
 
     /// Builds the chunk's qualifying-row mask for one binary query:
     /// all-ones, then (1) word-wise ANDs of the query's shared cached
     /// masks, then (2) gather + AND per query-private filter (most
-    /// selective first, probe fast paths over the staged fk codes, with
+    /// selective first, probe fast paths over the chunk's fk codes, with
     /// the `*word == 0` early exit).
     fn chunk_mask(
         &self,
         masks: &(Vec<usize>, Vec<&Filter>),
         cache: &[u64],
-        stage: &ChunkStage,
+        rows: Range<usize>,
         mask: &mut [u64],
     ) {
-        let len = stage.len();
+        let len = rows.len();
         mask.fill(u64::MAX);
         let tail = len & 63;
         if tail != 0 {
@@ -1193,7 +1105,7 @@ impl<'a> ScanPlan<'a> {
             }
         }
         for f in private {
-            with_keys!(stage.dim(&self.fks, f.dim), |fk| f.and_chunk(fk, mask));
+            with_keys!(self.fks[f.dim].slice(rows.clone()), |fk| f.and_chunk(fk, mask));
         }
     }
 
@@ -1249,22 +1161,20 @@ impl<'a> ScanPlan<'a> {
         }
     }
 
-    /// Staged fallback for weighted queries that can't use the histogram
+    /// Chunk fallback for weighted queries that can't use the histogram
     /// (the joint code space is too large, or binary filters attached):
     /// any binary prefilter routes through the shared chunk mask (instead
     /// of a per-row `continue` chain), then qualifying rows multiply axis
     /// weights in dimension order with the same early-exit sequence as the
     /// reference executor. Mask iteration visits rows in ascending order,
     /// so accumulation order is unchanged.
-    #[allow(clippy::too_many_arguments)]
     fn scan_weighted_chunk(
         &self,
         q: &PlannedQuery,
         masks: &(Vec<usize>, Vec<&Filter>),
         cache: &[u64],
         acc: &mut Acc,
-        stage: &ChunkStage,
-        chunk_start: usize,
+        rows: Range<usize>,
         mask: &mut [u64],
     ) {
         let Acc::Scalar(total) = acc else {
@@ -1286,12 +1196,11 @@ impl<'a> ScanPlan<'a> {
             *total += w;
         };
         if q.filters.is_empty() {
-            for row in chunk_start..chunk_start + stage.len() {
-                accumulate(row);
-            }
+            rows.for_each(accumulate);
             return;
         }
-        self.chunk_mask(masks, cache, stage, mask);
+        let chunk_start = rows.start;
+        self.chunk_mask(masks, cache, rows, mask);
         for (wi, &word) in mask.iter().enumerate() {
             let mut w = word;
             let base = chunk_start + (wi << 6);
@@ -1432,7 +1341,7 @@ pub struct PlanExplain {
     pub shards: usize,
     /// Filters promoted to the cross-query shared-mask cache.
     pub shared_masks: usize,
-    /// Per-dimension staging/residency decisions, schema order.
+    /// Per-dimension table shape and fk width, schema order.
     pub dims: Vec<DimExplain>,
     /// Per-query filter order and histogram assignment, compile order.
     pub queries: Vec<QueryExplain>,
@@ -1448,10 +1357,6 @@ pub struct DimExplain {
     /// Bytes per stored key of the fact column referencing this dimension
     /// (2 when every key fits `u16`, else 4).
     pub fk_width_bytes: usize,
-    /// Whether the fk column is staged (decoded once up front).
-    pub staged: bool,
-    /// Distinct fk codes per scan chunk, probed at model build.
-    pub residency: f64,
 }
 
 /// One compiled query's row in a [`PlanExplain`].
@@ -1478,9 +1383,7 @@ pub struct FilterExplain {
     pub probe: &'static str,
     /// Exact fraction of fact rows the filter admits, which orders it.
     pub estimated_fraction: f64,
-    /// `shared` (gathered once per chunk for all users),
-    /// `private_subsumed` (private gather refined through a shared
-    /// superset mask), or `private`.
+    /// `shared` (gathered once per chunk for all users) or `private`.
     pub sharing: &'static str,
 }
 
@@ -1496,8 +1399,6 @@ impl PlanExplain {
                     ("table", Json::Str(d.table.clone())),
                     ("rows", Json::Num(d.rows as f64)),
                     ("fk_width_bytes", Json::Num(d.fk_width_bytes as f64)),
-                    ("staged", Json::Num(f64::from(u8::from(d.staged)))),
-                    ("residency", Json::Num(d.residency)),
                 ])
             })
             .collect();
@@ -1579,16 +1480,6 @@ mod tests {
         queries.iter().map(|q| crate::exec::reference::execute(s, q).unwrap()).collect()
     }
 
-    /// A model of `s` reporting every dimension's chunk codes as far out
-    /// of cache, which leaves staging to the ≥ 2-uses rule alone.
-    fn uncached_model(s: &StarSchema) -> Arc<CostModel> {
-        let mut model = CostModel::build(s).unwrap();
-        for dim in 0..s.num_dims() {
-            model.force_residency(dim, 1e6);
-        }
-        Arc::new(model)
-    }
-
     #[test]
     fn fused_plan_answers_mixed_batch_in_one_scan() {
         let s = schema();
@@ -1646,6 +1537,11 @@ mod tests {
         assert_eq!(parsed.get("fact_rows").and_then(Json::as_f64), Some(6.0));
         assert_eq!(parsed.get("shards").and_then(Json::as_f64), Some(1.0));
         assert_eq!(parsed.get("queries").and_then(Json::as_arr).map(<[Json]>::len), Some(2));
+        // Every fk is read in place, so a dimension reports its shape only.
+        let dim = parsed.get("dims").and_then(Json::as_arr).map(|dims| &dims[0]);
+        let Some(Json::Obj(fields)) = dim else { panic!("dims[0] is an object") };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["table", "rows", "fk_width_bytes"]);
         assert!(ex.queries.iter().all(|q| q.measure_width_bytes == 0), "COUNT reads no measure");
 
         // A SUM reads its column's stored width; a SUM-diff the wider one.
@@ -1667,7 +1563,7 @@ mod tests {
         let s = schema();
         let mut plan = ScanPlan::new(&s).unwrap();
         // Two private gathers over A and one over B, each a direct pass
-        // (tiny dimensions are never staged) over a 2-byte column of 6 rows.
+        // over a 2-byte column of 6 rows.
         plan.add_query(
             &StarQuery::count("c1")
                 .with(Predicate::point("A", "attr", 1))
@@ -1675,11 +1571,17 @@ mod tests {
         )
         .unwrap();
         plan.add_query(&StarQuery::count("c2").with(Predicate::point("A", "attr", 2))).unwrap();
+        let program = plan.mask_program(None);
+        assert_eq!(plan.gather_uses(None, &program), [2, 1]);
         let before = kernel_counters().snapshot();
         plan.execute(ScanOptions::default());
-        // Process-wide counter: concurrent tests can only add to the delta.
-        let read = kernel_counters().snapshot().since(&before).fk_bytes_read;
-        assert!(read >= 3 * 2 * 6, "{read} bytes");
+        // fk bytes = Σ gathers × fk width × fact rows. Process-wide
+        // counters: concurrent tests can only add to a delta, and nothing
+        // adds to the staged pair.
+        let delta = kernel_counters().snapshot().since(&before);
+        assert!(delta.fk_bytes_read >= 3 * 2 * 6, "{} bytes", delta.fk_bytes_read);
+        assert!(delta.direct_gathers >= 3, "one chunk, three gathers");
+        assert_eq!((delta.staged_chunk_copies, delta.staged_gathers), (0, 0));
         let axes = vec![("A".to_string(), "attr".to_string())];
         let before = kernel_counters().snapshot();
         WeightHistogram::build(&s, &axes, &Agg::Count, ScanOptions::default()).unwrap();
@@ -1856,8 +1758,7 @@ mod tests {
     #[test]
     fn probe_classification_boundaries() {
         let model = CostModel::build(&schema()).unwrap();
-        let classify =
-            |bits: BitSet| Filter::build(0, bits, WORD_PROBE_CAP, BYTE_PROBE_CAP, &model);
+        let classify = |bits: BitSet| Filter::build(0, bits, &model);
         let word = classify(BitSet::from_fn(64, |i| i % 2 == 0));
         assert!(matches!(word.probe, Probe::Word(_)), "64 rows → register word");
         let bytes = classify(BitSet::from_fn(65, |i| i % 2 == 0));
@@ -1871,20 +1772,13 @@ mod tests {
     }
 
     #[test]
-    fn probe_caps_override_classification() {
-        // Shrunken caps exercise every probe regime on a 40-row mask — no
-        // 2^16-row fixture needed.
-        let model = CostModel::build(&schema()).unwrap();
+    fn probe_classes_gather_identically() {
+        // One 40-row mask behind each probe class.
         let bits = BitSet::from_fn(40, |i| i % 3 == 0);
-        let word = Filter::build(0, bits.clone(), 64, 1 << 16, &model);
-        assert!(matches!(word.probe, Probe::Word(_)));
-        let bytes = Filter::build(0, bits.clone(), 8, 1 << 16, &model);
-        assert!(matches!(bytes.probe, Probe::Bytes(_)), "word cap 8 demotes to byte LUT");
-        let wide = Filter::build(0, bits.clone(), 8, 16, &model);
-        assert!(matches!(wide.probe, Probe::Wide), "byte cap 16 demotes to packed bitset");
-        // A word cap above 64 still cannot admit masks past one register.
-        let big = Filter::build(0, BitSet::from_fn(100, |_| true), 1 << 20, 1 << 16, &model);
-        assert!(matches!(big.probe, Probe::Bytes(_)), "word cap clamps at 64 bits");
+        let filter = |probe| Filter { dim: 0, bits: bits.clone(), probe, pass: 0, est: 0.0 };
+        let word = filter(Probe::Word(bits.words()[0]));
+        let bytes = filter(Probe::Bytes(bits.to_byte_lut()));
+        let wide = filter(Probe::Wide);
         // All three classifications answer identically.
         let lane: Vec<u32> = (0..40).collect();
         assert_eq!(word.gather_word(&lane), bytes.gather_word(&lane));
@@ -1918,72 +1812,6 @@ mod tests {
     }
 
     #[test]
-    fn subsumed_private_mask_refines_from_the_shared_cache() {
-        let s = schema();
-        let mut plan = ScanPlan::new(&s).unwrap();
-        // A.attr ∈ {1,2} recurs in two queries behind a 1/2-selective B
-        // mask (prefix 0.5 → each private gather would cost ~1 full pass,
-        // so promotion saves ~2 > 1); A.attr = 1 is a strict subset of it.
-        plan.add_query(
-            &StarQuery::count("c1")
-                .with(Predicate::range("A", "attr", 1, 2))
-                .with(Predicate::point("B", "attr", 0)),
-        )
-        .unwrap();
-        plan.add_query(
-            &StarQuery::count("c2")
-                .with(Predicate::range("A", "attr", 1, 2))
-                .with(Predicate::point("B", "attr", 1)),
-        )
-        .unwrap();
-        plan.add_query(&StarQuery::count("c3").with(Predicate::point("A", "attr", 1))).unwrap();
-        let program = plan.mask_program(None);
-        assert_eq!(program.shared.len(), 1, "the recurring A range promotes");
-        assert_eq!(program.shared_uses, vec![2]);
-        assert_eq!(
-            program.per_query[2].0,
-            vec![0],
-            "the subset mask ANDs the shared subsumer first"
-        );
-        assert_eq!(program.per_query[2].1.len(), 1, "…but still runs its own gather");
-        // Refinement is exact.
-        let results = plan.execute(ScanOptions::default());
-        assert_eq!(results[0].scalar().unwrap(), 2.0);
-        assert_eq!(results[1].scalar().unwrap(), 2.0);
-        assert_eq!(results[2].scalar().unwrap(), 2.0);
-    }
-
-    #[test]
-    fn cost_model_demotes_cache_resident_staging() {
-        let s = schema();
-        // Two users of dimension A: the ≥ 2-uses rule alone stages it, but
-        // the model sees ≤ 3 distinct codes per chunk (cache-hot) and demotes.
-        let queries = [
-            StarQuery::count("c").with(Predicate::point("A", "attr", 1)),
-            StarQuery::count("d").with(Predicate::point("A", "attr", 2)),
-        ];
-        let mut uncached_plan = ScanPlan::new(&s).unwrap();
-        uncached_plan.set_cost_model(uncached_model(&s));
-        let mut plan = ScanPlan::new(&s).unwrap();
-        for q in &queries {
-            uncached_plan.add_query(q).unwrap();
-            plan.add_query(q).unwrap();
-        }
-        let up = uncached_plan.mask_program(None);
-        assert_eq!(uncached_plan.staged_dims(None, &up), vec![true, false]);
-        let program = plan.mask_program(None);
-        assert_eq!(
-            plan.staged_dims(None, &program),
-            vec![false, false],
-            "tiny dimension stays unstaged under the exact model"
-        );
-        // Staging is invisible to answers.
-        let truth = reference_answers(&s, &queries);
-        assert_eq!(uncached_plan.execute(ScanOptions::default()), truth);
-        assert_eq!(plan.execute(ScanOptions::default()), truth);
-    }
-
-    #[test]
     fn adversarial_estimates_cannot_change_answers() {
         let s = schema();
         let queries = [
@@ -1996,18 +1824,16 @@ mod tests {
         ];
         let truth = reference_answers(&s, &queries);
         // Feed the planner maximally wrong statistics in both directions.
-        for (fa, fb, ra, rb) in [(0.0, 1.0, 1e6, 0.0), (1.0, 0.0, 0.0, 1e6), (0.5, 0.5, 1e6, 1e6)] {
+        for (fa, fb) in [(0.0, 1.0), (1.0, 0.0), (0.5, 0.5)] {
             let mut model = CostModel::build(&s).unwrap();
             model.force_fraction(0, fa);
             model.force_fraction(1, fb);
-            model.force_residency(0, ra);
-            model.force_residency(1, rb);
             let mut plan = ScanPlan::new(&s).unwrap();
             plan.set_cost_model(Arc::new(model));
             for q in &queries {
                 plan.add_query(q).unwrap();
             }
-            assert_eq!(plan.execute(ScanOptions::default()), truth, "({fa}, {fb}, {ra}, {rb})");
+            assert_eq!(plan.execute(ScanOptions::default()), truth, "({fa}, {fb})");
         }
     }
 
@@ -2033,19 +1859,6 @@ mod tests {
         let results = plan.execute(ScanOptions::default());
         assert_eq!(results[0].scalar().unwrap(), 6.0, "unfiltered count = fact rows");
         assert_eq!(results[1].scalar().unwrap(), 2.0);
-    }
-
-    #[test]
-    fn staged_dims_require_two_uses() {
-        let s = schema();
-        let mut plan = ScanPlan::new(&s).unwrap();
-        plan.set_cost_model(uncached_model(&s));
-        plan.add_query(&StarQuery::count("c").with(Predicate::point("A", "attr", 1))).unwrap();
-        let program = plan.mask_program(None);
-        assert_eq!(plan.staged_dims(None, &program), vec![false, false], "single use → no staging");
-        plan.add_query(&StarQuery::count("d").with(Predicate::point("A", "attr", 2))).unwrap();
-        let program = plan.mask_program(None);
-        assert_eq!(plan.staged_dims(None, &program), vec![true, false], "two uses of A → staged");
     }
 
     #[test]

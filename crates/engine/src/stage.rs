@@ -1,44 +1,32 @@
-//! Per-chunk staging buffers and SIMD-width gather loops for the scan
+//! Chunk geometry, width dispatch and SIMD-width gather loops for the scan
 //! kernel.
 //!
-//! PR 3's measurements showed the fused fact scan is **gather-compute
-//! bound**: at 8 fused queries the kernel re-read every referenced
-//! dimension's foreign-key array from main memory once *per query* per
-//! chunk, and extracted each pass bit through a packed-bitset word index +
-//! shift with a serial `gathered |=` dependency chain. This module is the
-//! fix, in two halves:
+//! The fused fact scan is **gather-compute bound**: per 4096-row chunk,
+//! every filter turns 64 fk codes at a time into one qualifying-row mask
+//! word. The `gather_word_*` functions are the three probe-specialized
+//! inner loops that do it. Each is an 8-wide manually unrolled loop with a
+//! pairwise OR-combine tree, so the eight per-row probes are independent
+//! (no loop-carried dependency until the balanced 3-level combine) and
+//! LLVM can autovectorize / software-pipeline them — plain safe Rust, no
+//! `std::simd`, verified by the bench gate rather than asm inspection.
+//! Every gather reads its chunk of fk codes straight from the fact column,
+//! and [`fold_flat`] folds the histogram plan's joint flat codes from the
+//! same slices.
 //!
-//! * [`ChunkStage`] — a cache-resident staging area. Each dimension's fk
-//!   codes for the current 4096-row chunk are copied **once per chunk**
-//!   (one `memcpy` into an L1/L2-resident buffer) and shared by every
-//!   query in the fused batch; a dimension referenced only once is served
-//!   straight from the source array (staging would be a pure copy tax).
-//!   The same buffer set stages the histogram-plan joint flat codes once
-//!   per chunk so every histogram kind drains a flat `u32` array.
-//! * `gather_word_*` — the three probe-specialized inner loops that turn
-//!   64 staged fk codes into one qualifying-row mask word. Each is an
-//!   8-wide manually unrolled loop with a pairwise OR-combine tree, so the
-//!   eight per-row probes are independent (no loop-carried dependency
-//!   until the balanced 3-level combine) and LLVM can autovectorize /
-//!   software-pipeline them — plain safe Rust, no `std::simd`, verified by
-//!   the bench gate rather than asm inspection.
+//! Everything here is bit-order preserving: the mask words are the same
+//! AND-conjunction a row-at-a-time walk computes, and flat codes use the
+//! same integer recurrence as the histogram fallback's per-row form — so
+//! results stay bit-identical to [`crate::exec::reference`].
 //!
-//! Everything here is bit-order preserving: staged codes are exact copies,
-//! the mask words are the same AND-conjunction the unstaged kernel
-//! computed, and flat codes use the same integer recurrence as
-//! the histogram fallback's per-row form — so results stay bit-identical to
-//! [`crate::exec::reference`].
-//!
-//! Key columns come in two widths ([`Keys`]). The gather bodies and the
-//! flat-code fold are generic over the stored key type ([`Key`]) and the
-//! width is matched **once per chunk per dimension** (at the same
-//! granularity as the probe-class match), never per row: a `u16` column is
-//! read, staged and gathered as `u16`, with no widening copy. Measure
-//! columns ([`crate::column::Measures`]) are matched the same way, once per chunk per
-//! drain ([`with_measures!`]).
+//! Key columns come in two widths ([`Keys`](crate::column::Keys)). The
+//! gather bodies and the flat-code fold are generic over the stored key
+//! type ([`Key`]) and the width is matched **once per chunk per dimension**
+//! (at the same granularity as the probe-class match), never per row: a
+//! `u16` column is read and gathered as `u16`, with no widening copy. Measure columns
+//! ([`crate::column::Measures`]) are matched the same way, once per chunk
+//! per drain ([`with_measures!`]).
 
 use crate::bitset::BitSet;
-use crate::column::{KeyData, Keys};
 
 /// A stored fk code: the two key widths the gather loops are monomorphic
 /// over.
@@ -60,8 +48,9 @@ impl Key for u32 {
     }
 }
 
-/// Runs `$body` with `$fk` bound to the typed slice behind a [`Keys`] view
-/// — how a scan enters the loop monomorphic in its column's width.
+/// Runs `$body` with `$fk` bound to the typed slice behind a
+/// [`Keys`](crate::column::Keys) view — how a scan enters the loop
+/// monomorphic in its column's width.
 macro_rules! with_keys {
     ($keys:expr, |$fk:ident| $body:expr) => {
         match $keys {
@@ -87,84 +76,11 @@ macro_rules! with_measures {
 }
 pub(crate) use with_measures;
 
-/// Rows per scan chunk (64 mask words of 64 rows). Re-exported into
-/// [`crate::plan`]; lives here so the staging buffers and the chunk loop
-/// can never disagree about geometry.
+/// Rows per scan chunk (64 mask words of 64 rows), shared by the fused
+/// scan, the W build and the gather loops so they can never disagree about
+/// geometry.
 pub(crate) const CHUNK_ROWS: usize = 4096;
 pub(crate) const CHUNK_WORDS: usize = CHUNK_ROWS / 64;
-
-/// Cache-resident staging area for one scan chunk: per-dimension fk code
-/// copies (only for dimensions referenced by ≥ 2 gathers per chunk) plus
-/// the histogram-plan flat-code buffer.
-#[derive(Debug)]
-pub(crate) struct ChunkStage {
-    /// Per dimension: the staged fk codes of the current chunk, at the
-    /// source column's width (empty for unstaged dimensions).
-    bufs: Vec<KeyData>,
-    /// Which dimensions to stage, fixed for the whole scan.
-    staged: Vec<bool>,
-    /// Joint flat codes of the current chunk ([`ChunkStage::stage_flat`]).
-    flat: Vec<u32>,
-    chunk_start: usize,
-    len: usize,
-}
-
-impl ChunkStage {
-    /// A stage for a scan over `staged.len()` dimensions; `staged[di]`
-    /// marks the dimensions worth copying (referenced at least twice per
-    /// chunk).
-    pub(crate) fn new(staged: Vec<bool>) -> Self {
-        // A buffer takes its column's width, and its room, at the first
-        // chunk's copy.
-        let bufs = staged.iter().map(|_| KeyData::with_capacity(0)).collect();
-        ChunkStage { bufs, staged, flat: Vec::with_capacity(CHUNK_ROWS), chunk_start: 0, len: 0 }
-    }
-
-    /// Rows in the current chunk.
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Begins a chunk: copies the staged dimensions' fk codes for rows
-    /// `[chunk_start, chunk_start + len)` into the staging buffers.
-    pub(crate) fn begin(&mut self, fks: &[Keys], chunk_start: usize, len: usize) {
-        self.chunk_start = chunk_start;
-        self.len = len;
-        let rows = chunk_start..chunk_start + len;
-        for (di, buf) in self.bufs.iter_mut().enumerate() {
-            if self.staged[di] {
-                buf.refill(fks[di].slice(rows.clone()));
-            }
-        }
-    }
-
-    /// The chunk's fk codes for dimension `di`: the staged copy when one
-    /// exists, else a direct slice of the source array.
-    #[inline]
-    pub(crate) fn dim<'s>(&'s self, fks: &[Keys<'s>], di: usize) -> Keys<'s> {
-        if self.staged[di] {
-            self.bufs[di].as_keys()
-        } else {
-            fks[di].slice(self.chunk_start..self.chunk_start + self.len)
-        }
-    }
-
-    /// Stages the chunk's joint flat codes over `axes` (the histogram
-    /// program's `(dim, codes, domain)` list), axis-major: the same
-    /// `flat = flat · domain + code` integer recurrence as
-    /// a per-row walk over the axes, so the staged values are exactly the
-    /// per-row ones. Returns the staged buffer.
-    pub(crate) fn stage_flat(&mut self, fks: &[Keys], axes: &[(usize, &[u32], usize)]) -> &[u32] {
-        let mut flat = std::mem::take(&mut self.flat);
-        flat.clear();
-        flat.resize(self.len, 0);
-        for &(di, codes, domain) in axes {
-            with_keys!(self.dim(fks, di), |fk| fold_flat(&mut flat, fk, codes, domain));
-        }
-        self.flat = flat;
-        &self.flat
-    }
-}
 
 /// Folds one axis into a chunk's joint flat codes:
 /// `flat = flat · domain + code`, the histogram's integer recurrence.
@@ -272,6 +188,7 @@ pub(crate) fn gather_word_wide<K: Key>(bits: &BitSet, fk: &[K]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::Keys;
 
     fn reference_gather(pass: impl Fn(u32) -> bool, fk: &[u32]) -> u64 {
         fk.iter().enumerate().fold(0u64, |m, (i, &k)| m | (u64::from(pass(k)) << i))
@@ -308,36 +225,17 @@ mod tests {
     }
 
     #[test]
-    fn stage_copies_only_marked_dimensions() {
-        // One column of each width, staged and passed through in turn.
-        let fk0: Vec<u16> = (0..100).collect();
-        let fk1: Vec<u32> = (0..100).map(|i| i * 2).collect();
-        let fks = [Keys::U16(&fk0), Keys::U32(&fk1)];
-        for staged in [[true, false], [false, true]] {
-            let mut stage = ChunkStage::new(staged.to_vec());
-            stage.begin(&fks, 10, 20);
-            assert_eq!(stage.len(), 20);
-            assert!(matches!(stage.dim(&fks, 0), Keys::U16(_)), "staging keeps the width");
-            assert_eq!(stage.dim(&fks, 0), fks[0].slice(10..30));
-            assert_eq!(stage.dim(&fks, 1), fks[1].slice(10..30));
-            // A second chunk replaces the staged contents.
-            stage.begin(&fks, 40, 5);
-            assert_eq!(stage.dim(&fks, 0), fks[0].slice(40..45));
-            assert_eq!(stage.dim(&fks, 1), fks[1].slice(40..45));
-        }
-    }
-
-    #[test]
-    fn staged_flat_codes_match_per_row_recurrence() {
+    fn folded_flat_codes_match_per_row_recurrence() {
         let fk0: Vec<u32> = vec![0, 1, 2, 0, 1];
         let fk1: Vec<u16> = vec![1, 0, 1, 1, 0];
         let fks = [Keys::U32(&fk0), Keys::U16(&fk1)];
         let codes0: Vec<u32> = vec![2, 0, 1];
         let codes1: Vec<u32> = vec![1, 0];
         let axes: Vec<(usize, &[u32], usize)> = vec![(0, &codes0, 3), (1, &codes1, 2)];
-        let mut stage = ChunkStage::new(vec![true, false]);
-        stage.begin(&fks, 0, 5);
-        let flat = stage.stage_flat(&fks, &axes);
+        let mut flat = vec![0u32; 5];
+        for &(di, codes, domain) in &axes {
+            with_keys!(fks[di], |fk| fold_flat(&mut flat, fk, codes, domain));
+        }
         let want: Vec<u32> = (0..5)
             .map(|row| {
                 let mut f = 0u32;
@@ -347,6 +245,6 @@ mod tests {
                 f
             })
             .collect();
-        assert_eq!(flat, &want[..]);
+        assert_eq!(flat, want);
     }
 }

@@ -219,7 +219,7 @@ impl Cells {
     }
 }
 
-/// Drains one chunk of staged flat codes into the cells of one aggregate
+/// Drains one chunk of folded flat codes into the cells of one aggregate
 /// kind: the row-weight match — and a SUM's measure width — hoisted out of
 /// the row loop, rows visited in ascending order.
 pub(crate) fn drain_hist(cells: &mut Cells, flat: &[u32], kind: &RowWeight, chunk_start: usize) {
@@ -538,7 +538,7 @@ impl WeightHistogram {
             })
             .collect();
 
-        // Same staged interior as the fused scan's histogram path: flat
+        // Same chunk interior as the fused scan's histogram path: flat
         // codes folded axis-major once per 4096-row chunk, then one drain
         // per aggregate kind.
         let scan = |lo: usize, hi: usize| -> Vec<Cells> {
@@ -573,7 +573,7 @@ impl WeightHistogram {
         let chunks = chunk_count(&bounds);
         KernelCounters::add(&k.chunks_scanned, chunks);
         // The histogram interior reads each axis fk straight from the
-        // source array — one direct pass per axis per chunk, no staging.
+        // source array — one direct pass per axis per chunk.
         KernelCounters::add(&k.direct_gathers, resolved.len() as u64 * chunks);
         let fk_bytes: usize = fks.iter().map(|fk| fk.width_bytes() * fact_rows).sum();
         KernelCounters::add(&k.fk_bytes_read, fk_bytes as u64);

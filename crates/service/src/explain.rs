@@ -5,8 +5,8 @@
 //! compilation under the service's own scan options — and reports the
 //! result instead of executing it: the canonical SQL the cache would key
 //! on, the kernel's filter order with probe classes and exact fact pass
-//! fractions, the mask-sharing and fk-staging decisions, and optionally
-//! the kernel-counter deltas of one profiling scan.
+//! fractions, the mask-sharing decisions, and optionally the
+//! kernel-counter deltas of one profiling scan.
 //!
 //! Nothing here touches the accountant: no reservation, no noise draw, no
 //! cache insert, no audit event. The optional profiling scan runs the

@@ -227,9 +227,9 @@ impl MetricsSnapshot {
     /// The snapshot as a stable JSON object: every counter by name,
     /// `p50_latency_us` / `p99_latency_us` (null before the first
     /// request), plus a `cost` sub-object embedding the *process-wide*
-    /// cost-model counters (model reuse and builds, subsumption merges,
-    /// window adjustments) — read at render time, not
-    /// at snapshot time, since they live outside any one service.
+    /// cost-model counters (model reuse and builds, window adjustments) —
+    /// read at render time, not at snapshot time, since they live outside
+    /// any one service.
     pub fn to_json(&self) -> Json {
         let mut pairs: Vec<(String, Json)> = self
             .counter_entries()

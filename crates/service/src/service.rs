@@ -753,8 +753,8 @@ impl Service {
     /// Describes what serving `query` *would* do, without doing it: the
     /// canonical SQL the cache would key on, the PM evaluation route
     /// ([`ExplainReport::route`]), the compiled plan shape
-    /// (filter order, probe classes, exact pass fractions, mask sharing,
-    /// fk staging), and — when `profile` is set —
+    /// (filter order, probe classes, exact pass fractions, mask sharing),
+    /// and — when `profile` is set —
     /// the kernel-counter deltas of one discarded profiling scan. Spends
     /// no budget, draws no noise, inserts nothing into the cache, and
     /// writes no audit event. Operator-plane only: the report is exact

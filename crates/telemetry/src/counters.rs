@@ -2,9 +2,9 @@
 //!
 //! The scan planner already proves *fusion* with the `FACT_SCANS` counter;
 //! these counters make the rest of the kernel's behavior observable: how
-//! many 4096-row chunks a workload actually scanned, whether the staging
-//! buffers and probe fast paths PR 4 built are firing, and how much work
-//! the cross-query shared-mask program is saving.
+//! many 4096-row chunks a workload actually scanned, how many fk gathers
+//! and bytes it read, whether the probe fast paths are firing, and how much
+//! work the cross-query shared-mask program is saving.
 //!
 //! Everything is a relaxed [`AtomicU64`] on a process-wide static
 //! (mirroring the engine's `fact_scan_count` idiom), and the engine
@@ -22,18 +22,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct KernelCounters {
     /// 4096-row fact chunks scanned (fused scans + histogram builds).
     pub chunks_scanned: AtomicU64,
-    /// Per-chunk staged dimension copies (`ChunkStage::begin` memcpys —
-    /// one per staged dimension per chunk).
+    /// Always 0: the scan kernel reads every fk chunk in place and copies
+    /// none. Kept as a field because the benchmark's layer report reads it.
     pub staged_chunk_copies: AtomicU64,
-    /// Mask/axis gathers served from a stage buffer (dimension referenced
-    /// ≥ 2× per chunk).
+    /// Always 0, and kept for the same reason as
+    /// [`KernelCounters::staged_chunk_copies`]: every gather is counted in
+    /// [`KernelCounters::direct_gathers`].
     pub staged_gathers: AtomicU64,
-    /// Mask/axis gathers served straight from the source fk array.
+    /// Every mask/axis gather per chunk, each read straight from the
+    /// source fk array.
     pub direct_gathers: AtomicU64,
     /// Bytes of fact fk columns the scans' gathers read from memory: per
-    /// dimension, column width × fact rows × (one staging copy, or one
-    /// pass per direct gather). Computed from the plan, so word-level
-    /// early exits and per-row group-by lookups are not reflected.
+    /// dimension, gathers × column width × fact rows (one pass per
+    /// gather). Computed from the plan, so word-level early exits and
+    /// per-row group-by lookups are not reflected.
     pub fk_bytes_read: AtomicU64,
     /// Filters classified to the ≤ 64-row register-word probe.
     pub probe_word: AtomicU64,
@@ -68,8 +70,8 @@ pub fn kernel_counters() -> &'static KernelCounters {
 }
 
 /// The cost-model counter set (one process-wide instance,
-/// [`cost_counters`]): model reuse and builds, and the plan-shape
-/// decisions the model drove. Same discipline as
+/// [`cost_counters`]): model reuse and builds, and the coalescer's window
+/// adjustments. Same discipline as
 /// [`KernelCounters`] — relaxed atomics, flushed per build/plan, never
 /// touched inside the chunk loop.
 #[derive(Debug, Default)]
@@ -78,9 +80,6 @@ pub struct CostCounters {
     pub cache_hits: AtomicU64,
     /// Cost models built (first uses of a schema instance).
     pub cache_builds: AtomicU64,
-    /// Private filters answered by AND-refining a subsuming shared mask
-    /// instead of a standalone gather pass.
-    pub subsumption_merges: AtomicU64,
     /// Coalescer arrivals that changed its adaptive window (collapsed when
     /// idle, stretched under burst).
     pub window_adjustments: AtomicU64,
@@ -89,7 +88,6 @@ pub struct CostCounters {
 static COST: CostCounters = CostCounters {
     cache_hits: AtomicU64::new(0),
     cache_builds: AtomicU64::new(0),
-    subsumption_merges: AtomicU64::new(0),
     window_adjustments: AtomicU64::new(0),
 };
 
@@ -112,7 +110,6 @@ impl CostCounters {
         CostSnapshot {
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_builds: self.cache_builds.load(Ordering::Relaxed),
-            subsumption_merges: self.subsumption_merges.load(Ordering::Relaxed),
             window_adjustments: self.window_adjustments.load(Ordering::Relaxed),
         }
     }
@@ -125,8 +122,6 @@ pub struct CostSnapshot {
     pub cache_hits: u64,
     /// See [`CostCounters::cache_builds`].
     pub cache_builds: u64,
-    /// See [`CostCounters::subsumption_merges`].
-    pub subsumption_merges: u64,
     /// See [`CostCounters::window_adjustments`].
     pub window_adjustments: u64,
 }
@@ -134,11 +129,10 @@ pub struct CostSnapshot {
 impl CostSnapshot {
     /// `(name, value)` pairs in declaration order — the single source the
     /// Prometheus and JSON expositions both iterate.
-    pub fn entries(&self) -> [(&'static str, u64); 4] {
+    pub fn entries(&self) -> [(&'static str, u64); 3] {
         [
             ("cache_hits", self.cache_hits),
             ("cache_builds", self.cache_builds),
-            ("subsumption_merges", self.subsumption_merges),
             ("window_adjustments", self.window_adjustments),
         ]
     }
@@ -148,7 +142,6 @@ impl CostSnapshot {
         CostSnapshot {
             cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
             cache_builds: self.cache_builds.saturating_sub(earlier.cache_builds),
-            subsumption_merges: self.subsumption_merges.saturating_sub(earlier.subsumption_merges),
             window_adjustments: self.window_adjustments.saturating_sub(earlier.window_adjustments),
         }
     }
@@ -274,14 +267,14 @@ mod tests {
     #[test]
     fn cost_snapshot_delta_and_json() {
         let before = cost_counters().snapshot();
-        CostCounters::add(&cost_counters().subsumption_merges, 3);
+        CostCounters::add(&cost_counters().cache_builds, 3);
         CostCounters::add(&cost_counters().window_adjustments, 0);
         let delta = cost_counters().snapshot().since(&before);
-        assert_eq!(delta.subsumption_merges, 3);
+        assert_eq!(delta.cache_builds, 3);
         assert_eq!(delta.window_adjustments, 0);
         let json = delta.to_json();
-        assert_eq!(json.get("subsumption_merges").and_then(Json::as_f64), Some(3.0));
-        assert_eq!(delta.entries().len(), 4);
+        assert_eq!(json.get("cache_builds").and_then(Json::as_f64), Some(3.0));
+        assert_eq!(delta.entries().len(), 3);
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //!   just a number and becomes evidence: summing a tenant's commit events
 //!   bit-equals the ledger's dyadic spend.
 //! * [`counters`] — process-wide kernel profiling counters
-//!   ([`KernelCounters`]): chunks scanned, stage-buffer copies and staged
-//!   vs direct gathers, probe fast-path classification tallies
-//!   (word/LUT/bitset), and shared-mask program promotions — flushed by
+//!   ([`KernelCounters`]): chunks scanned, fk gathers and the fk bytes
+//!   they read, probe fast-path classification tallies (word/LUT/bitset),
+//!   and shared-mask program promotions — flushed by
 //!   the scan planner in O(1) relaxed atomic adds per scan, never per row.
 //! * [`prom`] / [`json`] — a hand-rolled Prometheus text-format renderer
 //!   and the JSON value the whole workspace serializes with (the bench

@@ -3,11 +3,11 @@
 //! the planner must be *immune* to them (plans built from adversarially
 //! wrong statistics stay bit-identical to `exec::reference`).
 //!
-//! The second property is the load-bearing one: every decision the model
-//! steers — filter order, mask sharing, staging — is plan-shape-only, so
-//! even maximally wrong statistics can cost performance but never
-//! correctness. The tests force them to both extremes through the
-//! `force_fraction` / `force_residency` hooks and prove answers don't move.
+//! The second property is the load-bearing one: both decisions the model
+//! steers — filter order and mask sharing — are plan-shape-only, so even
+//! maximally wrong statistics can cost performance but never correctness.
+//! The tests force pass fractions to both extremes through the
+//! `force_fraction` hook and prove answers don't move.
 
 use dp_starj_repro::engine::cost::CostModel;
 use dp_starj_repro::engine::exec::reference;
@@ -182,26 +182,22 @@ proptest! {
     }
 
     /// Immunity: plans built from adversarially wrong statistics — forced
-    /// pass fractions at any value in [0, 1] and residency forced to
-    /// either extreme, per dimension — answer bit-identically to the
-    /// row-at-a-time reference on random snowflake queries. Wrong
-    /// statistics may only reshape the plan, never the answers.
+    /// pass fractions at any value in [0, 1], per dimension — answer
+    /// bit-identically to the row-at-a-time reference on random snowflake
+    /// queries. Wrong statistics may only reshape the plan, never the
+    /// answers.
     #[test]
     fn adversarial_estimates_keep_plans_bit_identical_to_reference(
         inst in instance_strategy(0..120),
         queries in proptest::collection::vec(query_strategy(), 1..6),
         forced_a in prop_oneof![Just(0.0f64), Just(1.0f64), 0.0f64..1.0],
         forced_b in prop_oneof![Just(0.0f64), Just(1.0f64), 0.0f64..1.0],
-        residency_hot in 0u32..2,
         threads in 1usize..4,
     ) {
         let schema = build(&inst);
         let mut model = CostModel::build(&schema).unwrap();
         model.force_fraction(0, forced_a);
         model.force_fraction(1, forced_b);
-        let (ra, rb) = if residency_hot == 1 { (1e6, 0.0) } else { (0.0, 1e6) };
-        model.force_residency(0, ra);
-        model.force_residency(1, rb);
         let mut plan =
             ScanPlan::with_options(&schema, ScanOptions::default()).unwrap();
         plan.set_cost_model(Arc::new(model));

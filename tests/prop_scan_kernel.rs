@@ -273,7 +273,7 @@ fn sparse_group_fallback_matches_reference() {
 }
 
 // ---------------------------------------------------------------------------
-// Adversarial shapes pinning the staged SIMD-width kernel's fast paths: the
+// Adversarial shapes pinning the SIMD-width chunk kernel's fast paths: the
 // probe classification boundaries (≤ 64 rows → register word, ≤ 2^16 →
 // byte LUT, above → packed bitset), chunk/word-straddling fact sizes, and
 // the key-width boundary (a fact column whose largest key is `u16::MAX` is
@@ -336,21 +336,12 @@ fn boundary_queries(dim_rows: usize) -> Vec<StarQuery> {
 fn assert_boundary_equivalence(dim_rows: usize, fact_rows: usize) {
     let schema = boundary_schema(dim_rows, fact_rows);
     let queries = boundary_queries(dim_rows);
-    let staged = execute_batch(&schema, &queries).unwrap();
+    let fused = execute_batch(&schema, &queries).unwrap();
     let parallel = execute_batch_with(&schema, &queries, ScanOptions::parallel(3)).unwrap();
-    // Every probe class the dimension admits: the byte LUT at any size,
-    // the packed bitset at any size (the register word only below 65 rows,
-    // where the default classification above already uses it).
-    let bytes = ScanOptions::default().with_probe_caps(0, usize::MAX);
-    let bitset = ScanOptions::default().with_probe_caps(0, 0);
-    let bytes = execute_batch_with(&schema, &queries, bytes).unwrap();
-    let bitset = execute_batch_with(&schema, &queries, bitset).unwrap();
     for (i, q) in queries.iter().enumerate() {
         let oracle = reference::execute(&schema, q).unwrap();
-        assert_eq!(staged[i], oracle, "dim={dim_rows} fact={fact_rows} query {i} (staged)");
+        assert_eq!(fused[i], oracle, "dim={dim_rows} fact={fact_rows} query {i} (fused)");
         assert_eq!(parallel[i], oracle, "dim={dim_rows} fact={fact_rows} query {i} (parallel)");
-        assert_eq!(bytes[i], oracle, "dim={dim_rows} fact={fact_rows} query {i} (byte LUT)");
-        assert_eq!(bitset[i], oracle, "dim={dim_rows} fact={fact_rows} query {i} (bitset)");
     }
 }
 
@@ -381,7 +372,7 @@ fn byte_wide_probe_boundary_matches_reference() {
 }
 
 /// Random queries over dimension row counts drawn from the probe-boundary
-/// set, with random (non-identity) attribute codes: staged and parallel
+/// set, with random (non-identity) attribute codes: fused and parallel
 /// kernels bit-identical to the reference.
 fn boundary_dim_rows() -> impl Strategy<Value = usize> {
     prop_oneof![Just(1usize), Just(2), Just(63), Just(64), Just(65), Just(66)]
@@ -432,8 +423,8 @@ proptest! {
         }
         let queries = vec![q];
         let oracle = reference::execute(&schema, &queries[0]).unwrap();
-        let staged = execute_batch(&schema, &queries).unwrap();
-        prop_assert_eq!(&staged[0], &oracle, "staged diverged");
+        let fused = execute_batch(&schema, &queries).unwrap();
+        prop_assert_eq!(&fused[0], &oracle, "fused diverged");
         let parallel =
             execute_batch_with(&schema, &queries, ScanOptions::parallel(threads)).unwrap();
         prop_assert_eq!(&parallel[0], &oracle, "parallel diverged");
@@ -703,11 +694,11 @@ fn measure_width_boundaries_match_reference_on_every_kernel_path() {
         );
         queries.push(StarQuery::sum_diff(format!("in8-{m}"), "in8", m));
     }
-    let staged = execute_batch(&schema, &queries).unwrap();
+    let fused = execute_batch(&schema, &queries).unwrap();
     let sharded = execute_batch_with(&schema, &queries, ScanOptions::parallel(2)).unwrap();
     for (i, q) in queries.iter().enumerate() {
         let oracle = reference::execute(&schema, q).unwrap();
-        assert_eq!(staged[i], oracle, "{} (staged)", q.name);
+        assert_eq!(fused[i], oracle, "{} (fused)", q.name);
         assert_eq!(sharded[i], oracle, "{} (threads = 2)", q.name);
     }
 
