@@ -78,25 +78,6 @@ impl BitSet {
         }
     }
 
-    /// Keeps only bits whose index satisfies `f` (in-place intersection with
-    /// a predicate) — how per-predicate dimension masks are conjoined.
-    /// Works a word at a time: `f` runs on every index of a non-empty word
-    /// and its answers pack into one keep-mask without a branch per bit, so
-    /// `f` must be pure. Empty words are skipped.
-    pub fn retain(&mut self, mut f: impl FnMut(usize) -> bool) {
-        for (wi, word) in self.words.iter_mut().enumerate() {
-            if *word == 0 {
-                continue;
-            }
-            let base = wi << 6;
-            let mut keep = 0u64;
-            for i in base..(base + 64).min(self.len) {
-                keep |= u64::from(f(i)) << (i - base);
-            }
-            *word &= keep;
-        }
-    }
-
     /// In-place intersection with another bitset of the same length.
     pub fn and_assign(&mut self, other: &BitSet) {
         assert_eq!(self.len, other.len, "bitset length mismatch");
@@ -115,12 +96,24 @@ impl BitSet {
         &self.words
     }
 
+    /// The packed words, mutable; callers keep the tail bits of the last
+    /// word zero.
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// The bits expanded to a byte-per-index `{0, 1}` lookup table — the
     /// mid-size fast-path representation of the scan kernel: for dimensions
     /// of at most 2^16 rows the table stays cache-resident and turns the
     /// per-row probe into a single byte load (no word indexing or shifts).
     pub fn to_byte_lut(&self) -> Box<[u8]> {
-        (0..self.len).map(|i| self.get_bit(i) as u8).collect()
+        let mut lut = vec![0u8; self.len].into_boxed_slice();
+        for (bytes, &word) in lut.chunks_mut(64).zip(&self.words) {
+            for (bit, byte) in bytes.iter_mut().enumerate() {
+                *byte = ((word >> bit) & 1) as u8;
+            }
+        }
+        lut
     }
 
     /// Indices of set bits, ascending.
@@ -180,21 +173,12 @@ mod tests {
     }
 
     #[test]
-    fn from_fn_and_retain_match_naive() {
+    fn from_fn_matches_naive() {
         let b = BitSet::from_fn(200, |i| i % 3 == 0);
         assert_eq!(b.count_ones(), 67);
-        let mut c = b.clone();
-        c.retain(|i| i % 2 == 0);
         for i in 0..200 {
-            assert_eq!(c.get(i), i % 6 == 0, "bit {i}");
+            assert_eq!(b.get(i), i % 3 == 0, "bit {i}");
         }
-        // Every word edge and the tail word: bits kept and cleared there.
-        let mut d = BitSet::ones(200);
-        d.retain(|i| i % 7 != 3);
-        for i in 0..200 {
-            assert_eq!(d.get(i), i % 7 != 3, "bit {i}");
-        }
-        assert_eq!(d.count_ones(), 171);
     }
 
     #[test]

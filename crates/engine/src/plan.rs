@@ -52,10 +52,18 @@
 //!   the whole mask in one register word, ≤ 2^16 rows → a byte-granular
 //!   LUT, larger → the packed bitset) drained by 8-wide unrolled gather
 //!   loops (the `stage` module). Filters are ordered by selectivity (exact
-//!   fact pass fraction, ties by dimension index) so the `*word == 0` early
-//!   exit fires as early as possible, and the histogram plan folds its
-//!   joint flat codes once per chunk into one reused buffer instead of
-//!   recomputing them per row per kind.
+//!   fact pass fraction, ties by dimension index), so the first and most
+//!   selective one runs dense and every later one meets mostly empty or
+//!   sparse mask words: per word it skips an empty one, probes only the
+//!   surviving lanes of one with ≤ 8 set bits, and gathers all 64 lanes of
+//!   a denser one. A scan is thus one dense pass plus a few probes per
+//!   surviving row. The histogram plan folds its joint flat codes once per
+//!   chunk into one reused buffer instead of recomputing them per row per
+//!   kind.
+//! * **Dimension masks from domain tables.** Each predicate is evaluated
+//!   once per code of its attribute's domain into a `{0, 1}` byte table,
+//!   which the byte-LUT gather ANDs into the dimension mask 64 rows at a
+//!   time (over the sub-dimension link keys for a snowflake predicate).
 //!
 //! The plan makes two shape decisions from the cost model's exact fk
 //! degrees ([`crate::cost`]): filter order and cross-query mask sharing.
@@ -74,12 +82,12 @@ use crate::bitset::BitSet;
 use crate::column::{Keys, Measures};
 use crate::cost::{cost_model_for, CostModel};
 use crate::error::EngineError;
-use crate::predicate::{Predicate, WeightedPredicate};
+use crate::predicate::{Constraint, Predicate, WeightedPredicate};
 use crate::query::{Agg, QueryResult, StarQuery};
 use crate::schema::StarSchema;
 use crate::stage::{
-    fold_flat, gather_word_bytes, gather_word_small, gather_word_wide, with_keys, with_measures,
-    Key, CHUNK_ROWS, CHUNK_WORDS,
+    fold_flat, gather_word_bytes, gather_word_small, gather_word_wide, probe_set_lanes, with_keys,
+    with_measures, Key, CHUNK_ROWS, CHUNK_WORDS,
 };
 use crate::whist::{cells_fit, drain_hist, weight_tensor, Cells};
 use starj_telemetry::{kernel_counters, Json, KernelCounters};
@@ -94,6 +102,12 @@ const WORD_PROBE_CAP: usize = 64;
 /// Largest dimension row count answered through the byte-LUT probe
 /// ([`Probe::Bytes`]); larger dimensions gather from the packed bitset.
 const BYTE_PROBE_CAP: usize = 1 << 16;
+
+/// Most surviving rows a mask word may hold for a later filter to probe
+/// only those lanes ([`Filter::and_chunk`]); denser words take the 8-wide
+/// gather over all 64. Thresholds 4, 8 and 16 time within noise of each
+/// other on generator queries at SF 0.005, 0.1 and 1.
+const SPARSE_WORD_BITS: u32 = 8;
 
 /// Largest dense accumulator (group-by cross-product or weighted joint code
 /// space) answered through flat vectors; larger spaces fall back to sparse
@@ -378,12 +392,29 @@ impl Filter {
         }
     }
 
-    /// ANDs a chunk's gathered pass mask into `mask`, skipping words an
-    /// earlier filter already emptied.
+    /// Keeps the set lanes of `word` that pass, probing only those lanes
+    /// through the probe fast path: one match per word, then a monomorphic
+    /// set-bit walk.
+    #[inline]
+    fn probe_word<K: Key>(&self, word: u64, lane: &[K]) -> u64 {
+        match &self.probe {
+            Probe::Word(table) => probe_set_lanes(word, lane, |k| (table >> k) & 1),
+            Probe::Bytes(lut) => probe_set_lanes(word, lane, |k| u64::from(lut[k])),
+            Probe::Wide => probe_set_lanes(word, lane, |k| self.bits.get_bit(k)),
+        }
+    }
+
+    /// ANDs a chunk's pass mask into `mask`, choosing per word from its
+    /// popcount: an empty word is skipped, a word with at most
+    /// [`SPARSE_WORD_BITS`] surviving rows probes only those lanes, and a
+    /// denser one takes the 8-wide gather. Every choice yields
+    /// `word & gather_word(lane)`.
     fn and_chunk<K: Key>(&self, fk: &[K], mask: &mut [u64]) {
         for (word, lane) in mask.iter_mut().zip(fk.chunks(64)) {
-            if *word != 0 {
-                *word &= self.gather_word(lane);
+            match word.count_ones() {
+                0 => {}
+                n if n <= SPARSE_WORD_BITS => *word = self.probe_word(*word, lane),
+                _ => *word &= self.gather_word(lane),
             }
         }
     }
@@ -402,9 +433,9 @@ impl Filter {
 /// the cost model expects to cost more than one shared pass, is gathered
 /// **once per chunk** into a shared mask cache and ANDed word-wise into
 /// each user's mask — turning `N` identical gather passes into one pass
-/// plus `N` register ANDs. Query-private filters keep the per-query gather
-/// with its `*word == 0` early exit. Pure AND reordering: the resulting
-/// mask is bit-identical for any sharing split.
+/// plus `N` register ANDs. Query-private filters keep the per-query AND
+/// with its per-word choice ([`Filter::and_chunk`]). Pure AND reordering:
+/// the resulting mask is bit-identical for any sharing split.
 #[derive(Debug)]
 struct MaskProgram<'p> {
     /// Distinct filters promoted to the shared cache, first-use order.
@@ -416,8 +447,8 @@ struct MaskProgram<'p> {
 
 /// Orders filters by selectivity — ascending fact pass fraction, ties
 /// broken by dimension index — so the most selective mask is ANDed first
-/// and the `*word == 0` early exit in later filters fires as early as
-/// possible. The fraction is *fact-weighted* (a better early-exit signal
+/// and later filters skip empty words and probe sparse ones lane by lane
+/// as early as possible. The fraction is *fact-weighted* (a better signal
 /// than a dimension-row popcount ratio: a mask passing few dimension rows
 /// can still admit most fact rows under a skewed fk distribution). Pure
 /// reordering of a bitwise AND conjunction: the resulting mask is
@@ -858,9 +889,11 @@ impl<'a> ScanPlan<'a> {
 
     /// Expected private-gather cost of the filter at position `pos` of a
     /// query's selectivity-ordered filter list, as a fraction of one full
-    /// gather pass: each 64-row mask word survives the earlier filters'
-    /// `*word == 0` early exit with probability `1 − (1 − p)^64` where `p`
-    /// is the product of the earlier filters' pass fractions.
+    /// gather pass: each 64-row mask word survives the earlier filters
+    /// (is non-empty) with probability `1 − (1 − p)^64` where `p` is the
+    /// product of the earlier filters' pass fractions. An upper bound: a
+    /// surviving word with ≤ [`SPARSE_WORD_BITS`] rows costs that many
+    /// probes, not 64.
     fn private_gather_cost(filters: &[Filter], pos: usize) -> f64 {
         let prefix: f64 = filters[..pos].iter().map(|f| f.est).product();
         1.0 - (1.0 - prefix.clamp(0.0, 1.0)).powi(64)
@@ -1081,9 +1114,9 @@ impl<'a> ScanPlan<'a> {
 
     /// Builds the chunk's qualifying-row mask for one binary query:
     /// all-ones, then (1) word-wise ANDs of the query's shared cached
-    /// masks, then (2) gather + AND per query-private filter (most
-    /// selective first, probe fast paths over the chunk's fk codes, with
-    /// the `*word == 0` early exit).
+    /// masks, then (2) [`Filter::and_chunk`] per query-private filter (most
+    /// selective first, probe fast paths over the chunk's fk codes, empty
+    /// words skipped and sparse ones probed lane by lane).
     fn chunk_mask(
         &self,
         masks: &(Vec<usize>, Vec<&Filter>),
@@ -1308,25 +1341,51 @@ pub(crate) fn dimension_bitsets(
             let domain = dim.table.domain(&pred.attr)?;
             pred.constraint.validate(domain)?;
             let bits = bitsets[di].get_or_insert_with(|| BitSet::ones(dim.table.num_rows()));
-            bits.retain(|i| pred.constraint.matches(codes[i]));
+            and_constraint(bits, &pred.constraint, codes, domain.size());
             continue;
         }
-        // Snowflake predicate: on a sub-dimension, folded into the parent.
+        // Snowflake predicate: on a sub-dimension, folded into the parent
+        // through its link keys.
         if let Some((parent, sub)) = schema.subdim(&pred.table) {
             let sub_codes = sub.table.codes(&pred.attr)?;
             let domain = sub.table.domain(&pred.attr)?;
             pred.constraint.validate(domain)?;
-            let sub_pass =
-                BitSet::from_fn(sub_codes.len(), |i| pred.constraint.matches(sub_codes[i]));
+            let mut sub_pass = BitSet::ones(sub_codes.len());
+            and_constraint(&mut sub_pass, &pred.constraint, sub_codes, domain.size());
+            let sub_lut = sub_pass.to_byte_lut();
             let link = parent.table.key(&sub.fk_in_dim)?;
             let di = schema.dim_index(parent.table.name())?;
             let bits = bitsets[di].get_or_insert_with(|| BitSet::ones(parent.table.num_rows()));
-            bits.retain(|i| sub_pass.get(link.get(i) as usize));
+            with_keys!(link, |link| and_gathered(bits, &sub_lut, link));
             continue;
         }
         return Err(EngineError::UnknownTable(pred.table.clone()));
     }
     Ok(bitsets)
+}
+
+/// ANDs `constraint` over the rows of `codes` into `bits`: the constraint
+/// is evaluated once per code of its domain into a `{0, 1}` byte table,
+/// then gathered 64 rows at a time. A domain wider than the table is
+/// evaluated per row instead, so a sparse code space never costs a byte
+/// per code.
+fn and_constraint(bits: &mut BitSet, constraint: &Constraint, codes: &[u32], domain: u32) {
+    if domain as usize > codes.len() {
+        bits.and_assign(&BitSet::from_fn(codes.len(), |i| constraint.matches(codes[i])));
+        return;
+    }
+    let lut: Vec<u8> = (0..domain).map(|code| u8::from(constraint.matches(code))).collect();
+    and_gathered(bits, &lut, codes);
+}
+
+/// ANDs `lut[keys[i]]` into bit `i` of `bits`, 64 rows at a time through
+/// the byte-LUT gather, skipping words already empty.
+fn and_gathered<K: Key>(bits: &mut BitSet, lut: &[u8], keys: &[K]) {
+    for (word, lane) in bits.words_mut().iter_mut().zip(keys.chunks(64)) {
+        if *word != 0 {
+            *word &= gather_word_bytes(lut, lane);
+        }
+    }
 }
 
 /// What [`ScanPlan::describe`] reports: the shape of the fused scan the
@@ -1787,6 +1846,54 @@ mod tests {
         let narrow: Vec<u16> = (0..40).collect();
         for f in [&word, &bytes, &wide] {
             assert_eq!(f.gather_word(&narrow), word.gather_word(&lane));
+        }
+    }
+
+    #[test]
+    fn sparse_and_dense_words_and_identically() {
+        // Three full words and a 37-lane tail, behind every probe class at
+        // both key widths, under running masks of every popcount 0..=64:
+        // the sparse walk up to `SPARSE_WORD_BITS`, the dense gather past
+        // it. Each popcount comes as its lowest lanes (bit 0), its highest
+        // (bit 63) and a spread.
+        const LANES: usize = 3 * 64 + 37;
+        for rows in [64usize, 200] {
+            let bits = BitSet::from_fn(rows, |i| i % 3 == 0);
+            let filter = |probe| Filter { dim: 0, bits: bits.clone(), probe, pass: 0, est: 0.0 };
+            let mut filters = vec![filter(Probe::Bytes(bits.to_byte_lut())), filter(Probe::Wide)];
+            if rows <= WORD_PROBE_CAP {
+                filters.push(filter(Probe::Word(bits.words()[0])));
+            }
+            let fk: Vec<u32> =
+                (0..LANES).map(|i| ((i * 7 + i / 64 * 5 + 1) % rows) as u32).collect();
+            let narrow: Vec<u16> = fk.iter().map(|&k| k as u16).collect();
+            // Lanes 0 and 63 each meet a passing and a failing code.
+            for lane in [0, 63] {
+                let pass: Vec<bool> =
+                    fk.chunks(64).filter_map(|w| Some(bits.get(*w.get(lane)? as usize))).collect();
+                assert!(pass.contains(&true) && pass.contains(&false), "lane {lane}");
+            }
+            for popcount in 0..=64u32 {
+                let low = u64::MAX.checked_shr(64 - popcount).unwrap_or(0);
+                let spread = (0..popcount).fold(0u64, |m, j| m | 1 << (j * 37 % 64));
+                for running in [low, low.reverse_bits(), spread] {
+                    let mut mask = [running; LANES.div_ceil(64)];
+                    mask[LANES / 64] &= (1 << (LANES % 64)) - 1;
+                    for f in &filters {
+                        let want: Vec<u64> = mask
+                            .iter()
+                            .zip(fk.chunks(64))
+                            .map(|(m, w)| m & f.gather_word(w))
+                            .collect();
+                        let (mut wide, mut short) = (mask, mask);
+                        f.and_chunk(&fk, &mut wide);
+                        f.and_chunk(&narrow, &mut short);
+                        let probe = &f.probe;
+                        assert_eq!(wide, want[..], "u32, {probe:?}, {rows} rows, {running:#x}");
+                        assert_eq!(short, want[..], "u16, {probe:?}, {rows} rows, {running:#x}");
+                    }
+                }
+            }
         }
     }
 

@@ -2,13 +2,16 @@
 //! kernel.
 //!
 //! The fused fact scan is **gather-compute bound**: per 4096-row chunk,
-//! every filter turns 64 fk codes at a time into one qualifying-row mask
-//! word. The `gather_word_*` functions are the three probe-specialized
-//! inner loops that do it. Each is an 8-wide manually unrolled loop with a
-//! pairwise OR-combine tree, so the eight per-row probes are independent
-//! (no loop-carried dependency until the balanced 3-level combine) and
-//! LLVM can autovectorize / software-pipeline them — plain safe Rust, no
-//! `std::simd`, verified by the bench gate rather than asm inspection.
+//! every filter ANDs its pass bits into the chunk's qualifying-row mask, a
+//! 64-row word at a time. A word with many surviving rows goes through one
+//! of the three probe-specialized `gather_word_*` loops, which turn all 64
+//! fk codes into one mask word. Each is an 8-wide manually unrolled loop
+//! with a pairwise OR-combine tree, so the eight per-row probes are
+//! independent (no loop-carried dependency until the balanced 3-level
+//! combine) and LLVM can autovectorize / software-pipeline them — plain
+//! safe Rust, no `std::simd`, verified by the bench gate rather than asm
+//! inspection. A word with few surviving rows goes through
+//! [`probe_set_lanes`] instead, which probes only the lanes still set.
 //! Every gather reads its chunk of fk codes straight from the fact column,
 //! and [`fold_flat`] folds the histogram plan's joint flat codes from the
 //! same slices.
@@ -183,6 +186,22 @@ pub(crate) fn gather_word_wide<K: Key>(bits: &BitSet, fk: &[K]) -> u64 {
         i += 1;
     }
     gathered
+}
+
+/// Keeps the set lanes of `word` whose fk code passes `pass`: walks the
+/// set bits (`trailing_zeros`, `w &= w - 1`) and probes only those lanes,
+/// so a word with `n` surviving rows costs `n` probes instead of 64. Equal
+/// to `word & gather_word_*(fk)` for the probe `pass` stands for.
+#[inline]
+pub(crate) fn probe_set_lanes<K: Key>(word: u64, fk: &[K], pass: impl Fn(usize) -> u64) -> u64 {
+    let mut kept = 0u64;
+    let mut w = word;
+    while w != 0 {
+        let lane = w.trailing_zeros() as usize;
+        w &= w - 1;
+        kept |= pass(fk[lane].index()) << lane;
+    }
+    kept
 }
 
 #[cfg(test)]

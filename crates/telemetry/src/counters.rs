@@ -29,13 +29,18 @@ pub struct KernelCounters {
     /// [`KernelCounters::staged_chunk_copies`]: every gather is counted in
     /// [`KernelCounters::direct_gathers`].
     pub staged_gathers: AtomicU64,
-    /// Every mask/axis gather per chunk, each read straight from the
-    /// source fk array.
+    /// Mask/axis gathers per chunk, each read straight from the source fk
+    /// array. An upper bound on full passes: counted from the plan as
+    /// one pass per filter per chunk, while a later filter skips an
+    /// empty mask word and reads only the surviving lanes (≤ 8 fk codes,
+    /// not 64) of a sparse one.
     pub direct_gathers: AtomicU64,
     /// Bytes of fact fk columns the scans' gathers read from memory: per
     /// dimension, gathers × column width × fact rows (one pass per
-    /// gather). Computed from the plan, so word-level early exits and
-    /// per-row group-by lookups are not reflected.
+    /// gather). An upper bound, for the same reason as
+    /// [`KernelCounters::direct_gathers`]: skipped empty words and the
+    /// lanes a sparse word leaves unread are counted, and per-row group-by
+    /// lookups are not.
     pub fk_bytes_read: AtomicU64,
     /// Filters classified to the ≤ 64-row register-word probe.
     pub probe_word: AtomicU64,

@@ -466,6 +466,96 @@ fn chunk_boundary_sizes_match_reference() {
     }
 }
 
+/// A multi-chunk star whose most selective filter, `A.x < keep` over a
+/// 64-row dimension with uniform fks, passes about `keep / 64` (1/64 to
+/// 1/8) of the fact rows. The later filters on B and C then see mostly
+/// mask words with a handful of surviving rows: the kernel's per-lane
+/// sparse path. B's and C's row counts pick their probe class (register
+/// word, byte LUT, packed bitset); their attribute codes are random.
+fn sparse_survivor_schema(fact_rows: usize, b_rows: usize, c_rows: usize, seed: u64) -> StarSchema {
+    let mut state = seed;
+    // SplitMix64, reduced to `0..n`.
+    let mut draw = |n: usize| {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % n as u64) as u32
+    };
+    let mut dim = |name: &str, rows: usize, domain: u32, identity: bool| {
+        let codes = (0..rows as u32).map(|i| if identity { i } else { draw(domain as usize) });
+        Table::new(
+            name,
+            vec![
+                Column::key("pk", (0..rows as u32).collect()),
+                Column::attr("x", Domain::numeric("x", domain).unwrap(), codes.collect()),
+            ],
+        )
+        .unwrap()
+    };
+    let (a, b, c) =
+        (dim("A", 64, 64, true), dim("B", b_rows, 4, false), dim("C", c_rows, 3, false));
+    let mut fk = |rows: usize| (0..fact_rows).map(|_| draw(rows)).collect::<Vec<u32>>();
+    let (fa, fb, fc) = (fk(64), fk(b_rows), fk(c_rows));
+    let fact = Table::new(
+        "F",
+        vec![
+            Column::key("fa", fa),
+            Column::key("fb", fb),
+            Column::key("fc", fc),
+            Column::measure("m", (0..fact_rows).map(|i| (i % 19) as i64 - 9).collect()),
+        ],
+    )
+    .unwrap();
+    let dims = vec![
+        Dimension::new(a, "pk", "fa"),
+        Dimension::new(b, "pk", "fb"),
+        Dimension::new(c, "pk", "fc"),
+    ];
+    StarSchema::new(fact, dims).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn sparse_survivor_words_are_bit_identical_to_reference(
+        fact_rows in (2 * 4096 + 1usize)..(4 * 4096),
+        (b_rows, c_rows) in (
+            prop_oneof![Just(48usize), Just(1000), Just((1usize << 16) + 5)],
+            prop_oneof![Just(20usize), Just(300)],
+        ),
+        keep in 1u32..9,
+        on_b in proptest::collection::vec(constraint_strategy(4), 1..3),
+        on_c in proptest::collection::vec(constraint_strategy(3), 0..2),
+        seed in 0u64..u64::MAX,
+    ) {
+        let schema = sparse_survivor_schema(fact_rows, b_rows, c_rows, seed);
+        let selective = Predicate::range("A", "x", 0, keep - 1);
+        let mut queries = vec![
+            StarQuery::count("count").with(selective.clone()),
+            StarQuery::sum("sum", "m").with(selective.clone()),
+            StarQuery::sum("grouped", "m").with(selective).group_by(GroupAttr::new("B", "x")),
+        ];
+        // Each query gets its own later filters, so they stay query-private.
+        for (qi, q) in queries.iter_mut().enumerate() {
+            for c in on_b.iter().skip(qi % on_b.len()) {
+                *q = q.clone().with(Predicate { table: "B".into(), attr: "x".into(), constraint: c.clone() });
+            }
+            for c in &on_c {
+                *q = q.clone().with(Predicate { table: "C".into(), attr: "x".into(), constraint: c.clone() });
+            }
+        }
+        let fused = execute_batch(&schema, &queries).unwrap();
+        for (i, q) in queries.iter().enumerate() {
+            let oracle = reference::execute(&schema, q).unwrap();
+            prop_assert_eq!(&fused[i], &oracle, "fused member {} diverged", i);
+            let single = dp_starj_repro::engine::execute(&schema, q).unwrap();
+            prop_assert_eq!(single, oracle, "single query {} diverged", i);
+        }
+    }
+}
+
 /// Kernel-sized sharding (the default `threads = 0`) on a table big enough
 /// to split: two 300-row dimensions, one measure, just past twice the
 /// kernel's ~1 M-row shard floor. The fk columns are `u16`.
