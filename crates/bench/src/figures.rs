@@ -6,14 +6,13 @@
 use crate::harness::{mech_row, pct, run_trials, secs, stats, Stat, TablePrinter};
 use crate::mechanisms::{truth, Mech, MechOutcome, MECHS};
 use crate::scenarios::{private_dims_for, Knobs};
-use dp_starj::pm::{pm_answer, BudgetSplit, PmConfig};
-use dp_starj::pma::{perturb_constraint_with, NoiseKind, RangePolicy};
+use dp_starj::pm::PmConfig;
 use dp_starj::workload::{
     pm_workload_answer, wd_answer, workload_relative_error, PredicateWorkload, WdConfig,
     WorkloadBlock,
 };
 use starj_baselines::{kstar_r2t, kstar_tm, r2t_answer, KstarTmConfig, R2tConfig};
-use starj_engine::{Constraint, Domain, QueryResult, StarQuery, StarSchema};
+use starj_engine::{QueryResult, StarQuery, StarSchema};
 use starj_graph::{amazon_like, binomial, deezer_like, kstar_count, Graph, KStarQuery};
 use starj_linalg::StrategyKind;
 use starj_noise::StarRng;
@@ -157,7 +156,7 @@ fn table2(k: &Knobs) {
 /// One noisy k-star count from `mech` (`PM`, `R2T` or `TM`).
 fn kstar_answer(graph: &Graph, q: &KStarQuery, mech: &str, eps: f64, rng: &mut StarRng) -> f64 {
     match mech {
-        "PM" => dp_starj::pm_kstar(graph, q, eps, RangePolicy::default(), rng).expect("PM runs").0,
+        "PM" => dp_starj::pm_kstar(graph, q, eps, rng).expect("PM runs").0,
         "R2T" => {
             let gs = binomial(u64::from(graph.max_degree()), q.k) as f64;
             let cfg = R2tConfig::new(gs.max(2.0), vec![]);
@@ -408,15 +407,14 @@ fn fig10(k: &Knobs) {
     }
 }
 
-/// Ablations of the design choices listed in the README's "Interpretations
-/// and substitutions":
+/// Ablations of the design choices whose question is still open:
 ///
-/// 1. **PMA invalid-range policy** — Resample vs Swap vs Collapse (#1);
-/// 2. **Budget split granularity** — ε/n per table vs ε/p per predicate (#2);
 /// 3. **WD strategy choice** — auto vs forced identity/dyadic on W1/W2;
-/// 4. **R2T τ-grid base** — 2 vs 4;
-/// 5. **PMA noise family** — rounded continuous Laplace (Algorithm 2) vs
-///    discrete Laplace (geometric).
+/// 4. **R2T τ-grid base** — 2 vs 4.
+///
+/// Rows 1, 2 and 5 (PMA's invalid-range policy, the budget split and the
+/// noise family) were settled and their losing readings deleted; README,
+/// "Interpretations and substitutions", #1 and #2 keep their scores.
 fn ablations(k: &Knobs) {
     // Ablation deltas are smaller than mechanism-vs-mechanism gaps, so use a
     // larger trial floor to keep the comparisons out of the noise.
@@ -424,95 +422,65 @@ fn ablations(k: &Knobs) {
     let eps = 0.5;
     println!("Ablations (SF={}, ε={eps}, {trials} trials)\n", k.sf);
     let schema = ssb(SsbConfig::at_scale(k.sf, k.seed));
-    let mean_row = |lead: &[&str], tag: &str, trial: &dyn Fn(&mut StarRng) -> f64| {
-        let lead = lead.iter().map(|s| s.to_string()).collect();
-        mech_row(lead, [tag], Stat::Mean, |tag| {
-            run_trials(k.seed, tag, trials, |rng| MechOutcome::timed(|| trial(rng)))
-        })
-    };
-    let pm_err = |q: &StarQuery, cfg: &PmConfig, truth: &QueryResult, rng: &mut StarRng| {
-        pm_answer(&schema, q, eps, cfg, rng).expect("PM runs").result.relative_error(truth)
-    };
 
-    println!("1. PMA invalid-range policy (Qc3):");
-    let truth_c3 = truth(&schema, &qc3());
-    let t1 = TablePrinter::new(&["policy", "err%"], &[10, 8]);
-    for (name, policy) in [
-        ("Resample", RangePolicy::Resample { max_attempts: 64 }),
-        ("Swap", RangePolicy::Swap),
-        ("Collapse", RangePolicy::Collapse),
-    ] {
-        let cfg = PmConfig { policy, ..Default::default() };
-        t1.row(&mean_row(&[name], &format!("ab1/{name}"), &|rng| {
-            pm_err(&qc3(), &cfg, &truth_c3, rng)
-        }));
-    }
-
-    println!("\n2. Budget split granularity (Qc4):");
-    let truth_c4 = truth(&schema, &qc4());
-    let t2 = TablePrinter::new(&["split", "err%"], &[14, 8]);
-    for (name, split) in
-        [("PerTable", BudgetSplit::PerTable), ("PerPredicate", BudgetSplit::PerPredicate)]
-    {
-        let cfg = PmConfig { split, ..Default::default() };
-        t2.row(&mean_row(&[name], &format!("ab2/{name}"), &|rng| {
-            pm_err(&qc4(), &cfg, &truth_c4, rng)
-        }));
-    }
-
-    println!("\n3. WD strategy choice (W1/W2):");
+    println!("3. WD strategy choice (W1/W2):");
     let t3 = TablePrinter::new(&["workload", "strategy", "err%"], &[8, 10, 8]);
     for (wname, w) in [("W1", adapt(&w1())), ("W2", adapt(&w2()))] {
         let truth = w.true_answers(&schema).expect("exact");
         let forced = |kind| WdConfig { strategies: Some(vec![kind; 3]), ..Default::default() };
-        for (sname, cfg) in [
+        let variants = [
             ("auto", WdConfig::default()),
             ("identity", forced(StrategyKind::Identity)),
             ("dyadic", forced(StrategyKind::DyadicRanges)),
-        ] {
-            t3.row(&mean_row(&[wname, sname], &format!("ab3/{wname}/{sname}"), &|rng| {
-                let ans = wd_answer(&schema, &w, eps, &cfg, rng).expect("WD runs");
+        ];
+        let cells =
+            ablation_cells(k.seed, trials, &format!("ab3/{wname}"), &variants, |cfg, rng| {
+                let ans = wd_answer(&schema, &w, eps, cfg, rng).expect("WD runs");
                 workload_relative_error(&ans, &truth)
-            }));
+            });
+        for ((sname, _), cell) in variants.iter().zip(cells) {
+            t3.row(&[wname, sname, &cell]);
         }
     }
 
     println!("\n4. R2T τ-grid base (Qc3):");
-    let truth = truth_c3.scalar().expect("scalar");
+    let truth = truth(&schema, &qc3()).scalar().expect("scalar");
     let t4 = TablePrinter::new(&["base", "err%"], &[6, 8]);
-    for base in [2.0, 4.0] {
-        let cfg = R2tConfig { base, ..R2tConfig::new(1e5, customer()) };
-        t4.row(&mean_row(&[base.to_string().as_str()], &format!("ab4/{base}"), &|rng| {
-            let a = r2t_answer(&schema, &qc3(), eps, &cfg, rng).expect("R2T runs");
-            (a.value - truth).abs() / truth.max(1.0)
-        }));
+    let variants =
+        [2.0, 4.0].map(|base| (base, R2tConfig { base, ..R2tConfig::new(1e5, customer()) }));
+    let cells = ablation_cells(k.seed, trials, "ab4", &variants, |cfg, rng| {
+        let a = r2t_answer(&schema, &qc3(), eps, cfg, rng).expect("R2T runs");
+        (a.value - truth).abs() / truth.max(1.0)
+    });
+    for ((base, _), cell) in variants.iter().zip(cells) {
+        t4.row(&[base.to_string(), cell]);
     }
+}
 
-    // 5. Each trial's value is its mean endpoint displacement.
-    println!("\n5. PMA noise family (year range [1,5], dom 7, ε per predicate = {eps}):");
-    let t5 = TablePrinter::new(&["noise", "mean endpoint shift"], &[12, 20]);
-    let domain = Domain::numeric("year", 7).expect("valid domain");
-    for (name, kind) in
-        [("continuous", NoiseKind::ContinuousLaplace), ("discrete", NoiseKind::DiscreteLaplace)]
-    {
-        let (range, policy) = (Constraint::Range { lo: 1, hi: 5 }, RangePolicy::default());
-        let shifts = run_trials(k.seed, &format!("ab5/{name}"), trials * 40, |rng| {
-            MechOutcome::timed(|| {
-                let noisy = perturb_constraint_with(&range, &domain, eps, policy, kind, rng);
-                let Constraint::Range { lo, hi } = noisy.expect("PMA runs") else {
-                    unreachable!("PMA perturbs a range into a range")
-                };
-                ((f64::from(lo) - 1.0).abs() + (f64::from(hi) - 5.0).abs()) / 2.0
-            })
-        });
-        let (shifts, _) = shifts.expect("every trial runs");
-        t5.row(&[name.to_string(), format!("{:.3}", stats(&shifts).mean)]);
-    }
+/// One ablation question's cells: each variant's mean error over `trials`
+/// streams derived from `question` alone. Every variant meets the same
+/// random numbers, so a gap between two cells is the variants' own.
+fn ablation_cells<L, V>(
+    seed: u64,
+    trials: u64,
+    question: &str,
+    variants: &[(L, V)],
+    trial: impl Fn(&V, &mut StarRng) -> f64,
+) -> Vec<String> {
+    variants
+        .iter()
+        .map(|(_, v)| {
+            let runs =
+                run_trials(seed, question, trials, |rng| MechOutcome::timed(|| trial(v, rng)));
+            pct(stats(&runs.expect("every trial runs").0).mean)
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dp_starj::pm::pm_answer;
 
     /// Table 1's `ε = 0.1` PM row at SF 0.002, one trial, seed 2023: any
     /// drift in a derive tag, the generator or PM moves a cell.
@@ -525,5 +493,21 @@ mod tests {
         let want = ["0.1", "PM", "0.00", "26.25", "64.47", "100.00", "1.92", "49.02", "9306.75"];
         assert_eq!(row[..9], want);
         assert_eq!(row[9..], ["33.64", "186.48"]);
+    }
+
+    /// Two variants that differ only in their label are one variant: on
+    /// common random numbers their cells are equal.
+    #[test]
+    fn ablation_variants_share_their_trial_streams() {
+        let schema = ssb(SsbConfig::at_scale(0.002, 2023));
+        let truth = truth(&schema, &qc3());
+        let variants = [("a", PmConfig::default()), ("b", PmConfig::default())];
+        let cells = ablation_cells(2023, 8, "ab/test", &variants, |cfg, rng| {
+            pm_answer(&schema, &qc3(), 0.5, cfg, rng)
+                .expect("PM runs")
+                .result
+                .relative_error(&truth)
+        });
+        assert_eq!(cells[0], cells[1]);
     }
 }

@@ -8,7 +8,7 @@
 //! the paper's timing columns.
 
 use crate::error::CoreError;
-use crate::pma::{perturb_constraint, RangePolicy};
+use crate::pma::perturb_constraint;
 use starj_engine::{Constraint, Domain};
 use starj_graph::{kstar_count, Graph, KStarQuery};
 use starj_noise::StarRng;
@@ -21,7 +21,6 @@ pub fn pm_kstar(
     graph: &Graph,
     query: &KStarQuery,
     epsilon: f64,
-    policy: RangePolicy,
     rng: &mut StarRng,
 ) -> Result<(f64, KStarQuery), CoreError> {
     if !(epsilon.is_finite() && epsilon > 0.0) {
@@ -36,7 +35,7 @@ pub fn pm_kstar(
     }
     let domain = Domain::numeric("node", n)?;
     let constraint = Constraint::Range { lo: query.lo, hi: query.hi };
-    let noisy = perturb_constraint(&constraint, &domain, epsilon, policy, rng)?;
+    let noisy = perturb_constraint(&constraint, &domain, epsilon, rng)?;
     let (lo, hi) = match noisy {
         Constraint::Range { lo, hi } => (lo, hi),
         Constraint::Point(v) => (v, v),
@@ -60,11 +59,11 @@ mod tests {
         let g = graph();
         let mut rng = StarRng::from_seed(1);
         let q = KStarQuery::full(2, g.num_nodes());
-        assert!(pm_kstar(&g, &q, 0.0, RangePolicy::default(), &mut rng).is_err());
+        assert!(pm_kstar(&g, &q, 0.0, &mut rng).is_err());
         let bad = KStarQuery { k: 2, lo: 10, hi: 5 };
-        assert!(pm_kstar(&g, &bad, 1.0, RangePolicy::default(), &mut rng).is_err());
+        assert!(pm_kstar(&g, &bad, 1.0, &mut rng).is_err());
         let oob = KStarQuery { k: 2, lo: 0, hi: g.num_nodes() + 5 };
-        assert!(pm_kstar(&g, &oob, 1.0, RangePolicy::default(), &mut rng).is_err());
+        assert!(pm_kstar(&g, &oob, 1.0, &mut rng).is_err());
     }
 
     #[test]
@@ -73,7 +72,7 @@ mod tests {
         let q = KStarQuery::full(2, g.num_nodes());
         for t in 0..200 {
             let mut rng = StarRng::from_seed(2).derive_index(t);
-            let (count, noisy) = pm_kstar(&g, &q, 0.1, RangePolicy::default(), &mut rng).unwrap();
+            let (count, noisy) = pm_kstar(&g, &q, 0.1, &mut rng).unwrap();
             assert!(noisy.lo <= noisy.hi);
             assert!(noisy.hi < g.num_nodes());
             assert!(count >= 0.0);
@@ -91,7 +90,7 @@ mod tests {
             let n = 80;
             for t in 0..n {
                 let mut rng = StarRng::from_seed(3).derive_index(t);
-                let (v, _) = pm_kstar(&g, &q, eps, RangePolicy::default(), &mut rng).unwrap();
+                let (v, _) = pm_kstar(&g, &q, eps, &mut rng).unwrap();
                 acc += (v - truth).abs() / truth;
             }
             acc / n as f64
@@ -107,7 +106,7 @@ mod tests {
         let q = KStarQuery::full(3, g.num_nodes());
         let truth = kstar_count(&g, &q) as f64;
         let mut rng = StarRng::from_seed(4);
-        let (v, noisy) = pm_kstar(&g, &q, 1e9, RangePolicy::default(), &mut rng).unwrap();
+        let (v, noisy) = pm_kstar(&g, &q, 1e9, &mut rng).unwrap();
         assert_eq!(v, truth);
         assert_eq!((noisy.lo, noisy.hi), (q.lo, q.hi));
     }

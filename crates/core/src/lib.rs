@@ -60,7 +60,7 @@ pub mod workload;
 pub use error::CoreError;
 pub use kstar::pm_kstar;
 pub use pm::{pm_answer, PmAnswer, PmConfig};
-pub use pma::{perturb_constraint, perturb_constraint_with, NoiseKind, RangePolicy};
+pub use pma::perturb_constraint;
 pub use privacy::PrivacySpec;
 pub use workload::{
     pm_workload_answer, wd_answer, wd_answer_with_histogram, wd_reconstruct, workload_axes,

@@ -3,9 +3,10 @@
 //! Given a star-join query `Q` with predicates on `n` dimension tables, PM:
 //!
 //! 1. extracts the per-dimension predicates (Phase 1, "Extract Predicates");
-//! 2. perturbs each with PMA under budget `ε_i = ε/n` (Phase 2,
-//!    "Perturbation Query") — multiple predicates on one table split that
-//!    table's `ε_i` evenly (README, "Interpretations and substitutions", #2);
+//! 2. perturbs each with PMA under budget `ε_i = ε/n`, where `n` counts the
+//!    predicate-bearing tables (Phase 2, "Perturbation Query") — multiple
+//!    predicates on one table split that table's `ε_i` evenly (README,
+//!    "Interpretations and substitutions", #2);
 //! 3. evaluates the noisy query exactly on the raw instance (Phase 3,
 //!    "Answering Star-join Query").
 //!
@@ -17,43 +18,21 @@
 //! predicates, never the grouping attributes, per §5.3.
 
 use crate::error::CoreError;
-use crate::pma::{perturb_constraint, RangePolicy};
+use crate::pma::perturb_constraint;
 use starj_engine::{
     execute_with, Domain, Predicate, QueryResult, ScanOptions, StarQuery, StarSchema,
 };
 use starj_noise::StarRng;
 
-/// How the query budget is split across predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BudgetSplit {
-    /// `ε/n` per predicate-bearing table (the paper's Algorithm 1/3 rule);
-    /// tables with several predicates split their share evenly.
-    PerTable,
-    /// `ε/p` per predicate, ignoring table grouping (ablation variant).
-    PerPredicate,
-}
-
-/// PM configuration.
-#[derive(Debug, Clone, Copy)]
+/// PM configuration. PM itself has no settings: the per-table budget split
+/// and PMA's range rule are the paper's (README, "Interpretations and
+/// substitutions", #1 and #2), so only the answering scan is configured.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PmConfig {
-    /// Invalid-range handling in PMA.
-    pub policy: RangePolicy,
-    /// Budget split rule.
-    pub split: BudgetSplit,
-    /// Scan options for the answering pass (shard count and probe caps).
-    /// Answers are bit-identical under any of them — DP semantics never
-    /// depend on the kernel's plan shape.
+    /// Scan options for the answering pass (its shard count). Answers are
+    /// bit-identical under any of them — DP semantics never depend on the
+    /// kernel's plan shape.
     pub scan: ScanOptions,
-}
-
-impl Default for PmConfig {
-    fn default() -> Self {
-        PmConfig {
-            policy: RangePolicy::default(),
-            split: BudgetSplit::PerTable,
-            scan: ScanOptions::default(),
-        }
-    }
 }
 
 /// A DP answer together with the noisy query that produced it.
@@ -82,11 +61,15 @@ pub(crate) fn resolve_domain<'a>(
 }
 
 /// Produces the noisy query of Phase 2 without executing it.
+///
+/// Perturbation reads nothing from `_config` (its only field is the
+/// answering scan's); it is taken so that this and [`pm_answer`] share one
+/// signature.
 pub fn perturb_query(
     schema: &StarSchema,
     query: &StarQuery,
     epsilon: f64,
-    config: &PmConfig,
+    _config: &PmConfig,
     rng: &mut StarRng,
 ) -> Result<StarQuery, CoreError> {
     if !(epsilon.is_finite() && epsilon > 0.0) {
@@ -98,29 +81,15 @@ pub fn perturb_query(
         return Ok(query.clone());
     }
 
-    let tables = query.predicate_tables();
-    let per_pred_budget: Vec<f64> = match config.split {
-        BudgetSplit::PerTable => {
-            let eps_table = epsilon / tables.len() as f64;
-            query
-                .predicates
-                .iter()
-                .map(|p| {
-                    let on_same_table =
-                        query.predicates.iter().filter(|q| q.table == p.table).count();
-                    eps_table / on_same_table as f64
-                })
-                .collect()
-        }
-        BudgetSplit::PerPredicate => {
-            vec![epsilon / query.predicates.len() as f64; query.predicates.len()]
-        }
-    };
-
+    // ε/n per predicate-bearing table (Algorithms 1 and 3); a table with
+    // several predicates splits its share evenly.
+    let eps_table = epsilon / query.predicate_tables().len() as f64;
     let mut noisy = query.clone();
-    for (pred, eps) in noisy.predicates.iter_mut().zip(per_pred_budget) {
+    for pred in &mut noisy.predicates {
+        let on_same_table = query.predicates.iter().filter(|q| q.table == pred.table).count();
+        let eps = eps_table / on_same_table as f64;
         let domain = resolve_domain(schema, pred)?;
-        pred.constraint = perturb_constraint(&pred.constraint, domain, eps, config.policy, rng)?;
+        pred.constraint = perturb_constraint(&pred.constraint, domain, eps, rng)?;
     }
     Ok(noisy)
 }
@@ -252,15 +221,6 @@ mod tests {
         } else {
             panic!("month constraint should stay a range");
         }
-    }
-
-    #[test]
-    fn per_predicate_split_also_works() {
-        let s = schema();
-        let cfg = PmConfig { split: BudgetSplit::PerPredicate, ..Default::default() };
-        let mut rng = StarRng::from_seed(7);
-        let ans = pm_answer(&s, &qc3(), 1.0, &cfg, &mut rng).unwrap();
-        assert!(ans.result.scalar().unwrap() >= 0.0);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use crate::error::CoreError;
 use crate::pm::{perturb_query, PmConfig};
-use crate::pma::{perturb_constraint, RangePolicy};
+use crate::pma::perturb_constraint;
 use starj_engine::{
     execute_batch_with, execute_weighted_batch_with, Agg, Constraint, Predicate, ScanOptions,
     StarQuery, StarSchema, WeightHistogram, WeightedPredicate, WeightedQuery,
@@ -181,12 +181,11 @@ pub struct WdConfig {
     /// Per-block strategy override; `None` auto-selects via
     /// [`PredicateWorkload::choose_strategies`].
     pub strategies: Option<Vec<StrategyKind>>,
-    /// Invalid-range policy for PMA on strategy rows.
-    pub policy: RangePolicy,
     /// Budget accounting rule (default: the paper's).
     pub accounting: WdAccounting,
-    /// Scan options for the fused answering pass (shard count and probe
-    /// caps); answers are bit-identical under any of them.
+    /// Scan options for the fused answering pass (its shard count);
+    /// answers are bit-identical under any of them. Strategy rows are
+    /// perturbed by PMA under its one range rule.
     pub scan: ScanOptions,
 }
 
@@ -194,7 +193,6 @@ impl Default for WdConfig {
     fn default() -> Self {
         WdConfig {
             strategies: None,
-            policy: RangePolicy::default(),
             accounting: WdAccounting::PaperLiteral,
             scan: ScanOptions::default(),
         }
@@ -265,7 +263,7 @@ pub fn wd_reconstruct(
             .map(|&(lo, hi)| {
                 let constraint =
                     if lo == hi { Constraint::Point(lo) } else { Constraint::Range { lo, hi } };
-                let noisy = perturb_constraint(&constraint, &domain, eps_row, config.policy, rng)?;
+                let noisy = perturb_constraint(&constraint, &domain, eps_row, rng)?;
                 Ok(noisy.to_indicator(block.domain))
             })
             .collect::<Result<_, CoreError>>()?;

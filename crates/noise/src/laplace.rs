@@ -80,11 +80,6 @@ impl Laplace {
     }
 }
 
-/// Convenience: one Laplace draw with the given scale.
-pub fn laplace_noise(scale: f64, rng: &mut StarRng) -> Result<f64, NoiseError> {
-    Ok(Laplace::new(scale)?.sample(rng))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

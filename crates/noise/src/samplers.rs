@@ -158,11 +158,6 @@ impl GaussianMixture {
         Ok(GaussianMixture { components: comps, cum })
     }
 
-    /// Number of mixture components.
-    pub fn num_components(&self) -> usize {
-        self.components.len()
-    }
-
     /// Mixture mean `Σ wᵢ μᵢ`.
     pub fn mean(&self) -> f64 {
         self.components.iter().map(|(w, n)| w * n.mean).sum()

@@ -433,18 +433,6 @@ impl Router {
         Self::wrap(dataset, shard, service.explain(query, profile))
     }
 
-    /// [`Router::explain`] wherever the query's tables live, returning the
-    /// owning dataset alongside the report.
-    pub fn explain_routed(
-        &self,
-        query: &StarQuery,
-        profile: bool,
-    ) -> Result<(String, ExplainReport), RouterError> {
-        let dataset = self.route_query(query)?;
-        let report = self.explain(&dataset, query, profile)?;
-        Ok((dataset, report))
-    }
-
     /// The live streaming bus every shard publishes onto, when configured.
     pub fn bus(&self) -> Option<&Arc<EventBus>> {
         self.config.bus.as_ref()

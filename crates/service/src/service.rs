@@ -33,7 +33,9 @@
 //! synchronization, so one `Arc<Service>` serves any number of threads.
 //! Randomness is derived per request from the root seed and a monotone
 //! counter, keeping runs reproducible for a fixed seed and arrival order
-//! while decorrelating concurrent requests.
+//! while decorrelating concurrent requests. The default root seed is drawn
+//! from the OS, so a served noise stream is not known in advance; tests and
+//! benchmarks fix theirs.
 //!
 //! [`Service::refresh_schema`] swaps the data for a new instance: the data
 //! version bumps, and both the answer cache and the W-histogram cache key on
@@ -65,6 +67,7 @@ use starj_telemetry::{
 };
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
+use std::io::Read;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
@@ -80,7 +83,10 @@ pub struct ServiceConfig {
     /// paper's literal rule spends ε/n on *every* row and would compose to
     /// 5.67ε (W1) or 7.67ε (W2) against an ε charge.
     pub wd: WdConfig,
-    /// Root seed; request RNGs derive from it by arrival index.
+    /// Root seed; request RNGs derive from it by arrival index. The
+    /// default is 8 bytes of `/dev/urandom`, read anew for every default
+    /// config: anyone who knows the seed and a request's index knows which
+    /// noisy query answered it. Fix it only where answers must repeat.
     pub seed: u64,
     /// Set false to disable answer replay (every request pays).
     pub cache_answers: bool,
@@ -121,7 +127,7 @@ impl Default for ServiceConfig {
         ServiceConfig {
             pm: PmConfig::default(),
             wd: WdConfig { accounting: WdAccounting::StrictComposition, ..WdConfig::default() },
-            seed: 2023,
+            seed: os_seed(),
             cache_answers: true,
             coalesce: false,
             coalesce_window_max: Duration::from_millis(1),
@@ -130,6 +136,17 @@ impl Default for ServiceConfig {
             fault: None,
         }
     }
+}
+
+/// A fresh root seed: 8 bytes of `/dev/urandom`. There is no fallback to a
+/// fixed value, which would make every served stream public, so a host
+/// without the device panics here.
+fn os_seed() -> u64 {
+    let mut bytes = [0u8; 8];
+    std::fs::File::open("/dev/urandom")
+        .and_then(|mut f| f.read_exact(&mut bytes))
+        .expect("read the root seed from /dev/urandom");
+    u64::from_le_bytes(bytes)
 }
 
 /// A served star-join answer.

@@ -8,7 +8,6 @@
 
 use dp_starj_repro::baselines::{kstar_r2t, kstar_tm, KstarTmConfig, R2tConfig};
 use dp_starj_repro::core::pm_kstar;
-use dp_starj_repro::core::pma::RangePolicy;
 use dp_starj_repro::graph::{binomial, deezer_like, kstar_count, KStarQuery};
 use dp_starj_repro::noise::StarRng;
 
@@ -30,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("\n{} (true count = {truth:.0}):", query.name());
 
         let mut rng = StarRng::from_seed(1).derive(&query.name());
-        let (pm, noisy) = pm_kstar(&graph, &query, epsilon, RangePolicy::default(), &mut rng)?;
+        let (pm, noisy) = pm_kstar(&graph, &query, epsilon, &mut rng)?;
         println!(
             "  PM : {pm:>16.0}  rel err {:>6.2}%  (noisy center range [{}, {}])",
             (pm - truth).abs() / truth * 100.0,

@@ -4,7 +4,7 @@
 
 use dp_starj_repro::baselines::{kstar_r2t, LsMechanism, R2tConfig};
 use dp_starj_repro::core::pm::{pm_answer, PmConfig};
-use dp_starj_repro::core::pma::{perturb_constraint, RangePolicy};
+use dp_starj_repro::core::pma::perturb_constraint;
 use dp_starj_repro::engine::{
     execute, Column, Constraint, Dimension, Domain, EngineError, Predicate, StarQuery, StarSchema,
     SubDimension, Table,
@@ -63,9 +63,7 @@ fn single_value_domain_pma_is_identity() {
     let d = Domain::numeric("only", 1).unwrap();
     let mut rng = StarRng::from_seed(3);
     for _ in 0..100 {
-        match perturb_constraint(&Constraint::Point(0), &d, 0.01, RangePolicy::default(), &mut rng)
-            .unwrap()
-        {
+        match perturb_constraint(&Constraint::Point(0), &d, 0.01, &mut rng).unwrap() {
             Constraint::Point(v) => assert_eq!(v, 0),
             other => panic!("got {other:?}"),
         }
@@ -77,15 +75,7 @@ fn degenerate_range_on_tiny_domain_stays_valid() {
     let d = Domain::numeric("two", 2).unwrap();
     let mut rng = StarRng::from_seed(4);
     for _ in 0..500 {
-        match perturb_constraint(
-            &Constraint::Range { lo: 1, hi: 1 },
-            &d,
-            0.05,
-            RangePolicy::default(),
-            &mut rng,
-        )
-        .unwrap()
-        {
+        match perturb_constraint(&Constraint::Range { lo: 1, hi: 1 }, &d, 0.05, &mut rng).unwrap() {
             Constraint::Range { lo, hi } => assert!(lo <= hi && hi < 2),
             other => panic!("got {other:?}"),
         }
@@ -98,8 +88,7 @@ fn edgeless_graph_has_zero_stars_and_mechanisms_cope() {
     let q = KStarQuery::full(2, 10);
     assert_eq!(kstar_count(&g, &q), 0);
     let mut rng = StarRng::from_seed(5);
-    let (pm, _) =
-        dp_starj_repro::core::pm_kstar(&g, &q, 1.0, RangePolicy::default(), &mut rng).unwrap();
+    let (pm, _) = dp_starj_repro::core::pm_kstar(&g, &q, 1.0, &mut rng).unwrap();
     assert_eq!(pm, 0.0, "no stars anywhere, noisy range or not");
     let cfg = R2tConfig::new(4.0, vec![]);
     let r2t = kstar_r2t(&g, &q, 1.0, &cfg, &mut rng).unwrap();

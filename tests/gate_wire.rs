@@ -94,8 +94,9 @@ fn queries() -> Vec<StarQuery> {
 /// identically-configured twin, and so are the resulting tenant ledgers.
 #[test]
 fn wire_answers_and_ledgers_match_direct_router_calls() {
-    let gated = router(ServiceConfig::default());
-    let direct = router(ServiceConfig::default());
+    let config = ServiceConfig { seed: 7, ..ServiceConfig::default() };
+    let gated = router(config.clone());
+    let direct = router(config);
     let gate = gate_over(&gated);
     let mut client = GateClient::connect(gate.addr()).unwrap();
 

@@ -2,7 +2,6 @@
 
 use dp_starj_repro::baselines::{kstar_r2t, kstar_tm, KstarTmConfig, R2tConfig};
 use dp_starj_repro::core::pm_kstar;
-use dp_starj_repro::core::pma::RangePolicy;
 use dp_starj_repro::graph::{amazon_like, deezer_like, kstar_count, Graph, KStarQuery};
 use dp_starj_repro::noise::StarRng;
 
@@ -19,7 +18,7 @@ fn all_mechanisms_answer_q2_and_q3() {
             assert!(truth > 0.0, "{name}/Q{k}*: graph must contain stars");
 
             let mut rng = StarRng::from_seed(1).derive(name).derive_index(u64::from(k));
-            let (pm, _) = pm_kstar(&g, &q, 1.0, RangePolicy::default(), &mut rng).unwrap();
+            let (pm, _) = pm_kstar(&g, &q, 1.0, &mut rng).unwrap();
             assert!(pm >= 0.0 && pm.is_finite());
 
             let cfg = R2tConfig::new(1e9, vec![]);
@@ -49,7 +48,7 @@ fn pm_is_fastest_mechanism() {
     };
     let mut rng = StarRng::from_seed(2);
     let pm_t = time(&mut || {
-        pm_kstar(&g, &q, 1.0, RangePolicy::default(), &mut rng).unwrap();
+        pm_kstar(&g, &q, 1.0, &mut rng).unwrap();
     });
     let mut rng2 = StarRng::from_seed(3);
     let tm_t = time(&mut || {
@@ -68,7 +67,7 @@ fn errors_are_reproducible_and_epsilon_monotone() {
         (0..n)
             .map(|t| {
                 let mut rng = StarRng::from_seed(10).derive_index(t);
-                let (v, _) = pm_kstar(&g, &q, eps, RangePolicy::default(), &mut rng).unwrap();
+                let (v, _) = pm_kstar(&g, &q, eps, &mut rng).unwrap();
                 (v - truth).abs() / truth
             })
             .sum::<f64>()

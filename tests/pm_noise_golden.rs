@@ -11,7 +11,6 @@
 
 use dp_starj_repro::core::kstar::pm_kstar;
 use dp_starj_repro::core::pm::{perturb_query, PmConfig};
-use dp_starj_repro::core::pma::RangePolicy;
 use dp_starj_repro::core::workload::{wd_reconstruct, PredicateWorkload, WdConfig, WorkloadBlock};
 use dp_starj_repro::engine::{Predicate, StarQuery, StarSchema};
 use dp_starj_repro::graph::{deezer_like, KStarQuery};
@@ -166,7 +165,7 @@ fn kstar_perturbation_is_pinned() {
     let graph = deezer_like(0.002, 31).unwrap();
     let query = KStarQuery { k: 2, lo: 0, hi: graph.num_nodes() / 2 };
     let mut rng = root().derive("kstar");
-    let (count, noisy) = pm_kstar(&graph, &query, 0.5, RangePolicy::default(), &mut rng).unwrap();
+    let (count, noisy) = pm_kstar(&graph, &query, 0.5, &mut rng).unwrap();
     let got = format!(
         "n={} [{}, {}] count={count} | {}",
         graph.num_nodes(),

@@ -1,18 +1,10 @@
 //! Property-based tests for the DP mechanisms' structural invariants.
 
-use dp_starj_repro::core::pma::{perturb_constraint, RangePolicy};
+use dp_starj_repro::core::pma::perturb_constraint;
 use dp_starj_repro::core::theory::{loose_variance_bound, tight_variance_bound};
 use dp_starj_repro::engine::{Constraint, Domain};
 use dp_starj_repro::noise::{PrivacyBudget, StarRng};
 use proptest::prelude::*;
-
-fn any_policy() -> impl Strategy<Value = RangePolicy> {
-    prop_oneof![
-        Just(RangePolicy::Resample { max_attempts: 16 }),
-        Just(RangePolicy::Swap),
-        Just(RangePolicy::Collapse),
-    ]
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -22,12 +14,11 @@ proptest! {
         domain_size in 1u32..500,
         seed in 0u64..1_000,
         eps in 0.01f64..10.0,
-        policy in any_policy(),
     ) {
         let v = seed as u32 % domain_size;
         let domain = Domain::numeric("a", domain_size).unwrap();
         let mut rng = StarRng::from_seed(seed);
-        let out = perturb_constraint(&Constraint::Point(v), &domain, eps, policy, &mut rng)
+        let out = perturb_constraint(&Constraint::Point(v), &domain, eps, &mut rng)
             .unwrap();
         match out {
             Constraint::Point(p) => prop_assert!(p < domain_size),
@@ -42,7 +33,6 @@ proptest! {
         b in 0u32..500,
         seed in 0u64..1_000,
         eps in 0.01f64..10.0,
-        policy in any_policy(),
     ) {
         let lo = (a % domain_size).min(b % domain_size);
         let hi = (a % domain_size).max(b % domain_size);
@@ -52,13 +42,13 @@ proptest! {
             &Constraint::Range { lo, hi },
             &domain,
             eps,
-            policy,
             &mut rng,
         )
         .unwrap();
         match out {
             Constraint::Range { lo: l, hi: r } => {
-                prop_assert!(l <= r, "inverted range from {policy:?}");
+                prop_assert!(l <= r, "inverted range [{l}, {r}]");
+                prop_assert!(hi == lo || l < r, "[{lo}, {hi}] collapsed to [{l}, {r}]");
                 prop_assert!(r < domain_size);
             }
             other => prop_assert!(false, "range became {other:?}"),
@@ -72,14 +62,13 @@ proptest! {
         eps in 0.01f64..2.0,
     ) {
         // Algorithm 2's strict guard: a true range of width ≥ 1 must not
-        // collapse under the Resample policy.
+        // collapse, whether a redraw or the swap fallback settles it.
         let domain = Domain::numeric("a", domain_size).unwrap();
         let mut rng = StarRng::from_seed(seed);
         let out = perturb_constraint(
             &Constraint::Range { lo: 0, hi: domain_size - 2 },
             &domain,
             eps,
-            RangePolicy::Resample { max_attempts: 16 },
             &mut rng,
         )
         .unwrap();
@@ -134,7 +123,6 @@ proptest! {
                     &Constraint::Point(v),
                     &domain,
                     eps,
-                    RangePolicy::Swap,
                     &mut rng,
                 )
                 .unwrap()
