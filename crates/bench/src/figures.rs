@@ -420,7 +420,7 @@ fn ablations(k: &Knobs) {
     // larger trial floor to keep the comparisons out of the noise.
     let trials = k.trials.max(50);
     let eps = 0.5;
-    println!("Ablations (SF={}, ε={eps}, {trials} trials)\n", k.sf);
+    println!("Ablations (SF={}, ε={eps}, median of {trials} trials)\n", k.sf);
     let schema = ssb(SsbConfig::at_scale(k.sf, k.seed));
 
     println!("3. WD strategy choice (W1/W2):");
@@ -457,9 +457,11 @@ fn ablations(k: &Knobs) {
     }
 }
 
-/// One ablation question's cells: each variant's mean error over `trials`
-/// streams derived from `question` alone. Every variant meets the same
-/// random numbers, so a gap between two cells is the variants' own.
+/// One ablation question's cells: each variant's median error over
+/// `trials` streams derived from `question` alone — the median because a
+/// heavy-tailed mechanism (R2T on Qc3) lets a few trials decide a mean, as
+/// the LS/R2T columns of Table 1 do. Every variant meets the same random
+/// numbers, so a gap between two cells is the variants' own.
 fn ablation_cells<L, V>(
     seed: u64,
     trials: u64,
@@ -472,7 +474,7 @@ fn ablation_cells<L, V>(
         .map(|(_, v)| {
             let runs =
                 run_trials(seed, question, trials, |rng| MechOutcome::timed(|| trial(v, rng)));
-            pct(stats(&runs.expect("every trial runs").0).mean)
+            pct(stats(&runs.expect("every trial runs").0).median)
         })
         .collect()
 }

@@ -63,6 +63,5 @@ pub use pm::{pm_answer, PmAnswer, PmConfig};
 pub use pma::perturb_constraint;
 pub use privacy::PrivacySpec;
 pub use workload::{
-    pm_workload_answer, wd_answer, wd_answer_with_histogram, wd_reconstruct, workload_axes,
-    workload_histogram, PredicateWorkload, WdConfig,
+    pm_workload_answer, wd_answer, wd_reconstruct, workload_axes, PredicateWorkload, WdConfig,
 };

@@ -23,7 +23,7 @@ use crate::pm::{perturb_query, PmConfig};
 use crate::pma::perturb_constraint;
 use starj_engine::{
     execute_batch_with, execute_weighted_batch_with, Agg, Constraint, Predicate, ScanOptions,
-    StarQuery, StarSchema, WeightHistogram, WeightedPredicate, WeightedQuery,
+    StarQuery, StarSchema, WeightedPredicate, WeightedQuery,
 };
 use starj_linalg::{build_strategy, pinv, Mat, StrategyKind};
 use starj_noise::StarRng;
@@ -203,9 +203,9 @@ impl Default for WdConfig {
 /// chooses strategies, perturbs every strategy row under the block budgets,
 /// and reconstructs the noisy predicate matrices — returning one
 /// real-valued [`WeightedQuery`] per workload row, ready to be *answered*
-/// by any post-processing path (a fused scan, or a reusable
-/// [`WeightHistogram`]). Consumes exactly the RNG draws [`wd_answer`]
-/// consumes, in the same order.
+/// by any post-processing path (the batch evaluator, or a reusable
+/// [`WeightHistogram`](starj_engine::WeightHistogram)). Consumes exactly
+/// the RNG draws [`wd_answer`] consumes, in the same order.
 pub fn wd_reconstruct(
     schema: &StarSchema,
     workload: &PredicateWorkload,
@@ -292,9 +292,11 @@ pub fn wd_reconstruct(
 
 /// Answers the workload with Workload Decomposition (Algorithm 4): the
 /// private reconstruction of [`wd_reconstruct`], then every query's noisy
-/// weighted predicates answered through ONE fused fact scan instead of `l`
-/// separate scans — the noisy blocks are already fixed, so answering is a
-/// pure (non-private) batch evaluation.
+/// weighted predicates answered with ONE fact scan instead of `l` — one
+/// joint histogram `W` over the workload's blocks when it fits the
+/// engine's dense cap, each row then the dot product `Φ̂·W`. The noisy
+/// blocks are already fixed, so answering is a pure (non-private) batch
+/// evaluation.
 pub fn wd_answer(
     schema: &StarSchema,
     workload: &PredicateWorkload,
@@ -307,41 +309,10 @@ pub fn wd_answer(
 }
 
 /// The workload's weighted axes — its blocks as `(table, attr)` pairs, the
-/// key shape [`WeightHistogram`] caches are addressed by.
+/// key shape [`WeightHistogram`](starj_engine::WeightHistogram) caches are
+/// addressed by.
 pub fn workload_axes(workload: &PredicateWorkload) -> Vec<(String, String)> {
     workload.blocks.iter().map(|b| (b.table.clone(), b.attr.clone())).collect()
-}
-
-/// Builds the reusable joint attribute-code histogram `W` covering the
-/// workload's blocks (one fact scan). The histogram depends only on the
-/// data, never on the queries or their noise, so it can be built once and
-/// shared across any number of [`wd_answer_with_histogram`] calls — and
-/// across *workloads*, as long as the block set matches.
-pub fn workload_histogram(
-    schema: &StarSchema,
-    workload: &PredicateWorkload,
-    scan: ScanOptions,
-) -> Result<WeightHistogram, CoreError> {
-    WeightHistogram::build(schema, &workload_axes(workload), &Agg::Count, scan).map_err(Into::into)
-}
-
-/// [`wd_answer`], but the answering pass reuses a prebuilt
-/// [`WeightHistogram`] instead of scanning: each reconstructed row reduces
-/// to the scan-free dot product `Φ̂·W`. The perturbation (the only private
-/// step) is identical draw-for-draw, and the dot product reproduces the
-/// fused scan's arithmetic exactly, so for a fixed seed the answers are
-/// bit-identical to [`wd_answer`] whenever the workload's joint code space
-/// fits the engine's dense cap.
-pub fn wd_answer_with_histogram(
-    schema: &StarSchema,
-    workload: &PredicateWorkload,
-    epsilon: f64,
-    config: &WdConfig,
-    rng: &mut StarRng,
-    histogram: &WeightHistogram,
-) -> Result<Vec<f64>, CoreError> {
-    let batch = wd_reconstruct(schema, workload, epsilon, config, rng)?;
-    batch.iter().map(|q| histogram.answer(&q.predicates, &q.agg).map_err(Into::into)).collect()
 }
 
 /// The PM-per-query workload baseline: each query is perturbed
@@ -527,28 +498,6 @@ mod tests {
         assert!(wd_answer(&s, &w, 1.0, &cfg, &mut rng).is_ok());
         let bad = WdConfig { strategies: Some(vec![StrategyKind::Identity]), ..Default::default() };
         assert!(wd_answer(&s, &w, 1.0, &bad, &mut rng).is_err());
-    }
-
-    #[test]
-    fn histogram_path_is_bit_identical_to_wd_answer() {
-        let s = schema();
-        let hist = workload_histogram(&s, &adapt(&starj_ssb::w1()), ScanOptions::default())
-            .expect("SSB blocks fit the dense cap");
-        for (wi, w) in [adapt(&starj_ssb::w1()), adapt(&starj_ssb::w2())].iter().enumerate() {
-            // One histogram serves both workloads: W1 and W2 share blocks.
-            for trial in 0..8u64 {
-                let seed = 100 + 10 * wi as u64 + trial;
-                let mut r1 = StarRng::from_seed(seed);
-                let mut r2 = StarRng::from_seed(seed);
-                let scanned = wd_answer(&s, w, 1.0, &WdConfig::default(), &mut r1).unwrap();
-                let dotted =
-                    wd_answer_with_histogram(&s, w, 1.0, &WdConfig::default(), &mut r2, &hist)
-                        .unwrap();
-                for (a, b) in scanned.iter().zip(&dotted) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "W-reuse diverged from the fused scan");
-                }
-            }
-        }
     }
 
     #[test]

@@ -331,17 +331,6 @@ impl<'a> Measures<'a> {
             .chain(i32s.iter().map(|&v| i64::from(v)))
             .chain(i64s.iter().copied())
     }
-
-    /// Start address of the stored values: the identity of the column
-    /// behind the view.
-    pub(crate) fn addr(&self) -> usize {
-        match self {
-            Measures::I8(v) => v.as_ptr() as usize,
-            Measures::I16(v) => v.as_ptr() as usize,
-            Measures::I32(v) => v.as_ptr() as usize,
-            Measures::I64(v) => v.as_ptr() as usize,
-        }
-    }
 }
 
 /// Value equality, whatever the stored widths.

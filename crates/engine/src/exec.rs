@@ -1,27 +1,31 @@
-//! Star-join execution over compiled scan plans.
+//! Star-join execution entry points.
 //!
-//! Execution separates **planning** from **scanning** ([`crate::plan`]):
+//! Binary star queries separate **planning** from **scanning**
+//! ([`crate::plan`]):
 //!
 //! 1. **Plan.** Foreign-key arrays, per-dimension packed pass bitsets
-//!    (snowflake predicates folded into their parents), weight tables,
-//!    group lookups and row-weight accessors are resolved once into a
-//!    [`ScanPlan`].
+//!    (snowflake predicates folded into their parents), group lookups and
+//!    row-weight accessors are resolved once into a [`ScanPlan`].
 //! 2. **Scan.** One chunked, columnar pass over the fact table answers
 //!    *every* query in the plan — the fused multi-query kernel that lets a
 //!    workload of `l` queries cost a single scan, optionally sharded
 //!    across threads ([`ScanOptions::threads`]).
 //!
-//! [`execute`] and [`execute_weighted`] remain the single-query entry
-//! points (now thin wrappers over one-query plans); [`execute_batch`] and
-//! [`execute_weighted_batch`] are the fused forms. The legacy row-at-a-time
-//! executor survives verbatim in [`mod@reference`] as the semantic oracle for
-//! equivalence tests.
+//! Weighted queries (paper Eq. 11) are answered by [`crate::whist`]: one
+//! joint histogram `W` per batch when it fits, otherwise one row loop —
+//! either way at most one fact scan per call.
+//!
+//! [`execute`] and [`execute_weighted`] are the single-query entry points;
+//! [`execute_batch`] and [`execute_weighted_batch`] are the fused forms.
+//! The legacy row-at-a-time executor survives verbatim in
+//! [`mod@reference`] as the semantic oracle for equivalence tests.
 
 use crate::error::EngineError;
-use crate::plan::{ScanOptions, ScanPlan, WeightedQuery};
+use crate::plan::{ScanOptions, ScanPlan};
 use crate::predicate::WeightedPredicate;
 use crate::query::{Agg, QueryResult, StarQuery};
 use crate::schema::StarSchema;
+use crate::whist::WeightedQuery;
 
 /// Executes a star-join query, returning a scalar or group map.
 pub fn execute(schema: &StarSchema, query: &StarQuery) -> Result<QueryResult, EngineError> {
@@ -71,17 +75,16 @@ pub fn execute_weighted(
     predicates: &[WeightedPredicate],
     agg: &Agg,
 ) -> Result<f64, EngineError> {
-    let mut plan = ScanPlan::with_options(schema, ScanOptions::default())?;
-    plan.add_weighted(predicates, agg)?;
-    plan.execute(ScanOptions::default())
-        .pop()
-        .expect("one planned query yields one result")
-        .scalar()
+    let query = WeightedQuery { predicates: predicates.to_vec(), agg: agg.clone() };
+    let mut answers = execute_weighted_batch(schema, std::slice::from_ref(&query))?;
+    Ok(answers.pop().expect("one weighted query yields one answer"))
 }
 
-/// Answers a batch of weighted queries in **one** fused scan of the fact
-/// table, returning scalars in input order — how Workload Decomposition
-/// answers all `l` reconstructed workload rows with a single scan.
+/// Answers a batch of weighted queries with at most **one** scan of the
+/// fact table, returning scalars in input order — how Workload
+/// Decomposition answers all `l` reconstructed workload rows with a single
+/// scan. A batch whose axes fit one joint histogram `W` is answered as dot
+/// products `Φ_q · W`; any other runs one row loop.
 pub fn execute_weighted_batch(
     schema: &StarSchema,
     queries: &[WeightedQuery],
@@ -89,17 +92,13 @@ pub fn execute_weighted_batch(
     execute_weighted_batch_with(schema, queries, ScanOptions::default())
 }
 
-/// [`execute_weighted_batch`] with explicit scan options (threads, probe caps).
+/// [`execute_weighted_batch`] with explicit scan options (threads).
 pub fn execute_weighted_batch_with(
     schema: &StarSchema,
     queries: &[WeightedQuery],
     options: ScanOptions,
 ) -> Result<Vec<f64>, EngineError> {
-    let mut plan = ScanPlan::with_options(schema, options)?;
-    for q in queries {
-        plan.add_weighted(&q.predicates, &q.agg)?;
-    }
-    plan.execute(options).into_iter().map(|r| r.scalar()).collect()
+    crate::whist::execute_weighted_batch(schema, queries, options)
 }
 
 pub mod reference {

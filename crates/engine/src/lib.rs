@@ -79,7 +79,7 @@ pub use exec::{
 };
 pub use plan::{
     fact_scan_count, DimExplain, FilterExplain, PlanExplain, QueryExplain, ScanOptions, ScanPlan,
-    WeightedQuery, DENSE_GROUP_CAP,
+    DENSE_GROUP_CAP,
 };
 pub use predicate::{Constraint, Predicate, WeightedPredicate};
 pub use query::{Agg, GroupAttr, QueryResult, StarQuery};
@@ -87,4 +87,4 @@ pub use schema::{Dimension, StarSchema, SubDimension};
 pub use sql::{escape_label, to_sql, unescape_label};
 pub use stats::{contributions, max_contribution, Contributions};
 pub use table::Table;
-pub use whist::{AxisNames, WeightHistogram, W_SPACE_CEILING};
+pub use whist::{AxisNames, WeightHistogram, WeightedQuery, W_SPACE_CEILING};

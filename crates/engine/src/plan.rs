@@ -10,24 +10,16 @@
 //!
 //! * **Packed dimension masks.** Binary predicates become per-dimension
 //!   [`BitSet`]s (snowflake predicates folded into their parent, as before).
-//! * **Fused multi-query scans.** A plan holds any number of queries —
-//!   binary and real-valued weighted predicates mixed — and answers all of
-//!   them in **one** pass over the fact table with per-query accumulators.
+//! * **Fused multi-query scans.** A plan holds any number of binary star
+//!   queries and answers all of them in **one** pass over the fact table
+//!   with per-query accumulators. Weighted queries (paper Eq. 11) are not
+//!   compiled here: [`crate::whist`] answers them from one joint histogram
+//!   `W`, or one plain row loop when no `W` fits.
 //! * **Chunked columnar inner loops.** The fact table is processed in
-//!   4096-row chunks; per chunk, each binary query's qualifying rows are
+//!   4096-row chunks; per chunk, each query's qualifying rows are
 //!   computed as 64 packed `u64` mask words (gather + AND per filtered
 //!   dimension), then drained with popcount / trailing-zeros iteration
 //!   instead of a per-row branch chain.
-//! * **Histogram-factored weighted batches.** Pure weighted queries (the
-//!   `Q = Φ·W` form of paper Eq. 11) share one joint attribute-code
-//!   histogram `W`: the single scan accumulates, per aggregate kind, the
-//!   total row weight of every combination of the batch's weighted
-//!   attribute codes (natural-width integer cells, [`crate::whist`]), and
-//!   each query then reduces to a `space`-length dot
-//!   product `Φ_q · W` — answering `l` reconstructed WD rows costs one scan
-//!   plus `O(l · space)` flops instead of `l` scans. Falls back to a
-//!   per-row loop when the joint code space exceeds [`DENSE_GROUP_CAP`] or
-//!   a weighted query also carries binary filters.
 //! * **Dense group accumulation.** When the cross-product of group-by
 //!   domains is small (≤ [`DENSE_GROUP_CAP`]), groups accumulate into a
 //!   flat `Vec<f64>` indexed by the row-major flattening of the group codes
@@ -57,9 +49,7 @@
 //!   sparse mask words: per word it skips an empty one, probes only the
 //!   surviving lanes of one with ≤ 8 set bits, and gathers all 64 lanes of
 //!   a denser one. A scan is thus one dense pass plus a few probes per
-//!   surviving row. The histogram plan folds its joint flat codes once per
-//!   chunk into one reused buffer instead of recomputing them per row per
-//!   kind.
+//!   surviving row.
 //! * **Dimension masks from domain tables.** Each predicate is evaluated
 //!   once per code of its attribute's domain into a `{0, 1}` byte table,
 //!   which the byte-LUT gather ANDs into the dimension mask 64 rows at a
@@ -68,12 +58,10 @@
 //! The plan makes two shape decisions from the cost model's exact fk
 //! degrees ([`crate::cost`]): filter order and cross-query mask sharing.
 //!
-//! Binary-query accumulation order within a shard is identical to the
-//! legacy row-at-a-time executor ([`crate::exec::reference`]), so results
-//! are bit-identical to it; weighted results are reassociated by the
-//! histogram factoring but remain bit-identical whenever the arithmetic is
-//! exact (integer measures, dyadic weights), which the equivalence property
-//! tests in `tests/prop_scan_kernel.rs` pin down. The chunk interior
+//! Accumulation order within a shard is identical to the legacy
+//! row-at-a-time executor ([`crate::exec::reference`]), so results are
+//! bit-identical to it, which the equivalence property tests in
+//! `tests/prop_scan_kernel.rs` pin down. The chunk interior
 //! preserves that guarantee construction-by-construction: mask words are
 //! the same AND conjunction (reordering or sharing filters cannot change a
 //! bitwise AND), and every drain visits rows in the same ascending order.
@@ -82,14 +70,13 @@ use crate::bitset::BitSet;
 use crate::column::{Keys, Measures};
 use crate::cost::{cost_model_for, CostModel};
 use crate::error::EngineError;
-use crate::predicate::{Constraint, Predicate, WeightedPredicate};
+use crate::predicate::{Constraint, Predicate};
 use crate::query::{Agg, QueryResult, StarQuery};
 use crate::schema::StarSchema;
 use crate::stage::{
-    fold_flat, gather_word_bytes, gather_word_small, gather_word_wide, probe_set_lanes, with_keys,
+    gather_word_bytes, gather_word_small, gather_word_wide, probe_set_lanes, with_keys,
     with_measures, Key, CHUNK_ROWS, CHUNK_WORDS,
 };
-use crate::whist::{cells_fit, drain_hist, weight_tensor, Cells};
 use starj_telemetry::{kernel_counters, Json, KernelCounters};
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -111,7 +98,7 @@ const SPARSE_WORD_BITS: u32 = 8;
 
 /// Largest dense accumulator (group-by cross-product or weighted joint code
 /// space) answered through flat vectors; larger spaces fall back to sparse
-/// maps / per-row loops.
+/// maps / the weighted row loop.
 pub const DENSE_GROUP_CAP: usize = 1 << 16;
 
 /// Fewest fact rows per shard when the kernel sizes the split itself
@@ -121,8 +108,8 @@ pub const DENSE_GROUP_CAP: usize = 1 << 16;
 const MIN_SHARD_ROWS: usize = 1 << 20;
 
 /// Counts completed fact-table scans process-wide (one per
-/// [`ScanPlan::execute`] call, regardless of how many queries it fused or
-/// how many threads sharded it). Benchmarks and the service use deltas of
+/// [`ScanPlan::execute`] call, weighted batch or histogram build,
+/// regardless of how many queries it fused or how many threads sharded it). Benchmarks and the service use deltas of
 /// this counter to *prove* fusion — e.g. that an `l`-query workload really
 /// cost one scan.
 static FACT_SCANS: AtomicU64 = AtomicU64::new(0);
@@ -137,14 +124,28 @@ pub(crate) fn fact_scans_add() {
     FACT_SCANS.fetch_add(1, Ordering::Relaxed);
 }
 
+/// The fact scans one call of `f` costs: the fewest over a few calls, since
+/// tests running alongside can only add to the process-wide count.
+#[cfg(test)]
+pub(crate) fn scans_of<T>(mut f: impl FnMut() -> T) -> u64 {
+    (0..8)
+        .map(|_| {
+            let before = fact_scan_count();
+            f();
+            fact_scan_count() - before
+        })
+        .min()
+        .expect("at least one call")
+}
+
 /// Execution options for a compiled scan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanOptions {
     /// Shards of the fact scan. `0` (the default) lets the kernel decide:
     /// one shard per available core, none smaller than ~1 M rows, and a
-    /// single shard for any plan whose sums depend on the split — one
-    /// holding a real-weighted query it cannot fold into a histogram, or
-    /// integer sums that `fact_rows × max|row weight|` lets reach 2⁵³. `1`
+    /// single shard for any scan whose sums depend on the split — integer
+    /// sums that `fact_rows × max|row weight|` lets reach 2⁵³, or the
+    /// real-weighted row loop of a weighted batch no histogram fits. `1`
     /// runs on the calling thread; `n > 1` forces `n` contiguous row
     /// ranges merged in deterministic shard order.
     pub threads: usize,
@@ -155,24 +156,6 @@ impl ScanOptions {
     /// the default).
     pub fn parallel(threads: usize) -> Self {
         ScanOptions { threads }
-    }
-}
-
-/// A weighted query for batch execution: real-valued per-domain weights
-/// (paper Eq. 11) and an aggregate, evaluated as
-/// `Σ_rows Π_dims w_dim(attr(fk)) · w(row)`.
-#[derive(Debug, Clone)]
-pub struct WeightedQuery {
-    /// The weighted predicates (dimensions without one contribute factor 1).
-    pub predicates: Vec<WeightedPredicate>,
-    /// Row-weight aggregate.
-    pub agg: Agg,
-}
-
-impl WeightedQuery {
-    /// A weighted COUNT query.
-    pub fn count(predicates: Vec<WeightedPredicate>) -> Self {
-        WeightedQuery { predicates, agg: Agg::Count }
     }
 }
 
@@ -230,29 +213,6 @@ impl<'a> RowWeight<'a> {
     fn is_ones(&self) -> bool {
         matches!(self, RowWeight::Ones)
     }
-
-    /// Identity key for deduplicating aggregate kinds across a batch
-    /// (variant + backing-slice addresses).
-    fn key(&self) -> (u8, usize, usize) {
-        match self {
-            RowWeight::Ones => (0, 0, 0),
-            RowWeight::Measure(m) => (1, m.addr(), 0),
-            RowWeight::Diff(a, b) => (2, a.addr(), b.addr()),
-        }
-    }
-}
-
-/// One weighted axis: a `(dimension, attribute)` pair with the per-code
-/// weight vector (same-attribute predicates already multiplied together).
-#[derive(Debug, Clone)]
-struct WeightAxis<'a> {
-    dim: usize,
-    /// Attribute codes indexed by the dimension's pk.
-    codes: &'a [u32],
-    /// Attribute domain size.
-    domain: usize,
-    /// One weight per attribute code.
-    weights: Vec<f64>,
 }
 
 /// Group-by program: per-attribute code lookups plus the dense flattening
@@ -459,16 +419,13 @@ fn selectivity_order(filters: &mut [Filter]) {
     });
 }
 
-/// One compiled query inside a plan: packed binary filters, weighted axes,
-/// row-weight accessor, and the group program.
+/// One compiled query inside a plan: packed binary filters, row-weight
+/// accessor, and the group program.
 #[derive(Debug, Clone)]
 struct PlannedQuery<'a> {
     /// Binary filters, ordered by selectivity (most selective
     /// first — see [`selectivity_order`]).
     filters: Vec<Filter>,
-    /// Weighted axes in first-appearance order (the multiply order of the
-    /// fallback row loop).
-    weights: Vec<WeightAxis<'a>>,
     row_weight: RowWeight<'a>,
     grouping: Option<GroupPlan<'a>>,
 }
@@ -476,105 +433,17 @@ struct PlannedQuery<'a> {
 impl PlannedQuery<'_> {
     /// True iff the chunk kernel can answer this query with popcounts alone.
     fn is_pure_count(&self) -> bool {
-        self.weights.is_empty() && self.row_weight.is_ones() && self.grouping.is_none()
-    }
-
-    /// True iff the query is answerable from a joint code histogram: pure
-    /// weighted, scalar, no binary filters.
-    fn is_hist_eligible(&self) -> bool {
-        !self.weights.is_empty() && self.filters.is_empty() && self.grouping.is_none()
-    }
-}
-
-/// The shared histogram program of a batch's hist-eligible weighted
-/// queries: the ordered union of their weighted axes, the flattened joint
-/// code space, and the deduplicated aggregate kinds.
-#[derive(Debug)]
-struct HistPlan<'a> {
-    /// Ordered union of (dim, codes, domain) axes; identity is the codes
-    /// slice address (one column → one axis).
-    axes: Vec<(usize, &'a [u32], usize)>,
-    space: usize,
-    /// Deduplicated row-weight kinds; one histogram each.
-    kinds: Vec<RowWeight<'a>>,
-    /// For each plan query: `Some(kind index)` iff answered via histogram.
-    assignment: Vec<Option<usize>>,
-}
-
-impl<'a> HistPlan<'a> {
-    /// Builds the histogram program, or `None` when no query qualifies.
-    /// Greedy per query: a query whose axes would push the joint code space
-    /// past [`DENSE_GROUP_CAP`] is left to the row-loop fallback without
-    /// disabling the fast path for queries that fit.
-    fn build(queries: &[PlannedQuery<'a>]) -> Option<Self> {
-        let mut axes: Vec<(usize, &[u32], usize)> = Vec::new();
-        let mut kinds: Vec<RowWeight> = Vec::new();
-        let mut assignment: Vec<Option<usize>> = vec![None; queries.len()];
-        let mut space = 1usize;
-        let mut any = false;
-        'queries: for (qi, q) in queries.iter().enumerate() {
-            if !q.is_hist_eligible() {
-                continue;
-            }
-            // Tentatively admit the query's new axes; roll back if its
-            // footprint overflows the cap.
-            let mut new_axes: Vec<(usize, &'a [u32], usize)> = Vec::new();
-            let mut new_space = space;
-            for axis in &q.weights {
-                let id = axis.codes.as_ptr();
-                let known = axes.iter().chain(&new_axes).any(|(_, c, _)| c.as_ptr() == id);
-                if !known {
-                    new_space = match new_space.checked_mul(axis.domain) {
-                        Some(p) if p <= DENSE_GROUP_CAP => p,
-                        _ => continue 'queries, // fallback row loop for this query
-                    };
-                    new_axes.push((axis.dim, axis.codes, axis.domain));
-                }
-            }
-            axes.extend(new_axes);
-            space = new_space;
-            let key = q.row_weight.key();
-            let kind = match kinds.iter().position(|k| k.key() == key) {
-                Some(i) => i,
-                None => {
-                    kinds.push(q.row_weight);
-                    kinds.len() - 1
-                }
-            };
-            assignment[qi] = Some(kind);
-            any = true;
-        }
-        any.then_some(HistPlan { axes, space, kinds, assignment })
-    }
-
-    /// The query's flattened weight tensor `Φ_q` over the joint code space:
-    /// the outer product of its axis weight vectors, axes it does not
-    /// constrain contributing factor 1.
-    fn weight_tensor(&self, q: &PlannedQuery) -> Vec<f64> {
-        let domains: Vec<usize> = self.axes.iter().map(|&(_, _, domain)| domain).collect();
-        let per_axis: Vec<Option<Vec<f64>>> = self
-            .axes
-            .iter()
-            .map(|(_, codes, _)| {
-                q.weights.iter().find(|a| std::ptr::eq(a.codes, *codes)).map(|a| a.weights.clone())
-            })
-            .collect();
-        weight_tensor(&domains, &per_axis)
+        self.row_weight.is_ones() && self.grouping.is_none()
     }
 }
 
 /// Per-query partial accumulator (also the per-shard partial in parallel
-/// scans). `Hist` queries accumulate into the shared histograms instead.
+/// scans).
 #[derive(Debug)]
 enum Acc {
     Scalar(f64),
-    Dense {
-        sums: Vec<f64>,
-        touched: BitSet,
-    },
+    Dense { sums: Vec<f64>, touched: BitSet },
     Sparse(BTreeMap<Vec<u32>, f64>),
-    /// Answered from the shared histogram at finalization.
-    Hist,
 }
 
 impl Acc {
@@ -592,27 +461,7 @@ impl Acc {
                     *a.entry(k).or_insert(0.0) += v;
                 }
             }
-            (Acc::Hist, Acc::Hist) => {}
             _ => unreachable!("shard accumulators share one shape per query"),
-        }
-    }
-}
-
-/// All mutable state of one scan pass (one per shard in parallel mode).
-#[derive(Debug)]
-struct ScanState {
-    accs: Vec<Acc>,
-    /// One histogram per aggregate kind of the [`HistPlan`].
-    hists: Vec<Cells>,
-}
-
-impl ScanState {
-    fn merge(&mut self, other: ScanState) {
-        for (acc, partial) in self.accs.iter_mut().zip(other.accs) {
-            acc.merge(partial);
-        }
-        for (hist, partial) in self.hists.iter_mut().zip(other.hists) {
-            hist.merge(partial);
         }
     }
 }
@@ -690,57 +539,8 @@ impl<'a> ScanPlan<'a> {
         self.max_row_weight = self.max_row_weight.max(RowWeight::max_abs(self.schema, &query.agg)?);
         self.queries.push(PlannedQuery {
             filters,
-            weights: Vec::new(),
             row_weight: RowWeight::resolve(self.schema, &query.agg)?,
             grouping,
-        });
-        Ok(())
-    }
-
-    /// Compiles a weighted query (real-valued predicates, scalar result)
-    /// into the plan. Predicates on the same `(table, attr)` multiply into
-    /// one axis.
-    pub fn add_weighted(
-        &mut self,
-        predicates: &[WeightedPredicate],
-        agg: &Agg,
-    ) -> Result<(), EngineError> {
-        let mut weights: Vec<WeightAxis<'a>> = Vec::new();
-        for wp in predicates {
-            let di = self.schema.dim_index(&wp.table)?;
-            let dim = &self.schema.dims()[di];
-            let codes = dim.table.codes(&wp.attr)?;
-            let domain = dim.table.domain(&wp.attr)?;
-            if wp.weights.len() != domain.size() as usize {
-                return Err(EngineError::WeightLengthMismatch {
-                    attr: wp.attr.clone(),
-                    got: wp.weights.len(),
-                    expected: domain.size(),
-                });
-            }
-            match weights.iter_mut().find(|a| std::ptr::eq(a.codes, codes)) {
-                Some(axis) => {
-                    for (slot, w) in axis.weights.iter_mut().zip(&wp.weights) {
-                        *slot *= w;
-                    }
-                }
-                None => weights.push(WeightAxis {
-                    dim: di,
-                    codes,
-                    domain: domain.size() as usize,
-                    weights: wp.weights.clone(),
-                }),
-            }
-        }
-        // Ascending dimension order, stable within a dimension — the
-        // reference executor's per-dimension multiply order.
-        weights.sort_by_key(|a| a.dim);
-        self.max_row_weight = self.max_row_weight.max(RowWeight::max_abs(self.schema, agg)?);
-        self.queries.push(PlannedQuery {
-            filters: Vec::new(),
-            weights,
-            row_weight: RowWeight::resolve(self.schema, agg)?,
-            grouping: None,
         });
         Ok(())
     }
@@ -756,9 +556,8 @@ impl<'a> ScanPlan<'a> {
     /// reported is derived from the same structures [`ScanPlan::execute`]
     /// runs, so EXPLAIN output cannot drift from the executed plan shape.
     pub fn describe(&self) -> PlanExplain {
-        let hist_plan = self.hist_plan();
-        let program = self.mask_program(hist_plan.as_ref());
-        let shards = self.shard_bounds(hist_plan.as_ref(), self.opts.threads).len();
+        let program = self.mask_program();
+        let shards = self.shard_bounds(self.opts.threads).len();
         let dims = self
             .schema
             .dims()
@@ -773,11 +572,7 @@ impl<'a> ScanPlan<'a> {
         let queries = self
             .queries
             .iter()
-            .enumerate()
-            .map(|(qi, q)| {
-                let histogram = hist_plan
-                    .as_ref()
-                    .is_some_and(|hp| hp.assignment.get(qi).is_some_and(Option::is_some));
+            .map(|q| {
                 let filters = q
                     .filters
                     .iter()
@@ -796,12 +591,7 @@ impl<'a> ScanPlan<'a> {
                         },
                     })
                     .collect();
-                QueryExplain {
-                    filters,
-                    histogram,
-                    weighted_axes: q.weights.len(),
-                    measure_width_bytes: q.row_weight.width_bytes(),
-                }
+                QueryExplain { filters, measure_width_bytes: q.row_weight.width_bytes() }
             })
             .collect();
         PlanExplain {
@@ -820,41 +610,32 @@ impl<'a> ScanPlan<'a> {
     /// shard count — and, for integer-valued accumulators, the same for
     /// every shard count.
     pub fn execute(&self, options: ScanOptions) -> Vec<QueryResult> {
-        let hist_plan = self.hist_plan();
-        let hp = hist_plan.as_ref();
-        let program = self.mask_program(hp);
-        let bounds = self.shard_bounds(hp, options.threads);
-        let state = scan_shards(
+        let program = self.mask_program();
+        let bounds = self.shard_bounds(options.threads);
+        let accs = scan_shards(
             &bounds,
             |lo, hi| {
-                let mut shard = self.fresh_state(hp);
-                self.scan_range(&mut shard, hp, &program, lo, hi);
+                let mut shard = self.fresh_accs();
+                self.scan_range(&mut shard, &program, lo, hi);
                 shard
             },
-            ScanState::merge,
+            |merged, shard| {
+                for (acc, partial) in merged.iter_mut().zip(shard) {
+                    acc.merge(partial);
+                }
+            },
         );
         fact_scans_add();
-        self.flush_kernel_counters(&bounds, hp, &program);
-        self.finalize(state, hp)
-    }
-
-    /// The batch's shared histogram program, unless some aggregate's sums
-    /// could overflow the widest (`i64`) cell — then every weighted query
-    /// runs the row loop.
-    fn hist_plan(&self) -> Option<HistPlan<'a>> {
-        HistPlan::build(&self.queries).filter(|_| cells_fit(self.fact_rows, self.max_row_weight))
+        self.flush_kernel_counters(&bounds, &program);
+        self.finalize(accs)
     }
 
     /// The shard bounds a scan under `threads` covers. Kernel-sized
-    /// sharding (`threads == 0`) needs every accumulator to hold a sum of
-    /// integers — row counts and integer measures, which is every query
-    /// except a real-weighted one the histogram could not take — that no
-    /// split can push past 2⁵³ ([`sums_stay_exact`]).
-    fn shard_bounds(&self, hist_plan: Option<&HistPlan>, threads: usize) -> Vec<(usize, usize)> {
-        let integer_sums = self.queries.iter().enumerate().all(|(qi, q)| {
-            q.weights.is_empty() || hist_plan.is_some_and(|hp| hp.assignment[qi].is_some())
-        });
-        let reassociable = integer_sums && sums_stay_exact(self.fact_rows, self.max_row_weight);
+    /// sharding (`threads == 0`) needs every accumulator's sum of integers
+    /// — row counts and integer measures — to stay where no split can push
+    /// it past 2⁵³ ([`sums_stay_exact`]).
+    fn shard_bounds(&self, threads: usize) -> Vec<(usize, usize)> {
+        let reassociable = sums_stay_exact(self.fact_rows, self.max_row_weight);
         shard_bounds(self.fact_rows, threads, reassociable)
     }
 
@@ -865,16 +646,11 @@ impl<'a> ScanPlan<'a> {
     /// loop itself carries zero instrumentation. Every gather reads its fk
     /// chunk straight from the column, so each one is a direct gather and
     /// one pass over its column.
-    fn flush_kernel_counters(
-        &self,
-        bounds: &[(usize, usize)],
-        hist_plan: Option<&HistPlan>,
-        program: &MaskProgram,
-    ) {
+    fn flush_kernel_counters(&self, bounds: &[(usize, usize)], program: &MaskProgram) {
         let k = kernel_counters();
         let chunks = chunk_count(bounds);
         KernelCounters::add(&k.chunks_scanned, chunks);
-        let uses = self.gather_uses(hist_plan, program);
+        let uses = self.gather_uses(program);
         let gathers: usize = uses.iter().sum();
         let fk_bytes: usize =
             uses.iter().zip(&self.fks).map(|(&u, fk)| u * fk.width_bytes() * self.fact_rows).sum();
@@ -901,27 +677,19 @@ impl<'a> ScanPlan<'a> {
 
     /// Builds the cross-query mask-sharing program. Promotion is
     /// savings-driven: a filter whose `(dimension, pass mask)` recurs
-    /// across ≥ 2 mask-building queries is promoted to the
+    /// across ≥ 2 queries is promoted to the
     /// shared gather list only when the summed expected cost of its private
     /// per-query gathers (each discounted by the early-exit survival of the
     /// filters ordered before it) exceeds the one full shared gather pass
     /// the cache costs — ultra-selective predecessors make re-gathers
     /// nearly free, so such filters stay private.
-    fn mask_program(&self, hist_plan: Option<&HistPlan>) -> MaskProgram<'_> {
-        let active: Vec<bool> = (0..self.queries.len())
-            .map(|qi| hist_plan.is_none_or(|hp| hp.assignment[qi].is_none()))
-            .collect();
+    fn mask_program(&self) -> MaskProgram<'_> {
         // Distinct filters with their total use counts across the batch.
         let mut distinct: Vec<(&Filter, usize)> = Vec::new();
-        for (qi, q) in self.queries.iter().enumerate() {
-            if !active[qi] {
-                continue;
-            }
-            for f in &q.filters {
-                match distinct.iter_mut().find(|(g, _)| g.same_mask(f)) {
-                    Some((_, uses)) => *uses += 1,
-                    None => distinct.push((f, 1)),
-                }
+        for f in self.queries.iter().flat_map(|q| &q.filters) {
+            match distinct.iter_mut().find(|(g, _)| g.same_mask(f)) {
+                Some((_, uses)) => *uses += 1,
+                None => distinct.push((f, 1)),
             }
         }
         let mut shared: Vec<&Filter> = Vec::new();
@@ -936,9 +704,7 @@ impl<'a> ScanPlan<'a> {
                 let saved: f64 = self
                     .queries
                     .iter()
-                    .enumerate()
-                    .filter(|&(qi, _)| active[qi])
-                    .filter_map(|(_, q)| {
+                    .filter_map(|q| {
                         let pos = q.filters.iter().position(|g| g.same_mask(f))?;
                         Some(Self::private_gather_cost(&q.filters, pos))
                     })
@@ -953,20 +719,17 @@ impl<'a> ScanPlan<'a> {
         let per_query = self
             .queries
             .iter()
-            .enumerate()
-            .map(|(qi, q)| {
+            .map(|q| {
                 let mut via_cache = Vec::new();
                 let mut private = Vec::new();
-                if active[qi] {
-                    for f in &q.filters {
-                        let di = distinct
-                            .iter()
-                            .position(|(g, _)| g.same_mask(f))
-                            .expect("every active filter was counted");
-                        match shared_slot[di] {
-                            Some(si) => via_cache.push(si),
-                            None => private.push(f),
-                        }
+                for f in &q.filters {
+                    let di = distinct
+                        .iter()
+                        .position(|(g, _)| g.same_mask(f))
+                        .expect("every filter was counted");
+                    match shared_slot[di] {
+                        Some(si) => via_cache.push(si),
+                        None => private.push(f),
                     }
                 }
                 (via_cache, private)
@@ -976,57 +739,36 @@ impl<'a> ScanPlan<'a> {
     }
 
     /// Per dimension, the gathers that read its fk codes each chunk:
-    /// shared-mask gathers, query-private filter gathers, histogram axes.
-    fn gather_uses(&self, hist_plan: Option<&HistPlan>, program: &MaskProgram) -> Vec<usize> {
+    /// shared-mask gathers and query-private filter gathers.
+    fn gather_uses(&self, program: &MaskProgram) -> Vec<usize> {
         let mut uses = vec![0usize; self.fks.len()];
-        for f in &program.shared {
+        let private = program.per_query.iter().flat_map(|(_, private)| private.iter().copied());
+        for f in program.shared.iter().copied().chain(private) {
             uses[f.dim] += 1;
-        }
-        for (_, private) in &program.per_query {
-            for f in private {
-                uses[f.dim] += 1;
-            }
-        }
-        if let Some(hp) = hist_plan {
-            for (di, _, _) in &hp.axes {
-                uses[*di] += 1;
-            }
         }
         uses
     }
 
-    fn fresh_state(&self, hist_plan: Option<&HistPlan>) -> ScanState {
-        let accs = self
-            .queries
-            .iter()
-            .enumerate()
-            .map(|(qi, q)| {
-                if hist_plan.is_some_and(|hp| hp.assignment[qi].is_some()) {
-                    return Acc::Hist;
-                }
-                match &q.grouping {
-                    None => Acc::Scalar(0.0),
-                    Some(g) => match g.dense_space {
-                        Some(space) => {
-                            Acc::Dense { sums: vec![0.0; space], touched: BitSet::zeros(space) }
-                        }
-                        None => Acc::Sparse(BTreeMap::new()),
-                    },
-                }
-            })
-            .collect();
-        let hists = hist_plan
-            .map(|hp| hp.kinds.iter().map(|kind| Cells::for_kind(hp.space, kind)).collect())
-            .unwrap_or_default();
-        ScanState { accs, hists }
-    }
-
-    fn finalize(&self, state: ScanState, hist_plan: Option<&HistPlan>) -> Vec<QueryResult> {
+    fn fresh_accs(&self) -> Vec<Acc> {
         self.queries
             .iter()
-            .enumerate()
-            .zip(state.accs)
-            .map(|((qi, q), acc)| match acc {
+            .map(|q| match &q.grouping {
+                None => Acc::Scalar(0.0),
+                Some(g) => match g.dense_space {
+                    Some(space) => {
+                        Acc::Dense { sums: vec![0.0; space], touched: BitSet::zeros(space) }
+                    }
+                    None => Acc::Sparse(BTreeMap::new()),
+                },
+            })
+            .collect()
+    }
+
+    fn finalize(&self, accs: Vec<Acc>) -> Vec<QueryResult> {
+        self.queries
+            .iter()
+            .zip(accs)
+            .map(|(q, acc)| match acc {
                 Acc::Scalar(v) => QueryResult::Scalar(v),
                 Acc::Sparse(m) => QueryResult::Groups(m),
                 Acc::Dense { sums, touched } => {
@@ -1035,12 +777,6 @@ impl<'a> ScanPlan<'a> {
                         touched.iter_ones().map(|flat| (plan.decode(flat), sums[flat])).collect(),
                     )
                 }
-                Acc::Hist => {
-                    let hp = hist_plan.expect("hist acc implies hist plan");
-                    let kind = hp.assignment[qi].expect("hist acc implies assignment");
-                    // Φ_q · W, in ascending flat-code order.
-                    QueryResult::Scalar(state.hists[kind].dot(&hp.weight_tensor(q)))
-                }
             })
             .collect()
     }
@@ -1048,20 +784,10 @@ impl<'a> ScanPlan<'a> {
     /// Scans fact rows `[lo, hi)` accumulating every query — the
     /// SIMD-width chunk kernel. Per chunk: filters recurring across queries
     /// are gathered once into the shared mask cache; every other gather
-    /// reads its fk chunk straight from the column; the histogram plan's
-    /// flat codes are folded once into one reused buffer and drained per
-    /// kind.
-    fn scan_range(
-        &self,
-        state: &mut ScanState,
-        hist_plan: Option<&HistPlan>,
-        program: &MaskProgram,
-        lo: usize,
-        hi: usize,
-    ) {
+    /// reads its fk chunk straight from the column.
+    fn scan_range(&self, accs: &mut [Acc], program: &MaskProgram, lo: usize, hi: usize) {
         let mut mask = [0u64; CHUNK_WORDS];
         let mut cache = vec![0u64; program.shared.len() * CHUNK_WORDS];
-        let mut flat: Vec<u32> = Vec::new();
         let mut chunk_start = lo;
         while chunk_start < hi {
             let rows = chunk_start..(chunk_start + CHUNK_ROWS).min(hi);
@@ -1072,47 +798,25 @@ impl<'a> ScanPlan<'a> {
                 with_keys!(self.fks[f.dim].slice(rows.clone()), |fk| f.gather_chunk(fk, cached));
             }
             for ((q, acc), masks) in
-                self.queries.iter().zip(state.accs.iter_mut()).zip(&program.per_query)
+                self.queries.iter().zip(accs.iter_mut()).zip(&program.per_query)
             {
                 match acc {
-                    Acc::Hist => {} // accumulated via the shared histograms
                     Acc::Scalar(total) if q.filters.is_empty() && q.is_pure_count() => {
                         // Unfiltered pure COUNT: every chunk row qualifies —
                         // skip the mask build and popcount outright.
                         *total += rows.len() as f64;
                     }
-                    acc if q.weights.is_empty() => {
+                    acc => {
                         self.chunk_mask(masks, &cache, rows.clone(), &mut mask[..words]);
                         self.drain_binary(q, acc, chunk_start, &mask[..words]);
                     }
-                    acc => self.scan_weighted_chunk(
-                        q,
-                        masks,
-                        &cache,
-                        acc,
-                        rows.clone(),
-                        &mut mask[..words],
-                    ),
-                }
-            }
-            if let Some(hp) = hist_plan {
-                // Fold the joint flat codes once; every kind drains flat.
-                flat.clear();
-                flat.resize(rows.len(), 0);
-                for &(di, codes, domain) in &hp.axes {
-                    with_keys!(self.fks[di].slice(rows.clone()), |fk| {
-                        fold_flat(&mut flat, fk, codes, domain)
-                    });
-                }
-                for (kind, hist) in hp.kinds.iter().zip(state.hists.iter_mut()) {
-                    drain_hist(hist, &flat, kind, chunk_start);
                 }
             }
             chunk_start = rows.end;
         }
     }
 
-    /// Builds the chunk's qualifying-row mask for one binary query:
+    /// Builds the chunk's qualifying-row mask for one query:
     /// all-ones, then (1) word-wise ANDs of the query's shared cached
     /// masks, then (2) [`Filter::and_chunk`] per query-private filter (most
     /// selective first, probe fast paths over the chunk's fk codes, empty
@@ -1190,57 +894,6 @@ impl<'a> ScanPlan<'a> {
                     }
                     _ => unreachable!("grouped accumulator without group plan"),
                 }
-            }
-        }
-    }
-
-    /// Chunk fallback for weighted queries that can't use the histogram
-    /// (the joint code space is too large, or binary filters attached):
-    /// any binary prefilter routes through the shared chunk mask (instead
-    /// of a per-row `continue` chain), then qualifying rows multiply axis
-    /// weights in dimension order with the same early-exit sequence as the
-    /// reference executor. Mask iteration visits rows in ascending order,
-    /// so accumulation order is unchanged.
-    fn scan_weighted_chunk(
-        &self,
-        q: &PlannedQuery,
-        masks: &(Vec<usize>, Vec<&Filter>),
-        cache: &[u64],
-        acc: &mut Acc,
-        rows: Range<usize>,
-        mask: &mut [u64],
-    ) {
-        let Acc::Scalar(total) = acc else {
-            unreachable!("weighted queries are scalar");
-        };
-        // Exactly the reference accumulation step: skip zero row weights,
-        // multiply axis weights in dimension order with early exit, add.
-        let mut accumulate = |row: usize| {
-            let mut w = q.row_weight.at(row);
-            if w == 0.0 {
-                return;
-            }
-            for axis in &q.weights {
-                w *= axis.weights[axis.codes[self.fks[axis.dim].get(row) as usize] as usize];
-                if w == 0.0 {
-                    break;
-                }
-            }
-            *total += w;
-        };
-        if q.filters.is_empty() {
-            rows.for_each(accumulate);
-            return;
-        }
-        let chunk_start = rows.start;
-        self.chunk_mask(masks, cache, rows, mask);
-        for (wi, &word) in mask.iter().enumerate() {
-            let mut w = word;
-            let base = chunk_start + (wi << 6);
-            while w != 0 {
-                let row = base + w.trailing_zeros() as usize;
-                w &= w - 1;
-                accumulate(row);
             }
         }
     }
@@ -1402,7 +1055,7 @@ pub struct PlanExplain {
     pub shared_masks: usize,
     /// Per-dimension table shape and fk width, schema order.
     pub dims: Vec<DimExplain>,
-    /// Per-query filter order and histogram assignment, compile order.
+    /// Per-query filter order and measure width, compile order.
     pub queries: Vec<QueryExplain>,
 }
 
@@ -1423,10 +1076,6 @@ pub struct DimExplain {
 pub struct QueryExplain {
     /// Filters in the order the scan applies them (selectivity order).
     pub filters: Vec<FilterExplain>,
-    /// Whether this query folds into the fused histogram pass.
-    pub histogram: bool,
-    /// Weighted aggregation axes (0 for plain counts).
-    pub weighted_axes: usize,
     /// Bytes of stored measure the scan reads per row: 0 for COUNT, the
     /// SUM column's width (1, 2, 4 or 8), the wider of the two for a
     /// SUM-diff.
@@ -1479,8 +1128,6 @@ impl PlanExplain {
                     .collect();
                 Json::obj(vec![
                     ("filters", Json::Arr(filters)),
-                    ("histogram", Json::Num(f64::from(u8::from(q.histogram)))),
-                    ("weighted_axes", Json::Num(q.weighted_axes as f64)),
                     ("measure_width_bytes", Json::Num(q.measure_width_bytes as f64)),
                 ])
             })
@@ -1545,15 +1192,11 @@ mod tests {
         let mut plan = ScanPlan::new(&s).unwrap();
         plan.add_query(&StarQuery::count("c").with(Predicate::point("A", "attr", 1))).unwrap();
         plan.add_query(&StarQuery::sum("s", "qty").with(Predicate::point("B", "attr", 1))).unwrap();
-        plan.add_weighted(&[WeightedPredicate::new("A", "attr", vec![0.5, 0.0, 0.0])], &Agg::Count)
-            .unwrap();
-        assert_eq!(plan.num_queries(), 3);
-        let before = fact_scan_count();
+        assert_eq!(plan.num_queries(), 2);
+        assert_eq!(scans_of(|| plan.execute(ScanOptions::default())), 1, "two queries, one scan");
         let results = plan.execute(ScanOptions::default());
-        assert_eq!(fact_scan_count() - before, 1, "three queries, one scan");
         assert_eq!(results[0].scalar().unwrap(), 2.0);
         assert_eq!(results[1].scalar().unwrap(), 12.0);
-        assert!((results[2].scalar().unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1630,8 +1273,8 @@ mod tests {
         )
         .unwrap();
         plan.add_query(&StarQuery::count("c2").with(Predicate::point("A", "attr", 2))).unwrap();
-        let program = plan.mask_program(None);
-        assert_eq!(plan.gather_uses(None, &program), [2, 1]);
+        let program = plan.mask_program();
+        assert_eq!(plan.gather_uses(&program), [2, 1]);
         let before = kernel_counters().snapshot();
         plan.execute(ScanOptions::default());
         // fk bytes = Σ gathers × fk width × fact rows. Process-wide
@@ -1657,112 +1300,13 @@ mod tests {
                 .group_by(GroupAttr::new("B", "attr")),
         )
         .unwrap();
-        plan.add_weighted(
-            &[
-                WeightedPredicate::new("A", "attr", vec![1.0, 0.5, 0.25]),
-                WeightedPredicate::new("B", "attr", vec![2.0, 0.75]),
-            ],
-            &Agg::Sum("qty".into()),
+        plan.add_query(
+            &StarQuery::sum_diff("d", "qty", "cost").with(Predicate::point("B", "attr", 1)),
         )
         .unwrap();
         let seq = plan.execute(ScanOptions::default());
         let par = plan.execute(ScanOptions::parallel(4));
         assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn histogram_path_answers_weighted_batches() {
-        let s = schema();
-        let mut plan = ScanPlan::new(&s).unwrap();
-        // Mixed aggregate kinds over the same axes → two histograms.
-        plan.add_weighted(&[WeightedPredicate::new("A", "attr", vec![1.0, 0.5, 0.0])], &Agg::Count)
-            .unwrap();
-        plan.add_weighted(
-            &[
-                WeightedPredicate::new("A", "attr", vec![0.0, 1.0, 1.0]),
-                WeightedPredicate::new("B", "attr", vec![1.0, 0.25]),
-            ],
-            &Agg::Sum("qty".into()),
-        )
-        .unwrap();
-        let hp = HistPlan::build(&plan.queries).expect("both queries eligible");
-        assert_eq!(hp.axes.len(), 2, "A.attr and B.attr axes");
-        assert_eq!(hp.space, 6);
-        assert_eq!(hp.kinds.len(), 2, "Count and Sum histograms");
-        let results = plan.execute(ScanOptions::default());
-        // Query 0: rows with fk_a=0 weigh 1, fk_a=1 weigh 0.5 → 2 + 1 = 3.
-        assert_eq!(results[0].scalar().unwrap(), 3.0);
-        // Query 1: Σ qty·wA(a)·wB(b): rows 2..6:
-        //   row2 (1,0): 3·1·1=3; row3 (1,1): 4·1·0.25=1; row4 (2,0): 5;
-        //   row5 (2,1): 6·0.25=1.5 → 10.5.
-        assert_eq!(results[1].scalar().unwrap(), 10.5);
-    }
-
-    #[test]
-    fn wide_axis_falls_back_per_query_not_per_batch() {
-        // One dimension with a domain past DENSE_GROUP_CAP: the query on it
-        // must fall back to the row loop, while the small-axis query keeps
-        // the histogram path.
-        let wide_domain = (DENSE_GROUP_CAP + 1) as u32;
-        let dwide = Domain::numeric("w", wide_domain).unwrap();
-        let dsmall = Domain::numeric("s", 3).unwrap();
-        let wide = Table::new(
-            "W",
-            vec![Column::key("pk", vec![0, 1]), Column::attr("w", dwide, vec![0, wide_domain - 1])],
-        )
-        .unwrap();
-        let small = Table::new(
-            "S",
-            vec![Column::key("pk", vec![0, 1, 2]), Column::attr("s", dsmall, vec![0, 1, 2])],
-        )
-        .unwrap();
-        let fact = Table::new(
-            "F",
-            vec![Column::key("fw", vec![0, 1, 1, 0]), Column::key("fs", vec![0, 1, 2, 2])],
-        )
-        .unwrap();
-        let s = StarSchema::new(
-            fact,
-            vec![Dimension::new(wide, "pk", "fw"), Dimension::new(small, "pk", "fs")],
-        )
-        .unwrap();
-
-        let mut wide_weights = vec![0.0; wide_domain as usize];
-        wide_weights[0] = 1.0;
-        wide_weights[wide_domain as usize - 1] = 0.5;
-        let mut plan = ScanPlan::new(&s).unwrap();
-        plan.add_weighted(&[WeightedPredicate::new("S", "s", vec![1.0, 0.5, 2.0])], &Agg::Count)
-            .unwrap();
-        plan.add_weighted(&[WeightedPredicate::new("W", "w", wide_weights)], &Agg::Count).unwrap();
-
-        let hp = HistPlan::build(&plan.queries).expect("small-axis query still eligible");
-        assert_eq!(hp.assignment[0], Some(0), "small query keeps the histogram path");
-        assert_eq!(hp.assignment[1], None, "wide query falls back to the row loop");
-        assert_eq!(hp.space, 3);
-
-        let results = plan.execute(ScanOptions::default());
-        // Query 0: rows hit s-codes 0, 1, 2, 2 → 1 + 0.5 + 2 + 2 = 5.5.
-        assert_eq!(results[0].scalar().unwrap(), 5.5);
-        // Query 1: rows hit w-codes 0, max, max, 0 → 1 + 0.5 + 0.5 + 1 = 3.
-        assert_eq!(results[1].scalar().unwrap(), 3.0);
-    }
-
-    #[test]
-    fn same_attr_predicates_multiply_into_one_axis() {
-        let s = schema();
-        let mut plan = ScanPlan::new(&s).unwrap();
-        plan.add_weighted(
-            &[
-                WeightedPredicate::new("A", "attr", vec![1.0, 2.0, 4.0]),
-                WeightedPredicate::new("A", "attr", vec![0.5, 0.5, 0.5]),
-            ],
-            &Agg::Count,
-        )
-        .unwrap();
-        assert_eq!(plan.queries[0].weights.len(), 1, "merged into one axis");
-        let results = plan.execute(ScanOptions::default());
-        // Per-code weights 0.5, 1.0, 2.0 over fanout 2 each → 2·3.5 = 7.
-        assert_eq!(results[0].scalar().unwrap(), 7.0);
     }
 
     #[test]
@@ -1986,7 +1530,7 @@ mod tests {
         )
         .unwrap();
         plan.add_query(&StarQuery::count("c3").with(Predicate::point("A", "attr", 2))).unwrap();
-        let program = plan.mask_program(None);
+        let program = plan.mask_program();
         assert_eq!(program.shared.len(), 1, "only the recurring A mask is shared");
         assert_eq!(program.shared[0].dim, 0);
         assert_eq!(program.per_query[0].0, vec![0]);

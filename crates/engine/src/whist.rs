@@ -1,5 +1,6 @@
 //! The joint attribute-code histogram `W` of the paper's `Q = Φ·W`
-//! factoring (Eq. 11), and the integer cells it is made of.
+//! factoring (Eq. 11), the integer cells it is made of, and the one
+//! evaluator of weighted queries.
 //!
 //! A cell holds the total row weight of one combination of attribute codes:
 //! a row count, or an integer SUM of a measure. Cells are stored at their
@@ -8,16 +9,15 @@
 //! longer fits — the way [`crate::MeasureData`] stores a measure column.
 //! Integer cells add exactly, so partials built on any row split merge to
 //! the same cells, and a sum of cells is the exact integer any summation
-//! order gives. The fused scan's per-batch histogram (`HistPlan` in
-//! [`crate::plan`]) and the owned, reusable [`WeightHistogram`] share this
-//! one representation and one drain.
+//! order gives.
 //!
 //! A [`WeightHistogram`] answers two kinds of query without a fact scan:
 //!
 //! * **weighted** ([`WeightHistogram::answer`], Workload Decomposition):
 //!   the real-valued weight tensor `Φ_q` dotted with `W` in flat-code
-//!   order — the same float operations, in the same order, as the fused
-//!   scan's histogram path, so the two agree bit for bit;
+//!   order. A cached `W` and one built for a single batch answer a query
+//!   with the same float operations in the same order, so they agree bit
+//!   for bit;
 //! * **binary** ([`WeightHistogram::answer_query`], the Predicate
 //!   Mechanism): each predicate is a 0/1 mask over its axis, and the cells
 //!   are contracted axis by axis, innermost first, in `i64`. Masks and
@@ -29,11 +29,19 @@
 //! single scan. [`WeightHistogram::build_for`] builds the histogram a known
 //! batch of binary queries needs, each axis pruned to the codes some query
 //! passes plus one spill code: fewer cells, the same answers.
+//!
+//! A batch of [`WeightedQuery`]s ([`crate::execute_weighted_batch_with`])
+//! costs at most one fact scan. When the union of its axes spans at most
+//! [`DENSE_GROUP_CAP`] cells and no sum can overflow a cell, that scan
+//! builds one `W` over every aggregate of the batch and each query is its
+//! dot product. Otherwise one plain row loop answers every query with the
+//! reference executor's accumulation step.
 
 use crate::column::{Keys, Measures};
 use crate::error::EngineError;
 use crate::plan::{
-    chunk_count, fact_scans_add, scan_shards, shard_bounds, sums_stay_exact, RowWeight, ScanOptions,
+    chunk_count, fact_scans_add, scan_shards, shard_bounds, sums_stay_exact, RowWeight,
+    ScanOptions, DENSE_GROUP_CAP,
 };
 use crate::predicate::WeightedPredicate;
 use crate::query::{Agg, StarQuery};
@@ -43,7 +51,7 @@ use starj_telemetry::{kernel_counters, KernelCounters};
 use std::borrow::Cow;
 
 /// One histogram cell width: a signed integer that widens to `i64`.
-pub(crate) trait Cell: Copy + Into<i64> + TryFrom<i64> {}
+trait Cell: Copy + Into<i64> + TryFrom<i64> {}
 
 impl Cell for i8 {}
 impl Cell for i16 {}
@@ -59,7 +67,7 @@ fn wide<T: Cell>(v: T) -> i64 {
 /// Histogram cells at their natural width: the narrowest of `i8` / `i16` /
 /// `i32` / `i64` that has held every partial sum so far.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Cells {
+enum Cells {
     I8(Vec<i8>),
     I16(Vec<i16>),
     I32(Vec<i32>),
@@ -83,7 +91,7 @@ macro_rules! with_cells {
 /// True iff any sum of up to `fact_rows` integers of magnitude ≤
 /// `max_row_weight` fits `i64`, so no cell — and no sum of cells — can
 /// overflow the widest width.
-pub(crate) fn cells_fit(fact_rows: usize, max_row_weight: u64) -> bool {
+fn cells_fit(fact_rows: usize, max_row_weight: u64) -> bool {
     (fact_rows as u128) * u128::from(max_row_weight) < 1 << 63
 }
 
@@ -138,7 +146,7 @@ fn masked_sum<T: Cell>(cells: &[T], axes: &[(usize, Option<&[bool]>)]) -> i64 {
 
 impl Cells {
     /// `space` zero cells, `width_bytes` wide (1, 2, 4 or 8).
-    pub(crate) fn zeros(space: usize, width_bytes: usize) -> Self {
+    fn zeros(space: usize, width_bytes: usize) -> Self {
         match width_bytes {
             0 | 1 => Cells::I8(vec![0; space]),
             2 => Cells::I16(vec![0; space]),
@@ -149,17 +157,17 @@ impl Cells {
 
     /// Zero cells for an aggregate kind: as wide as the measure it sums
     /// (a difference: the wider column), one byte for COUNT.
-    pub(crate) fn for_kind(space: usize, kind: &RowWeight) -> Self {
+    fn for_kind(space: usize, kind: &RowWeight) -> Self {
         Cells::zeros(space, kind.width_bytes())
     }
 
     /// Number of cells.
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         with_cells!(self, |c| c.len())
     }
 
     /// Bytes one cell occupies (1, 2, 4 or 8).
-    pub(crate) fn width_bytes(&self) -> usize {
+    fn width_bytes(&self) -> usize {
         match self {
             Cells::I8(_) => 1,
             Cells::I16(_) => 2,
@@ -202,13 +210,13 @@ impl Cells {
     }
 
     /// Adds another partial's cells into these (shard merge: exact).
-    pub(crate) fn merge(&mut self, other: Cells) {
+    fn merge(&mut self, other: Cells) {
         self.add(other.len(), |i| i, |i| other.get(i));
     }
 
     /// `Φ · W`: the real-valued weight tensor dotted with the cells in
     /// ascending flat-code order.
-    pub(crate) fn dot(&self, tensor: &[f64]) -> f64 {
+    fn dot(&self, tensor: &[f64]) -> f64 {
         with_cells!(self, |c| tensor.iter().zip(c).map(|(p, &w)| p * wide(w) as f64).sum())
     }
 
@@ -222,7 +230,7 @@ impl Cells {
 /// Drains one chunk of folded flat codes into the cells of one aggregate
 /// kind: the row-weight match — and a SUM's measure width — hoisted out of
 /// the row loop, rows visited in ascending order.
-pub(crate) fn drain_hist(cells: &mut Cells, flat: &[u32], kind: &RowWeight, chunk_start: usize) {
+fn drain_hist(cells: &mut Cells, flat: &[u32], kind: &RowWeight, chunk_start: usize) {
     let at = |i: usize| flat[i] as usize;
     match kind {
         RowWeight::Ones => cells.add(flat.len(), at, |_| 1),
@@ -244,15 +252,13 @@ pub(crate) fn drain_hist(cells: &mut Cells, flat: &[u32], kind: &RowWeight, chun
 pub const W_SPACE_CEILING: usize = 1 << 20;
 
 /// A reusable joint attribute-code histogram `W` — the build half of the
-/// paper's `Q = Φ·W` factoring (Eq. 11), split out of the fused scan so a
-/// service can build `W` once per (axis set, aggregates, data version) and
-/// answer every later query over those axes without scanning.
+/// paper's `Q = Φ·W` factoring (Eq. 11): a service builds `W` once per
+/// (axis set, aggregates, data version) and answers every later query over
+/// those axes without scanning.
 ///
-/// Unlike the per-batch `HistPlan` (which borrows the schema), a
-/// `WeightHistogram` is fully owned: it keeps the normalized axis list
-/// (deduplicated, ascending dimension order — the same order
-/// [`crate::ScanPlan::add_weighted`] sorts a query's axes into), the joint
-/// code space, and one set of natural-width cells per aggregate.
+/// A `WeightHistogram` is fully owned: it keeps the normalized axis list
+/// (deduplicated, ascending dimension order, stable within a dimension),
+/// the joint code space, and one set of natural-width cells per aggregate.
 #[derive(Debug, Clone)]
 pub struct WeightHistogram {
     /// Normalized `(table, attr, domain)` axes, ascending dimension order.
@@ -319,6 +325,37 @@ fn code_masks(
     Ok(masks)
 }
 
+/// Each axis's weight vector for `predicates` — same-axis predicates
+/// multiplied together in order — or `None` for an axis they leave
+/// unconstrained. Errors on a predicate outside `axes` or a weight vector
+/// whose length is not its axis's domain.
+fn axis_weights(
+    axes: &[(String, String, usize)],
+    predicates: &[WeightedPredicate],
+) -> Result<Vec<Option<Vec<f64>>>, EngineError> {
+    let mut per_axis: Vec<Option<Vec<f64>>> = vec![None; axes.len()];
+    for wp in predicates {
+        let slot = slot(axes, &wp.table, &wp.attr)?;
+        let domain = axes[slot].2;
+        if wp.weights.len() != domain {
+            return Err(EngineError::WeightLengthMismatch {
+                attr: wp.attr.clone(),
+                got: wp.weights.len(),
+                expected: domain as u32,
+            });
+        }
+        match &mut per_axis[slot] {
+            Some(weights) => {
+                for (slot, w) in weights.iter_mut().zip(&wp.weights) {
+                    *slot *= w;
+                }
+            }
+            None => per_axis[slot] = Some(wp.weights.clone()),
+        }
+    }
+    Ok(per_axis)
+}
+
 /// The slot of the axis `table.attr`, or an error naming it.
 fn slot(axes: &[(String, String, usize)], table: &str, attr: &str) -> Result<usize, EngineError> {
     axes.iter().position(|(t, a, _)| t == table && a == attr).ok_or_else(|| {
@@ -339,6 +376,18 @@ struct ResolvedAxis<'a> {
     kept: Option<Box<[u32]>>,
 }
 
+impl ResolvedAxis<'_> {
+    /// The owned `(table, attr, domain)` a histogram keeps for this axis.
+    fn named(&self) -> (String, String, usize) {
+        (self.table.clone(), self.attr.clone(), self.domain)
+    }
+}
+
+/// The `(table, attr)` names of the axes `predicates` constrain.
+fn predicate_axes(predicates: &[WeightedPredicate]) -> AxisNames {
+    predicates.iter().map(|p| (p.table.clone(), p.attr.clone())).collect()
+}
+
 fn resolve_axes<'a>(
     schema: &'a StarSchema,
     axes: &[(String, String)],
@@ -348,7 +397,7 @@ fn resolve_axes<'a>(
         let dim = schema.dim_index(table)?;
         let codes = schema.dims()[dim].table.codes(attr)?;
         let domain = schema.dims()[dim].table.domain(attr)?.size() as usize;
-        // One column → one axis, exactly like `add_weighted`'s merge.
+        // One column → one axis: same-column predicates multiply into it.
         if !resolved.iter().any(|a| std::ptr::eq(a.codes, codes)) {
             resolved.push(ResolvedAxis {
                 dim,
@@ -457,8 +506,7 @@ impl WeightHistogram {
             .map(|p| (p.table.clone(), p.attr.clone()))
             .collect();
         let mut resolved = resolve_axes(schema, &names)?;
-        let axes: Vec<(String, String, usize)> =
-            resolved.iter().map(|a| (a.table.clone(), a.attr.clone(), a.domain)).collect();
+        let axes: Vec<(String, String, usize)> = resolved.iter().map(ResolvedAxis::named).collect();
         let mut passed: Vec<Vec<bool>> = axes.iter().map(|a| vec![false; a.2]).collect();
         for query in queries {
             for (passed, mask) in passed.iter_mut().zip(code_masks(&axes, query)?) {
@@ -538,9 +586,8 @@ impl WeightHistogram {
             })
             .collect();
 
-        // Same chunk interior as the fused scan's histogram path: flat
-        // codes folded axis-major once per 4096-row chunk, then one drain
-        // per aggregate kind.
+        // Flat codes folded axis-major once per 4096-row chunk, then one
+        // drain per aggregate kind.
         let scan = |lo: usize, hi: usize| -> Vec<Cells> {
             let mut cells: Vec<Cells> = kinds.iter().map(|k| Cells::for_kind(space, k)).collect();
             let mut flat: Vec<u32> = Vec::with_capacity(CHUNK_ROWS);
@@ -579,7 +626,7 @@ impl WeightHistogram {
         KernelCounters::add(&k.fk_bytes_read, fk_bytes as u64);
         let pruned = resolved.iter().any(|a| a.kept.is_some());
         let (axes, kept): (Vec<_>, Vec<_>) =
-            resolved.into_iter().map(|a| ((a.table, a.attr, a.domain), a.kept)).unzip();
+            resolved.into_iter().map(|a| (a.named(), a.kept)).unzip();
         Ok(WeightHistogram {
             axes,
             kept: if pruned { kept } else { Vec::new() },
@@ -619,10 +666,10 @@ impl WeightHistogram {
     /// Answers one weighted query as the dot product `Φ_q · W` — no fact
     /// scan. Same-axis predicates multiply into one weight vector and axes
     /// the query does not constrain contribute factor 1; the outer-product
-    /// tensor and the dot product in flat-code order are the fused scan's
-    /// own loops, so for any weighted query over a subset of the axes this
-    /// returns **bit-identical** `f64`s to [`crate::ScanPlan::execute`]'s
-    /// histogram path on the same data. Errors when the aggregate differs
+    /// tensor is dotted with the cells in flat-code order. This is how
+    /// [`crate::execute_weighted_batch_with`] answers a batch that fits one
+    /// `W`, so a cached `W` over the same axes returns **bit-identical**
+    /// `f64`s. Errors when the aggregate differs
     /// from the histogram's, a predicate names an uncovered axis, a weight
     /// vector has the wrong length, or the histogram is pruned
     /// ([`WeightHistogram::build_for`]).
@@ -633,26 +680,7 @@ impl WeightHistogram {
                 "a pruned weight histogram answers binary queries only".into(),
             ));
         }
-        let mut per_axis: Vec<Option<Vec<f64>>> = vec![None; self.axes.len()];
-        for wp in predicates {
-            let slot = slot(&self.axes, &wp.table, &wp.attr)?;
-            let domain = self.axes[slot].2;
-            if wp.weights.len() != domain {
-                return Err(EngineError::WeightLengthMismatch {
-                    attr: wp.attr.clone(),
-                    got: wp.weights.len(),
-                    expected: domain as u32,
-                });
-            }
-            match &mut per_axis[slot] {
-                Some(weights) => {
-                    for (slot, w) in weights.iter_mut().zip(&wp.weights) {
-                        *slot *= w;
-                    }
-                }
-                None => per_axis[slot] = Some(wp.weights.clone()),
-            }
-        }
+        let per_axis = axis_weights(&self.axes, predicates)?;
         let domains: Vec<usize> = self.axes.iter().map(|a| a.2).collect();
         Ok(cells.dot(&weight_tensor(&domains, &per_axis)))
     }
@@ -689,7 +717,7 @@ impl WeightHistogram {
 /// The flattened weight tensor `Φ_q` over a row-major joint code space:
 /// the outer product of the per-axis weight vectors, an axis without one
 /// contributing factor 1.
-pub(crate) fn weight_tensor(domains: &[usize], per_axis: &[Option<Vec<f64>>]) -> Vec<f64> {
+fn weight_tensor(domains: &[usize], per_axis: &[Option<Vec<f64>>]) -> Vec<f64> {
     let mut tensor = vec![1.0f64];
     for (&domain, weights) in domains.iter().zip(per_axis) {
         let mut next = Vec::with_capacity(tensor.len() * domain);
@@ -704,18 +732,147 @@ pub(crate) fn weight_tensor(domains: &[usize], per_axis: &[Option<Vec<f64>>]) ->
     tensor
 }
 
+/// A weighted query for batch execution: real-valued per-domain weights
+/// (paper Eq. 11) and an aggregate, evaluated as
+/// `Σ_rows Π_dims w_dim(attr(fk)) · w(row)`.
+#[derive(Debug, Clone)]
+pub struct WeightedQuery {
+    /// The weighted predicates (dimensions without one contribute factor 1).
+    pub predicates: Vec<WeightedPredicate>,
+    /// Row-weight aggregate.
+    pub agg: Agg,
+}
+
+impl WeightedQuery {
+    /// A weighted COUNT query.
+    pub fn count(predicates: Vec<WeightedPredicate>) -> Self {
+        WeightedQuery { predicates, agg: Agg::Count }
+    }
+}
+
+/// One weighted query resolved for the row loop: per axis, in ascending
+/// dimension order, its dimension, pk-indexed codes and merged weights.
+type Factors<'a> = Vec<(usize, &'a [u32], Vec<f64>)>;
+
+fn factors<'a>(
+    schema: &'a StarSchema,
+    predicates: &[WeightedPredicate],
+) -> Result<Factors<'a>, EngineError> {
+    let resolved = resolve_axes(schema, &predicate_axes(predicates))?;
+    let axes: Vec<(String, String, usize)> = resolved.iter().map(ResolvedAxis::named).collect();
+    let weights = axis_weights(&axes, predicates)?;
+    Ok(resolved
+        .into_iter()
+        .zip(weights)
+        .map(|(a, w)| (a.dim, a.codes, w.expect("every axis comes from a predicate")))
+        .collect())
+}
+
+/// The axes of the one `W` that answers a whole weighted batch: the union
+/// of its queries' axes, normalized as [`WeightHistogram::plan_axes`] does.
+/// `None` sends the batch to the row loop: no axis at all, a joint code
+/// space past [`DENSE_GROUP_CAP`], or an aggregate whose sums could
+/// overflow an `i64` cell.
+fn batch_axes<'a>(
+    schema: &'a StarSchema,
+    queries: &[WeightedQuery],
+) -> Result<Option<Vec<ResolvedAxis<'a>>>, EngineError> {
+    let names: AxisNames = queries.iter().flat_map(|q| predicate_axes(&q.predicates)).collect();
+    let axes = resolve_axes(schema, &names)?;
+    let mut max_row_weight = 0;
+    for q in queries {
+        max_row_weight = max_row_weight.max(RowWeight::max_abs(schema, &q.agg)?);
+    }
+    let fits = !axes.is_empty()
+        && joint_space(&axes).is_some_and(|space| space <= DENSE_GROUP_CAP)
+        && cells_fit(schema.fact().num_rows(), max_row_weight);
+    Ok(fits.then_some(axes))
+}
+
+/// Answers a batch of weighted queries in input order with at most one
+/// fact scan: one `W` over the batch's axes and aggregates when it fits
+/// ([`batch_axes`]), each query then its dot product; otherwise one row
+/// loop. Every query is resolved before anything is scanned.
+pub(crate) fn execute_weighted_batch(
+    schema: &StarSchema,
+    queries: &[WeightedQuery],
+    options: ScanOptions,
+) -> Result<Vec<f64>, EngineError> {
+    if queries.is_empty() {
+        return Ok(Vec::new());
+    }
+    let resolved: Vec<Factors> =
+        queries.iter().map(|q| factors(schema, &q.predicates)).collect::<Result<_, _>>()?;
+    if let Some(axes) = batch_axes(schema, queries)? {
+        let aggs: Vec<Agg> = queries.iter().map(|q| q.agg.clone()).collect();
+        let w = WeightHistogram::build_resolved(schema, axes, &aggs, options)?;
+        return queries.iter().map(|q| w.answer(&q.predicates, &q.agg)).collect();
+    }
+    row_loop(schema, queries, &resolved, options)
+}
+
+/// One plain pass over the fact rows answering every query with the
+/// reference executor's accumulation step: skip a zero row weight,
+/// multiply the axis weights in dimension order with early exit, add.
+/// Real-weighted sums depend on the split, so the kernel keeps one shard
+/// unless `options.threads` forces more; partials merge in shard order.
+fn row_loop(
+    schema: &StarSchema,
+    queries: &[WeightedQuery],
+    factors: &[Factors],
+    options: ScanOptions,
+) -> Result<Vec<f64>, EngineError> {
+    let fks: Vec<Keys> =
+        schema.dims().iter().map(|d| schema.fact().key(&d.fk)).collect::<Result<_, _>>()?;
+    let weights: Vec<RowWeight> =
+        queries.iter().map(|q| RowWeight::resolve(schema, &q.agg)).collect::<Result<_, _>>()?;
+    let scan = |lo: usize, hi: usize| -> Vec<f64> {
+        let mut totals = vec![0.0f64; queries.len()];
+        let mut chunk_start = lo;
+        while chunk_start < hi {
+            let rows = chunk_start..(chunk_start + CHUNK_ROWS).min(hi);
+            for ((total, weight), axes) in totals.iter_mut().zip(&weights).zip(factors) {
+                for row in rows.clone() {
+                    let mut w = weight.at(row);
+                    if w == 0.0 {
+                        continue;
+                    }
+                    for (dim, codes, axis) in axes {
+                        w *= axis[codes[fks[*dim].get(row) as usize] as usize];
+                        if w == 0.0 {
+                            break;
+                        }
+                    }
+                    *total += w;
+                }
+            }
+            chunk_start = rows.end;
+        }
+        totals
+    };
+    let bounds = shard_bounds(schema.fact().num_rows(), options.threads, false);
+    let merge = |merged: &mut Vec<f64>, shard: Vec<f64>| {
+        for (total, part) in merged.iter_mut().zip(shard) {
+            *total += part;
+        }
+    };
+    let totals = scan_shards(&bounds, scan, merge);
+    fact_scans_add();
+    KernelCounters::add(&kernel_counters().chunks_scanned, chunk_count(&bounds));
+    Ok(totals)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::column::Column;
     use crate::domain::Domain;
     use crate::exec::reference;
-    use crate::plan::fact_scan_count;
+    use crate::plan::scans_of;
     use crate::predicate::Predicate;
     use crate::query::GroupAttr;
     use crate::schema::Dimension;
     use crate::table::Table;
-    use crate::WeightedQuery;
 
     fn schema() -> StarSchema {
         let da = Domain::numeric("attr", 3).unwrap();
@@ -776,7 +933,115 @@ mod tests {
     }
 
     #[test]
-    fn weight_histogram_matches_fused_scan_bit_for_bit() {
+    fn weighted_batches_within_the_cap_answer_from_one_w() {
+        let s = schema();
+        // Mixed aggregates over A and B: one W with two sets of cells.
+        let batch = vec![
+            WeightedQuery::count(vec![WeightedPredicate::new("A", "attr", vec![1.0, 0.5, 0.0])]),
+            WeightedQuery {
+                predicates: vec![
+                    WeightedPredicate::new("A", "attr", vec![0.0, 1.0, 1.0]),
+                    WeightedPredicate::new("B", "attr", vec![1.0, 0.25]),
+                ],
+                agg: Agg::Sum("qty".into()),
+            },
+        ];
+        let axes = batch_axes(&s, &batch).unwrap().expect("6 cells fit the dense cap");
+        assert_eq!(joint_space(&axes), Some(6));
+        for threads in [0usize, 1, 3] {
+            let options = ScanOptions::parallel(threads);
+            let answers = execute_weighted_batch(&s, &batch, options).unwrap();
+            let scans = scans_of(|| execute_weighted_batch(&s, &batch, options));
+            assert_eq!(scans, 1, "one W build answers the batch");
+            // Query 0: rows with fk_a = 0 weigh 1, fk_a = 1 weigh 0.5 → 3.
+            // Query 1: Σ qty·wA·wB over rows 2..6: 3 + 1 + 5 + 1.5 = 10.5.
+            assert_eq!(answers, [3.0, 10.5]);
+            for (q, answer) in batch.iter().zip(&answers) {
+                let oracle = reference::execute_weighted(&s, &q.predicates, &q.agg).unwrap();
+                assert_eq!(answer.to_bits(), oracle.to_bits(), "{:?}", q.agg);
+            }
+        }
+        assert_eq!(execute_weighted_batch(&s, &[], ScanOptions::default()).unwrap(), []);
+        let short = WeightedQuery::count(vec![WeightedPredicate::new("B", "attr", vec![1.0])]);
+        let invalid = [batch[0].clone(), short];
+        let refused = execute_weighted_batch(&s, &invalid, ScanOptions::default());
+        assert!(matches!(refused, Err(EngineError::WeightLengthMismatch { .. })));
+        let scans = scans_of(|| {
+            execute_weighted_batch(&s, &[], ScanOptions::default()).unwrap();
+            execute_weighted_batch(&s, &invalid, ScanOptions::default()).unwrap_err();
+        });
+        assert_eq!(scans, 0, "empty and invalid batches never scan");
+    }
+
+    #[test]
+    fn weighted_batches_past_the_cap_or_a_cell_run_one_row_loop() {
+        // One dimension with a domain past DENSE_GROUP_CAP: the batch's
+        // axis union does not fit one W, so every query takes the row loop.
+        let wide_domain = (DENSE_GROUP_CAP + 1) as u32;
+        let dwide = Domain::numeric("w", wide_domain).unwrap();
+        let dsmall = Domain::numeric("s", 3).unwrap();
+        let wide = Table::new(
+            "W",
+            vec![Column::key("pk", vec![0, 1]), Column::attr("w", dwide, vec![0, wide_domain - 1])],
+        )
+        .unwrap();
+        let small = Table::new(
+            "S",
+            vec![Column::key("pk", vec![0, 1, 2]), Column::attr("s", dsmall, vec![0, 1, 2])],
+        )
+        .unwrap();
+        let fact = Table::new(
+            "F",
+            vec![
+                Column::key("fw", vec![0, 1, 1, 0]),
+                Column::key("fs", vec![0, 1, 2, 2]),
+                // 4 × 2⁶¹ reaches 2⁶³: no i64 cell can hold these sums.
+                Column::measure("huge", vec![1 << 61, -(1 << 61), 3 << 59, 1]),
+            ],
+        )
+        .unwrap();
+        let s = StarSchema::new(
+            fact,
+            vec![Dimension::new(wide, "pk", "fw"), Dimension::new(small, "pk", "fs")],
+        )
+        .unwrap();
+        let mut wide_weights = vec![0.0; wide_domain as usize];
+        wide_weights[0] = 1.0;
+        wide_weights[wide_domain as usize - 1] = 0.5;
+        let small_weights = || WeightedPredicate::new("S", "s", vec![1.0, 0.5, 2.0]);
+        let past_cap = vec![
+            // Same-axis predicates multiply into one factor: 0.5, 0.25, 1.
+            WeightedQuery::count(vec![
+                small_weights(),
+                WeightedPredicate::new("S", "s", vec![0.5, 0.5, 0.5]),
+            ]),
+            WeightedQuery::count(vec![WeightedPredicate::new("W", "w", wide_weights)]),
+        ];
+        let huge =
+            vec![WeightedQuery { predicates: vec![small_weights()], agg: Agg::Sum("huge".into()) }];
+        assert!(batch_axes(&s, &past_cap).unwrap().is_none(), "past the dense cap");
+        assert!(batch_axes(&s, &past_cap[..1]).unwrap().is_some(), "S alone fits");
+        assert!(batch_axes(&s, &huge).unwrap().is_none(), "sums past an i64 cell");
+        for threads in [0usize, 1, 3] {
+            let options = ScanOptions::parallel(threads);
+            for batch in [&past_cap, &huge] {
+                let answers = execute_weighted_batch(&s, batch, options).unwrap();
+                let scans = scans_of(|| execute_weighted_batch(&s, batch, options));
+                assert_eq!(scans, 1, "one row loop answers the batch");
+                for (q, answer) in batch.iter().zip(&answers) {
+                    let oracle = reference::execute_weighted(&s, &q.predicates, &q.agg).unwrap();
+                    assert_eq!(answer.to_bits(), oracle.to_bits(), "{:?}", q.agg);
+                }
+            }
+        }
+        // s-codes 0, 1, 2, 2 weigh 0.5 + 0.25 + 1 + 1; w-codes 0, max, max,
+        // 0 weigh 1 + 0.5 + 0.5 + 1.
+        let answers = execute_weighted_batch(&s, &past_cap, ScanOptions::default()).unwrap();
+        assert_eq!(answers, [2.75, 3.0]);
+    }
+
+    #[test]
+    fn standalone_histograms_match_the_batch_evaluator_bit_for_bit() {
         let s = schema();
         // Arbitrary (non-dyadic) weights: bit-identity must come from doing
         // the same float ops in the same order, not from exact arithmetic.
@@ -793,7 +1058,7 @@ mod tests {
         let axes = both_axes();
         for threads in [1usize, 3] {
             let options = ScanOptions::parallel(threads);
-            let fused = crate::exec::execute_weighted_batch_with(&s, &batch, options).unwrap();
+            let fused = execute_weighted_batch(&s, &batch, options).unwrap();
             let count_hist = WeightHistogram::build(&s, &axes, &Agg::Count, options).unwrap();
             let sum_hist =
                 WeightHistogram::build(&s, &axes, Agg::Sum("qty".into()), options).unwrap();
@@ -1015,16 +1280,15 @@ mod tests {
     fn weight_histogram_counts_one_fact_scan() {
         let s = schema();
         let axes = vec![("A".to_string(), "attr".to_string())];
-        let before = fact_scan_count();
-        let hist = WeightHistogram::build(&s, &axes, &Agg::Count, ScanOptions::default()).unwrap();
-        assert_eq!(fact_scan_count() - before, 1, "building W costs exactly one scan");
-        let before = fact_scan_count();
-        for _ in 0..4 {
+        let build = || WeightHistogram::build(&s, &axes, &Agg::Count, ScanOptions::default());
+        assert_eq!(scans_of(build), 1, "building W costs exactly one scan");
+        let hist = build().unwrap();
+        let scans = scans_of(|| {
             hist.answer(&[WeightedPredicate::new("A", "attr", vec![1.0, 0.5, 0.25])], &Agg::Count)
                 .unwrap();
             hist.answer_query(&StarQuery::count("q").with(Predicate::point("A", "attr", 1)))
                 .unwrap();
-        }
-        assert_eq!(fact_scan_count() - before, 0, "answering from W is scan-free");
+        });
+        assert_eq!(scans, 0, "answering from W is scan-free");
     }
 }

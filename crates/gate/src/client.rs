@@ -192,15 +192,6 @@ impl GateClient {
         self.recv()
     }
 
-    /// Sends a metrics request and blocks for the snapshot.
-    pub fn metrics(&mut self, token: &str) -> std::io::Result<Json> {
-        self.send(Json::obj(vec![
-            ("verb", Json::Str("metrics".into())),
-            ("token", Json::Str(token.into())),
-        ]))?;
-        self.recv()
-    }
-
     /// Sends an explain request (admin token) and blocks for the report.
     /// `profile` additionally executes the plan once — spending no
     /// budget — to capture kernel-counter deltas.

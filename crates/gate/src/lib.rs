@@ -17,8 +17,8 @@
 //!   per-tenant token auth, a per-connection in-flight cap that
 //!   backpressures into the service's fair coalescer queue, structured
 //!   refusals for every service/router error, admin-token-gated operator
-//!   verbs (`metrics`, `subscribe` for live audit/span streaming,
-//!   `explain` for no-budget plan reports), listener-level counters
+//!   verbs (`subscribe` for live audit/span streaming, `explain` for
+//!   no-budget plan reports), listener-level counters
 //!   ([`metrics`]), and the client's request id threaded into trace
 //!   spans and audit events.
 //!

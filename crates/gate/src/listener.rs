@@ -11,10 +11,10 @@
 //! * **auth** — the first thing every request resolves is its token
 //!   against [`GateConfig::tokens`]; an unknown token is a structured
 //!   `unauthorized` refusal and costs nothing. The operator verbs
-//!   (`metrics`, `subscribe`, `explain`) are additionally gated behind
-//!   [`GateConfig::admin_tokens`] — expositions and event streams span
-//!   every tenant and explain reports are un-noised, so a plain tenant
-//!   token gets a `forbidden` refusal instead;
+//!   (`subscribe`, `explain`) are additionally gated behind
+//!   [`GateConfig::admin_tokens`] — event streams span every tenant and
+//!   explain reports are un-noised, so a plain tenant token gets a
+//!   `forbidden` refusal instead;
 //! * **live streaming** — a `subscribe` turns the connection into an
 //!   event stream: whenever the reader goes idle (and after each served
 //!   frame) the connection drains its bounded per-subscriber ring onto
@@ -77,11 +77,11 @@ pub struct GateConfig {
     /// `(token, tenant)` pairs: the token a client presents and the
     /// tenant id its requests are billed to.
     pub tokens: Vec<(String, String)>,
-    /// Tokens allowed to call the admin verbs: `metrics`, `subscribe` and
-    /// `explain`. Their output covers **every** tenant (identities, ε/δ
-    /// spends, query hashes, timing, plans), so a plain tenant token must
-    /// not read it — tenant tokens get a `forbidden` refusal. Empty (the
-    /// default) refuses all three verbs to every token.
+    /// Tokens allowed to call the admin verbs: `subscribe` and `explain`.
+    /// Their output covers **every** tenant (identities, ε/δ spends, query
+    /// hashes, timing, plans), so a plain tenant token must not read it —
+    /// tenant tokens get a `forbidden` refusal. Empty (the default)
+    /// refuses both verbs to every token.
     pub admin_tokens: Vec<String>,
     /// Maximum queued (not yet answered) requests per connection before
     /// the reader stops pulling frames. Clamped to ≥ 1.
@@ -430,30 +430,11 @@ fn handle_request(
     let config = &shared.config;
     let id = request.id();
     match request {
-        WireRequest::Metrics { ref token, .. } => {
-            GateMetrics::inc(&shared.metrics.verb_metrics);
-            // The exposition is gate-wide: every tenant's identity,
-            // spend, query hashes, and timing. Admin tokens only — a
-            // tenant token reading it would be cross-tenant disclosure.
-            if is_admin(config, token) {
-                // The gate's own families use disjoint names, so the
-                // concatenation is still one well-formed exposition.
-                let mut prometheus = router.prometheus_text();
-                prometheus.push_str(&shared.metrics.prometheus_text());
-                queue.push_back(Entry::Ready(Json::obj(vec![
-                    ("id", Json::Num(id as f64)),
-                    ("ok", Json::Num(1.0)),
-                    ("prometheus", Json::Str(prometheus)),
-                    ("audit_jsonl", Json::Str(router.audit_jsonl())),
-                ])));
-            } else {
-                queue.push_back(Entry::Ready(admin_refusal(config, id, token, "metrics")));
-            }
-        }
         WireRequest::Subscribe { ref token, capacity, .. } => {
             GateMetrics::inc(&shared.metrics.verb_subscribe);
             // The stream interleaves every tenant's audit events and
-            // spans, so it is admin-gated exactly like `metrics`.
+            // spans: admin tokens only — a tenant token reading it would
+            // be cross-tenant disclosure.
             if !is_admin(config, token) {
                 queue.push_back(Entry::Ready(admin_refusal(config, id, token, "subscribe")));
                 return;

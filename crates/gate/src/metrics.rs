@@ -27,8 +27,6 @@ pub struct GateMetrics {
     pub frames_out: AtomicU64,
     /// `sql` requests handled.
     pub verb_sql: AtomicU64,
-    /// `metrics` requests handled.
-    pub verb_metrics: AtomicU64,
     /// `subscribe` requests handled.
     pub verb_subscribe: AtomicU64,
     /// `explain` requests handled.
@@ -51,7 +49,6 @@ impl Default for GateMetrics {
             frames_in: AtomicU64::new(0),
             frames_out: AtomicU64::new(0),
             verb_sql: AtomicU64::new(0),
-            verb_metrics: AtomicU64::new(0),
             verb_subscribe: AtomicU64::new(0),
             verb_explain: AtomicU64::new(0),
             events_streamed: AtomicU64::new(0),
@@ -134,7 +131,6 @@ impl GateMetrics {
         p.header("starj_gate_requests_total", "Requests handled, by verb.", "counter");
         for (verb, counter) in [
             ("sql", &self.verb_sql),
-            ("metrics", &self.verb_metrics),
             ("subscribe", &self.verb_subscribe),
             ("explain", &self.verb_explain),
         ] {

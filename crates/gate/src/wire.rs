@@ -9,7 +9,6 @@
 //! ```text
 //! {"id": 7, "verb": "sql", "token": "...", "dataset": "ssb",
 //!  "sql": "SELECT count(*) FROM ...;", "epsilon": 0.5, "name": "q7"?}
-//! {"id": 8, "verb": "metrics", "token": "..."}
 //! {"id": 9, "verb": "subscribe", "token": "...", "capacity": 256?}
 //! {"id": 10, "verb": "explain", "token": "...", "dataset": "ssb",
 //!  "sql": "SELECT count(*) FROM ...;", "profile": 1?}
@@ -112,19 +111,11 @@ pub enum WireRequest {
         /// Optional query label echoed in the answer (default `"sql"`).
         name: Option<String>,
     },
-    /// `verb: "metrics"` — Prometheus exposition + audit JSONL snapshot.
-    /// The snapshot spans every tenant, so the listener only serves it to
-    /// tokens in [`crate::GateConfig::admin_tokens`]; tenant tokens are
-    /// refused with `forbidden`.
-    Metrics {
-        /// Client request id (non-zero).
-        id: u64,
-        /// Admin auth token.
-        token: String,
-    },
     /// `verb: "subscribe"` — stream audit events, completed trace spans,
     /// and slow-query records over this connection as they happen. The
-    /// stream spans every tenant, so it is admin-gated like `metrics`.
+    /// stream spans every tenant, so the listener only serves it to tokens
+    /// in [`crate::GateConfig::admin_tokens`]; tenant tokens are refused
+    /// with `forbidden`.
     Subscribe {
         /// Client request id (non-zero); event frames echo it.
         id: u64,
@@ -157,7 +148,6 @@ impl WireRequest {
     pub fn id(&self) -> u64 {
         match self {
             WireRequest::Sql { id, .. }
-            | WireRequest::Metrics { id, .. }
             | WireRequest::Subscribe { id, .. }
             | WireRequest::Explain { id, .. } => *id,
         }
@@ -201,7 +191,6 @@ impl WireRequest {
                     name: json.get("name").and_then(Json::as_str).map(str::to_string),
                 })
             }
-            Some("metrics") => Ok(WireRequest::Metrics { id, token: str_field("token")? }),
             Some("subscribe") => {
                 let capacity = match json.get("capacity") {
                     None | Some(Json::Null) => None,
@@ -409,17 +398,18 @@ mod tests {
 
         for (body, want_id) in [
             (&b"not json"[..], 0),
-            (br#"{"verb": "sql"}"#, 0),            // no id
-            (br#"{"id": 0, "verb": "sql"}"#, 0),   // zero id
-            (br#"{"id": 1.5, "verb": "sql"}"#, 0), // fractional id
-            (br#"{"id": 3, "verb": "warp"}"#, 3),  // unknown verb
-            (br#"{"id": 4, "verb": "sql"}"#, 4),   // missing fields
-            (br#"{"id": 5}"#, 5),                  // missing verb
-            (b"\xff\xfe", 0),                      // not UTF-8
+            (br#"{"verb": "sql"}"#, 0),                            // no id
+            (br#"{"id": 0, "verb": "sql"}"#, 0),                   // zero id
+            (br#"{"id": 1.5, "verb": "sql"}"#, 0),                 // fractional id
+            (br#"{"id": 3, "verb": "warp"}"#, 3),                  // unknown verb
+            (br#"{"id": 8, "verb": "metrics", "token": "t"}"#, 8), // retired verb
+            (br#"{"id": 4, "verb": "sql"}"#, 4),                   // missing fields
+            (br#"{"id": 5}"#, 5),                                  // missing verb
+            (b"\xff\xfe", 0),                                      // not UTF-8
             // Above 2^53 − 1 the f64 JSON layer cannot echo the id
             // exactly; the protocol refuses instead of corrupting it.
-            (&br#"{"id": 9007199254740992, "verb": "metrics", "token": "t"}"#[..], 0),
-            (&br#"{"id": 18446744073709551615, "verb": "metrics", "token": "t"}"#[..], 0),
+            (&br#"{"id": 9007199254740992, "verb": "subscribe", "token": "t"}"#[..], 0),
+            (&br#"{"id": 18446744073709551615, "verb": "subscribe", "token": "t"}"#[..], 0),
         ] {
             let (id, code, _) = WireRequest::decode(body).unwrap_err();
             assert_eq!(id, want_id, "id salvaged from {body:?}");
@@ -427,7 +417,7 @@ mod tests {
         }
 
         // The largest exactly-representable id round-trips untouched.
-        let max_safe = br#"{"id": 9007199254740991, "verb": "metrics", "token": "t"}"#;
+        let max_safe = br#"{"id": 9007199254740991, "verb": "subscribe", "token": "t"}"#;
         assert_eq!(WireRequest::decode(max_safe).unwrap().id(), 9_007_199_254_740_991);
     }
 

@@ -15,8 +15,8 @@
 //! unauthenticated so orchestrators can use them blind, while `/metrics`
 //! and `/audit` span every tenant — identities, ε/δ spends, query hashes,
 //! timings — and therefore demand an `Authorization: Bearer` token from
-//! [`OpsConfig::admin_tokens`], exactly the credential the gate's
-//! `metrics` verb takes. A stock Prometheus scrape config needs only
+//! [`OpsConfig::admin_tokens`], the same kind of credential the gate's
+//! admin verbs take. A stock Prometheus scrape config needs only
 //! `bearer_token` (or `authorization.credentials`) plus the address.
 //!
 //! Threading is the gate listener's own [`starj_gate::AcceptLoop`]: one

@@ -28,8 +28,9 @@
 //!
 //! Budget accounting stays strictly per-dataset: the router adds no privacy
 //! logic of its own, so its answers and ledgers are **bit-identical** to N
-//! standalone services — `tests/router_parity.rs` proves it in lockstep
-//! under a randomized mixed workload.
+//! standalone services, each seeded with [`dataset_seed`] —
+//! `tests/router_parity.rs` proves it in lockstep under a randomized mixed
+//! workload.
 //!
 //! # Quick start
 //!
@@ -77,4 +78,4 @@ pub mod router;
 
 pub use error::{RouterError, ShardFailure};
 pub use metrics::{DatasetMetrics, RouterMetrics};
-pub use router::{FanoutAnswer, FanoutGroup, Placement, Router, RouterConfig};
+pub use router::{dataset_seed, FanoutAnswer, FanoutGroup, Placement, Router, RouterConfig};

@@ -47,7 +47,9 @@ pub struct RouterConfig {
     /// Placement seed: two routers with the same seed and shard count
     /// place every dataset identically.
     pub seed: u64,
-    /// The service configuration every dataset's service starts from.
+    /// The service configuration every dataset's service starts from. Its
+    /// `seed` is mixed with each dataset's name ([`dataset_seed`]), so no
+    /// two datasets draw the same noise stream.
     pub shard_config: ServiceConfig,
     /// Crash-safe budget accounting for every hosted dataset: when set,
     /// each dataset's service journals to `<durable_root>/<dataset>` (its
@@ -101,6 +103,13 @@ impl RouterConfig {
 fn hash_key(seed: u64, key: &str) -> u64 {
     let mut h = fnv1a(FNV_OFFSET ^ splitmix64(&mut { seed }), key.bytes().map(u64::from));
     splitmix64(&mut h)
+}
+
+/// The noise seed of dataset `name`'s service, from the shard
+/// configuration's `seed`: each dataset draws its own stream, and a fixed
+/// `seed` still repeats every dataset's stream run to run.
+pub fn dataset_seed(seed: u64, name: &str) -> u64 {
+    hash_key(seed, name)
 }
 
 /// Where a dataset lives.
@@ -266,7 +275,8 @@ impl Router {
 
     /// Hosts a dataset: its name hashes to a shard
     /// (`hash_key(seed, name) % shards`), a fresh [`Service`] over
-    /// `schema` starts from [`RouterConfig::shard_config`], and the
+    /// `schema` starts from [`RouterConfig::shard_config`] with its noise
+    /// seed mixed with the name ([`dataset_seed`]), and the
     /// table-ownership index picks it up. Returns where it was placed.
     pub fn add_dataset(
         &self,
@@ -280,6 +290,7 @@ impl Router {
         let shard = (hash_key(self.config.seed, name) % self.config.shards as u64) as u32;
         let tables: Vec<String> = schema.table_names().into_iter().map(str::to_string).collect();
         let mut config = self.config.shard_config.clone();
+        config.seed = dataset_seed(config.seed, name);
         if let Some(bus) = &self.config.bus {
             // Every shard service streams onto the router's bus; the
             // component label names the hop so subscribers can stitch the

@@ -52,9 +52,9 @@
 //!   partition whose joint code space fits the dense cap answers through
 //!   the shared [`WeightHistogram`](starj_engine::WeightHistogram) — built
 //!   once (one scan) and cached in [`crate::wcache`], so warm traffic is
-//!   scan-free. Oversized axis sets fall back to one fused
-//!   `execute_weighted_batch` scan whose per-query row loops keep answers
-//!   independent of batch composition.
+//!   scan-free. Axis sets past the cache's cap fall back to one
+//!   `execute_weighted_batch` call, whose single row loop accumulates
+//!   each query on its own, so answers do not depend on batch composition.
 
 use crate::error::ServiceError;
 use crate::metrics::ServiceMetrics;
@@ -538,8 +538,8 @@ pub(crate) fn process_batch(core: &ServiceCore, jobs: Vec<Job>) {
     }
 }
 
-/// One fused binary scan (PM) or one shared W histogram / fused weighted
-/// scan (WD) answers every job of a compatible partition; each job then
+/// One fused binary scan (PM) or one shared W histogram / weighted batch
+/// (WD) answers every job of a compatible partition; each job then
 /// commits and wakes its caller in turn.
 fn answer_partition(core: &ServiceCore, mut jobs: Vec<Job>) {
     let mut group: Vec<&mut Work> = jobs

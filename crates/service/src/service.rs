@@ -943,7 +943,7 @@ impl ServiceCore {
     /// Evaluates one compatible group of work units in place — a group of
     /// one on the direct path, a drained partition in the coalescer. PM
     /// units share one fused binary scan; WD units share one W histogram
-    /// (or one fused weighted scan). A failure counts one mechanism failure
+    /// (or one weighted batch's row loop). A failure counts one mechanism failure
     /// per unit; the caller drops the units, refunding every reservation.
     pub(crate) fn evaluate(&self, group: &mut [&mut Work]) -> Result<(), ServiceError> {
         for work in group.iter_mut() {
@@ -1064,10 +1064,11 @@ impl ServiceCore {
     /// Answers an axis-compatible group of reconstructed row sets. When the
     /// joint code space fits the dense cap, the W histogram answers
     /// everything: a cached `W` makes the whole group scan-free, a cold one
-    /// costs a single build scan shared by every request. Oversized axis
-    /// sets fall back to one fused weighted scan whose per-query row loops
-    /// are independent of batch composition, keeping answers bit-identical
-    /// to the sequential path either way.
+    /// costs a single build scan shared by every request. Axis sets past
+    /// [`DENSE_GROUP_CAP`] fall back to one
+    /// `execute_weighted_batch_with` row loop, which accumulates each query
+    /// on its own, keeping answers bit-identical to the sequential path
+    /// either way.
     fn evaluate_wd(
         &self,
         schema: &StarSchema,

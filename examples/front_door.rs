@@ -24,11 +24,10 @@ fn main() {
 
     // The gate: auth tokens map wire clients to tenants; everything else
     // (budgets, canonicalization, noise) stays behind the router. The
-    // metrics verb spans every tenant, so it needs the separate admin
-    // token — a tenant token gets a `forbidden` refusal.
+    // operator's view — metrics and the audit trail — is the HTTP plane's
+    // (see the `operator_plane` example).
     let config = GateConfig {
         tokens: vec![("s3cret".to_string(), "analyst".to_string())],
-        admin_tokens: vec!["0ps-t3am".to_string()],
         ..GateConfig::default()
     };
     let gate = Gate::bind(Arc::clone(&router), config, "127.0.0.1:0").unwrap();
@@ -89,22 +88,5 @@ fn main() {
             );
             break;
         }
-    }
-
-    // The metrics verb serves the router's Prometheus exposition and the
-    // audit JSONL — note the wire request ids on the trail. It spans
-    // every tenant's spends and hashes, so only the admin token may read
-    // it; the analyst's own token is refused.
-    let refused = client.metrics("s3cret").unwrap();
-    println!(
-        "\n> metrics with the tenant token\n  refused: code = {}",
-        refused.get("code").and_then(Json::as_str).unwrap()
-    );
-    let metrics = client.metrics("0ps-t3am").unwrap();
-    let audit = metrics.get("audit_jsonl").and_then(Json::as_str).unwrap();
-    println!("\naudit trail (last 3 events, request_id = the wire frame id):");
-    let lines: Vec<&str> = audit.lines().collect();
-    for line in lines.iter().rev().take(3).rev() {
-        println!("  {line}");
     }
 }

@@ -135,6 +135,14 @@ fn main() {
     }
     print_tree(&spans, 0.0, 0);
 
+    // The audit trail over HTTP: every settlement carries the wire request
+    // id it settled (request_id 7001 for the commit above).
+    let (status, audit) = http_get(ops.addr(), "/audit", Some(ADMIN));
+    println!("\nGET /audit (admin)      → {status}, {} events:", audit.lines().count());
+    for line in audit.lines() {
+        println!("  {line}");
+    }
+
     // ---- 3. EXPLAIN with a profile, spending nothing ----------------------
     let before = router.tenant_usage("ssb", "analyst").unwrap().spent_epsilon;
     let report = operator.explain(ADMIN, "ssb", &sql, true).unwrap();

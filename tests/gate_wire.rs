@@ -12,9 +12,9 @@
 //!   tenant ledger untouched and land in the audit trail carrying the
 //!   wire request id the client sent;
 //! * **protocol discipline** — pipelined responses come back in request
-//!   order, auth and parse failures are structured refusals with stable
-//!   codes, and the `metrics` verb serves the router's Prometheus
-//!   exposition and audit JSONL.
+//!   order, and auth and parse failures are structured refusals with
+//!   stable codes. The exposition and audit trail are HTTP's
+//!   (`tests/ops_plane.rs`): a `metrics` frame is an unknown verb.
 
 use dp_starj_repro::durable::{FaultKind, FaultPlan};
 use dp_starj_repro::engine::{
@@ -379,40 +379,20 @@ fn refusal_codes_are_stable_and_keep_the_connection() {
     let refused = client.recv().unwrap();
     assert_eq!(refused.get("code").and_then(Json::as_str), Some("bad_request"));
 
+    // The retired `metrics` verb is unknown, even to an admin token.
+    let metrics = Json::obj(vec![
+        ("id", Json::Num(51.0)),
+        ("verb", Json::Str("metrics".into())),
+        ("token", Json::Str(ADMIN_TOKEN.into())),
+    ]);
+    assert_eq!(client.send(metrics).unwrap(), 51);
+    let refused = client.recv().unwrap();
+    assert_eq!(refused.get("code").and_then(Json::as_str), Some("bad_request"));
+    assert!(refused.get("error").and_then(Json::as_str).unwrap().contains("unknown verb"));
+
     // The connection survived all of the above.
     let ok = client.sql(TOKEN, DATASET, "SELECT count(*) FROM Fact;", 0.5).unwrap();
     assert_eq!(ok.get("ok").and_then(Json::as_f64), Some(1.0));
-}
-
-/// The metrics verb serves the router's Prometheus exposition and the
-/// audit JSONL — to admin tokens only. The snapshot spans every tenant
-/// (identities, spends, query hashes), so a plain tenant token gets a
-/// `forbidden` refusal instead of another tenant's metadata.
-#[test]
-fn metrics_verb_is_admin_only_and_serves_prometheus_and_audit_jsonl() {
-    let router = router(ServiceConfig::default());
-    let gate = gate_over(&router);
-    let mut client = GateClient::connect(gate.addr()).unwrap();
-    let schema = router.dataset_schema(DATASET).unwrap();
-    let sql = to_sql(&schema, &StarQuery::count("q").with(Predicate::point("Dim", "c", 1)));
-    client.sql(TOKEN, DATASET, &sql, 0.5).unwrap();
-
-    let unauthorized = client.metrics("wrong").unwrap();
-    assert_eq!(unauthorized.get("code").and_then(Json::as_str), Some("unauthorized"));
-
-    // A registered *tenant* token is authenticated but not privileged:
-    // cross-tenant metadata stays behind the admin boundary.
-    let forbidden = client.metrics(TOKEN).unwrap();
-    assert_eq!(forbidden.get("code").and_then(Json::as_str), Some("forbidden"));
-    assert!(forbidden.get("prometheus").is_none() && forbidden.get("audit_jsonl").is_none());
-
-    let metrics = client.metrics(ADMIN_TOKEN).unwrap();
-    assert_eq!(metrics.get("ok").and_then(Json::as_f64), Some(1.0));
-    let prom = metrics.get("prometheus").and_then(Json::as_str).unwrap();
-    assert!(prom.contains("starj_"), "prometheus text looks wrong:\n{prom}");
-    let audit = metrics.get("audit_jsonl").and_then(Json::as_str).unwrap();
-    assert!(audit.contains("\"commit\""), "audit trail missing the served commit:\n{audit}");
-    assert!(audit.contains(&format!("\"{DATASET}\"")), "audit lines are dataset-tagged");
 }
 
 /// A slowloris client — half a length prefix, then silence — must not pin

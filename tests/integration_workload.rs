@@ -95,3 +95,48 @@ fn workload_error_metric_is_scale_free() {
     let scaled = workload_relative_error(&[1100.0, 900.0], &[1000.0, 1000.0]);
     assert!((errs - scaled).abs() < 1e-12);
 }
+
+/// The bits of `wd_answer` on W1 at a fixed seed over SSB SF 0.01: the
+/// reconstruction draws and the one-`W` evaluation of its 11 weighted rows
+/// are both pinned. The default (identity) strategies reconstruct 0/1
+/// weights; dyadic ranges give fractional ones, whose sums round, so a
+/// change to the order of the evaluator's float operations shows too.
+#[test]
+fn wd_answer_bits_on_w1_are_pinned() {
+    let s = schema();
+    let dyadic =
+        WdConfig { strategies: Some(vec![StrategyKind::DyadicRanges; 3]), ..Default::default() };
+    for (config, pinned) in [(WdConfig::default(), PINNED_IDENTITY), (dyadic, PINNED_DYADIC)] {
+        let mut rng = StarRng::from_seed(2023);
+        let answers = wd_answer(&s, &adapt(&w1()), 1.0, &config, &mut rng).unwrap();
+        let bits: Vec<u64> = answers.iter().map(|a| a.to_bits()).collect();
+        assert_eq!(bits, pinned, "{:?}", config.strategies);
+    }
+}
+
+const PINNED_IDENTITY: [u64; 11] = [
+    0x404c800000000000,
+    0x404f000000000000,
+    0x404c800000000000,
+    0x404c800000000000,
+    0x4051000000000000,
+    0x404f000000000000,
+    0x4074000000000000,
+    0x4082900000000000,
+    0x4087780000000000,
+    0x4087380000000000,
+    0x4082d00000000000,
+];
+const PINNED_DYADIC: [u64; 11] = [
+    0x4069757ccd0bf2cb,
+    0x406bd44d64c018b7,
+    0x404bd1ffd888497e,
+    0x404bd1ffd8884964,
+    0x40747f6cebe17975,
+    0x40750353a3307c9e,
+    0xc05f90013bbdb4f8,
+    0x4070e522c3f35ba4,
+    0x4080e7888496297d,
+    0x408f3b70c6924ec6,
+    0xc0639088e7417204,
+];

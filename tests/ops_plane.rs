@@ -463,14 +463,18 @@ fn http_endpoint_serves_probes_metrics_and_audit_behind_bearer_auth() {
     let (status, _, body) = http_get(addr, "/readyz", None);
     assert_eq!((status, body.as_str()), (200, "ready\n"));
 
-    // The cross-tenant surfaces demand the admin bearer token.
+    // The cross-tenant surfaces demand the admin bearer token, and a
+    // refusal carries none of the snapshot.
     let (status, head, _) = http_get(addr, "/metrics", None);
     assert_eq!(status, 401);
     assert!(head.contains("WWW-Authenticate: Bearer"));
     let (status, _, _) = http_get(addr, "/metrics", Some("wrong"));
     assert_eq!(status, 401);
-    let (status, _, _) = http_get(addr, "/audit", Some(TOKEN));
-    assert_eq!(status, 401, "tenant tokens are not admin tokens over HTTP");
+    for route in ["/metrics", "/audit"] {
+        let (status, _, body) = http_get(addr, route, Some(TOKEN));
+        assert_eq!(status, 401, "tenant tokens are not admin tokens over HTTP");
+        assert!(!body.contains("starj_") && !body.contains("\"commit\""), "{route}: {body}");
+    }
 
     let (status, head, metrics) = http_get(addr, "/metrics", Some(ADMIN_TOKEN));
     assert_eq!(status, 200);
@@ -487,6 +491,7 @@ fn http_endpoint_serves_probes_metrics_and_audit_behind_bearer_auth() {
     assert!(audit.lines().any(|l| l.contains("\"commit\"")), "served commit missing:\n{audit}");
     for line in audit.lines() {
         Json::parse(line).unwrap_or_else(|e| panic!("audit line is not JSON ({e}): {line}"));
+        assert!(line.contains(&format!("\"{DATASET}\"")), "audit lines are dataset-tagged: {line}");
     }
 
     // Unknown routes and methods.

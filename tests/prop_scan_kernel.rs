@@ -1,6 +1,6 @@
 //! Kernel-equivalence property tests: the vectorized scan kernels
-//! ([`execute_batch`], the parallel sharded scan, and the fused weighted
-//! batch) must produce **bit-identical** results to the row-at-a-time
+//! ([`execute_batch`], the parallel sharded scan, and the weighted batch
+//! evaluator) must produce **bit-identical** results to the row-at-a-time
 //! executor preserved in `starj_engine::exec::reference`, on random schemas,
 //! queries, group-bys and weighted predicates — including the snowflake
 //! fold.
@@ -616,27 +616,28 @@ fn default_sharding_is_bit_identical_and_skips_real_weighted_plans() {
         assert_eq!(sharded[i], reference::execute(&schema, q).unwrap(), "query {i}");
     }
 
-    // A count histogram sums integers: shardable, and still exact.
+    // A count histogram sums integers: its cells shard, and stay exact.
     let quarters = |n: u32| (0..n).map(|i| f64::from(i % 9) / 4.0).collect::<Vec<f64>>();
     let hist = vec![WeightedPredicate::new("A", "x", quarters(300))];
-    let mut plan = ScanPlan::with_options(&schema, ScanOptions::default()).unwrap();
-    plan.add_weighted(&hist, &Agg::Count).unwrap();
-    assert_eq!(plan.describe().shards, cores.min(2));
+    let weighted = |predicates: &[WeightedPredicate], agg: Agg| {
+        let batch = [WeightedQuery { predicates: predicates.to_vec(), agg }];
+        execute_weighted_batch_with(&schema, &batch, ScanOptions::default()).unwrap()[0]
+    };
     assert_eq!(
-        plan.execute(ScanOptions::default())[0].scalar().unwrap().to_bits(),
+        weighted(&hist, Agg::Count).to_bits(),
         reference::execute_weighted(&schema, &hist, &Agg::Count).unwrap().to_bits(),
     );
 
     // Integer sums re-associate only below 2⁵³. SUM(big) rounds on the way,
-    // so its bits depend on the split: the kernel keeps it — scalar, grouped
-    // or as a histogram — on one shard, in the reference's order.
+    // so its bits depend on the split: the kernel keeps it — scalar or
+    // grouped — on one shard, in the reference's order. A histogram's
+    // integer cells hold it exactly on any split.
     let big = StarQuery::sum("big", "big").with(Predicate::range("A", "x", 0, 250));
     let big_grouped = big.clone().group_by(GroupAttr::new("B", "x"));
     let mut plan = ScanPlan::with_options(&schema, ScanOptions::default()).unwrap();
     plan.add_query(&queries[0]).unwrap();
     plan.add_query(&big).unwrap();
     plan.add_query(&big_grouped).unwrap();
-    plan.add_weighted(&hist, &Agg::Sum("big".into())).unwrap();
     assert_eq!(plan.describe().shards, 1, "sums that can pass 2⁵³ pin the plan");
     let pinned = plan.execute(ScanOptions::default());
     assert!(pinned[1].scalar().unwrap() > 2f64.powi(53));
@@ -646,8 +647,8 @@ fn default_sharding_is_bit_identical_and_skips_real_weighted_plans() {
     let standalone = WeightHistogram::build(&schema, &axes, &sum_big, ScanOptions::default());
     assert_eq!(
         standalone.unwrap().answer(&hist, &sum_big).unwrap().to_bits(),
-        pinned[3].scalar().unwrap().to_bits(),
-        "a histogram built on its own follows the same rule"
+        weighted(&hist, sum_big.clone()).to_bits(),
+        "a histogram built on its own answers the batch's bits"
     );
 
     // Two 300-code axes overflow the joint histogram, so this query runs
@@ -659,14 +660,8 @@ fn default_sharding_is_bit_identical_and_skips_real_weighted_plans() {
         WeightedPredicate::new("A", "x", tenths(300)),
         WeightedPredicate::new("B", "x", tenths(300)),
     ];
-    let mut plan = ScanPlan::with_options(&schema, ScanOptions::default()).unwrap();
-    plan.add_query(&queries[0]).unwrap();
-    plan.add_weighted(&real, &Agg::Sum("m".into())).unwrap();
-    assert_eq!(plan.describe().shards, 1, "a real-weighted row-loop query pins the plan");
-    let pinned = plan.execute(ScanOptions::default());
-    assert_eq!(pinned[0], sharded[0]);
     assert_eq!(
-        pinned[1].scalar().unwrap().to_bits(),
+        weighted(&real, Agg::Sum("m".into())).to_bits(),
         reference::execute_weighted(&schema, &real, &Agg::Sum("m".into())).unwrap().to_bits(),
     );
 }
@@ -792,9 +787,10 @@ fn measure_width_boundaries_match_reference_on_every_kernel_path() {
         assert_eq!(sharded[i], oracle, "{} (threads = 2)", q.name);
     }
 
-    // Weighted: A alone answers through the joint histogram; B × C (90 000
-    // codes) is past the dense cap and runs the weighted row loop. Dyadic
-    // weights keep every product and partial exact.
+    // Weighted: a batch over A alone answers through one joint histogram;
+    // mixed with B × C (90 000 codes) it is past the dense cap and runs the
+    // weighted row loop. Dyadic weights keep every product and partial
+    // exact.
     let quarters = |n: u32| (0..n).map(|c| f64::from(c % 9) / 4.0).collect::<Vec<f64>>();
     let hist = vec![WeightedPredicate::new("A", "x", quarters(5))];
     let rows = vec![
@@ -811,6 +807,8 @@ fn measure_width_boundaries_match_reference_on_every_kernel_path() {
     }
     let fused = execute_weighted_batch(&schema, &items).unwrap();
     let sharded = execute_weighted_batch_with(&schema, &items, ScanOptions::parallel(2)).unwrap();
+    let on_a: Vec<WeightedQuery> = items.iter().step_by(2).cloned().collect();
+    let one_w = execute_weighted_batch(&schema, &on_a).unwrap();
     let axes = [("A".to_string(), "x".to_string())];
     for (i, item) in items.iter().enumerate() {
         let oracle = reference::execute_weighted(&schema, &item.predicates, &item.agg).unwrap();
@@ -818,6 +816,7 @@ fn measure_width_boundaries_match_reference_on_every_kernel_path() {
         assert_eq!(fused[i].to_bits(), oracle.to_bits(), "{what} (fused)");
         assert_eq!(sharded[i].to_bits(), oracle.to_bits(), "{what} (threads = 2)");
         if item.predicates.len() == 1 {
+            assert_eq!(one_w[i / 2].to_bits(), oracle.to_bits(), "{what} (one W)");
             // The WD path: one histogram built on its own, then answered.
             for opts in [ScanOptions::default(), ScanOptions::parallel(2)] {
                 let h = WeightHistogram::build(&schema, &axes, &item.agg, opts).unwrap();

@@ -6,7 +6,8 @@
 //! refusals), replayed in lockstep.
 //!
 //! Why exact equality is achievable: the router adds **zero** privacy
-//! logic. Every dataset's `Service` owns its own seed-derived RNG stream,
+//! logic. Every dataset's `Service` owns its own RNG stream, seeded from
+//! the shared seed and the dataset name (`dataset_seed`), its own
 //! accountant, and caches; the router only chooses *which* service
 //! answers. As long as the per-dataset request order matches (lockstep
 //! guarantees it — fan-out groups preserve submission order within each
@@ -19,7 +20,7 @@ use dp_starj_repro::engine::{
     Column, Constraint, Dimension, Domain, Predicate, StarQuery, StarSchema, Table,
 };
 use dp_starj_repro::noise::PrivacyBudget;
-use dp_starj_repro::router::{Router, RouterConfig, RouterError};
+use dp_starj_repro::router::{dataset_seed, Router, RouterConfig, RouterError};
 use dp_starj_repro::service::{Answer, Request, Service, ServiceConfig};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -193,7 +194,8 @@ proptest! {
         for (name, rows) in DATASETS.iter().zip(&facts) {
             let schema = dataset_schema(name, rows);
             router.add_dataset(name, Arc::clone(&schema)).unwrap();
-            standalones.insert(name.to_string(), Service::new(schema, config.clone()));
+            let twin = ServiceConfig { seed: dataset_seed(seed, name), ..config.clone() };
+            standalones.insert(name.to_string(), Service::new(schema, twin));
         }
         // A rich tenant everywhere, plus a scarce one so refusals are
         // exercised (0.5 ε per dataset runs dry quickly).

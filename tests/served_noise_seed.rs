@@ -1,11 +1,13 @@
 //! The served noise stream is a secret: a default `ServiceConfig` draws its
 //! root seed from the OS, so two default services perturb the same
 //! requests differently, while two services given one fixed seed repeat
-//! each other bit for bit.
+//! each other bit for bit. A router mixes each dataset's name into the
+//! seed, so two datasets of one router never share a stream either.
 
 use dp_starj_repro::engine::{Column, Dimension, Domain, Predicate, StarQuery, StarSchema, Table};
 use dp_starj_repro::noise::PrivacyBudget;
-use dp_starj_repro::service::{Service, ServiceConfig};
+use dp_starj_repro::router::{Router, RouterConfig};
+use dp_starj_repro::service::{Service, ServiceAnswer, ServiceConfig};
 use std::sync::Arc;
 
 const DOM: u32 = 64;
@@ -30,20 +32,29 @@ fn schema() -> Arc<StarSchema> {
     Arc::new(StarSchema::new(fact, vec![Dimension::new(d, "pk", "fk")]).unwrap())
 }
 
-/// The perturbed queries a service executes for 16 distinct range counts.
+/// 16 distinct range counts.
+fn requests() -> impl Iterator<Item = StarQuery> {
+    (0..16).map(|i| {
+        let (lo, hi) = (2 * i, 2 * i + 20);
+        StarQuery::count(format!("q{i}")).with(Predicate::range("D", "code", lo, hi))
+    })
+}
+
+fn allotment() -> PrivacyBudget {
+    PrivacyBudget::pure(16.0 * EPS).unwrap()
+}
+
+/// The perturbed query a fresh paid PM answer carries.
+fn noisy(answer: ServiceAnswer) -> StarQuery {
+    assert!(!answer.cached, "every request is fresh");
+    answer.noisy_query.expect("a paid PM answer carries its noisy query")
+}
+
+/// The perturbed queries a service executes for the 16 requests.
 fn noisy_queries(config: ServiceConfig) -> Vec<StarQuery> {
     let service = Service::new(schema(), config);
-    service.register_tenant("t", PrivacyBudget::pure(16.0 * EPS).unwrap()).unwrap();
-    (0..16)
-        .map(|i| {
-            let (lo, hi) = (2 * i, 2 * i + 20);
-            let query =
-                StarQuery::count(format!("q{i}")).with(Predicate::range("D", "code", lo, hi));
-            let answer = service.pm_answer("t", &query, EPS).unwrap();
-            assert!(!answer.cached, "every request is fresh");
-            answer.noisy_query.expect("a paid PM answer carries its noisy query")
-        })
-        .collect()
+    service.register_tenant("t", allotment()).unwrap();
+    requests().map(|query| noisy(service.pm_answer("t", &query, EPS).unwrap())).collect()
 }
 
 #[test]
@@ -55,4 +66,19 @@ fn default_services_draw_different_noise_and_fixed_seeds_repeat() {
     );
     let fixed = || ServiceConfig { seed: 7, ..ServiceConfig::default() };
     assert_eq!(noisy_queries(fixed()), noisy_queries(fixed()));
+}
+
+#[test]
+fn two_datasets_of_a_default_router_draw_different_noise() {
+    let router = Router::new(RouterConfig::default()).unwrap();
+    let datasets = ["east", "west"];
+    for name in datasets {
+        router.add_dataset(name, schema()).unwrap();
+        router.register_tenant(name, "t", allotment()).unwrap();
+    }
+    let [east, west] = datasets.map(|name| {
+        let answer = |query: StarQuery| router.pm_answer(name, "t", &query, EPS).unwrap();
+        requests().map(|query| noisy(answer(query))).collect::<Vec<_>>()
+    });
+    assert_ne!(east, west, "two datasets perturbed 16 requests identically");
 }

@@ -3,10 +3,9 @@
 //! One fixed-seed request sequence on a toy schema covers every branch of
 //! the submit path: a fresh PM answer, a presentation-variant replay, a
 //! free (unsatisfiable) query, a budget refusal, an unknown-table refusal,
-//! a minimum-frequency refusal, a mixed free/paid batch and its replay, an
-//! all-free batch, an empty batch (and three malformed ε on it), a budget-,
-//! an unknown-table- and a minimum-frequency-refused batch, a fresh
-//! workload, its replay, a second workload on the same axes (a W-histogram
+//! a mixed free/paid batch and its replay, an all-free batch, an empty
+//! batch (and three malformed ε on it), a budget- and an
+//! unknown-table-refused batch, a fresh workload, its replay, a second workload on the same axes (a W-histogram
 //! cache hit), the cache sizes, a data refresh, and PM again. The sequence
 //! runs once on the direct path and once through the coalescer (one
 //! worker), and every observable is pinned verbatim: answer bits, the
